@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import (BoxQFTError, DimensionMismatch, DimensionOverflow,
-                     UnknownMode)
+                     OffLatticeMomentum, UnknownMode)
 from .spacetime import FourVector
 
 DIM_LIMIT_DEFAULT = 200_000
@@ -143,6 +143,9 @@ class FockSpace:
         self.channels: Tuple[Tuple[str, ModeGrid], ...] = tuple(channels)
         if len({lbl for lbl, _ in self.channels}) != len(self.channels):
             raise BoxQFTError("channel labels must be unique")
+        if len({(g.axes, g.lengths) for _, g in self.channels}) > 1:
+            raise BoxQFTError("all channels must share one box: the same "
+                              "axes and lengths")
         self.n_max_per_mode = int(n_max_per_mode)
         self.n_max_total = int(n_max_total)
         self._grid: Dict[str, ModeGrid] = dict(self.channels)
@@ -190,6 +193,24 @@ class FockSpace:
     @property
     def volume(self) -> float:
         return self.channels[0][1].volume
+
+    def lattice_of(self, p: FourVector) -> Tuple[int, int, int]:
+        """Spatial part of p in lattice units of the box; raises
+        OffLatticeMomentum unless it is integral on the active axes and zero
+        on the others."""
+        grid = self.channels[0][1]
+        out = [0, 0, 0]
+        ps = p.spatial
+        for a in (1, 2, 3):
+            if a in grid.axes:
+                L = grid.lengths[grid.axes.index(a)]
+                n = ps[a - 1] * L / (2 * math.pi)
+                if abs(n - round(n)) > 1e-9:
+                    raise OffLatticeMomentum(f"momentum off lattice on axis {a}")
+                out[a - 1] = int(round(n))
+            elif abs(ps[a - 1]) > 1e-12:
+                raise OffLatticeMomentum(f"momentum on inactive axis {a}")
+        return tuple(out)
 
     def state_index(self, occ) -> int:
         key = np.asarray(occ, dtype=np.int8).tobytes()
@@ -410,7 +431,6 @@ def total_momentum(space: FockSpace, axis: int) -> sp.csr_matrix:
     """Diagonal total-momentum component (physical units)."""
     if axis not in (1, 2, 3):
         raise BoxQFTError("axis must be 1, 2 or 3")
-    # all channels share box lengths per axis by construction of the builders
     grid = space.channels[0][1]
     if axis in grid.axes:
         L = grid.lengths[grid.axes.index(axis)]

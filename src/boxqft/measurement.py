@@ -100,7 +100,7 @@ def spacelike_windowed_observable(S: QuadraticDensity, p: FourVector,
     if classify_interval(p) is not IntervalClass.SPACELIKE:
         warnings.warn("readout momentum p is not space-like; vacuum noise "
                       "suppression does not apply", stacklevel=2)
-    lat_p = _lattice_of(space, p)
+    lat_p = space.lattice_of(p)
     neg = tuple(-v for v in lat_p)
     ps = p.spatial
 
@@ -119,24 +119,6 @@ def spacelike_windowed_observable(S: QuadraticDensity, p: FourVector,
     obs.window.update({"kind": "cosine", "tau": w.tau, "envelope": w.envelope,
                        "p": tuple(p.as_array())})
     return obs
-
-
-def _lattice_of(space: FockSpace, p: FourVector) -> Tuple[int, int, int]:
-    """Spatial part of p in lattice units (must be integral)."""
-    from .errors import OffLatticeMomentum
-    grid = space.channels[0][1]
-    out = [0, 0, 0]
-    ps = p.spatial
-    for a in (1, 2, 3):
-        if a in grid.axes:
-            L = grid.lengths[grid.axes.index(a)]
-            n = ps[a - 1] * L / (2 * math.pi)
-            if abs(n - round(n)) > 1e-9:
-                raise OffLatticeMomentum(f"p component on axis {a} off lattice")
-            out[a - 1] = int(round(n))
-        elif abs(ps[a - 1]) > 1e-12:
-            raise OffLatticeMomentum(f"p has a component on inactive axis {a}")
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -249,3 +249,20 @@ def test_fock_space_json_roundtrip():
     assert clone.dim == space.dim
     assert [m for m in clone.modes] == [m for m in space.modes]
     assert json.loads(doc)["schema"] == "boxqft/fockspace-v1"
+
+
+def test_channels_must_share_one_box():
+    # volume, total_momentum and lattice lookups read one grid for all
+    # channels, so channels on different boxes or axes are rejected
+    g = scalar_grid(n_mode=1, box=BOX)
+    with pytest.raises(BoxQFTError):
+        build_fock_space([("a", g), ("b", scalar_grid(n_mode=1, box=2 * BOX))], 1, 2)
+    other_axis = ModeGrid(axes=(1,), lengths=(BOX,), ranges=((-1, 1),),
+                          species=Species.BOSON)
+    with pytest.raises(BoxQFTError):
+        build_fock_space([("a", g), ("b", other_axis)], 1, 2)
+    # differing ranges, species and masses on one box stay allowed
+    fermi = ModeGrid(axes=(3,), lengths=(BOX,), ranges=((-2, 2),),
+                     species=Species.FERMION, mass=1.0)
+    space = build_fock_space([("a", g), ("b", fermi)], 1, 2)
+    assert space.volume == BOX

@@ -6,7 +6,7 @@ from scipy.integrate import quad
 
 from conftest import BOX, dirac_space, photon_space, scalar_space
 
-from boxqft.errors import BoxQFTError, DimensionOverflow
+from boxqft.errors import BoxQFTError, DimensionOverflow, OffLatticeMomentum
 from boxqft.fields import (dirac_current_density, scalar_bilinear_density,
                            stress_tensor_em, stress_tensor_scalar)
 from boxqft.fock import (SagnacConfig, SagnacSpecies, basis_state, expectation,
@@ -114,6 +114,14 @@ def test_nonspacelike_momentum_warns():
         spacelike_windowed_observable(scalar_bilinear_density(space),
                                       FourVector(5.0, 0, 0, 1.0),
                                       MeasurementWindow(tau=1.0))
+
+
+def test_off_lattice_readout_momentum_rejected():
+    space = scalar_space(n_mode=1, mass=1.0, caps=(2, 2))
+    S = scalar_bilinear_density(space)
+    for p in (FourVector(0.0, 0, 0, 0.5), FourVector(0.0, 0.3, 0, 1.0)):
+        with pytest.raises(OffLatticeMomentum):
+            spacelike_windowed_observable(S, p, MeasurementWindow(tau=1.0))
 
 
 def test_moments_eigenstate_dirac_a():

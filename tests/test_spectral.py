@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -168,6 +169,91 @@ def test_noise_exponents():
         assert len(fit.points) == 16
 
 
+def _reference_windowed_noise(s_type, D, V, tau, envelope="gauss", n_grid=48):
+    """Per-tau quadrature on a fresh p-space meshgrid: the implementation
+    windowed_noise replaced, kept as the oracle for the batched u-space one."""
+    def box_sq(p, L):
+        return (L * np.sinc(p * L / (2 * math.pi))) ** 2
+
+    L = V ** (1.0 / D)
+    meas = 1.0 / (2 * math.pi) ** (D + 1)
+    if D == 1:
+        grid, wts = np.polynomial.legendre.leggauss(max(n_grid * 8, 256))
+        K = 40.0 / tau + 16.0 * math.pi / L
+        pv = 0.5 * K * (grid + 1.0)
+        jw = 0.5 * K * wts
+        pref = pv ** 2 if s_type == "current" else pv ** 4
+        if envelope == "rect":
+            ft = (tau * np.sinc(pv * tau / (2 * math.pi))) ** 2
+        else:
+            ft = 2 * math.pi * (tau / 2) ** 2 * np.exp(-(tau / 2 * pv) ** 2)
+        return float(2 * meas * np.sum(jw * box_sq(pv, L) * pref / pv * ft))
+    sigma = tau / 2.0
+    ng, wg = np.polynomial.legendre.leggauss(n_grid)
+    K = 12.0 / sigma
+    pv = 0.5 * K * (ng + 1.0)
+    pw = 0.5 * K * wg
+    if D == 2:
+        p1, p2, s = np.meshgrid(pv, pv, pv, indexing="ij")
+        w1, w2, ws = np.meshgrid(pw, pw, pw, indexing="ij")
+        r2 = p1 ** 2 + p2 ** 2
+        w0 = np.sqrt(s ** 2 + r2)
+        pref = (p1 ** 2 + s ** 2) if s_type == "current" else r2 ** 2
+        ft = 2 * math.pi * sigma ** 2 * np.exp(-(sigma * w0) ** 2)
+        integ = box_sq(p1, L) * box_sq(p2, L) * pref * ft / w0
+        return float(4 * 2 * meas * np.sum(w1 * w2 * ws * integ))
+    p1, p2, p3 = np.meshgrid(pv, pv, pv, indexing="ij")
+    w1, w2, w3 = np.meshgrid(pw, pw, pw, indexing="ij")
+    r = np.sqrt(p1 ** 2 + p2 ** 2 + p3 ** 2)
+    fx = box_sq(p1, L) * box_sq(p2, L) * box_sq(p3, L)
+    i0 = math.sqrt(math.pi) / sigma * erfc(sigma * r)
+    i2 = r * np.exp(-(sigma * r) ** 2) / sigma ** 2 + \
+        math.sqrt(math.pi) * erfc(sigma * r) / (2 * sigma ** 3)
+    gauss_norm = 2 * math.pi * sigma ** 2
+    if s_type == "current":
+        tint = gauss_norm * ((p1 ** 2 - r ** 2) * i0 + i2)
+    else:
+        tint = gauss_norm * r ** 4 * i0
+    return float(8 * meas * np.sum(w1 * w2 * w3 * fx * tint))
+
+
+NOISE_CELLS = [(s_type, D) for s_type in ("current", "energy") for D in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("n_grid", [16, 48])
+@pytest.mark.parametrize("s_type,D,envelope",
+                         [(s, D, "gauss") for s, D in NOISE_CELLS] +
+                         [("current", 1, "rect"), ("energy", 1, "rect")])
+def test_windowed_noise_matches_per_tau_reference(s_type, D, envelope, n_grid):
+    taus = np.geomspace(10, 100, 16)
+    got = windowed_noise(s_type, D, 1.0, taus, envelope, n_grid)
+    ref = np.array([_reference_windowed_noise(s_type, D, 1.0, t, envelope, n_grid)
+                    for t in taus])
+    assert got.shape == (16,)
+    assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-12
+
+
+@pytest.mark.parametrize("s_type,D", NOISE_CELLS)
+def test_windowed_noise_scalar_and_array_calls_agree(s_type, D):
+    taus = np.array([12.0, 37.5, 90.0])
+    scalar = windowed_noise(s_type, D, 2.0, 37.5)
+    assert type(scalar) is float
+    batch = windowed_noise(s_type, D, 2.0, taus)
+    singles = [windowed_noise(s_type, D, 2.0, float(t)) for t in taus]
+    assert np.max(np.abs(batch - singles) / np.abs(singles)) < 1e-14
+    assert batch[1] == pytest.approx(scalar, rel=1e-14)
+
+
+@pytest.mark.parametrize("s_type,D", NOISE_CELLS)
+def test_noise_exponents_converged_in_n_grid(s_type, D):
+    # the default n_grid=48 agrees with a finer grid on the fitted exponent
+    taus = np.geomspace(10.0, 100.0, 16)
+    fine = windowed_noise(s_type, D, 1.0, taus, n_grid=64)
+    fine_exp = np.polyfit(np.log(taus), np.log(fine), 1)[0]
+    fit = noise_exponent_fit(s_type, D, 1.0, 10.0, 100.0, 16)
+    assert abs(fit.exponent - fine_exp) < 1e-6
+
+
 def test_noise_fit_needs_a_decade():
     with pytest.raises(BoxQFTError):
         noise_exponent_fit("current", 1, 1.0, 10.0, 50.0)
@@ -176,6 +262,15 @@ def test_noise_fit_needs_a_decade():
 def test_windowed_noise_warnings_and_validation():
     with pytest.warns(UserWarning):
         windowed_noise("current", 1, 1.0, 0.5)
+    # one warning per call, however many taus are short
+    with pytest.warns(UserWarning) as record:
+        windowed_noise("current", 2, 1.0, np.array([0.5, 1.0, 50.0]))
+    assert len(record) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        windowed_noise("current", 2, 1.0, np.array([3.0, 50.0]))
+    with pytest.raises(BoxQFTError):
+        windowed_noise("current", 2, 1.0, np.ones((2, 2)) * 50.0)
     with pytest.raises(BoxQFTError):
         massless_current_spectrum(4)
     with pytest.raises(BoxQFTError):
