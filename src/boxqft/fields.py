@@ -178,11 +178,68 @@ class QuadTerm:
         return FourVector(*self.transfer)
 
 
+def _assemble(space: FockSpace, terms: Sequence[QuadTerm], coeffs) -> sp.csr_matrix:
+    """sum_t coeffs[t] * (product of t.ops) as one CSR matrix.
+
+    A ladder operator maps each basis state to at most one basis state
+    (FockSpace.ladder_map), so a product of factors is a partial index map:
+    starting from the rightmost factor's (source, target, amp) triplets, each
+    factor to the left is applied by looking the current targets up among its
+    sources.  All terms' (row, col, value) triplets go into a single COO
+    assembly; duplicates are summed and exact zeros dropped.
+    """
+    dim = space.dim
+    coeffs = np.asarray(coeffs, dtype=complex)
+    slots: Dict[OpFactor, int] = {}
+    factors = [[slots.setdefault(op, len(slots)) for op in t.ops] for t in terms]
+    maps = [space.ladder_map(op.channel, op.mode, op.kind) for op in slots]
+    count = np.array([len(m[0]) for m in maps], dtype=np.int64)
+    start = np.cumsum(count) - count
+    src = np.concatenate([m[0] for m in maps] + [np.zeros(0, np.int64)])
+    tgt = np.concatenate([m[1] for m in maps] + [np.zeros(0, np.int64)])
+    amp = np.concatenate([m[2] for m in maps] + [np.zeros(0, complex)])
+    # (slot, source) keys, ascending: slots are concatenated in order and each
+    # map is sorted by source
+    key = np.repeat(np.arange(len(maps), dtype=np.int64) * dim, count) + src
+
+    rows, cols, vals = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [amp[:0]]
+    for length in sorted({len(f) for f in factors}):
+        sel = [i for i, f in enumerate(factors) if len(f) == length]
+        c = coeffs[sel]
+        if length == 0:
+            rows.append(np.tile(np.arange(dim), len(sel)))
+            cols.append(rows[-1])
+            vals.append(np.repeat(c, dim))
+            continue
+        fac = np.array([factors[i] for i in sel], dtype=np.int64)
+        # every triplet of each term's rightmost factor
+        n = count[fac[:, -1]]
+        term = np.repeat(np.arange(len(sel)), n)
+        pos = np.arange(n.sum()) + np.repeat(start[fac[:, -1]] - (np.cumsum(n) - n), n)
+        col, row, val = src[pos], tgt[pos], amp[pos]
+        for f in range(length - 2, -1, -1):
+            want = fac[term, f] * dim + row
+            hit = np.minimum(np.searchsorted(key, want), len(key) - 1)
+            ok = key[hit] == want
+            term, col, hit = term[ok], col[ok], hit[ok]
+            row, val = tgt[hit], val[ok] * amp[hit]
+        rows.append(row)
+        cols.append(col)
+        vals.append(c[term] * val)
+    out = sp.csr_matrix((np.concatenate(vals),
+                         (np.concatenate(rows), np.concatenate(cols))),
+                        shape=(dim, dim), dtype=complex)
+    out.sum_duplicates()
+    out.eliminate_zeros()
+    return out
+
+
 class QuadraticObservable:
     """Windowed field bilinear: numeric coefficients over mode-operator pairs.
 
-    Realized lazily as one sparse matrix via products of the elementary
-    ladder operators (all sign conventions ride on the operator algebra).
+    Realized lazily as one sparse matrix, assembled in a single pass from the
+    ladder operators' index maps (all sign conventions ride on the operator
+    algebra).
     """
 
     def __init__(self, space: FockSpace, label: str, terms: Sequence[QuadTerm],
@@ -196,17 +253,8 @@ class QuadraticObservable:
 
     def matrix(self) -> sp.csr_matrix:
         if self._matrix is None:
-            acc = sp.csr_matrix((self.space.dim, self.space.dim), dtype=complex)
-            for t in self.terms:
-                prod = None
-                for op in t.ops:
-                    m = (self.space.creation(op.channel, op.mode) if op.kind == "c"
-                         else self.space.annihilation(op.channel, op.mode))
-                    prod = m if prod is None else prod @ m
-                if prod is None:
-                    prod = sp.identity(self.space.dim, dtype=complex, format="csr")
-                acc = acc + t.coeff * prod
-            self._matrix = acc.tocsr()
+            self._matrix = _assemble(self.space, self.terms,
+                                     [t.coeff for t in self.terms])
         return self._matrix
 
     def hermiticity_defect(self) -> float:
@@ -236,18 +284,11 @@ class QuadraticDensity:
     def at(self, x: FourVector) -> sp.csr_matrix:
         """Realize the density operator at the spacetime point x."""
         xt = x.as_array()
-        acc = sp.csr_matrix((self.space.dim, self.space.dim), dtype=complex)
-        for t in self.terms:
-            q = np.asarray(t.transfer)
-            phase = np.exp(1j * (q[0] * xt[0] - q[1] * xt[1]
-                                 - q[2] * xt[2] - q[3] * xt[3]))
-            prod = None
-            for op in t.ops:
-                m = (self.space.creation(op.channel, op.mode) if op.kind == "c"
-                     else self.space.annihilation(op.channel, op.mode))
-                prod = m if prod is None else prod @ m
-            acc = acc + (t.coeff * phase) * prod
-        return acc.tocsr()
+        q = np.array([t.transfer for t in self.terms], dtype=float).reshape(-1, 4)
+        phase = np.exp(1j * (q[:, 0] * xt[0] - q[:, 1] * xt[1]
+                             - q[:, 2] * xt[2] - q[:, 3] * xt[3]))
+        coeffs = np.array([t.coeff for t in self.terms], dtype=complex)
+        return _assemble(self.space, self.terms, coeffs * phase)
 
     def map_terms(self, label: str, fn) -> "QuadraticObservable":
         """New observable with coefficients coeff -> fn(term) * coeff."""

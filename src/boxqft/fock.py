@@ -178,6 +178,8 @@ class FockSpace:
         self.lattice_momentum = basis.astype(np.int64) @ lat   # (dim, 3) exact ints
 
         self._op_cache: Dict[Tuple[str, Tuple[int, ...], str], sp.csr_matrix] = {}
+        self._op_maps: Dict[Tuple[str, Tuple[int, ...], str],
+                            Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -227,6 +229,19 @@ class FockSpace:
     def creation(self, channel: str, n: Tuple[int, ...]) -> sp.csr_matrix:
         return self._operator(channel, tuple(n), "c")
 
+    def ladder_map(self, channel: str, n: Tuple[int, ...], kind: str):
+        """One ladder operator as a partial index map.
+
+        Returns (source, target, amplitude) arrays sorted by source: the
+        operator sends basis state source[i] to amplitude[i] times basis state
+        target[i], and every other state to zero.  Each basis state has at
+        most one image, so products of ladder operators compose on these
+        index arrays.  The operator is realized (and cached) through
+        annihilation/creation.
+        """
+        (self.creation if kind == "c" else self.annihilation)(channel, n)
+        return self._op_maps[(channel, tuple(n), kind)]
+
     def _operator(self, channel, n, kind) -> sp.csr_matrix:
         key = (channel, n, kind)
         if key in self._op_cache:
@@ -253,10 +268,17 @@ class FockSpace:
             rows.append(t_idx)
             cols.append(i)
             vals.append(amp)
-        a = sp.csr_matrix((vals, (rows, cols)), shape=(self.dim, self.dim),
+        src = np.array(cols, dtype=np.int64)
+        tgt = np.array(rows, dtype=np.int64)
+        amp = np.array(vals, dtype=complex)
+        a = sp.csr_matrix((amp, (tgt, src)), shape=(self.dim, self.dim),
                           dtype=complex)
         self._op_cache[(channel, n, "a")] = a
         self._op_cache[(channel, n, "c")] = a.conjugate().transpose().tocsr()
+        order = np.argsort(tgt)
+        self._op_maps[(channel, n, "a")] = (src, tgt, amp)
+        self._op_maps[(channel, n, "c")] = (tgt[order], src[order],
+                                            amp[order].conj())
         return self._op_cache[key]
 
     # -- serialization ------------------------------------------------------
@@ -303,35 +325,30 @@ def _count_occupations(caps: np.ndarray, total_cap: int) -> int:
 
 
 def _enumerate_occupations(caps: np.ndarray, total_cap: int, dim_limit: int) -> np.ndarray:
-    """All occupation tuples with per-mode and total caps, lexicographic."""
-    m = len(caps)
+    """All occupation tuples with per-mode and total caps, lexicographic.
+
+    Built from the last mode backwards: prepending each value of a mode, in
+    ascending order, to the (lexicographic) suffixes that still fit under the
+    total cap keeps every stage lexicographic.
+    """
     dim = _count_occupations(caps, total_cap)
     if dim > dim_limit:
         raise DimensionOverflow(
             f"Fock dimension {dim} exceeds limit {dim_limit}; shrink the grid")
-    out: List[Tuple[int, ...]] = []
-    cur = [0] * m
-
-    def extend(pos: int, remaining: int):
-        if pos == m:
-            out.append(tuple(cur))
-            if len(out) > dim_limit:
-                raise DimensionOverflow(
-                    f"Fock dimension exceeds limit {dim_limit}; shrink the grid")
-            return
-        for v in range(min(int(caps[pos]), remaining) + 1):
-            cur[pos] = v
-            extend(pos + 1, remaining - v)
-        cur[pos] = 0
-
-    import sys
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, m + 100))
-    try:
-        extend(0, total_cap)
-    finally:
-        sys.setrecursionlimit(old)
-    return np.array(out, dtype=np.int8).reshape(len(out), m)
+    rows = np.zeros((1, 0), dtype=np.int8)
+    used = np.zeros(1, dtype=np.int64)              # total occupation per row
+    for cap in caps[::-1]:
+        blocks, totals = [], []
+        for v in range(min(int(cap), total_cap) + 1):
+            keep = used <= total_cap - v
+            block = np.empty((int(keep.sum()), rows.shape[1] + 1), dtype=np.int8)
+            block[:, 0] = v
+            block[:, 1:] = rows[keep]
+            blocks.append(block)
+            totals.append(used[keep] + v)
+        rows = np.concatenate(blocks)
+        used = np.concatenate(totals)
+    return rows
 
 
 def build_fock_space(channels, n_max_per_mode: int = 4, n_max_total: int = 4,

@@ -136,7 +136,14 @@ class MomentsResult:
 
 
 def moments(state, S: QuadraticObservable, n_max: int = 4) -> MomentsResult:
-    """Exact Fock-space moments <S^n> by repeated sparse application.
+    """Exact Fock-space moments <S^n> for n = 1..n_max (n_max <= 6).
+
+    A state vector is propagated by repeated sparse application.  A diagonal
+    (thermal) state uses Tr(rho S^n) = sum_i w_i (S^a S^b)_ii with
+    a = ceil(n/2), b = floor(n/2): the diagonal is the row sum of
+    S^a .multiply((S^b)^T), from sparse powers up to S^ceil(n_max/2), so no
+    dense rho is formed.  Only a state given by a full matrix is handled
+    densely.
 
     Reports the eigenstate defect max_n |<S^n> - <S>^n| / |<S>|^n; the
     defect vanishes iff the state is an eigenstate of S.
@@ -150,12 +157,20 @@ def moments(state, S: QuadraticObservable, n_max: int = 4) -> MomentsResult:
         for _ in range(n_max):
             v = mat @ v
             vals.append(complex(np.vdot(state.amplitudes, v)))
+    elif isinstance(state, DensityOperator) and state.diagonal is not None:
+        powers = [None, mat]                     # powers[k] = S^k
+        while len(powers) <= (n_max + 1) // 2:
+            powers.append(powers[-1] @ mat)
+        for n in range(1, n_max + 1):
+            a, b = (n + 1) // 2, n // 2
+            if b == 0:
+                diag = powers[a].diagonal()
+            else:
+                diag = np.asarray(powers[a].multiply(powers[b].transpose())
+                                  .sum(axis=1)).ravel()
+            vals.append(complex(np.sum(state.diagonal * diag)))
     elif isinstance(state, DensityOperator):
-        if state.diagonal is not None:
-            rho = np.diag(state.diagonal.astype(complex))
-        else:
-            rho = state.matrix
-        acc = rho
+        acc = state.matrix
         for _ in range(n_max):
             acc = mat @ acc
             vals.append(complex(np.trace(acc)))

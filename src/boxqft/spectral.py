@@ -59,9 +59,10 @@ def _momentum_block(space: FockSpace, density: QuadraticDensity,
 
 
 def default_delta_omega(space: FockSpace) -> float:
-    """Bin width: smallest single-mode energy quantum / 8."""
-    grid = space.channels[0][1]
-    quantum = min(2 * math.pi * grid.v_c / L for L in grid.lengths)
+    """Bin width: smallest single-mode energy quantum 2*pi*v_c/L over all
+    channels and axes, / 8."""
+    quantum = min(2 * math.pi * grid.v_c / L
+                  for _, grid in space.channels for L in grid.lengths)
     return quantum / 8.0
 
 

@@ -2,17 +2,26 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import BOX, dirac_space, photon_space, scalar_space
 
 from boxqft.errors import BoxQFTError, ZeroMomentum
 from boxqft.fields import (GAMMA, PAULI, EMFieldConfig, GammaMatrices,
+                           OpFactor, QuadraticObservable, QuadTerm,
                            current_matrices, dirac_current_density,
-                           dirac_field, em_field_strength_density,
-                           scalar_bilinear_density,
-                           scalar_field, scalar_momentum, spinor_u, spinor_v,
+                           dirac_field, dirac_space_channels, em_field_strength_density,
+                           scalar_bilinear_density, scalar_density,
+                           scalar_field, scalar_momentum,
+                           scalar_momentum_density, spinor_u, spinor_v,
                            stress_tensor_em, stress_tensor_scalar)
-from boxqft.fock import basis_state, expectation, vacuum_state
+from boxqft.fock import (ModeGrid, Species, basis_state, build_fock_space,
+                         expectation, vacuum_state)
+from boxqft.measurement import (MeasurementWindow,
+                                spacelike_windowed_observable,
+                                windowed_observable)
 from boxqft.spacetime import METRIC, FourVector
 
 
@@ -252,3 +261,130 @@ def test_field_strength_antisymmetry():
     f12 = em_field_strength_density(space, 1, 2).at(x)
     f21 = em_field_strength_density(space, 2, 1).at(x)
     assert np.max(np.abs((f12 + f21).toarray())) < 1e-14
+
+
+# -- one COO assembly against the per-term ladder-product loop ---------------
+
+
+def _product_loop(space, terms, coeffs):
+    """Reference: sum of coeff * (product of ladder matrices), one sparse add
+    per term (the realization the single assembly replaced)."""
+    acc = sp.csr_matrix((space.dim, space.dim), dtype=complex)
+    for t, c in zip(terms, coeffs):
+        prod = None
+        for op in t.ops:
+            m = (space.creation(op.channel, op.mode) if op.kind == "c"
+                 else space.annihilation(op.channel, op.mode))
+            prod = m if prod is None else prod @ m
+        if prod is None:
+            prod = sp.identity(space.dim, dtype=complex, format="csr")
+        acc = acc + c * prod
+    return acc.tocsr()
+
+
+def _at_oracle(density, x):
+    xt = x.as_array()
+    coeffs = []
+    for t in density.terms:
+        q = np.asarray(t.transfer)
+        coeffs.append(t.coeff * np.exp(1j * (q[0] * xt[0] - q[1] * xt[1]
+                                             - q[2] * xt[2] - q[3] * xt[3])))
+    return _product_loop(density.space, density.terms, coeffs)
+
+
+def _assert_same_operator(new, ref):
+    """Identical sparsity pattern, values within 1e-12 of the largest entry."""
+    new, ref = new.tocsr(), ref.tocsr()
+    new.sort_indices()
+    ref.sort_indices()
+    assert np.array_equal(new.indptr, ref.indptr)
+    assert np.array_equal(new.indices, ref.indices)
+    if ref.nnz:
+        scale = np.max(np.abs(ref.data))
+        assert np.max(np.abs(new.data - ref.data)) <= 1e-12 * scale
+
+
+def _check_density(density, x, p):
+    """.at(x), plain-windowed and cosine-windowed matrices vs the oracle."""
+    _assert_same_operator(density.at(x), _at_oracle(density, x))
+    for w in (MeasurementWindow(tau=1.7), MeasurementWindow(tau=BOX)):
+        for obs in (windowed_observable(density, w),
+                    spacelike_windowed_observable(density, p, w)):
+            ref = _product_loop(obs.space, obs.terms, [t.coeff for t in obs.terms])
+            _assert_same_operator(obs.matrix(), ref)
+
+
+_X = FourVector(0.37, 0.0, 0.0, 1.21)
+_P = FourVector(0.4, 0.0, 0.0, 2.0)
+
+
+@pytest.mark.parametrize("builder", [
+    scalar_density, scalar_momentum_density, scalar_bilinear_density,
+    *[lambda s, mu=mu, nu=nu: stress_tensor_scalar(s, mu, nu)
+      for mu in range(4) for nu in range(mu, 4)],
+])
+def test_assembly_matches_product_loop_scalar(builder):
+    space = scalar_space(n_mode=2, mass=0.6, caps=(2, 3))
+    _check_density(builder(space), _X, _P)
+
+
+@pytest.mark.parametrize("mu", range(4))
+def test_assembly_matches_product_loop_dirac(mu):
+    space = dirac_space(n_mode=2, mass=1.0, caps=(1, 2))
+    _check_density(dirac_current_density(space, mu), _X, _P)
+
+
+@pytest.mark.parametrize("mu,nu", [(0, 0), (0, 3), (1, 1), (1, 2), (3, 3)])
+def test_assembly_matches_product_loop_em(mu, nu):
+    space = photon_space(n_mode=1)
+    _check_density(stress_tensor_em(space, mu, nu), _X, _P)
+    _check_density(em_field_strength_density(space, mu, nu), _X, _P)
+
+
+def test_assembly_identity_and_mixed_lengths():
+    # zero-, one-, two- and three-factor terms in one observable
+    space = scalar_space(n_mode=1, mass=1.0, caps=(3, 3))
+    a, b = OpFactor("a", "phi", (1,)), OpFactor("c", "phi", (-1,))
+    c = OpFactor("c", "phi", (0,))
+    zero = (0.0, 0.0, 0.0, 0.0), (0, 0, 0)
+    terms = [QuadTerm((), 2.5 - 1j, *zero), QuadTerm((a,), 0.3, *zero),
+             QuadTerm((b, a), -1.1j, *zero), QuadTerm((c, b, a), 0.7, *zero),
+             QuadTerm((a, a), 0.2, *zero)]
+    obs = QuadraticObservable(space, "mixed", terms)
+    ref = _product_loop(space, terms, [t.coeff for t in terms])
+    _assert_same_operator(obs.matrix(), ref)
+    only_identity = QuadraticObservable(space, "id", terms[:1]).matrix()
+    assert np.array_equal(only_identity.toarray(), (2.5 - 1j) * np.eye(space.dim))
+    assert QuadraticObservable(space, "empty", []).matrix().nnz == 0
+
+
+def test_assembly_drops_exact_zeros():
+    # a term and its negative cancel: no stored zeros, as with sparse '+'
+    space = scalar_space(n_mode=1, mass=1.0, caps=(2, 2))
+    a = OpFactor("a", "phi", (1,))
+    zero = (0.0, 0.0, 0.0, 0.0), (0, 0, 0)
+    obs = QuadraticObservable(space, "cancel",
+                              [QuadTerm((a,), 0.5, *zero),
+                               QuadTerm((a,), -0.5, *zero)])
+    assert obs.matrix().nnz == 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(n_mode=st.integers(1, 2), mass=st.floats(0.0, 2.0),
+       caps=st.sampled_from([(1, 2), (2, 2), (2, 3)]),
+       kind=st.sampled_from(["phi2", "T00", "T03", "T11", "j0", "j1", "j3"]),
+       t=st.floats(-3.0, 3.0), z=st.floats(-7.0, 7.0),
+       p0=st.floats(0.0, 0.95), p3=st.sampled_from([-2, -1, 1, 2]))
+def test_assembly_matches_product_loop_random(n_mode, mass, caps, kind, t, z,
+                                              p0, p3):
+    if kind.startswith("j"):
+        grid = ModeGrid(axes=(3,), lengths=(BOX,), ranges=((-n_mode, n_mode),),
+                        species=Species.FERMION, mass=mass)
+        space = build_fock_space(dirac_space_channels(grid), 1, caps[1])
+        density = dirac_current_density(space, int(kind[1]))
+    else:
+        space = scalar_space(n_mode=n_mode, mass=mass, caps=caps)
+        density = (scalar_bilinear_density(space) if kind == "phi2" else
+                   stress_tensor_scalar(space, int(kind[1]), int(kind[2])))
+    _check_density(density, FourVector(t, 0.0, 0.0, z),
+                   FourVector(p0 * abs(p3), 0.0, 0.0, float(p3)))

@@ -48,6 +48,58 @@ def test_zero_mode_exclusion():
     assert (0,) not in fermi.modes
 
 
+
+def _product_basis(caps, total_cap):
+    """Reference basis: itertools.product is lexicographic."""
+    import itertools
+    return [occ for occ in itertools.product(*(range(int(c) + 1) for c in caps))
+            if sum(occ) <= total_cap]
+
+
+@pytest.mark.parametrize("cell", ["scalar1d", "dirac", "scalar3d"])
+def test_basis_order_matches_product_oracle(cell):
+    if cell == "scalar1d":
+        space = scalar_space(n_mode=2, mass=1.0, caps=(3, 4))
+    elif cell == "dirac":
+        space = dirac_space(n_mode=1, caps=(1, 3))
+    else:
+        grid = ModeGrid(axes=(1, 2, 3), lengths=(BOX,) * 3,
+                        ranges=((0, 1),) * 3, species=Species.BOSON, mass=1.0)
+        space = build_fock_space([("phi", grid)], 2, 3)
+    expect = _product_basis(space.caps, space.n_max_total)
+    assert [tuple(row) for row in space.occupations] == expect
+    assert space.occupations.dtype == np.int8
+
+
+def test_enumeration_leaves_recursion_limit_alone(monkeypatch):
+    # deeper than the default recursion limit, and no process-wide change
+    import sys
+
+    def refuse(limit):
+        raise AssertionError("sys.setrecursionlimit called")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    grid = ModeGrid(axes=(3,), lengths=(BOX,), ranges=((-600, 600),),
+                    species=Species.BOSON, mass=0.0)
+    space = build_fock_space([("phi", grid)], 1, 1)
+    assert len(space.modes) == 1200 and space.dim == 1201
+    assert space.occupations[1:].sum() == 1200
+    assert np.array_equal(space.occupations[1:], np.fliplr(np.eye(1200)))
+
+
+def test_ladder_map_matches_matrix():
+    space = dirac_space(n_mode=1, caps=(1, 3))
+    for mode in space.modes:
+        for kind in ("a", "c"):
+            src, tgt, amp = space.ladder_map(mode.channel, mode.n, kind)
+            mat = (space.annihilation if kind == "a" else space.creation)(
+                mode.channel, mode.n)
+            assert np.all(np.diff(src) > 0)
+            rebuilt = np.zeros((space.dim, space.dim), dtype=complex)
+            rebuilt[tgt, src] = amp
+            assert np.array_equal(rebuilt, mat.toarray())
+
+
 def test_dispersion_and_fermi_velocity():
     g = scalar_grid(n_mode=2, mass=0.7, v_c=0.01)
     k = 2 * math.pi * 2 / BOX

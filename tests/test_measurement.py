@@ -9,8 +9,9 @@ from conftest import BOX, dirac_space, photon_space, scalar_space
 from boxqft.errors import BoxQFTError, DimensionOverflow, OffLatticeMomentum
 from boxqft.fields import (dirac_current_density, scalar_bilinear_density,
                            stress_tensor_em, stress_tensor_scalar)
-from boxqft.fock import (SagnacConfig, SagnacSpecies, basis_state, expectation,
-                         sagnac_state, thermal_state, vacuum_state)
+from boxqft.fock import (DensityOperator, SagnacConfig, SagnacSpecies,
+                         basis_state, expectation, sagnac_state, thermal_state,
+                         vacuum_state)
 from boxqft.measurement import (HomodyneConfig, MeasurementWindow,
                                 commensurate_tau, homodyne_difference,
                                 localization_effect, moments, photon_signal,
@@ -183,6 +184,34 @@ def test_moments_density_operator_state():
     assert abs(res.values[0].imag) < 1e-13
     with pytest.raises(DimensionOverflow):
         moments(rho, obs, n_max=7)
+
+
+
+@pytest.mark.parametrize("cell", ["scalar", "dirac"])
+def test_thermal_moments_match_dense_oracle(cell):
+    # the sparse diagonal-state path against Tr(S^n rho) with rho dense
+    if cell == "scalar":
+        space = scalar_space(n_mode=2, mass=0.7, caps=(3, 3))
+        obs = windowed_observable(stress_tensor_scalar(space, 0, 0),
+                                  MeasurementWindow(tau=1.3))
+    else:
+        space = dirac_space(n_mode=2, mass=1.0, caps=(1, 3))
+        obs = spacelike_windowed_observable(
+            dirac_current_density(space, 3), FourVector(0.4, 0, 0, 2.0),
+            MeasurementWindow(tau=BOX))
+    rho = thermal_state(space, 0.8)
+    S = obs.matrix().toarray()
+    norm = np.linalg.norm(S, 2)
+    dense_rho = DensityOperator(matrix=np.diag(rho.diagonal.astype(complex)))
+    for n_max in range(1, 7):
+        res = moments(rho, obs, n_max=n_max)
+        dense = moments(dense_rho, obs, n_max=n_max)
+        acc = np.diag(rho.diagonal.astype(complex))
+        for n in range(1, n_max + 1):
+            acc = S @ acc
+            ref = np.trace(acc)
+            assert abs(res.values[n - 1] - ref) <= 1e-12 * norm ** n
+            assert abs(dense.values[n - 1] - ref) <= 1e-12 * norm ** n
 
 
 def test_photon_signals():

@@ -302,3 +302,15 @@ def test_spectral_csv_writer(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "p0,p1,p2,p3,ReG,ImG,beta,X,Y,norm_tag"
     assert len(lines) == 2 and NORM_TAG in lines[1]
+
+
+def test_default_delta_omega_independent_of_channel_order():
+    # the bin width is set by the slowest channel, whichever is listed first
+    from boxqft.fock import ModeGrid, Species, build_fock_space
+    fast = ModeGrid(axes=(3,), lengths=(2 * math.pi,), ranges=((1, 1),),
+                    species=Species.BOSON, mass=0.0, v_c=1.0)
+    slow = ModeGrid(axes=(3,), lengths=(2 * math.pi,), ranges=((1, 1),),
+                    species=Species.BOSON, mass=0.0, v_c=0.01)
+    a = build_fock_space([("f", fast), ("s", slow)], 1, 1)
+    b = build_fock_space([("s", slow), ("f", fast)], 1, 1)
+    assert default_delta_omega(a) == default_delta_omega(b) == 0.01 / 8
