@@ -327,28 +327,34 @@ def _count_occupations(caps: np.ndarray, total_cap: int) -> int:
 def _enumerate_occupations(caps: np.ndarray, total_cap: int, dim_limit: int) -> np.ndarray:
     """All occupation tuples with per-mode and total caps, lexicographic.
 
-    Built from the last mode backwards: prepending each value of a mode, in
-    ascending order, to the (lexicographic) suffixes that still fit under the
-    total cap keeps every stage lexicographic.
+    Built from the last mode backwards, one mode prepended per stage: the
+    rows of a stage are the suffixes that fit under the total cap, listed as
+    (value of the new mode, ascending) x (fitting rows of the previous stage,
+    in order), which keeps every stage lexicographic.  A row is stored as its
+    value and the index of its tail row, and the full tuples are gathered
+    once at the end.
     """
     dim = _count_occupations(caps, total_cap)
     if dim > dim_limit:
         raise DimensionOverflow(
             f"Fock dimension {dim} exceeds limit {dim_limit}; shrink the grid")
-    rows = np.zeros((1, 0), dtype=np.int8)
     used = np.zeros(1, dtype=np.int64)              # total occupation per row
+    values, tails = [], []
     for cap in caps[::-1]:
-        blocks, totals = [], []
+        val, tail = [], []
         for v in range(min(int(cap), total_cap) + 1):
-            keep = used <= total_cap - v
-            block = np.empty((int(keep.sum()), rows.shape[1] + 1), dtype=np.int8)
-            block[:, 0] = v
-            block[:, 1:] = rows[keep]
-            blocks.append(block)
-            totals.append(used[keep] + v)
-        rows = np.concatenate(blocks)
-        used = np.concatenate(totals)
-    return rows
+            keep = np.flatnonzero(used <= total_cap - v)
+            val.append(np.full(len(keep), v, dtype=np.int8))
+            tail.append(keep)
+        values.append(np.concatenate(val))
+        tails.append(np.concatenate(tail))
+        used = values[-1] + used[tails[-1]]
+    out = np.empty((len(used), len(caps)), dtype=np.int8)
+    row = np.arange(len(used))
+    for j, (val, tail) in enumerate(zip(values[::-1], tails[::-1])):
+        out[:, j] = val[row]
+        row = tail[row]
+    return out
 
 
 def build_fock_space(channels, n_max_per_mode: int = 4, n_max_total: int = 4,
