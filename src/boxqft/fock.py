@@ -39,9 +39,10 @@ class ModeGrid:
 
     axes: which spatial axes (subset of (1,2,3)) carry modes; D = len(axes).
     ranges: inclusive integer bounds (lo, hi) per axis.
-    The k=0 mode is excluded for massless grids and for fermion grids
-    (dispersionless zero modes break thermal sums, and the helicity spinors
-    are ambiguous at k3=0).
+    The k=0 mode is excluded for fermion grids and wherever its energy is
+    zero: massless grids, and masses so small that mass**2 underflows
+    (dispersionless zero modes break thermal sums and have no finite field
+    amplitude 1/sqrt(2 E V), and the helicity spinors are ambiguous at k3=0).
     """
     axes: Tuple[int, ...]
     lengths: Tuple[float, ...]
@@ -70,7 +71,7 @@ class ModeGrid:
 
     @property
     def excludes_zero_mode(self) -> bool:
-        return self.mass == 0.0 or self.species is Species.FERMION
+        return self.mass ** 2 == 0.0 or self.species is Species.FERMION
 
     @property
     def volume(self) -> float:

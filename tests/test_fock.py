@@ -48,6 +48,14 @@ def test_zero_mode_exclusion():
     assert (0,) not in fermi.modes
 
 
+def test_zero_mode_excluded_when_mass_squared_underflows():
+    # mass**2 == 0 gives the zero mode zero energy, as for a massless grid
+    tiny = scalar_grid(n_mode=1, mass=1e-178)
+    assert (0,) not in tiny.modes and len(tiny.modes) == 2
+    small = scalar_grid(n_mode=1, mass=1e-150)
+    assert (0,) in small.modes and small.energy((0,)) > 0.0
+
+
 
 def _product_basis(caps, total_cap):
     """Reference basis: itertools.product is lexicographic."""
