@@ -548,12 +548,16 @@ def cmd_homodyne(config: dict, out: Optional[Path] = None) -> RunReport:
     mono = all(b <= a + 1e-18 for a, b in zip(variances, variances[1:]))
     report.add("darkcount.variance.monotone", float(mono), 1.0,
                "vacuum variance decreases with sigma_t", 0.5, passed=mono)
+    # vacuum variance of the balanced difference |1+x|^2 - |1-x|^2 as an
+    # operator, x = alpha*S at the widest sigma_t; exactly 4x for Hermitian S
     alpha = cfg["alphas"][0]
-    budget = (4 * alpha) ** 2 * rep.rows[-1].vacuum_variance
-    diff_var = (4 * alpha) ** 2 * rep.rows[-1].vacuum_variance
+    widest = max(rep.rows, key=lambda r: r.sigma_t)
+    budget = (4 * alpha) ** 2 * widest.vacuum_variance
+    diff = measurement.balanced_difference(alpha * widest.observable.matrix())
+    diff_var = measurement.operator_vacuum_variance(space, diff)
     report.add("darkcount.variance.budget", diff_var, budget,
-               "difference variance within the reported leakage budget",
-               1e-18)
+               "vacuum variance of the balanced difference operator vs "
+               "(4 alpha)^2 var(S) at the widest sigma_t", 1e-18)
     if out:
         with open(out / "homodyne_localization.csv", "w") as fh:
             fh.write("sigma_t,leakage,vacuum_variance\n")

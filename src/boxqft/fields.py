@@ -8,19 +8,27 @@ Mode expansions used by the builders (box volume V, on-shell k0 = E(k)):
     photon   A(x)    = sum_{k,lam} (2 E V)^(-1/2) (e^lam_k a^lam_k e^{-ik.x}
                                                    + conj(e^lam_k) a+^lam_k e^{ik.x})
 
-Each elementary piece carries a four-momentum transfer q (+k for creation,
--k for annihilation) so that derivatives act analytically as multiplication
-by i*q^mu and spatial/temporal window integrals reduce to closed forms per
-mode pair.  Composite observables are normal-ordered (the subtracted
-vacuum constant is recorded, not kept), which makes all vacuum expectations
-vanish identically.
+Ladder operators are indexed by slot in FockSpace's global mode order: with
+M modes, slot j creates mode j and slot M+j annihilates it.  Slot s carries
+the four-momentum transfer Q[s] = +(E_j, k_j) for a creator and -(E_j, k_j)
+for an annihilator (lattice transfer +-mode_lattice[j]).  A linear field
+component at x = 0 is a coefficient vector over the 2M slots, and
+derivatives act analytically as multiplication by i*Q[:, mu].  A bilinear is
+the slot matrix W = sum w outer(l1, l2); normal ordering moves it into the
+upper triangle in one step, and the subtracted vacuum constant is recorded,
+not kept, which makes all vacuum expectations vanish identically.
+
+Densities store one (left, right, coeff) record per operator product
+(left = -1 for a single operator); a term's transfer Q[left] + Q[right] is
+computed when needed, so spatial/temporal window integrals reduce to closed
+forms evaluated on arrays.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -157,104 +165,97 @@ class EMFieldConfig:
 
 
 # ---------------------------------------------------------------------------
-# quadratic observables
+# slots and quadratic observables
+
+TERM_DTYPE = np.dtype([("left", np.int64), ("right", np.int64), ("coeff", complex)])
+
+# eps_ijk over the spatial indices 0..2
+_LEVI_CIVITA = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
+                (0, 2, 1): -1, (2, 1, 0): -1, (1, 0, 2): -1}
 
 
-@dataclass(frozen=True)
-class OpFactor:
-    kind: str                    # "c" create / "a" annihilate
-    channel: str
-    mode: Tuple[int, ...]
+def _slot_transfers(space: FockSpace) -> Tuple[np.ndarray, np.ndarray]:
+    """Four-momentum (2M+1, 4) and lattice (2M+1, 3) transfer of every slot.
+
+    Slot j creates mode j, +(E_j, k_j); slot M+j annihilates it, -(E_j, k_j).
+    The last row is zero: slot -1 stands for "no operator".
+    """
+    P, lat = space.mode_momenta, space.mode_lattice
+    return (np.concatenate([P, -P, np.zeros((1, 4))]),
+            np.concatenate([lat, -lat, np.zeros((1, 3), dtype=np.int64)]))
 
 
-@dataclass(frozen=True)
-class QuadTerm:
-    ops: Tuple[OpFactor, ...]
-    coeff: complex
-    transfer: Tuple[float, float, float, float]      # e^{i transfer . x}
-    lattice: Tuple[int, int, int]                    # spatial transfer, lattice units
-
-    def transfer_vector(self) -> FourVector:
-        return FourVector(*self.transfer)
+def _terms(left, right, coeff) -> np.ndarray:
+    out = np.empty(len(coeff), dtype=TERM_DTYPE)
+    out["left"], out["right"], out["coeff"] = left, right, coeff
+    return out
 
 
-def _assemble(space: FockSpace, terms: Sequence[QuadTerm], coeffs) -> sp.csr_matrix:
-    """sum_t coeffs[t] * (product of t.ops) as one CSR matrix.
+def _assemble(space: FockSpace, terms: np.ndarray, coeffs) -> sp.csr_matrix:
+    """sum_t coeffs[t] * op(left_t) op(right_t) as one CSR matrix, op(-1) = 1.
 
     A ladder operator maps each basis state to at most one basis state
-    (FockSpace.ladder_map), so a product of factors is a partial index map:
-    starting from the rightmost factor's (source, target, amp) triplets, each
-    factor to the left is applied by looking the current targets up among its
-    sources.  All terms' (row, col, value) triplets go into a single COO
-    assembly; duplicates are summed and exact zeros dropped.
+    (FockSpace.ladder_map), and so does the identity, so a term is a partial
+    index map: each (source, target, amp) triplet of the right factor is
+    passed on by looking its target up among the left factor's sources.  All
+    terms' (row, col, value) triplets go into a single COO assembly;
+    duplicates are summed and exact zeros dropped.
     """
-    dim = space.dim
-    coeffs = np.asarray(coeffs, dtype=complex)
-    slots: Dict[OpFactor, int] = {}
-    factors = [[slots.setdefault(op, len(slots)) for op in t.ops] for t in terms]
-    maps = [space.ladder_map(op.channel, op.mode, op.kind) for op in slots]
+    dim, M = space.dim, len(space.modes)
+    if len(terms) == 0:
+        return sp.csr_matrix((dim, dim), dtype=complex)
+    slots = np.unique(np.concatenate([terms["left"], terms["right"]]))
+    ident = np.arange(dim, dtype=np.int64)
+    maps = [(ident, ident, np.ones(dim, dtype=complex)) if s < 0 else
+            space.ladder_map(space.modes[s % M].channel, space.modes[s % M].n,
+                             "c" if s < M else "a") for s in slots]
     count = np.array([len(m[0]) for m in maps], dtype=np.int64)
     start = np.cumsum(count) - count
-    src = np.concatenate([m[0] for m in maps] + [np.zeros(0, np.int64)])
-    tgt = np.concatenate([m[1] for m in maps] + [np.zeros(0, np.int64)])
-    amp = np.concatenate([m[2] for m in maps] + [np.zeros(0, complex)])
-    # (slot, source) keys, ascending: slots are concatenated in order and each
-    # map is sorted by source
-    key = np.repeat(np.arange(len(maps), dtype=np.int64) * dim, count) + src
+    src, tgt, amp = (np.concatenate(a) for a in zip(*maps))
+    # (slot, source) keys, ascending: maps are concatenated in slot order and
+    # each is sorted by source
+    key = np.repeat(np.arange(len(slots), dtype=np.int64) * dim, count) + src
+    left = np.searchsorted(slots, terms["left"])
+    right = np.searchsorted(slots, terms["right"])
 
-    rows, cols, vals = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [amp[:0]]
-    for length in sorted({len(f) for f in factors}):
-        sel = [i for i, f in enumerate(factors) if len(f) == length]
-        c = coeffs[sel]
-        if length == 0:
-            rows.append(np.tile(np.arange(dim), len(sel)))
-            cols.append(rows[-1])
-            vals.append(np.repeat(c, dim))
-            continue
-        fac = np.array([factors[i] for i in sel], dtype=np.int64)
-        # every triplet of each term's rightmost factor
-        n = count[fac[:, -1]]
-        term = np.repeat(np.arange(len(sel)), n)
-        pos = np.arange(n.sum()) + np.repeat(start[fac[:, -1]] - (np.cumsum(n) - n), n)
-        col, row, val = src[pos], tgt[pos], amp[pos]
-        for f in range(length - 2, -1, -1):
-            want = fac[term, f] * dim + row
-            hit = np.minimum(np.searchsorted(key, want), len(key) - 1)
-            ok = key[hit] == want
-            term, col, hit = term[ok], col[ok], hit[ok]
-            row, val = tgt[hit], val[ok] * amp[hit]
-        rows.append(row)
-        cols.append(col)
-        vals.append(c[term] * val)
-    out = sp.csr_matrix((np.concatenate(vals),
-                         (np.concatenate(rows), np.concatenate(cols))),
-                        shape=(dim, dim), dtype=complex)
+    # every triplet of each term's right factor, then the left factor
+    n = count[right]
+    term = np.repeat(np.arange(len(terms)), n)
+    pos = np.arange(n.sum()) + np.repeat(start[right] - (np.cumsum(n) - n), n)
+    want = left[term] * dim + tgt[pos]
+    hit = np.minimum(np.searchsorted(key, want), len(key) - 1)
+    ok = key[hit] == want
+    term, pos, hit = term[ok], pos[ok], hit[ok]
+    vals = np.asarray(coeffs, dtype=complex)[term] * (amp[pos] * amp[hit])
+    out = sp.csr_matrix((vals, (tgt[hit], src[pos])), shape=(dim, dim),
+                        dtype=complex)
     out.sum_duplicates()
     out.eliminate_zeros()
     return out
 
 
 class QuadraticObservable:
-    """Windowed field bilinear: numeric coefficients over mode-operator pairs.
+    """Windowed field bilinear: coefficients over slot pairs.
 
+    ``terms`` is a TERM_DTYPE array of (left, right, coeff) records, one per
+    operator product op(left) op(right) (left = -1 for a single operator).
     Realized lazily as one sparse matrix, assembled in a single pass from the
     ladder operators' index maps (all sign conventions ride on the operator
     algebra).
     """
 
-    def __init__(self, space: FockSpace, label: str, terms: Sequence[QuadTerm],
-                 vacuum_subtraction: float = 0.0, window: Optional[dict] = None):
+    def __init__(self, space: FockSpace, label: str, terms,
+                 vacuum_subtraction: complex = 0.0, window: Optional[dict] = None):
         self.space = space
         self.label = label
-        self.terms = tuple(terms)
+        self.terms = np.asarray(terms, dtype=TERM_DTYPE)
         self.vacuum_subtraction = vacuum_subtraction
         self.window = dict(window or {})
         self._matrix: Optional[sp.csr_matrix] = None
 
     def matrix(self) -> sp.csr_matrix:
         if self._matrix is None:
-            self._matrix = _assemble(self.space, self.terms,
-                                     [t.coeff for t in self.terms])
+            self._matrix = _assemble(self.space, self.terms, self.terms["coeff"])
         return self._matrix
 
     def hermiticity_defect(self) -> float:
@@ -267,151 +268,93 @@ class QuadraticObservable:
 
 
 class QuadraticDensity:
-    """Spacetime density S(x): terms carry e^{i q.x} phases.
+    """Spacetime density S(x): term t carries the phase e^{i q_t.x}, with
+    q_t = Q[left_t] + Q[right_t] the sum of its slots' transfers.
 
     Evaluate at a point with .at(x) or integrate against measurement windows
     (module boxqft.measurement).  Densities are normal-ordered; the dropped
     vacuum constant is kept in .vacuum_subtraction for bookkeeping.
     """
 
-    def __init__(self, space: FockSpace, label: str, terms: Sequence[QuadTerm],
-                 vacuum_subtraction: float = 0.0):
+    def __init__(self, space: FockSpace, label: str, terms,
+                 vacuum_subtraction: complex = 0.0):
         self.space = space
         self.label = label
-        self.terms = tuple(terms)
+        self.terms = np.asarray(terms, dtype=TERM_DTYPE)
         self.vacuum_subtraction = vacuum_subtraction
+
+    def transfers(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Four-momentum (n_terms, 4) and lattice (n_terms, 3) transfer of
+        every term."""
+        Q, lat = _slot_transfers(self.space)
+        left, right = self.terms["left"], self.terms["right"]
+        return Q[left] + Q[right], lat[left] + lat[right]
 
     def at(self, x: FourVector) -> sp.csr_matrix:
         """Realize the density operator at the spacetime point x."""
         xt = x.as_array()
-        q = np.array([t.transfer for t in self.terms], dtype=float).reshape(-1, 4)
+        q, _ = self.transfers()
         phase = np.exp(1j * (q[:, 0] * xt[0] - q[:, 1] * xt[1]
                              - q[:, 2] * xt[2] - q[:, 3] * xt[3]))
-        coeffs = np.array([t.coeff for t in self.terms], dtype=complex)
-        return _assemble(self.space, self.terms, coeffs * phase)
+        return _assemble(self.space, self.terms, self.terms["coeff"] * phase)
 
-    def map_terms(self, label: str, fn) -> "QuadraticObservable":
-        """New observable with coefficients coeff -> fn(term) * coeff."""
-        out = []
-        for t in self.terms:
-            w = fn(t)
-            if w != 0.0:
-                out.append(QuadTerm(t.ops, t.coeff * w, t.transfer, t.lattice))
-        return QuadraticObservable(self.space, label, _merge(out),
+    def weighted(self, label: str, factor: np.ndarray) -> QuadraticObservable:
+        """Observable with coefficients coeff * factor per term; terms whose
+        product is exactly zero are dropped."""
+        coeff = self.terms["coeff"] * factor
+        keep = coeff != 0
+        terms = self.terms[keep]
+        terms["coeff"] = coeff[keep]
+        return QuadraticObservable(self.space, label, terms,
                                    vacuum_subtraction=self.vacuum_subtraction)
 
 
-# -- term algebra -----------------------------------------------------------
+def _linear(space: FockSpace, label: str, ell: np.ndarray) -> QuadraticDensity:
+    """Density of a linear field component, one term per nonzero slot."""
+    right = np.flatnonzero(ell)
+    return QuadraticDensity(space, label, _terms(-1, right, ell[right]))
 
 
-def _merge(terms: Sequence[QuadTerm]) -> List[QuadTerm]:
-    acc: Dict[Tuple, QuadTerm] = {}
-    for t in terms:
-        key = t.ops
-        if key in acc:
-            old = acc[key]
-            acc[key] = QuadTerm(old.ops, old.coeff + t.coeff, old.transfer, old.lattice)
-        else:
-            acc[key] = t
-    return [t for t in acc.values() if t.coeff != 0]
+def _quadratic(space: FockSpace, label: str, W: np.ndarray) -> QuadraticDensity:
+    """Normal-ordered density of sum_{s,t} W[s,t] op(s) op(t).
 
-
-def _normal_order(space: FockSpace, terms: Sequence[QuadTerm]):
-    """Creators left, annihilators right, sorted within kind.
-
-    Returns (terms, dropped_constant): [a_i, c_j] contractions produce the
-    vacuum constant that normal ordering subtracts.
+    Creator slots come first, so reordering each product as creators left,
+    annihilators right, slots ascending moves every entry into the upper
+    triangle: two fermionic slots anticommute (and a fermionic square
+    vanishes).  Each [a_j, c_j] contraction leaves a constant; their sum, the
+    trace of the a-c block, is the subtracted vacuum constant.
     """
-    const = 0.0
-    done: List[QuadTerm] = []
-    work = list(terms)
-    while work:
-        t = work.pop()
-        ops = t.ops
-        if len(ops) <= 1:
-            done.append(t)
-            continue
-        o1, o2 = ops
-        fermi = space.is_fermionic(o1.channel) and space.is_fermionic(o2.channel)
-        i1 = space.mode_index[(o1.channel, o1.mode)]
-        i2 = space.mode_index[(o2.channel, o2.mode)]
-        if o1.kind == "a" and o2.kind == "c":
-            # a c = (+-) c a + delta
-            if i1 == i2:
-                const += t.coeff
-            sign = -1.0 if fermi else 1.0
-            work.append(QuadTerm((o2, o1), sign * t.coeff, t.transfer, t.lattice))
-            continue
-        if o1.kind == o2.kind and i1 > i2:
-            if fermi and i1 == i2:
-                continue  # fermionic square vanishes
-            sign = -1.0 if fermi else 1.0
-            work.append(QuadTerm((o2, o1), sign * t.coeff, t.transfer, t.lattice))
-            continue
-        if o1.kind == o2.kind and fermi and i1 == i2:
-            continue
-        done.append(t)
-    return _merge(done), const
+    M = len(space.modes)
+    fermi = np.tile(space.fermionic, 2)
+    sign = np.where(np.logical_and.outer(fermi, fermi), -1.0, 1.0)
+    N = np.triu(W, 1) + sign * np.triu(W.T, 1)
+    N[np.diag_indices_from(N)] = np.where(fermi, 0.0, np.diagonal(W))
+    left, right = np.nonzero(N)
+    return QuadraticDensity(space, label, _terms(left, right, N[left, right]),
+                            vacuum_subtraction=complex(np.trace(W[M:, :M])))
 
 
-@dataclass(frozen=True)
-class _Piece:
-    """One term of a linear field component: coeff * op * e^{i q.x}."""
-    op: OpFactor
-    coeff: complex
-    q: np.ndarray            # four-momentum transfer
-    lattice: Tuple[int, int, int]
-
-
-def _mode_pieces(space: FockSpace, channel: str, amp_a, amp_c) -> List[_Piece]:
-    grid = space.grid(channel)
-    out = []
-    for n in grid.modes:
-        k = grid.momentum(n).as_array()
-        lat = grid.lattice3(n)
-        ca, cc = amp_a(grid, n), amp_c(grid, n)
-        if ca != 0:
-            out.append(_Piece(OpFactor("a", channel, n), ca, -k,
-                              tuple(-v for v in lat)))
-        if cc != 0:
-            out.append(_Piece(OpFactor("c", channel, n), cc, +k, lat))
-    return out
-
-
-def _bilinear(space, label, pieces1, pieces2, vertex):
-    """Normal-ordered sum over piece pairs of vertex(q1,q2) * op1 op2.
-
-    Both operator orders are averaged (bosonic factors only), which keeps
-    composite observables Hermitian; the commutator constants land in the
-    normal-ordering subtraction.
-    """
-    raw: List[QuadTerm] = []
-    for p1 in pieces1:
-        for p2 in pieces2:
-            v = vertex(p1.q, p2.q)
-            if v == 0:
-                continue
-            c = p1.coeff * p2.coeff * v
-            q = tuple(p1.q + p2.q)
-            lat = tuple(a + b for a, b in zip(p1.lattice, p2.lattice))
-            raw.append(QuadTerm((p1.op, p2.op), 0.5 * c, q, lat))
-            raw.append(QuadTerm((p2.op, p1.op), 0.5 * c, q, lat))
-    terms, const = _normal_order(space, raw)
-    return QuadraticDensity(space, label, terms, vacuum_subtraction=const)
+def _symmetrized(space: FockSpace, label: str, W: np.ndarray) -> QuadraticDensity:
+    """Both operator orders averaged, which keeps a bosonic composite
+    Hermitian; the commutator constants land in the vacuum subtraction."""
+    return _quadratic(space, label, 0.5 * (W + W.T))
 
 
 # ---------------------------------------------------------------------------
 # scalar field
 
 
-def _scalar_amp(grid: ModeGrid, n) -> float:
-    return 1.0 / math.sqrt(2 * grid.energy(n) * grid.volume)
-
-
-def scalar_pieces(space: FockSpace, channel: str = "phi") -> List[_Piece]:
-    return _mode_pieces(space, channel,
-                        lambda g, n: _scalar_amp(g, n),
-                        lambda g, n: _scalar_amp(g, n))
+def _scalar_slots(space: FockSpace, channel: str) -> np.ndarray:
+    """phi(0) over the slots: (2 E V)^(-1/2) on each creator and annihilator
+    of the channel."""
+    space.grid(channel)                     # raises UnknownMode
+    M = len(space.modes)
+    idx = np.array([i for i, m in enumerate(space.modes) if m.channel == channel],
+                   dtype=np.int64)
+    out = np.zeros(2 * M, dtype=complex)
+    out[idx] = out[M + idx] = 1.0 / np.sqrt(2 * space.mode_energies[idx]
+                                            * space.volume)
+    return out
 
 
 def scalar_field(space: FockSpace, x: FourVector, channel: str = "phi") -> sp.csr_matrix:
@@ -421,16 +364,13 @@ def scalar_field(space: FockSpace, x: FourVector, channel: str = "phi") -> sp.cs
 
 def scalar_density(space: FockSpace, channel: str = "phi") -> QuadraticDensity:
     """The field phi itself as a (linear) observable density."""
-    terms = [QuadTerm((p.op,), p.coeff, tuple(p.q), p.lattice)
-             for p in scalar_pieces(space, channel)]
-    return QuadraticDensity(space, "phi", terms)
+    return _linear(space, "phi", _scalar_slots(space, channel))
 
 
 def scalar_momentum_density(space: FockSpace, channel: str = "phi") -> QuadraticDensity:
     """Conjugate momentum pi = d_t phi."""
-    terms = [QuadTerm((p.op,), p.coeff * 1j * p.q[0], tuple(p.q), p.lattice)
-             for p in scalar_pieces(space, channel)]
-    return QuadraticDensity(space, "pi", terms)
+    Q, _ = _slot_transfers(space)
+    return _linear(space, "pi", _scalar_slots(space, channel) * 1j * Q[:-1, 0])
 
 
 def scalar_momentum(space: FockSpace, x: FourVector, channel: str = "phi") -> sp.csr_matrix:
@@ -439,29 +379,28 @@ def scalar_momentum(space: FockSpace, x: FourVector, channel: str = "phi") -> sp
 
 def scalar_bilinear_density(space: FockSpace, channel: str = "phi") -> QuadraticDensity:
     """Normal-ordered :phi^2:(x)."""
-    p = scalar_pieces(space, channel)
-    return _bilinear(space, "phi2", p, p, lambda q1, q2: 1.0)
+    ell = _scalar_slots(space, channel)
+    return _symmetrized(space, "phi2", np.multiply.outer(ell, ell))
 
 
 def stress_tensor_scalar(space: FockSpace, mu: int, nu: int,
                          channel: str = "phi") -> QuadraticDensity:
     """T^{mu nu} = d^mu phi d^nu phi - g^{mu nu}(d phi . d phi - m^2 phi^2)/2.
 
-    Derivatives act analytically: a piece with transfer q picks up i*q^mu.
+    Derivatives act analytically: a slot with transfer q picks up i*q^mu.
     """
     if mu not in range(4) or nu not in range(4):
         raise BoxQFTError("tensor indices must be 0..3")
-    p = scalar_pieces(space, channel)
+    ell = _scalar_slots(space, channel)
     m = space.grid(channel).mass
-    g = METRIC
-
-    def vertex(q1, q2):
-        # (i q1^mu)(i q2^nu) symmetrized in (mu,nu), minus the trace part
-        dmu_dnu = -(q1[mu] * q2[nu] + q1[nu] * q2[mu]) / 2.0
-        dd = -(q1[0] * q2[0] - q1[1] * q2[1] - q1[2] * q2[2] - q1[3] * q2[3])
-        return dmu_dnu - g[mu, nu] * (dd - m * m) / 2.0
-
-    return _bilinear(space, f"T{mu}{nu}", p, p, vertex)
+    Q, _ = _slot_transfers(space)
+    q1, q2 = Q[:-1, None, :], Q[None, :-1, :]
+    # (i q1^mu)(i q2^nu) symmetrized in (mu,nu), minus the trace part
+    dmu_dnu = -(q1[..., mu] * q2[..., nu] + q1[..., nu] * q2[..., mu]) / 2.0
+    dd = -(q1[..., 0] * q2[..., 0] - q1[..., 1] * q2[..., 1]
+           - q1[..., 2] * q2[..., 2] - q1[..., 3] * q2[..., 3])
+    vertex = dmu_dnu - METRIC[mu, nu] * (dd - m * m) / 2.0
+    return _symmetrized(space, f"T{mu}{nu}", np.multiply.outer(ell, ell) * vertex)
 
 
 # ---------------------------------------------------------------------------
@@ -485,44 +424,27 @@ def dirac_space_channels(grid: ModeGrid):
     return tuple((ch, grid) for ch in DIRAC_CHANNELS)
 
 
-def _dirac_component_pieces(space: FockSpace, alpha: int, dagger: bool) -> List[_Piece]:
-    """Pieces of psi_alpha(x) (or its conjugate)."""
+def _dirac_slots(space: FockSpace) -> np.ndarray:
+    """psi_alpha(0) over the slots, a (4, 2M) array:
+    psi = V^(-1/2) sum (u a^X + v b+^X)."""
     grid = space.grid("L")
-    V = grid.volume
-    out: List[_Piece] = []
+    M = len(space.modes)
+    root_v = math.sqrt(grid.volume)
+    psi = np.zeros((4, 2 * M), dtype=complex)
     for n in grid.modes:
         k3 = grid.wavevector(n)[2]
-        k = grid.momentum(n).as_array()
-        lat = grid.lattice3(n)
         for X in _DIRAC_PARTICLE:
-            u = spinor_u(k3, X, grid.mass).components[alpha]
-            v = spinor_v(k3, X, grid.mass).components[alpha]
-            if not dagger:
-                if u != 0:
-                    out.append(_Piece(OpFactor("a", X, n), u / math.sqrt(V),
-                                      -k, tuple(-w for w in lat)))
-                if v != 0:
-                    out.append(_Piece(OpFactor("c", _DIRAC_ANTI[X], n),
-                                      v / math.sqrt(V), +k, lat))
-            else:
-                if u != 0:
-                    out.append(_Piece(OpFactor("c", X, n), np.conj(u) / math.sqrt(V),
-                                      +k, lat))
-                if v != 0:
-                    out.append(_Piece(OpFactor("a", _DIRAC_ANTI[X], n),
-                                      np.conj(v) / math.sqrt(V),
-                                      -k, tuple(-w for w in lat)))
-    return out
+            psi[:, M + space.mode_index[(X, n)]] = \
+                spinor_u(k3, X, grid.mass).components / root_v
+            psi[:, space.mode_index[(_DIRAC_ANTI[X], n)]] = \
+                spinor_v(k3, X, grid.mass).components / root_v
+    return psi
 
 
 def dirac_field(space: FockSpace, x: FourVector) -> List[sp.csr_matrix]:
     """The four spinor components of psi(x) as Fock operators."""
-    ops = []
-    for alpha in range(4):
-        pieces = _dirac_component_pieces(space, alpha, dagger=False)
-        terms = [QuadTerm((p.op,), p.coeff, tuple(p.q), p.lattice) for p in pieces]
-        ops.append(QuadraticDensity(space, f"psi{alpha}", terms).at(x))
-    return ops
+    psi = _dirac_slots(space)
+    return [_linear(space, f"psi{alpha}", psi[alpha]).at(x) for alpha in range(4)]
 
 
 def dirac_current_density(space: FockSpace, mu: int) -> QuadraticDensity:
@@ -534,21 +456,15 @@ def dirac_current_density(space: FockSpace, mu: int) -> QuadraticDensity:
     if mu not in range(4):
         raise BoxQFTError("current index must be 0..3")
     J = current_matrices()[mu]
-    raw: List[QuadTerm] = []
-    dag = [_dirac_component_pieces(space, a, dagger=True) for a in range(4)]
-    und = [_dirac_component_pieces(space, b, dagger=False) for b in range(4)]
-    for a in range(4):
-        for b in range(4):
-            if J[a, b] == 0:
-                continue
-            for p1 in dag[a]:
-                for p2 in und[b]:
-                    c = p1.coeff * J[a, b] * p2.coeff
-                    raw.append(QuadTerm(
-                        (p1.op, p2.op), c, tuple(p1.q + p2.q),
-                        tuple(x + y for x, y in zip(p1.lattice, p2.lattice))))
-    terms, const = _normal_order(space, raw)
-    return QuadraticDensity(space, f"j{mu}", terms, vacuum_subtraction=const)
+    psi = _dirac_slots(space)
+    M = len(space.modes)
+    dag = np.roll(psi, M, axis=1).conj()      # creators <-> annihilators
+    W = np.zeros((2 * M, 2 * M), dtype=complex)
+    # elementwise products summed from the last (a, b) down; a BLAS product
+    # would round differently and leave residues where the sum cancels
+    for a, b in reversed(list(zip(*np.nonzero(J)))):
+        W += np.multiply.outer(dag[a] * J[a, b], psi[b])
+    return _quadratic(space, f"j{mu}", W)
 
 
 # ---------------------------------------------------------------------------
@@ -565,41 +481,19 @@ def photon_space_channels(grid: ModeGrid):
     return tuple((ch, grid) for ch in PHOTON_CHANNELS)
 
 
-def _em_vector_pieces(space: FockSpace, config: EMFieldConfig):
-    """Pieces of the three components of A(x), radiation gauge (A^0=0)."""
-    comp_pieces = [[] for _ in range(3)]
+def _em_vector_slots(space: FockSpace, config: EMFieldConfig) -> np.ndarray:
+    """The three components of A(0), radiation gauge (A^0=0), as a (3, 2M)
+    array over the slots."""
+    M = len(space.modes)
+    A = np.zeros((3, 2 * M), dtype=complex)
     for lam in PHOTON_CHANNELS:
         grid = space.grid(lam)
-        f0 = grid.volume
         for n in grid.modes:
             e = config.polarization(lam, n[0])
-            k = grid.momentum(n).as_array()
-            lat = grid.lattice3(n)
-            amp = 1.0 / math.sqrt(2 * grid.energy(n) * f0)
-            for i in range(3):
-                if e[i] != 0:
-                    comp_pieces[i].append(_Piece(OpFactor("a", lam, n),
-                                                 amp * e[i], -k,
-                                                 tuple(-w for w in lat)))
-                if np.conj(e[i]) != 0:
-                    comp_pieces[i].append(_Piece(OpFactor("c", lam, n),
-                                                 amp * np.conj(e[i]), +k, lat))
-    return comp_pieces
-
-
-def _em_EB_pieces(space: FockSpace, config: EMFieldConfig):
-    """E = -d_t A and B = curl A, derivatives as i q^mu on each piece."""
-    A = _em_vector_pieces(space, config)
-    E = [[_Piece(p.op, -1j * p.q[0] * p.coeff, p.q, p.lattice) for p in A[i]]
-         for i in range(3)]
-    B = [[], [], []]
-    eps = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
-           (0, 2, 1): -1, (2, 1, 0): -1, (1, 0, 2): -1}
-    for (i, j, k), s in eps.items():
-        # (curl A)^i = eps_ijk d_j A^k, with d_j -> -i q^j (spatial, upper index)
-        for p in A[k]:
-            B[i].append(_Piece(p.op, s * (-1j) * p.q[j + 1] * p.coeff, p.q, p.lattice))
-    return E, B
+            amp = 1.0 / math.sqrt(2 * grid.energy(n) * grid.volume)
+            j = space.mode_index[(lam, n)]
+            A[:, M + j], A[:, j] = amp * e, amp * np.conj(e)
+    return A
 
 
 def stress_tensor_em(space: FockSpace, mu: int, nu: int,
@@ -613,57 +507,38 @@ def stress_tensor_em(space: FockSpace, mu: int, nu: int,
     The T^{ij} sign follows from g^{mu nu} F^2/4 - F^{mu a} g_ab F^{nu b}
     (traceless, and zero transverse pressure for a plane wave).
     """
-    config = config or EMFieldConfig()
-    E, B = _em_EB_pieces(space, config)
-    unit = lambda q1, q2: 1.0
-
-    def combine(pairs):
-        raw = []
-        for w, p1s, p2s in pairs:
-            for p1 in p1s:
-                for p2 in p2s:
-                    c = w * p1.coeff * p2.coeff
-                    q = tuple(p1.q + p2.q)
-                    lat = tuple(a + b for a, b in zip(p1.lattice, p2.lattice))
-                    # symmetrized operator order keeps the observable Hermitian
-                    raw.append(QuadTerm((p1.op, p2.op), 0.5 * c, q, lat))
-                    raw.append(QuadTerm((p2.op, p1.op), 0.5 * c, q, lat))
-        terms, const = _normal_order(space, raw)
-        return QuadraticDensity(space, f"T{mu}{nu}_em", terms,
-                                vacuum_subtraction=const)
+    Q, _ = _slot_transfers(space)
+    A = _em_vector_slots(space, config or EMFieldConfig())
+    # E = -d_t A and B = curl A, derivatives as i q^mu on each slot
+    E = -1j * Q[:-1, 0] * A
+    B = np.zeros_like(A)
+    for (i, j, k), s in _LEVI_CIVITA.items():
+        # (curl A)^i = eps_ijk d_j A^k, with d_j -> -i q^j (spatial, upper index)
+        B[i] += s * (-1j) * Q[:-1, j + 1] * A[k]
 
     if mu == 0 and nu == 0:
-        pairs = [(0.5, E[i], E[i]) for i in range(3)]
-        pairs += [(0.5, B[i], B[i]) for i in range(3)]
-        return combine(pairs)
-    if mu == 0 or nu == 0:
+        pairs = [(0.5, F[i], F[i]) for F in (E, B) for i in range(3)]
+    elif mu == 0 or nu == 0:
         i = (mu + nu) - 1  # the spatial index
-        eps = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
-               (0, 2, 1): -1, (2, 1, 0): -1, (1, 0, 2): -1}
-        pairs = [(s, E[j], B[k]) for (ii, j, k), s in eps.items() if ii == i]
-        return combine(pairs)
-    i, j = mu - 1, nu - 1
-    pairs = [(-1.0, E[i], E[j]), (-1.0, B[i], B[j])]
-    if i == j:
-        pairs += [(0.5, E[k], E[k]) for k in range(3)]
-        pairs += [(0.5, B[k], B[k]) for k in range(3)]
-    return combine(pairs)
+        pairs = [(s, E[j], B[k]) for (ii, j, k), s in _LEVI_CIVITA.items()
+                 if ii == i]
+    else:
+        i, j = mu - 1, nu - 1
+        pairs = [(-1.0, E[i], E[j]), (-1.0, B[i], B[j])]
+        if i == j:
+            pairs += [(0.5, F[k], F[k]) for F in (E, B) for k in range(3)]
+    W = sum(np.multiply.outer(w * l1, l2) for w, l1, l2 in pairs)
+    return _symmetrized(space, f"T{mu}{nu}_em", W)
 
 
 def em_field_strength_density(space: FockSpace, mu: int, nu: int,
                               config: Optional[EMFieldConfig] = None) -> QuadraticDensity:
     """F^{mu nu} = d^mu A^nu - d^nu A^mu as a linear observable density."""
-    config = config or EMFieldConfig()
-    A = _em_vector_pieces(space, config)
+    Q, _ = _slot_transfers(space)
+    A = _em_vector_slots(space, config or EMFieldConfig())
 
     def dA(m, n_):
         # d^m A^n with A^0 = 0;  d^m -> i q^m (upper index)
-        if n_ == 0:
-            return []
-        return [_Piece(p.op, 1j * p.q[m] * p.coeff, p.q, p.lattice)
-                for p in A[n_ - 1]]
+        return 1j * Q[:-1, m] * A[n_ - 1] if n_ else np.zeros(A.shape[1], complex)
 
-    pieces = dA(mu, nu) + [_Piece(p.op, -p.coeff, p.q, p.lattice)
-                           for p in dA(nu, mu)]
-    terms = [QuadTerm((p.op,), p.coeff, tuple(p.q), p.lattice) for p in pieces]
-    return QuadraticDensity(space, f"F{mu}{nu}", _merge(terms))
+    return _linear(space, f"F{mu}{nu}", dA(mu, nu) - dA(nu, mu))

@@ -161,7 +161,7 @@ class FockSpace:
         caps = np.array([1 if self._grid[m.channel].species is Species.FERMION
                          else self.n_max_per_mode for m in self.modes], dtype=np.int64)
         self.caps = caps
-        self._fermionic = np.array(
+        self.fermionic = np.array(
             [self._grid[m.channel].species is Species.FERMION for m in self.modes])
 
         basis = _enumerate_occupations(caps, self.n_max_total, dim_limit)
@@ -169,9 +169,12 @@ class FockSpace:
         self.dim = basis.shape[0]
         self._state_index = {bytes(row.tobytes()): i for i, row in enumerate(basis)}
 
-        e_mode = np.array([self._grid[m.channel].energy(m.n) for m in self.modes])
-        self.mode_energies = e_mode
-        self.energies = basis.astype(float) @ e_mode
+        # (n_modes, 4) on-shell four-momenta (E, k1, k2, k3)
+        self.mode_momenta = np.array(
+            [self._grid[m.channel].momentum(m.n).as_array() for m in self.modes]
+        ).reshape(-1, 4)
+        self.mode_energies = self.mode_momenta[:, 0].copy()
+        self.energies = basis.astype(float) @ self.mode_energies
 
         lat = np.array([self._grid[m.channel].lattice3(m.n) for m in self.modes],
                        dtype=np.int64)
@@ -253,10 +256,10 @@ class FockSpace:
         occ = self.occupations
         src = np.nonzero(occ[:, j] > 0)[0]          # states annihilation acts on
         rows, cols, vals = [], [], []
-        fermion = self._fermionic[j]
+        fermion = self.fermionic[j]
         if fermion:
             # Jordan-Wigner string over the fermionic modes preceding j
-            mask = self._fermionic.copy()
+            mask = self.fermionic.copy()
             mask[j:] = False
             jw = 1.0 - 2.0 * (occ[:, mask].sum(axis=1) % 2)
         for i in src:
@@ -311,8 +314,9 @@ class FockSpace:
         return FockSpace(channels, doc["n_max_per_mode"], doc["n_max_total"])
 
 
-def _count_occupations(caps: np.ndarray, total_cap: int) -> int:
-    """Basis size by convolution over modes (cheap overflow precheck)."""
+def _count_occupations(caps: np.ndarray, total_cap: int) -> np.ndarray:
+    """Number of occupation tuples of each total 0..total_cap, by
+    convolution over modes (cheap overflow precheck)."""
     counts = np.zeros(total_cap + 1, dtype=object)
     counts[0] = 1
     for cap in caps:
@@ -322,7 +326,7 @@ def _count_occupations(caps: np.ndarray, total_cap: int) -> int:
                 for v in range(min(int(cap), total_cap - t) + 1):
                     new[t + v] += counts[t]
         counts = new
-    return int(counts.sum())
+    return counts
 
 
 def _enumerate_occupations(caps: np.ndarray, total_cap: int, dim_limit: int) -> np.ndarray:
@@ -335,10 +339,15 @@ def _enumerate_occupations(caps: np.ndarray, total_cap: int, dim_limit: int) -> 
     value and the index of its tail row, and the full tuples are gathered
     once at the end.
     """
-    dim = _count_occupations(caps, total_cap)
+    dims = np.cumsum(_count_occupations(caps, total_cap))   # per total cap
+    dim = int(dims[-1])
     if dim > dim_limit:
+        smaller = ", ".join(f"{t}: {int(d)}" for t, d in enumerate(dims[1:-1], 1))
         raise DimensionOverflow(
-            f"Fock dimension {dim} exceeds limit {dim_limit}; shrink the grid")
+            f"Fock dimension {dim} exceeds limit {dim_limit} for {len(caps)} "
+            f"modes with per-mode cap {int(max(caps, default=0))} and total cap "
+            f"{total_cap}; smaller total caps give dimensions {{{smaller}}}; "
+            f"shrink the grid or the caps")
     used = np.zeros(1, dtype=np.int64)              # total occupation per row
     values, tails = [], []
     for cap in caps[::-1]:

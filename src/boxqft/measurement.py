@@ -12,15 +12,16 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import BoxQFTError, DimensionOverflow
-from .fields import QuadraticDensity, QuadraticObservable, QuadTerm, stress_tensor_em
+from .fields import QuadraticDensity, QuadraticObservable, stress_tensor_em
 from .fock import (DensityOperator, FockSpace, SagnacConfig, SagnacSpecies,
-                   StateVector, expectation, sagnac_state)
+                   StateVector, expectation, sagnac_state, vacuum_state)
 from .spacetime import FourVector, IntervalClass, classify_interval
 
 # ---------------------------------------------------------------------------
@@ -47,12 +48,13 @@ class MeasurementWindow:
         if self.envelope == "gauss" and self.sigma_t is None:
             object.__setattr__(self, "sigma_t", self.tau / 2.0)
 
-    def time_transform(self, omega: float) -> complex:
-        """integral over the window of e^{i omega t}."""
+    def time_transform(self, omega):
+        """integral over the window of e^{i omega t}, elementwise for an
+        array of omega."""
         if self.envelope == "rect":
             return self.tau * np.sinc(omega * self.tau / (2 * math.pi))
         return math.sqrt(2 * math.pi) * self.sigma_t * \
-            math.exp(-0.5 * (self.sigma_t * omega) ** 2)
+            np.exp(-0.5 * (self.sigma_t * omega) ** 2)
 
 
 def commensurate_tau(energy: float, periods: int = 1) -> float:
@@ -60,31 +62,24 @@ def commensurate_tau(energy: float, periods: int = 1) -> float:
     return periods * 2 * math.pi / energy
 
 
-def _spatial_factor(space: FockSpace, lattice: Tuple[int, int, int],
-                    target: Tuple[int, int, int], w: MeasurementWindow,
-                    transfer: np.ndarray, p_spatial: np.ndarray) -> complex:
-    """Box (Kronecker) or Gaussian spatial transform for one mode pair."""
+def _spatial_factor(space: FockSpace, lattice: np.ndarray, target,
+                    w: MeasurementWindow, transfer: np.ndarray,
+                    p_spatial: np.ndarray) -> np.ndarray:
+    """Box (Kronecker) or Gaussian spatial transform of every term, from the
+    terms' lattice (n, 3) and four-momentum (n, 4) transfers."""
     if w.sigma_x is None:
-        return space.volume if lattice == target else 0.0
-    d = transfer[1:] + p_spatial   # residual spatial transfer after the weight
+        return np.where(np.all(lattice == target, axis=1), space.volume, 0.0)
+    d = transfer[:, 1:] + p_spatial   # residual spatial transfer after the weight
     return (math.sqrt(2 * math.pi) * w.sigma_x) ** 3 * \
-        math.exp(-0.5 * w.sigma_x ** 2 * float(d @ d))
+        np.exp(-0.5 * w.sigma_x ** 2 * np.sum(d * d, axis=1))
 
 
 def windowed_observable(S: QuadraticDensity, w: MeasurementWindow) -> QuadraticObservable:
     """S integrated over the box and the time window (plain weight)."""
-    space = S.space
-    zero = (0, 0, 0)
-    pz = np.zeros(3)
-
-    def factor(t: QuadTerm) -> complex:
-        q = np.asarray(t.transfer)
-        sx = _spatial_factor(space, t.lattice, zero, w, q, pz)
-        if sx == 0.0:
-            return 0.0
-        return sx * w.time_transform(q[0])
-
-    obs = S.map_terms(f"{S.label}|win", factor)
+    q, lat = S.transfers()
+    factor = _spatial_factor(S.space, lat, (0, 0, 0), w, q, np.zeros(3)) * \
+        w.time_transform(q[:, 0])
+    obs = S.weighted(f"{S.label}|win", factor)
     obs.window.update({"kind": "plain", "tau": w.tau, "envelope": w.envelope})
     return obs
 
@@ -100,22 +95,13 @@ def spacelike_windowed_observable(S: QuadraticDensity, p: FourVector,
     if classify_interval(p) is not IntervalClass.SPACELIKE:
         warnings.warn("readout momentum p is not space-like; vacuum noise "
                       "suppression does not apply", stacklevel=2)
-    lat_p = space.lattice_of(p)
-    neg = tuple(-v for v in lat_p)
-    ps = p.spatial
-
-    def factor(t: QuadTerm) -> complex:
-        q = np.asarray(t.transfer)
-        out = 0.0 + 0.0j
-        sx = _spatial_factor(space, t.lattice, neg, w, q, +ps)
-        if sx != 0.0:
-            out += 0.5 * sx * w.time_transform(q[0] + p.t)
-        sx = _spatial_factor(space, t.lattice, lat_p, w, q, -ps)
-        if sx != 0.0:
-            out += 0.5 * sx * w.time_transform(q[0] - p.t)
-        return out
-
-    obs = S.map_terms(f"{S.label}|cos", factor)
+    lat_p = np.array(space.lattice_of(p))
+    q, lat = S.transfers()
+    factor = 0.5 * _spatial_factor(space, lat, -lat_p, w, q, +p.spatial) * \
+        w.time_transform(q[:, 0] + p.t)
+    factor = factor + 0.5 * _spatial_factor(space, lat, lat_p, w, q, -p.spatial) * \
+        w.time_transform(q[:, 0] - p.t)
+    obs = S.weighted(f"{S.label}|cos", factor)
     obs.window.update({"kind": "cosine", "tau": w.tau, "envelope": w.envelope,
                        "p": tuple(p.as_array())})
     return obs
@@ -186,9 +172,13 @@ def moments(state, S: QuadraticObservable, n_max: int = 4) -> MomentsResult:
 
 def vacuum_variance(space: FockSpace, S: QuadraticObservable) -> float:
     """<0|S^2|0> - <0|S|0>^2 computed exactly (S Hermitian assumed)."""
-    from .fock import vacuum_state
+    return operator_vacuum_variance(space, S.matrix())
+
+
+def operator_vacuum_variance(space: FockSpace, mat) -> float:
+    """<0|O^2|0> - <0|O|0>^2 for a Hermitian Fock-space matrix O."""
     vac = vacuum_state(space).amplitudes
-    sv = S.matrix() @ vac
+    sv = mat @ vac
     mean = complex(np.vdot(vac, sv))
     return float(np.vdot(sv, sv).real - abs(mean) ** 2)
 
@@ -232,6 +222,8 @@ class LocalizationRow:
     sigma_t: float
     leakage: float
     vacuum_variance: Optional[float]
+    observable: Optional[QuadraticObservable] = field(default=None, repr=False,
+                                                      compare=False)
 
 
 @dataclass(frozen=True)
@@ -278,19 +270,20 @@ def localization_effect(pbar: FourVector, sigmas: Sequence[float],
 
     For each time width sigma_t: the normalized leakage weight of
     |N(p-pbar)|^2 over p.p > 0, plus (when a density is given) the exact
-    lattice vacuum variance of the correspondingly smeared observable.
+    lattice vacuum variance of the correspondingly smeared observable, which
+    the row keeps.
     """
     rows = []
     for s in sigmas:
         leak = _timelike_leakage(pbar.z, s, envelope)
-        var = None
+        var = obs = None
         if density is not None:
             w = MeasurementWindow(tau=2 * s, envelope="gauss", sigma_t=s) \
                 if envelope == "gauss" else MeasurementWindow(tau=2 * s)
             obs = spacelike_windowed_observable(density, pbar, w)
             var = vacuum_variance(density.space, obs)
         rows.append(LocalizationRow(sigma_t=float(s), leakage=leak,
-                                    vacuum_variance=var))
+                                    vacuum_variance=var, observable=obs))
     return LocalizationReport(envelope=envelope, p=tuple(pbar.as_array()),
                               rows=tuple(rows))
 
@@ -323,6 +316,14 @@ class HomodyneResult:
     linearized: float
     linearization_error: float
     weak_regime: bool
+
+
+def balanced_difference(x):
+    """The balanced readout as an operator, (1 + x)^+ (1 + x) - (1 - x)^+ (1 - x),
+    for the sparse signal-arm operator x."""
+    one = sp.identity(x.shape[0], dtype=complex, format="csr")
+    xd = x.conjugate().transpose()
+    return ((one + xd) @ (one + x) - (one - xd) @ (one - x)).tocsr()
 
 
 def homodyne_difference(s_value: float, cfg: HomodyneConfig) -> HomodyneResult:

@@ -50,12 +50,10 @@ def _momentum_block(space: FockSpace, density: QuadraticDensity,
                     lattice_target: Tuple[int, int, int]):
     """Fock operator of int_V e^{-ip.x} X(0,x) dx: keeps terms whose spatial
     transfer equals -p (lattice units), weighted by the volume."""
-    V = space.volume
-
-    def factor(t):
-        return V if t.lattice == lattice_target else 0.0
-
-    return density.map_terms(f"{density.label}(p)", factor).matrix()
+    _, lat = density.transfers()
+    hit = np.all(lat == lattice_target, axis=1)
+    return density.weighted(f"{density.label}(p)",
+                            np.where(hit, space.volume, 0.0)).matrix()
 
 
 def default_delta_omega(space: FockSpace) -> float:

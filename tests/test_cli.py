@@ -1,7 +1,10 @@
 import json
 
 import pytest
+import scipy.sparse as sp
 from click.testing import CliRunner
+
+from boxqft import measurement
 
 from boxqft.cli import (DEFAULT_CONFIG, RunReport, cmd_fdt,
                         cmd_homodyne, cmd_threepoint, main, merge_config)
@@ -106,3 +109,26 @@ def test_cli_dimension_overflow_exit_one(tmp_path):
     res = runner.invoke(main, ["suppression", "--config", str(cfgfile),
                                "--out", str(tmp_path / "o")])
     assert res.exit_code == 1
+
+
+def _budget_check(report):
+    (check,) = [c for c in report.checks if c.name == "darkcount.variance.budget"]
+    return check
+
+
+def test_homodyne_budget_check_compares_the_difference_operator(monkeypatch):
+    # the check passes on the real balanced difference (1+x)+(1+x)-(1-x)+(1-x)
+    cfg = merge_config(None)
+    check = _budget_check(cmd_homodyne(cfg))
+    assert check.passed and check.expected > 0
+    assert check.computed != 0.0
+
+    # and fails when the x+ half of the operator is dropped: 2x, not 4x
+    def without_dagger(x):
+        one = sp.identity(x.shape[0], dtype=complex, format="csr")
+        return ((one + x) - (one - x)).tocsr()
+
+    monkeypatch.setattr(measurement, "balanced_difference", without_dagger)
+    broken = _budget_check(cmd_homodyne(cfg))
+    assert not broken.passed
+    assert abs(broken.computed - broken.expected / 4) <= 1e-18

@@ -10,8 +10,7 @@ from conftest import BOX, dirac_space, photon_space, scalar_space
 
 from boxqft.errors import BoxQFTError, ZeroMomentum
 from boxqft.fields import (GAMMA, PAULI, EMFieldConfig, GammaMatrices,
-                           OpFactor, QuadraticObservable, QuadTerm,
-                           current_matrices, dirac_current_density,
+                           QuadraticObservable, current_matrices, dirac_current_density,
                            dirac_field, dirac_space_channels, em_field_strength_density,
                            scalar_bilinear_density, scalar_density,
                            scalar_field, scalar_momentum,
@@ -266,29 +265,43 @@ def test_field_strength_antisymmetry():
 # -- one COO assembly against the per-term ladder-product loop ---------------
 
 
+def _ladder(space, slot):
+    """Ladder matrix of a slot: creator of mode slot for slot < M, else the
+    annihilator of mode slot - M."""
+    mode = space.modes[slot % len(space.modes)]
+    if slot < len(space.modes):
+        return space.creation(mode.channel, mode.n)
+    return space.annihilation(mode.channel, mode.n)
+
+
 def _product_loop(space, terms, coeffs):
-    """Reference: sum of coeff * (product of ladder matrices), one sparse add
-    per term (the realization the single assembly replaced)."""
+    """Reference: sum of coeff * op(left) op(right), one sparse add per term
+    (the realization the single assembly replaced); left = -1 is no factor."""
     acc = sp.csr_matrix((space.dim, space.dim), dtype=complex)
-    for t, c in zip(terms, coeffs):
-        prod = None
-        for op in t.ops:
-            m = (space.creation(op.channel, op.mode) if op.kind == "c"
-                 else space.annihilation(op.channel, op.mode))
-            prod = m if prod is None else prod @ m
-        if prod is None:
-            prod = sp.identity(space.dim, dtype=complex, format="csr")
+    for (left, right), c in zip(terms[["left", "right"]].tolist(), coeffs):
+        prod = _ladder(space, right)
+        if left >= 0:
+            prod = _ladder(space, left) @ prod
         acc = acc + c * prod
     return acc.tocsr()
+
+
+def _transfer(space, slot):
+    """Four-momentum transfer of one slot, from the mode grid; 0 for -1."""
+    if slot < 0:
+        return np.zeros(4)
+    mode = space.modes[slot % len(space.modes)]
+    k = space.grid(mode.channel).momentum(mode.n).as_array()
+    return k if slot < len(space.modes) else -k
 
 
 def _at_oracle(density, x):
     xt = x.as_array()
     coeffs = []
-    for t in density.terms:
-        q = np.asarray(t.transfer)
-        coeffs.append(t.coeff * np.exp(1j * (q[0] * xt[0] - q[1] * xt[1]
-                                             - q[2] * xt[2] - q[3] * xt[3])))
+    for left, right, c in density.terms.tolist():
+        q = _transfer(density.space, left) + _transfer(density.space, right)
+        coeffs.append(c * np.exp(1j * (q[0] * xt[0] - q[1] * xt[1]
+                                       - q[2] * xt[2] - q[3] * xt[3])))
     return _product_loop(density.space, density.terms, coeffs)
 
 
@@ -310,7 +323,7 @@ def _check_density(density, x, p):
     for w in (MeasurementWindow(tau=1.7), MeasurementWindow(tau=BOX)):
         for obs in (windowed_observable(density, w),
                     spacelike_windowed_observable(density, p, w)):
-            ref = _product_loop(obs.space, obs.terms, [t.coeff for t in obs.terms])
+            ref = _product_loop(obs.space, obs.terms, obs.terms["coeff"])
             _assert_same_operator(obs.matrix(), ref)
 
 
@@ -342,31 +355,29 @@ def test_assembly_matches_product_loop_em(mu, nu):
 
 
 def test_assembly_identity_and_mixed_lengths():
-    # zero-, one-, two- and three-factor terms in one observable
+    # one-factor (identity on the left), two-factor and (a, a) terms in one
+    # observable, given as (left, right, coeff) slot records
     space = scalar_space(n_mode=1, mass=1.0, caps=(3, 3))
-    a, b = OpFactor("a", "phi", (1,)), OpFactor("c", "phi", (-1,))
-    c = OpFactor("c", "phi", (0,))
-    zero = (0.0, 0.0, 0.0, 0.0), (0, 0, 0)
-    terms = [QuadTerm((), 2.5 - 1j, *zero), QuadTerm((a,), 0.3, *zero),
-             QuadTerm((b, a), -1.1j, *zero), QuadTerm((c, b, a), 0.7, *zero),
-             QuadTerm((a, a), 0.2, *zero)]
+    M = len(space.modes)
+    a = M + space.mode_index[("phi", (1,))]          # annihilate +1
+    b = space.mode_index[("phi", (-1,))]             # create -1
+    terms = [(-1, a, 0.3), (b, a, -1.1j), (a, a, 0.2), (b, b, 0.4 + 0.5j)]
     obs = QuadraticObservable(space, "mixed", terms)
-    ref = _product_loop(space, terms, [t.coeff for t in terms])
+    ref = _product_loop(space, obs.terms, obs.terms["coeff"])
     _assert_same_operator(obs.matrix(), ref)
-    only_identity = QuadraticObservable(space, "id", terms[:1]).matrix()
-    assert np.array_equal(only_identity.toarray(), (2.5 - 1j) * np.eye(space.dim))
+    only_linear = QuadraticObservable(space, "a", terms[:1]).matrix()
+    _assert_same_operator(only_linear, 0.3 * _ladder(space, a))
     assert QuadraticObservable(space, "empty", []).matrix().nnz == 0
 
 
 def test_assembly_drops_exact_zeros():
     # a term and its negative cancel: no stored zeros, as with sparse '+'
     space = scalar_space(n_mode=1, mass=1.0, caps=(2, 2))
-    a = OpFactor("a", "phi", (1,))
-    zero = (0.0, 0.0, 0.0, 0.0), (0, 0, 0)
-    obs = QuadraticObservable(space, "cancel",
-                              [QuadTerm((a,), 0.5, *zero),
-                               QuadTerm((a,), -0.5, *zero)])
+    a = len(space.modes) + space.mode_index[("phi", (1,))]
+    obs = QuadraticObservable(space, "cancel", [(-1, a, 0.5), (-1, a, -0.5)])
     assert obs.matrix().nnz == 0
+    pair = QuadraticObservable(space, "cancel", [(a, a, 0.5), (a, a, -0.5)])
+    assert pair.matrix().nnz == 0
 
 
 @settings(max_examples=30, deadline=None)

@@ -123,6 +123,20 @@ def test_dimension_overflow():
         build_fock_space([("phi", grid)], 4, 8, dim_limit=1000)
 
 
+def test_dimension_overflow_message_names_modes_caps_and_smaller_dims():
+    grid = ModeGrid(axes=(3,), lengths=(BOX,), ranges=((-8, 8),),
+                    species=Species.BOSON, mass=1.0)
+    with pytest.raises(DimensionOverflow) as err:
+        build_fock_space([("phi", grid)], 4, 5, dim_limit=1000)
+    msg = str(err.value)
+    smaller = {t: build_fock_space([("phi", grid)], 4, t).dim for t in range(1, 5)}
+    assert smaller[1] == 18 and smaller[2] == 171
+    assert "17 modes" in msg and "per-mode cap 4" in msg and "total cap 5" in msg
+    assert "limit 1000" in msg
+    assert ("smaller total caps give dimensions {"
+            + ", ".join(f"{t}: {d}" for t, d in smaller.items()) + "}") in msg
+
+
 def test_mode_operator_matrix_elements():
     space = one_mode_space()
     a_dag = space.creation("phi", (1,))

@@ -1,0 +1,70 @@
+"""The names and attributes the benchmark's tracer relies on.
+
+perfbench/tracing.py wraps the layer functions by name and reads structural
+counts off their results (``len(density.terms)``, ``matrix.nnz``,
+``sample.term_count``).  This runs one small traced pass in a fresh process,
+as the benchmark does, so a renamed builder or a density without ``terms``
+fails here.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SCRIPT = r"""
+import json, math
+import tracing
+from boxqft import fields, fock, measurement, spectral
+from boxqft.spacetime import FourVector
+
+tracer = tracing.Tracer()
+tracing.install(tracer)
+L = 2 * math.pi
+grid = fock.ModeGrid(axes=(3,), lengths=(L,), ranges=((-2, 2),),
+                     species=fock.Species.BOSON, mass=1.0)
+space = fock.build_fock_space([("phi", grid)], 2, 2)
+density = fields.stress_tensor_scalar(space, 0, 0)
+p = FourVector(0.5, 0.0, 0.0, 2.0)
+obs = measurement.spacelike_windowed_observable(
+    density, p, measurement.MeasurementWindow(tau=L))
+nnz = obs.matrix().nnz
+sample = spectral.lehmann_spectral_density(space, density, density, p, 1.0)
+metrics, calls = tracing.layer_metrics(tracer, [0], 1.0)
+print(json.dumps({
+    "spans": [[s[0], s[5]] for s in tracer.spans],
+    "metrics": {k: v["value"] for k, v in metrics.items()},
+    "terms": len(density.terms), "kept": len(obs.terms), "nnz": nnz,
+    "pairs": sample.term_count}))
+"""
+
+
+def _traced_pass():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
+    proc = subprocess.run([sys.executable, "-c", SCRIPT], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_traced_pass_counts_match_the_objects():
+    run = _traced_pass()
+    spans = run["spans"]
+    counters = {name: c for name, c in spans}
+    assert {"fock.basis", "fock.ladder", "fields.density", "measurement.window",
+            "fields.matrix", "spectral.lehmann"} <= set(counters)
+    assert counters["fields.density"] == {"terms": run["terms"]}
+    assert counters["measurement.window"] == {"scanned": run["terms"],
+                                              "kept": run["kept"]}
+    assert counters["spectral.lehmann"] == {"pairs": run["pairs"]}
+    metrics = run["metrics"]
+    assert metrics["fields.density_terms"] == run["terms"] > 0
+    assert metrics["measurement.window_keep_ratio"] == run["kept"] / run["terms"]
+    # the windowed matrix is the first realized; the Lehmann sum realizes
+    # its two momentum blocks through the same traced method
+    matrix_nnz = [c["nnz"] for name, c in spans if name == "fields.matrix"]
+    assert matrix_nnz[0] == run["nnz"] and len(matrix_nnz) == 3
