@@ -9,6 +9,7 @@ runs with the same configuration produce byte-identical outputs.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import time
@@ -135,11 +136,13 @@ class RunReport:
         return json.dumps(doc, sort_keys=True, indent=1)
 
     def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("name,computed,expected,provenance,tolerance,passed\n")
-            for c in self.checks:
-                fh.write(f"{c.name},{c.computed!r},{c.expected!r},"
-                         f"{c.provenance},{c.tolerance!r},{c.passed}\n")
+        with open(path, "w", newline="") as fh:
+            out = csv.writer(fh, lineterminator="\n")
+            out.writerow(["name", "computed", "expected", "provenance",
+                          "tolerance", "passed"])
+            out.writerows([c.name, repr(c.computed), repr(c.expected),
+                           c.provenance, repr(c.tolerance), c.passed]
+                          for c in self.checks)
 
 
 # ---------------------------------------------------------------------------
@@ -653,10 +656,11 @@ def cmd_threepoint(config: dict, out: Optional[Path] = None) -> RunReport:
     report.add("prefactor[three-branch on-shell]", res.onshell_prefactor.real,
                -2 * E ** 2, "-2 E^2 on the middle branch", cfg["tol"])
     if out:
-        with open(out / "threepoint_values.csv", "w") as fh:
-            fh.write("check,computed,expected\n")
-            for c in report.checks:
-                fh.write(f"{c.name},{c.computed!r},{c.expected!r}\n")
+        with open(out / "threepoint_values.csv", "w", newline="") as fh:
+            values = csv.writer(fh, lineterminator="\n")
+            values.writerow(["check", "computed", "expected"])
+            values.writerows([c.name, repr(c.computed), repr(c.expected)]
+                             for c in report.checks)
     return report
 
 

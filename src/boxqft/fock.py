@@ -6,8 +6,10 @@ Occupation-number bases are enumerated deterministically (modes sorted by
 elements, Jordan-Wigner signs and oracle computations all agree on one
 ordering.
 
-All constructed objects are immutable after construction; expectation values
-are pure functions and safe to evaluate in parallel.
+Grids, states and basis arrays are immutable after construction.  A
+FockSpace realizes each ladder operator lazily, on first use, and caches it
+on the space; expectation values are pure functions and safe to evaluate in
+parallel.
 """
 
 from __future__ import annotations
@@ -167,7 +169,7 @@ class FockSpace:
         basis = _enumerate_occupations(caps, self.n_max_total, dim_limit)
         self.occupations = basis                     # (dim, n_modes) int8
         self.dim = basis.shape[0]
-        self._state_index = {bytes(row.tobytes()): i for i, row in enumerate(basis)}
+        self._keys = _row_keys(basis)                # sorted: basis is lexicographic
 
         # (n_modes, 4) on-shell four-momenta (E, k1, k2, k3)
         self.mode_momenta = np.array(
@@ -219,11 +221,14 @@ class FockSpace:
         return tuple(out)
 
     def state_index(self, occ) -> int:
-        key = np.asarray(occ, dtype=np.int8).tobytes()
-        try:
-            return self._state_index[key]
-        except KeyError:
-            raise UnknownMode("occupation configuration outside the basis")
+        """Position of an occupation row in the basis, by binary search."""
+        occ = np.asarray(occ)
+        if occ.shape == self.caps.shape and np.all((occ >= 0) & (occ <= self.caps)):
+            key = _row_keys(occ[None, :])
+            i = int(np.searchsorted(self._keys, key)[0])
+            if i < self.dim and self._keys[i] == key[0]:
+                return i
+        raise UnknownMode("occupation configuration outside the basis")
 
     # -- operators ----------------------------------------------------------
 
@@ -254,35 +259,21 @@ class FockSpace:
             raise UnknownMode(f"mode {n} not on channel {channel!r}")
         j = self.mode_index[(channel, n)]
         occ = self.occupations
-        src = np.nonzero(occ[:, j] > 0)[0]          # states annihilation acts on
-        rows, cols, vals = [], [], []
-        fermion = self.fermionic[j]
-        if fermion:
+        src = np.flatnonzero(occ[:, j] > 0)        # states annihilation acts on
+        lowered = occ[src]
+        lowered[:, j] -= 1
+        tgt = np.searchsorted(self._keys, _row_keys(lowered))
+        if self.fermionic[j]:
             # Jordan-Wigner string over the fermionic modes preceding j
-            mask = self.fermionic.copy()
-            mask[j:] = False
-            jw = 1.0 - 2.0 * (occ[:, mask].sum(axis=1) % 2)
-        for i in src:
-            target = occ[i].copy()
-            target[j] -= 1
-            t_idx = self._state_index.get(target.tobytes())
-            if t_idx is None:
-                continue
-            amp = jw[i] if fermion else math.sqrt(occ[i, j])
-            rows.append(t_idx)
-            cols.append(i)
-            vals.append(amp)
-        src = np.array(cols, dtype=np.int64)
-        tgt = np.array(rows, dtype=np.int64)
-        amp = np.array(vals, dtype=complex)
-        a = sp.csr_matrix((amp, (tgt, src)), shape=(self.dim, self.dim),
-                          dtype=complex)
-        self._op_cache[(channel, n, "a")] = a
-        self._op_cache[(channel, n, "c")] = a.conjugate().transpose().tocsr()
-        order = np.argsort(tgt)
-        self._op_maps[(channel, n, "a")] = (src, tgt, amp)
-        self._op_maps[(channel, n, "c")] = (tgt[order], src[order],
-                                            amp[order].conj())
+            parity = lowered[:, :j][:, self.fermionic[:j]].sum(axis=1) % 2
+            amp = (1.0 - 2.0 * parity).astype(complex)
+        else:
+            amp = np.sqrt(occ[src, j].astype(float)).astype(complex)
+        # lowering one column keeps lexicographic order, so tgt ascends too
+        for k, m in (("a", (src, tgt, amp)), ("c", (tgt, src, amp.conj()))):
+            self._op_maps[(channel, n, k)] = m
+            self._op_cache[(channel, n, k)] = sp.csr_matrix(
+                (m[2], (m[1], m[0])), shape=(self.dim, self.dim), dtype=complex)
         return self._op_cache[key]
 
     # -- serialization ------------------------------------------------------
@@ -314,6 +305,13 @@ class FockSpace:
         return FockSpace(channels, doc["n_max_per_mode"], doc["n_max_total"])
 
 
+def _row_keys(occ: np.ndarray) -> np.ndarray:
+    """Int8 occupation rows as void keys; for 0..127 byte order is lexicographic."""
+    occ = np.ascontiguousarray(occ, dtype=np.int8)
+    # not occ.view(...): with no modes that gives no key at all, not one per row
+    return np.ndarray(len(occ), np.dtype((np.void, occ.shape[1])), occ)
+
+
 def _count_occupations(caps: np.ndarray, total_cap: int) -> np.ndarray:
     """Number of occupation tuples of each total 0..total_cap, by
     convolution over modes (cheap overflow precheck)."""
@@ -339,6 +337,9 @@ def _enumerate_occupations(caps: np.ndarray, total_cap: int, dim_limit: int) -> 
     value and the index of its tail row, and the full tuples are gathered
     once at the end.
     """
+    if min(int(max(caps, default=0)), total_cap) > 127:
+        raise BoxQFTError("occupations above 127 exceed the int8 basis arrays; "
+                          "lower the per-mode or total cap")
     dims = np.cumsum(_count_occupations(caps, total_cap))   # per total cap
     dim = int(dims[-1])
     if dim > dim_limit:

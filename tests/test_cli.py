@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -6,7 +7,7 @@ from click.testing import CliRunner
 
 from boxqft import measurement
 
-from boxqft.cli import (DEFAULT_CONFIG, RunReport, cmd_fdt,
+from boxqft.cli import (COMMANDS, DEFAULT_CONFIG, RunReport, cmd_fdt,
                         cmd_homodyne, cmd_threepoint, main, merge_config)
 from boxqft.errors import ConfigInvalid
 
@@ -36,6 +37,24 @@ def test_report_bookkeeping(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "name,computed,expected,provenance,tolerance,passed"
     assert len(lines) == 3
+
+
+def test_every_csv_artifact_of_all_parses_to_its_header_width(tmp_path):
+    # provenances such as "vacuum current correlation, space-like p" hold
+    # commas, so fields must be quoted where needed
+    res = CliRunner().invoke(main, ["all", "--seed", "3", "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    paths = sorted(tmp_path.glob("*.csv"))
+    stems = [cmd.replace("-", "_") for cmd in COMMANDS]
+    assert {f"{s}_checks.csv" for s in stems} | {"threepoint_values.csv"} <= {
+        p.name for p in paths}
+    commas = 0
+    for path in paths:
+        with open(path, newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert rows and all(len(row) == len(header) for row in rows), path.name
+        commas += sum("," in field for row in rows for field in row)
+    assert commas > 0
 
 
 def test_cmd_reports_pass():

@@ -108,6 +108,59 @@ def test_ladder_map_matches_matrix():
             assert np.array_equal(rebuilt, mat.toarray())
 
 
+def test_state_index_rejects_rows_outside_the_basis(monkeypatch):
+    space = scalar_space(n_mode=1, mass=1.0, caps=(3, 4))      # 3 modes
+    widths = []
+    searchsorted = np.searchsorted
+
+    def spy(keys, needles, *args, **kwargs):
+        widths.append(needles.dtype.itemsize)
+        return searchsorted(keys, needles, *args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", spy)
+    outside = [[0, 0], [0, 0, 0, 0],           # wrong length
+               [2, 3, 0],                       # above the total cap
+               [4, 0, 0],                       # above the per-mode cap
+               [0, -1, 1],                      # negative entry
+               np.array([256, 0, 0])]           # 0 after an int8 cast
+    for row in outside:
+        with pytest.raises(UnknownMode):
+            space.state_index(row)
+    assert widths == [3]          # only the full-width row above the total cap
+    assert space.state_index([2, 0, 2]) == space.state_index(
+        np.array([2, 0, 2], dtype=np.int8))
+
+
+def test_occupations_beyond_int8_are_rejected():
+    grid = ModeGrid(axes=(3,), lengths=(BOX,), ranges=((1, 1),),
+                    species=Species.BOSON, mass=1.0)
+    for caps in ((128, 128), (200, 200)):
+        with pytest.raises(BoxQFTError, match="int8"):
+            build_fock_space([("phi", grid)], *caps)
+    # fermionic occupations stay at 1 whatever the per-mode cap
+    assert (dirac_space(n_mode=1, caps=(200, 2)).dim
+            == dirac_space(n_mode=1, caps=(1, 2)).dim)
+    # the top state's key is byte 0x7f, the last before the sign bit
+    space = build_fock_space([("phi", grid)], 127, 127)
+    assert space.dim == 128
+    assert [space.state_index([v]) for v in range(128)] == list(range(128))
+    a = space.annihilation("phi", (1,))
+    comm = (a @ space.creation("phi", (1,)) - space.creation("phi", (1,)) @ a)
+    expected = np.eye(space.dim)
+    expected[127, 127] = -127.0
+    assert np.max(np.abs(comm.toarray() - expected)) < 1e-12
+
+
+def test_space_without_modes_has_one_state():
+    # a massless grid holding only k=0 has no modes: each key is zero bytes
+    grid = ModeGrid(axes=(3,), lengths=(BOX,), ranges=((0, 0),),
+                    species=Species.BOSON, mass=0.0)
+    space = build_fock_space([("phi", grid)], 2, 2)
+    assert space.modes == () and space.dim == 1
+    assert space.state_index([]) == 0
+    assert np.array_equal(vacuum_state(space).amplitudes, [1.0])
+
+
 def test_dispersion_and_fermi_velocity():
     g = scalar_grid(n_mode=2, mass=0.7, v_c=0.01)
     k = 2 * math.pi * 2 / BOX

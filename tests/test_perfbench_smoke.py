@@ -38,7 +38,8 @@ print(json.dumps({
     "spans": [[s[0], s[5]] for s in tracer.spans],
     "metrics": {k: v["value"] for k, v in metrics.items()},
     "terms": len(density.terms), "kept": len(obs.terms), "nnz": nnz,
-    "pairs": sample.term_count}))
+    "pairs": sample.term_count, "op_cache": len(space._op_cache),
+    "n_modes": len(space.modes)}))
 """
 
 
@@ -68,3 +69,7 @@ def test_traced_pass_counts_match_the_objects():
     # its two momentum blocks through the same traced method
     matrix_nnz = [c["nnz"] for name, c in spans if name == "fields.matrix"]
     assert matrix_nnz[0] == run["nnz"] and len(matrix_nnz) == 3
+    # one span per realized mode: the first call builds a and a^+ together,
+    # so the tracer's _op_cache test must see the second as a cache hit
+    ladder = [name for name, _ in spans if name == "fock.ladder"]
+    assert len(ladder) == run["op_cache"] // 2 == run["n_modes"] == 5
