@@ -282,6 +282,9 @@ class QuadraticDensity:
         self.label = label
         self.terms = np.asarray(terms, dtype=TERM_DTYPE)
         self.vacuum_subtraction = vacuum_subtraction
+        # momentum blocks and line spectra of the Lehmann sum for the last
+        # lattice pair {lat, -lat} asked about (boxqft.spectral)
+        self._momentum_slot = None
 
     def transfers(self) -> Tuple[np.ndarray, np.ndarray]:
         """Four-momentum (n_terms, 4) and lattice (n_terms, 3) transfer of

@@ -15,18 +15,34 @@ Structural consequences carried by this sum: at beta = inf and space-like p
 no eigenstate pair satisfies the constraints (E >= |P| forbids it), so G
 vanishes with zero contributing terms; at finite beta the dominant Boltzmann
 weight obeys E_min >= (|p| - |p0|)/2, the exponential suppression bound.
+
+Neither the momentum blocks A = X(-lat), B = Y(lat) nor their elementwise
+product A∘Bᵀ depends on p0 or beta.  The product's nonzero entries, with
+their energy differences, form a LineSpectrum; a sample builds the Boltzmann
+weights and evaluates the line spectrum (bin mask, weighted sum, dominant
+weight, count).  Entries keep the product's COO order, so every sum adds the
+same numbers in the same order as a sum over a freshly built product.
+
+Each QuadraticDensity holds one memo slot for the pair {lat, -lat} it was
+last asked about: at most two block observables, realized through
+QuadraticObservable.matrix(), and its auto line spectra (Y is X) at +-lat.
+A request for another |lat| replaces the slot, so memory stays bounded; once
+both auto spectra exist the blocks are released.  Cross spectra are built
+from the two densities' blocks and not stored.  The slot holds no reference
+to its density, so a density is freed by reference counting alone.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import BoxQFTError
-from .fields import QuadraticDensity
+from .fields import QuadraticDensity, QuadraticObservable
 from .fock import FockSpace
 from .spacetime import FourVector, minkowski_dot
 
@@ -46,14 +62,100 @@ class SpectralSample:
     delta_omega: float
 
 
+@dataclass(frozen=True)
+class LineSpectrum:
+    """Nonzero entries of A∘Bᵀ for A = X(-lat), B = Y(lat), in COO order.
+
+    Entry k is the transition from state row[k] to state col[k], at energy
+    de[k] = E[col] - E[row], with value[k] = A[row, col] * B[col, row].  It
+    depends on neither p0 nor beta; a Lehmann sample is a masked sum over it.
+    """
+    row: np.ndarray
+    col: np.ndarray
+    de: np.ndarray
+    value: np.ndarray
+
+    def __post_init__(self):
+        # kept on the density and handed to every caller
+        for a in (self.row, self.col, self.de, self.value):
+            a.flags.writeable = False
+
+    def evaluate(self, p0: float, weights: np.ndarray,
+                 delta_omega: float) -> Tuple[complex, float, int]:
+        """(sum of w_row * value, dominant w_row, count) over the entries in
+        the bin |p0 - de| <= delta_omega/2 with nonzero weight."""
+        mask = np.abs(p0 - self.de) <= delta_omega / 2.0
+        mask &= weights[self.row] > 0.0
+        w = weights[self.row[mask]]
+        dom = float(w.max()) if len(w) else 0.0
+        return (self.value[mask] * w).sum(), dom, len(w)
+
+
+class _MomentumSlot:
+    """One density's memo for a pair {lat, -lat}: its momentum-block
+    observables and its auto line spectra, keyed by lattice target."""
+    __slots__ = ("key", "blocks", "lines")
+
+    def __init__(self, key: frozenset):
+        self.key = key
+        self.blocks: Dict[Tuple[int, int, int], QuadraticObservable] = {}
+        self.lines: Dict[Tuple[int, int, int], LineSpectrum] = {}
+
+
+def _slot(density: QuadraticDensity, lat: Tuple[int, int, int]) -> _MomentumSlot:
+    """The density's memo for the pair {lat, -lat}; a request for another
+    pair replaces it."""
+    key = frozenset((lat, tuple(-v for v in lat)))
+    slot = density._momentum_slot
+    if slot is None or slot.key != key:
+        slot = density._momentum_slot = _MomentumSlot(key)
+    return slot
+
+
 def _momentum_block(space: FockSpace, density: QuadraticDensity,
                     lattice_target: Tuple[int, int, int]):
     """Fock operator of int_V e^{-ip.x} X(0,x) dx: keeps terms whose spatial
-    transfer equals -p (lattice units), weighted by the volume."""
-    _, lat = density.transfers()
-    hit = np.all(lat == lattice_target, axis=1)
-    return density.weighted(f"{density.label}(p)",
-                            np.where(hit, space.volume, 0.0)).matrix()
+    transfer equals -p (lattice units), weighted by the volume.  Built once
+    per slot of the density."""
+    target = tuple(lattice_target)
+    blocks = _slot(density, target).blocks
+    if target not in blocks:
+        _, lat = density.transfers()
+        hit = np.all(lat == target, axis=1)
+        blocks[target] = density.weighted(f"{density.label}(p)",
+                                          np.where(hit, space.volume, 0.0))
+    return blocks[target].matrix()
+
+
+def _line_spectrum(space: FockSpace, A, B) -> LineSpectrum:
+    prod = A.multiply(B.transpose()).tocoo()     # entries A[n,m] * B[m,n]
+    return LineSpectrum(row=prod.row.astype(np.int32, copy=False),
+                        col=prod.col.astype(np.int32, copy=False),
+                        de=space.energies[prod.col] - space.energies[prod.row],
+                        value=prod.data)
+
+
+def line_spectrum(space: FockSpace, X: QuadraticDensity, Y: QuadraticDensity,
+                  lat: Tuple[int, int, int]) -> LineSpectrum:
+    """Line spectrum of A = X(-lat), B = Y(lat).
+
+    The auto spectrum (Y is X) is kept in X's slot; a cross spectrum is built
+    from the two densities' memoized blocks and not stored.
+    """
+    lat = tuple(lat)
+    neg = tuple(-v for v in lat)
+    if Y is not X:
+        return _line_spectrum(space, _momentum_block(space, X, neg),
+                              _momentum_block(space, Y, lat))
+    slot = _slot(X, lat)
+    if lat not in slot.lines:
+        slot.lines[lat] = _line_spectrum(space, _momentum_block(space, X, neg),
+                                         _momentum_block(space, X, lat))
+        if neg in slot.lines:
+            # both auto spectra of the pair exist: the blocks are only
+            # needed again by a cross spectrum, which rebuilds them
+            slot.blocks.clear()
+    return slot.lines[lat]
 
 
 def default_delta_omega(space: FockSpace) -> float:
@@ -62,6 +164,16 @@ def default_delta_omega(space: FockSpace) -> float:
     quantum = min(2 * math.pi * grid.v_c / L
                   for _, grid in space.channels for L in grid.lengths)
     return quantum / 8.0
+
+
+def _boltzmann_weights(space: FockSpace, beta: float) -> np.ndarray:
+    """Normalized e^{-beta E_n}; at beta = inf the ground state alone."""
+    if math.isinf(beta):
+        weights = np.zeros(space.dim)
+        weights[int(np.argmin(space.energies))] = 1.0
+        return weights
+    w = np.exp(-beta * (space.energies - space.energies.min()))
+    return w / w.sum()
 
 
 def lehmann_spectral_density(space: FockSpace, X: QuadraticDensity,
@@ -76,30 +188,15 @@ def lehmann_spectral_density(space: FockSpace, X: QuadraticDensity,
     """
     if delta_omega is None:
         delta_omega = default_delta_omega(space)
-    lat = space.lattice_of(p)
-    A = _momentum_block(space, X, tuple(-v for v in lat))
-    B = _momentum_block(space, Y, lat)
-
-    if math.isinf(beta):
-        weights = np.zeros(space.dim)
-        weights[int(np.argmin(space.energies))] = 1.0
-    else:
-        w = np.exp(-beta * (space.energies - space.energies.min()))
-        weights = w / w.sum()
-
-    prod = A.multiply(B.transpose())        # entries A[n,m] * B[m,n]
-    prod = prod.tocoo()
-    if prod.nnz == 0:
-        return SpectralSample(tuple(p.as_array()), 0.0, beta, X.label, Y.label,
+    lines = line_spectrum(space, X, Y, space.lattice_of(p))
+    weights = _boltzmann_weights(space, beta)
+    p_tuple = tuple(p.as_array().tolist())
+    if len(lines.value) == 0:
+        return SpectralSample(p_tuple, 0.0, beta, X.label, Y.label,
                               NORM_TAG, 0.0, 0, delta_omega)
-    de = space.energies[prod.col] - space.energies[prod.row]
-    mask = np.abs(p.t - de) <= delta_omega / 2.0
-    mask &= weights[prod.row] > 0.0
-    vals = prod.data[mask] * weights[prod.row[mask]]
-    G = complex(vals.sum()) / space.volume
-    dom = float(weights[prod.row[mask]].max()) if mask.any() else 0.0
-    return SpectralSample(tuple(p.as_array()), G, beta, X.label, Y.label,
-                          NORM_TAG, dom, int(mask.sum()), delta_omega)
+    total, dom, count = lines.evaluate(p.t, weights, delta_omega)
+    return SpectralSample(p_tuple, complex(total) / space.volume, beta, X.label,
+                          Y.label, NORM_TAG, dom, count, delta_omega)
 
 
 def fdt_ratio(space: FockSpace, X: QuadraticDensity, p: FourVector,
@@ -340,9 +437,9 @@ def signal_vs_noise_curve(D: int, E: float, taus: Sequence[float]) -> SignalNois
 
 
 def write_spectral_csv(samples: Sequence[SpectralSample], path) -> None:
-    with open(path, "w") as fh:
-        fh.write("p0,p1,p2,p3,ReG,ImG,beta,X,Y,norm_tag\n")
-        for s in samples:
-            fh.write(f"{s.p[0]!r},{s.p[1]!r},{s.p[2]!r},{s.p[3]!r},"
-                     f"{s.G.real!r},{s.G.imag!r},{s.beta!r},{s.X},{s.Y},"
-                     f"\"{s.norm_tag}\"\n")
+    with open(path, "w", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(["p0", "p1", "p2", "p3", "ReG", "ImG", "beta", "X", "Y",
+                      "norm_tag"])
+        out.writerows([*map(repr, s.p), repr(s.G.real), repr(s.G.imag),
+                       repr(s.beta), s.X, s.Y, s.norm_tag] for s in samples)

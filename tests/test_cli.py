@@ -39,22 +39,52 @@ def test_report_bookkeeping(tmp_path):
     assert len(lines) == 3
 
 
-def test_every_csv_artifact_of_all_parses_to_its_header_width(tmp_path):
-    # provenances such as "vacuum current correlation, space-like p" hold
-    # commas, so fields must be quoted where needed
-    res = CliRunner().invoke(main, ["all", "--seed", "3", "--out", str(tmp_path)])
+@pytest.fixture(scope="module")
+def all_csv_artifacts(tmp_path_factory):
+    """Every CSV written by one ``boxqft all --seed 3`` run, read back with
+    csv.reader: {file name: (header, rows)}."""
+    out = tmp_path_factory.mktemp("all")
+    res = CliRunner().invoke(main, ["all", "--seed", "3", "--out", str(out)])
     assert res.exit_code == 0, res.output
-    paths = sorted(tmp_path.glob("*.csv"))
-    stems = [cmd.replace("-", "_") for cmd in COMMANDS]
-    assert {f"{s}_checks.csv" for s in stems} | {"threepoint_values.csv"} <= {
-        p.name for p in paths}
-    commas = 0
-    for path in paths:
+    tables = {}
+    for path in sorted(out.glob("*.csv")):
         with open(path, newline="") as fh:
             header, *rows = list(csv.reader(fh))
-        assert rows and all(len(row) == len(header) for row in rows), path.name
+        tables[path.name] = (header, rows)
+    return tables
+
+
+def test_every_csv_artifact_of_all_parses_to_its_header_width(all_csv_artifacts):
+    # provenances such as "vacuum current correlation, space-like p" hold
+    # commas, so fields must be quoted where needed
+    stems = [cmd.replace("-", "_") for cmd in COMMANDS]
+    assert {f"{s}_checks.csv" for s in stems} | {"threepoint_values.csv"} <= \
+        set(all_csv_artifacts)
+    commas = 0
+    for name, (header, rows) in all_csv_artifacts.items():
+        assert rows and all(len(row) == len(header) for row in rows), name
         commas += sum("," in field for row in rows for field in row)
     assert commas > 0
+
+
+# columns that hold labels; every other column of every CSV is a number
+TEXT_COLUMNS = {"name", "provenance", "passed", "check", "X", "Y", "norm_tag",
+                "state", "component", "config", "observable", "matched_variant"}
+
+
+def test_every_numeric_csv_field_of_all_parses_as_float(all_csv_artifacts):
+    # numpy >= 2 writes repr(np.float64(-3.0)) as "np.float64(-3.0)"
+    numeric = 0
+    for name, (header, rows) in all_csv_artifacts.items():
+        for row in rows:
+            for column, field in zip(header, row):
+                if column not in TEXT_COLUMNS:
+                    try:
+                        float(field)
+                    except ValueError:
+                        pytest.fail(f"{name}: {column} = {field!r}")
+                    numeric += 1
+    assert numeric > 0
 
 
 def test_cmd_reports_pass():

@@ -1,0 +1,260 @@
+"""Line spectra and the one-slot memo behind the Lehmann sum.
+
+The memoized path must give bit-identical samples to the reference that
+rebuilds both momentum blocks and their product on every call
+(tests/lehmann_reference.py), keep at most one {lat, -lat} pair per density
+without a reference cycle, and expose detailed balance line by line.
+"""
+
+import gc
+import math
+import weakref
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import BOX, dirac_space, photon_space, scalar_space
+from lehmann_reference import lehmann_reference
+
+from boxqft import fields
+from boxqft.fields import (dirac_current_density, em_field_strength_density,
+                           scalar_bilinear_density)
+from boxqft.fock import ModeGrid, Species, build_fock_space
+from boxqft.spacetime import FourVector
+from boxqft.spectral import (_boltzmann_weights, default_delta_omega,
+                             fdt_ratio, lehmann_spectral_density,
+                             line_spectrum)
+
+U = 2 * math.pi / BOX
+
+
+def assert_matches_reference(space, X, Y, p, beta, delta_omega=None):
+    s = lehmann_spectral_density(space, X, Y, p, beta, delta_omega)
+    G, dom, count, dw = lehmann_reference(space, X, Y, p, beta, delta_omega)
+    # repr is exact for floats and tells 0.0 from -0.0 and 0.0 from 0j
+    assert type(s.G) is type(G) and repr(s.G) == repr(G)
+    assert repr(s.dominant_weight) == repr(dom)
+    assert s.term_count == count
+    assert repr(s.delta_omega) == repr(dw)
+    return s
+
+
+def _scalar_case():
+    space = scalar_space(n_mode=2, mass=0.5, caps=(2, 3))
+    phi2 = scalar_bilinear_density(space)
+    return space, [phi2, scalar_bilinear_density(space)]
+
+
+def _dirac_case():
+    space = dirac_space(n_mode=2, mass=1.0, caps=(1, 3))
+    return space, [dirac_current_density(space, mu) for mu in (0, 3)]
+
+
+def _photon_case():
+    space = photon_space(n_mode=2, caps=(2, 2))
+    return space, [em_field_strength_density(space, 0, 1),
+                   em_field_strength_density(space, 1, 3)]
+
+
+CASES = {"scalar_phi2": _scalar_case, "dirac_j": _dirac_case,
+         "photon_F": _photon_case}
+
+
+def _line_momenta(space, X, lat):
+    """p0 on a few of X's own transition lines at lattice momentum lat,
+    plus one p0 between lines."""
+    de = np.unique(line_spectrum(space, X, X, lat).de)
+    return [0.37] + [float(w) for w in de[::max(1, len(de) // 4)]]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("beta", [math.inf, 0.8])
+def test_auto_and_cross_spectra_match_reference(case, beta):
+    space, (X, Y) = CASES[case]()
+    for p3 in (1, 0, -2):
+        lat = (0, 0, p3)
+        for p0 in _line_momenta(space, X, lat):
+            p = FourVector(p0, 0.0, 0.0, p3 * U)
+            for A, B in ((X, X), (X, Y), (Y, X), (Y, Y)):
+                assert_matches_reference(space, A, B, p, beta)
+                assert_matches_reference(space, A, B, -1.0 * p, beta)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_explicit_bin_width_matches_reference(case):
+    space, (X, Y) = CASES[case]()
+    dw = default_delta_omega(space)
+    for p0 in _line_momenta(space, X, (0, 0, 1)):
+        p = FourVector(p0, 0.0, 0.0, U)
+        for width in (dw / 2, 3 * dw, 0.0):
+            assert_matches_reference(space, X, X, p, 1.3, width)
+            assert_matches_reference(space, X, Y, p, 1.3, width)
+
+
+def test_alternating_lattice_pairs_refill_the_slot():
+    space = dirac_space(n_mode=2, mass=1.0, caps=(1, 3))
+    # line positions from a separate density, so that only the calls below
+    # touch the slots of j0 and j3
+    probe = dirac_current_density(space, 0)
+    momenta = {p3: _line_momenta(space, probe, (0, 0, p3)) for p3 in (1, 2, 3)}
+    j0 = dirac_current_density(space, 0)
+    j3 = dirac_current_density(space, 3)
+    nonzero = 0
+    for _ in range(2):
+        for p3 in (1, 3, -2, -1, 2, 3):
+            for p0 in momenta[abs(p3)]:
+                p = FourVector(p0, 0.0, 0.0, p3 * U)
+                s = assert_matches_reference(space, j0, j0, p, 0.9)
+                nonzero += s.term_count > 0
+                assert_matches_reference(space, j3, j0, p, 0.9)
+                assert j0._momentum_slot.key == {(0, 0, p3), (0, 0, -p3)}
+    assert nonzero > 0
+
+
+def _random_space(species, n_mode, mass, caps):
+    def grid(kind, m):
+        return ModeGrid(axes=(3,), lengths=(BOX,), ranges=((-n_mode, n_mode),),
+                        species=kind, mass=m)
+
+    if species == "dirac":
+        space = build_fock_space(
+            fields.dirac_space_channels(grid(Species.FERMION, mass)), *caps)
+        return space, [dirac_current_density(space, mu) for mu in (0, 1, 3)]
+    if species == "photon":
+        space = build_fock_space(
+            fields.photon_space_channels(grid(Species.BOSON, 0.0)), *caps)
+        return space, [em_field_strength_density(space, 0, 1),
+                       em_field_strength_density(space, 2, 3)]
+    space = build_fock_space([("phi", grid(Species.BOSON, mass))], *caps)
+    return space, [scalar_bilinear_density(space),
+                   fields.stress_tensor_scalar(space, 0, 3)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(species=st.sampled_from(["scalar", "dirac", "photon"]),
+       n_mode=st.integers(1, 2), mass=st.sampled_from([0.0, 0.4, 1.0]),
+       caps=st.sampled_from([(1, 2), (2, 2), (1, 3), (2, 3)]),
+       calls=st.lists(st.tuples(st.integers(-3, 3), st.integers(0, 30),
+                                st.floats(-4.0, 4.0),
+                                st.sampled_from([math.inf, 0.3, 1.0, 2.5]),
+                                st.integers(0, 2), st.integers(0, 2)),
+                      min_size=1, max_size=6))
+def test_memoized_path_matches_reference_random(species, n_mode, mass, caps,
+                                               calls):
+    space, densities = _random_space(species, n_mode, mass, caps)
+    for p3, line, offset, beta, i, j in calls:
+        X = densities[i % len(densities)]
+        Y = densities[j % len(densities)]
+        lat = (0, 0, p3)
+        de = np.unique(line_spectrum(space, X, Y, lat).de)
+        # on a transition line when there is one, else anywhere
+        p0 = float(de[line % len(de)]) if len(de) and line < 20 else offset
+        assert_matches_reference(space, X, Y, FourVector(p0, 0.0, 0.0, p3 * U),
+                                 beta)
+
+
+# ---------------------------------------------------------------------------
+# detailed balance line by line
+
+
+def _transposed_entries(L, transpose):
+    r, c = (L.col, L.row) if transpose else (L.row, L.col)
+    order = np.lexsort((c, r))
+    return r[order], c[order], L.de[order], L.value[order]
+
+
+def test_detailed_balance_holds_on_every_line():
+    space = dirac_space(n_mode=4, mass=1.0, caps=(1, 3))
+    j0 = dirac_current_density(space, 0)
+    beta, lat, neg = 0.7, (0, 0, 1), (0, 0, -1)
+    Lp = line_spectrum(space, j0, j0, lat)
+    Lm = line_spectrum(space, j0, j0, neg)
+
+    # L(-p) is L(p) transposed, entry for entry: same pairs and values, and
+    # the opposite energy difference
+    rp, cp, dep, vp = _transposed_entries(Lp, transpose=False)
+    rm, cm, dem, vm = _transposed_entries(Lm, transpose=True)
+    assert len(rp) > 0
+    assert np.array_equal(rp, rm) and np.array_equal(cp, cm)
+    assert np.array_equal(vp, vm) and np.array_equal(dep, -dem)
+
+    # w_m L(-p)[m,n] = e^{-beta w} w_n L(p)[n,m] at each line's own w
+    w = _boltzmann_weights(space, beta)
+    lhs = w[cp] * vm
+    rhs = np.exp(-beta * dep) * w[rp] * vp
+    assert np.all(np.abs(lhs - rhs) <= 1e-12 * np.abs(rhs))
+
+    dw = default_delta_omega(space)
+    # distinct lines; degenerate transitions differ by rounding only
+    lines = np.unique(np.round(dep, 9))
+
+    def binned_defect(p0):
+        lhs, rhs, sample = fdt_ratio(space, j0, FourVector(p0, 0, 0, U), beta)
+        return abs(lhs - rhs) / abs(sample.G)
+
+    def line_near(target):
+        # p0 exactly at a transition energy, since e^{-beta p0} enters the
+        # binned check
+        w0 = float(dep[np.argmin(np.abs(dep - target))])
+        assert abs(w0 - target) < 1e-4
+        return w0, int(np.sum(np.abs(lines - w0) <= dw / 2))
+
+    # an isolated line passes the binned check at its pinned tolerance
+    for target in (0.8219, -0.8219):
+        w0, in_bin = line_near(target)
+        assert in_bin == 1 and binned_defect(w0) <= 1e-10
+    # where two lines share a bin, only the per-line check above can hold
+    for target in (-0.9608, -0.9262):
+        w0, in_bin = line_near(target)
+        assert in_bin == 2 and binned_defect(w0) > 1e-3
+
+
+# ---------------------------------------------------------------------------
+# the memo is one slot, bounded and free of reference cycles
+
+
+def test_memo_keeps_one_lattice_pair():
+    space = scalar_space(n_mode=3, mass=0.5, caps=(2, 2))
+    X = scalar_bilinear_density(space)
+    for p3 in (1, 2, 3, 4, 5):
+        lehmann_spectral_density(space, X, X, FourVector(1.0, 0, 0, p3 * U), 1.0)
+        slot = X._momentum_slot
+        assert slot.key == {(0, 0, p3), (0, 0, -p3)}
+        assert len(slot.blocks) <= 2 and set(slot.lines) == {(0, 0, p3)}
+
+
+def test_density_is_freed_without_the_cyclic_collector():
+    space = scalar_space(n_mode=2, mass=0.5, caps=(2, 2))
+    X = scalar_bilinear_density(space)
+    Y = scalar_bilinear_density(space)
+    p = FourVector(1.0, 0, 0, U)
+    fdt_ratio(space, X, p, 1.0)
+    lehmann_spectral_density(space, X, Y, p, 1.0)
+    refs = [weakref.ref(X), weakref.ref(Y)]
+    gc.disable()
+    try:
+        del X, Y
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
+def test_second_beta_realizes_no_block(monkeypatch):
+    space = scalar_space(n_mode=2, mass=0.5, caps=(2, 2))
+    X = scalar_bilinear_density(space)
+    assembled = []
+    assemble = fields._assemble
+
+    def counting(*args):
+        assembled.append(args[1])
+        return assemble(*args)
+
+    monkeypatch.setattr(fields, "_assemble", counting)
+    p = FourVector(1.0, 0, 0, U)
+    fdt_ratio(space, X, p, 0.5)
+    assert len(assembled) == 2           # X(-lat) and X(lat), once each
+    fdt_ratio(space, X, p, 2.0)
+    lehmann_spectral_density(space, X, X, p, math.inf)
+    assert len(assembled) == 2

@@ -13,6 +13,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 SCRIPT = r"""
@@ -34,8 +36,17 @@ obs = measurement.spacelike_windowed_observable(
 nnz = obs.matrix().nnz
 sample = spectral.lehmann_spectral_density(space, density, density, p, 1.0)
 metrics, calls = tracing.layer_metrics(tracer, [0], 1.0)
+spans = [[s[0], s[5]] for s in tracer.spans]
+# detailed balance at one p with nonzero lattice momentum, two betas
+phi2 = fields.scalar_bilinear_density(space)
+q = FourVector(1.0, 0.0, 0.0, 1.0)
+fdt_spans = []
+for beta in (0.5, 2.0):
+    start = len(tracer.spans)
+    spectral.fdt_ratio(space, phi2, q, beta)
+    fdt_spans.append([s[0] for s in tracer.spans[start:]])
 print(json.dumps({
-    "spans": [[s[0], s[5]] for s in tracer.spans],
+    "spans": spans, "fdt_spans": fdt_spans,
     "metrics": {k: v["value"] for k, v in metrics.items()},
     "terms": len(density.terms), "kept": len(obs.terms), "nnz": nnz,
     "pairs": sample.term_count, "op_cache": len(space._op_cache),
@@ -52,8 +63,13 @@ def _traced_pass():
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def test_traced_pass_counts_match_the_objects():
-    run = _traced_pass()
+@pytest.fixture(scope="module")
+def traced_run():
+    return _traced_pass()
+
+
+def test_traced_pass_counts_match_the_objects(traced_run):
+    run = traced_run
     spans = run["spans"]
     counters = {name: c for name, c in spans}
     assert {"fock.basis", "fock.ladder", "fields.density", "measurement.window",
@@ -73,3 +89,13 @@ def test_traced_pass_counts_match_the_objects():
     # so the tracer's _op_cache test must see the second as a cache hit
     ladder = [name for name, _ in spans if name == "fock.ladder"]
     assert len(ladder) == run["op_cache"] // 2 == run["n_modes"] == 5
+
+
+def test_fdt_ratio_realizes_its_blocks_once(traced_run):
+    # both Lehmann samples go through the module-level name the tracer
+    # rebinds, and the two momentum blocks through QuadraticObservable.matrix,
+    # once per density and lattice pair: none for the second beta
+    first, second = traced_run["fdt_spans"]
+    assert first.count("spectral.lehmann") + second.count("spectral.lehmann") == 4
+    assert first.count("fields.matrix") == 2
+    assert second.count("fields.matrix") == 0
