@@ -278,21 +278,34 @@ def cmd_noiseless(config: dict, out: Optional[Path] = None,
     return report
 
 
+def _pipeline_tensor(space: FockSpace, densities: Dict, p: FourVector,
+                     beta: float):
+    """G[I + J] = G_{X_I X_J}(p) over the index tuples I, J of `densities`
+    (zero elsewhere), and the term counts summed over every entry.  Each
+    distinct pair of density objects (hashed by identity) is sampled
+    once."""
+    rank = len(next(iter(densities)))
+    G = np.zeros((4,) * (2 * rank), dtype=complex)
+    samples = {}
+    terms = 0
+    for I, X in densities.items():
+        for J, Y in densities.items():
+            if (X, Y) not in samples:
+                samples[X, Y] = lehmann_spectral_density(space, X, Y, p, beta)
+            G[I + J] = samples[X, Y].G
+            terms += samples[X, Y].term_count
+    return G, terms
+
+
 def _tensor_zero_checks(report: RunReport, cfg: dict, box: float) -> None:
     u = 2 * math.pi / box
     tol = cfg["pipeline_tol"]
     beta = math.inf
     # vector: Dirac current at space-like p
     dspace = _dirac_space(box, 2, mass=1.0, caps=(1, 2))
-    jdens = [dirac_current_density(dspace, mu) for mu in range(4)]
+    jdens = {(mu,): dirac_current_density(dspace, mu) for mu in range(4)}
     p = FourVector(0.6 * u, 0.0, 0.0, 2 * u)
-    Gv = np.zeros((4, 4), dtype=complex)
-    terms = 0
-    for mu in range(4):
-        for nu in range(4):
-            s = lehmann_spectral_density(dspace, jdens[mu], jdens[nu], p, beta)
-            Gv[mu, nu] = s.G
-            terms += s.term_count
+    Gv, terms = _pipeline_tensor(dspace, jdens, p, beta)
     fit = decompose_vector(TensorCorrelation("vector", p, Gv))
     report.add("pipeline.vector.xi", abs(fit.coefficients["xi"]), 0.0,
                "vacuum current correlation, space-like p", tol)
@@ -303,23 +316,15 @@ def _tensor_zero_checks(report: RunReport, cfg: dict, box: float) -> None:
     report.add("pipeline.vector.terms", float(terms), 0.0,
                "structural zero: no contributing eigenstate pairs", 0.5)
 
-    # symmetric: scalar stress tensor
+    # symmetric: scalar stress tensor, one density per unordered pair
     sspace = _scalar_space(box, 2, mass=0.0, caps=(2, 2))
     tdens = {}
     for mu in range(4):
         for nu in range(mu, 4):
             tdens[(mu, nu)] = stress_tensor_scalar(sspace, mu, nu)
-    Gs = np.zeros((4, 4, 4, 4), dtype=complex)
-    terms = 0
-    for mu in range(4):
-        for nu in range(4):
-            for sg in range(4):
-                for rh in range(4):
-                    X = tdens[tuple(sorted((mu, nu)))]
-                    Y = tdens[tuple(sorted((sg, rh)))]
-                    s = lehmann_spectral_density(sspace, X, Y, p, beta)
-                    Gs[mu, nu, sg, rh] = s.G
-                    terms += s.term_count
+    Gs, terms = _pipeline_tensor(
+        sspace, {(mu, nu): tdens[tuple(sorted((mu, nu)))]
+                 for mu in range(4) for nu in range(4)}, p, beta)
     fit = decompose_symmetric(TensorCorrelation("symmetric2", p, Gs))
     report.add("pipeline.symmetric.v", abs(fit.coefficients["v"]), 0.0,
                "vacuum stress correlation, space-like p", tol)
@@ -335,11 +340,7 @@ def _tensor_zero_checks(report: RunReport, cfg: dict, box: float) -> None:
         for nu in range(4):
             if mu != nu:
                 fdens[(mu, nu)] = em_field_strength_density(pspace, mu, nu)
-    Ga = np.zeros((4, 4, 4, 4), dtype=complex)
-    for (mu, nu), X in fdens.items():
-        for (sg, rh), Y in fdens.items():
-            s = lehmann_spectral_density(pspace, X, Y, p, beta)
-            Ga[mu, nu, sg, rh] = s.G
+    Ga, _ = _pipeline_tensor(pspace, fdens, p, beta)
     report.add("pipeline.antisymmetric.maxG", float(np.max(np.abs(Ga))), 0.0,
                "vacuum F correlation, space-like p", tol)
     fit = decompose_antisymmetric(TensorCorrelation("antisymmetric2", p, Ga))

@@ -24,7 +24,6 @@ from enum import Enum
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import BoxQFTError, MomentumMismatch
 from .fock import FockSpace, Species, thermal_state
@@ -160,17 +159,21 @@ def perfect_matchings(n: int):
             stack.append((pairing + [(first, left[i])], rest))
 
 
+def _inversion_sign(seq: Sequence[int]) -> float:
+    """(-1) to the number of inversions of seq: the parity of the
+    permutation that sorts it."""
+    inv = sum(1 for i in range(len(seq)) for j in range(i + 1, len(seq))
+              if seq[i] > seq[j])
+    return -1.0 if inv % 2 else 1.0
+
+
 def _matching_sign(matching: Sequence[Tuple[int, int]],
                    fermionic: Sequence[bool]) -> float:
     """Sign of the permutation of fermionic insertions induced by a matching."""
     order = []
     for i, j in sorted(matching):
         order.extend((i, j))
-    seq = [p for p in order if fermionic[p]]
-    # parity by counting inversions
-    inv = sum(1 for i in range(len(seq)) for j in range(i + 1, len(seq))
-              if seq[i] > seq[j])
-    return -1.0 if inv % 2 else 1.0
+    return _inversion_sign([p for p in order if fermionic[p]])
 
 
 def wick_npoint(insertions: Sequence[Insertion], beta: float) -> complex:
@@ -216,32 +219,33 @@ def exact_contour_correlator(space: FockSpace, insertions: Sequence[Insertion],
     Contour ordering places larger s leftmost (ties keep written order);
     the fermionic reordering sign is the parity of the applied permutation
     restricted to fermionic insertions.  H0 is diagonal, so Heisenberg
-    evolution is a diagonal phase even at complex times.
+    evolution is a diagonal phase even at complex times: the evolved
+    operator sends |source> to amplitude * e^{i(E_target - E_source)t}
+    |target>.  Every basis state is carried through the ladder index maps,
+    rightmost operator first; the rows that come back to their start make
+    up the diagonal that the thermal weights sum.
     """
     order = sorted(range(len(insertions)),
                    key=lambda i: (-insertions[i].time.s, i))
-    fermions = [i for i in range(len(insertions))
-                if insertions[i].species is Species.FERMION]
-    seq = [i for i in order if i in set(fermions)]
-    inv = sum(1 for i in range(len(seq)) for j in range(i + 1, len(seq))
-              if seq[i] > seq[j])
-    sign = -1.0 if inv % 2 else 1.0
+    sign = _inversion_sign([i for i in order
+                            if insertions[i].species is Species.FERMION])
 
     energies = space.energies
-    mat = sp.identity(space.dim, dtype=complex, format="csr")
-    for idx in order:
+    start = state = np.arange(space.dim)
+    amp = np.ones(space.dim, dtype=complex)
+    for idx in reversed(order):
         ins = insertions[idx]
         ch, n = ins.mode
-        op = space.annihilation(ch, n) if ins.kind == "a" else space.creation(ch, n)
-        t = ins.time.t
-        # e^{iHt} op e^{-iHt}
-        left = np.exp(1j * energies * t)
-        right = np.exp(-1j * energies * t)
-        evolved = sp.diags(left) @ op @ sp.diags(right)
-        mat = mat @ evolved
-    rho = thermal_state(space, beta)
-    val = complex(np.sum(rho.diagonal * mat.diagonal()))
-    return sign * val
+        src, tgt, val = space.ladder_map(ch, n, ins.kind)
+        pos = np.minimum(np.searchsorted(src, state), len(src) - 1)
+        hit = src[pos] == state
+        pos, start, state = pos[hit], start[hit], state[hit]
+        phase = np.exp(1j * (energies[tgt[pos]] - energies[state]) * ins.time.t)
+        amp = amp[hit] * val[pos] * phase
+        state = tgt[pos]
+    back = state == start
+    weights = thermal_state(space, beta).diagonal
+    return sign * complex(np.sum(weights[start[back]] * amp[back]))
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +396,8 @@ def _three_point_numerator(p: FourVector, q: FourVector, mu: int, nu: int,
 
 def three_point_T_phi_phi(k: FourVector, p: FourVector, q: FourVector,
                           mu: int, nu: int, m: float,
-                          scheme: OrderingScheme = OrderingScheme.KELDYSH_SYMMETRIC,
-                          tol: float = 1e-12) -> ThreePointResult:
+                          scheme: OrderingScheme = OrderingScheme.KELDYSH_SYMMETRIC
+                          ) -> ThreePointResult:
     """Stress-field three-point correlation at tree level.
 
     Requires p + q = k.  For the Keldysh-symmetric scheme the result is the
@@ -401,17 +405,7 @@ def three_point_T_phi_phi(k: FourVector, p: FourVector, q: FourVector,
     the additional on-shell middle-branch term is returned through
     onshell_prefactor (nonzero at E = sqrt(m^2 + |k|^2/4) kinematics).
     """
-    mismatch = (p + q - k).norm_sq_euclidean()
-    if mismatch > tol:
-        raise MomentumMismatch(f"p + q != k (Euclidean residue {mismatch})")
-    num = _three_point_numerator(p, q, mu, nu, m)
-    den = (minkowski_dot(p, p) - m * m) * (minkowski_dot(q, q) - m * m)
-    value = num / den if den != 0 else complex("inf")
-    onshell = None
-    if scheme is OrderingScheme.THREE_BRANCH:
-        onshell = _three_point_numerator(p, q, mu, nu, m)
-    return ThreePointResult(numerator=num, denominator=den, value=value,
-                            onshell_prefactor=onshell)
+    return three_point_combination(k, p, q, ((1.0, (mu, nu)),), m, scheme)
 
 
 def three_point_combination(k: FourVector, p: FourVector, q: FourVector,
@@ -426,7 +420,7 @@ def three_point_combination(k: FourVector, p: FourVector, q: FourVector,
     den = (minkowski_dot(p, p) - m * m) * (minkowski_dot(q, q) - m * m)
     mismatch = (p + q - k).norm_sq_euclidean()
     if mismatch > 1e-12:
-        raise MomentumMismatch("p + q != k")
+        raise MomentumMismatch(f"p + q != k (Euclidean residue {mismatch})")
     value = num / den if den != 0 else complex("inf")
     onshell = num if scheme is OrderingScheme.THREE_BRANCH else None
     return ThreePointResult(numerator=num, denominator=den, value=value,

@@ -18,9 +18,9 @@ weight obeys E_min >= (|p| - |p0|)/2, the exponential suppression bound.
 
 Neither the momentum blocks A = X(-lat), B = Y(lat) nor their elementwise
 product A∘Bᵀ depends on p0 or beta.  The product's nonzero entries, with
-their energy differences, form a LineSpectrum; a sample builds the Boltzmann
-weights and evaluates the line spectrum (bin mask, weighted sum, dominant
-weight, count).  Entries keep the product's COO order, so every sum adds the
+their energy differences, form a LineSpectrum; a sample takes the Boltzmann
+weights from thermal_state and evaluates the line spectrum (bin mask,
+weighted sum, dominant weight, count).  Entries keep the product's COO order, so every sum adds the
 same numbers in the same order as a sum over a freshly built product.
 
 Each QuadraticDensity holds one memo slot for the pair {lat, -lat} it was
@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import BoxQFTError
 from .fields import QuadraticDensity, QuadraticObservable
-from .fock import FockSpace
+from .fock import FockSpace, thermal_state
 from .spacetime import FourVector, minkowski_dot
 
 NORM_TAG = "box: X(p)=int_V e^{-ip.x}X dx; G = binsum/(V); delta0=bin"
@@ -166,16 +166,6 @@ def default_delta_omega(space: FockSpace) -> float:
     return quantum / 8.0
 
 
-def _boltzmann_weights(space: FockSpace, beta: float) -> np.ndarray:
-    """Normalized e^{-beta E_n}; at beta = inf the ground state alone."""
-    if math.isinf(beta):
-        weights = np.zeros(space.dim)
-        weights[int(np.argmin(space.energies))] = 1.0
-        return weights
-    w = np.exp(-beta * (space.energies - space.energies.min()))
-    return w / w.sum()
-
-
 def lehmann_spectral_density(space: FockSpace, X: QuadraticDensity,
                              Y: QuadraticDensity, p: FourVector, beta: float,
                              delta_omega: Optional[float] = None) -> SpectralSample:
@@ -189,7 +179,7 @@ def lehmann_spectral_density(space: FockSpace, X: QuadraticDensity,
     if delta_omega is None:
         delta_omega = default_delta_omega(space)
     lines = line_spectrum(space, X, Y, space.lattice_of(p))
-    weights = _boltzmann_weights(space, beta)
+    weights = thermal_state(space, beta).diagonal
     p_tuple = tuple(p.as_array().tolist())
     if len(lines.value) == 0:
         return SpectralSample(p_tuple, 0.0, beta, X.label, Y.label,

@@ -2,7 +2,11 @@ import cmath
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import correlator_reference
+from boxqft import cli
 from boxqft.correlators import (CTPPropagator, OrderingScheme,
                                 exact_contour_correlator, free_propagator,
                                 insertion, keldysh_scalar_propagators,
@@ -232,3 +236,88 @@ def test_dirac_antipropagators_vanish():
                insertion(space, "f", (1,), kinds[1], c.time(1, 0.9))]
         assert wick_npoint(ins, 1.0) == 0.0
         assert abs(exact_contour_correlator(space, ins, 1.0)) < 1e-14
+
+
+# ---------------------------------------------------------------------------
+# the index-map oracle against the sparse-matrix reference
+
+
+def assert_matches_reference(space, ins, beta):
+    ref = correlator_reference.exact_contour_correlator(space, ins, beta)
+    val = exact_contour_correlator(space, ins, beta)
+    assert abs(val - ref) <= 1e-14 * max(1.0, abs(ref))
+
+
+@pytest.fixture(scope="module")
+def wick_spaces():
+    """The two spaces of `boxqft wick-check` at the default config."""
+    cfg = cli.DEFAULT_CONFIG["wick"]
+    grids = [ModeGrid(axes=(3,), lengths=(cfg["box"],), ranges=((1, 3),),
+                      species=species, mass=0.0)
+             for species in (Species.BOSON, Species.FERMION)]
+    return {"boson": (build_fock_space([("phi", grids[0])],
+                                       cfg["n_max_per_mode"], 24), "phi"),
+            "fermion": (build_fock_space([("psi", grids[1])], 1, 3), "psi")}
+
+
+@pytest.mark.parametrize("label", ["boson", "fermion"])
+@pytest.mark.parametrize("beta", cli.DEFAULT_CONFIG["wick"]["betas"])
+def test_oracle_matches_sparse_reference_on_wick_catalog(wick_spaces, label,
+                                                         beta):
+    space, channel = wick_spaces[label]
+    modes = list(space.grid(channel).modes)
+    cases = cli._wick_catalog(space, channel, ctp_contour(math.inf, 2), modes)
+    assert len(cases) == 23
+    for case in cases:
+        ins = [insertion(space, ch, n, kind, t) for ch, n, kind, t in case]
+        assert_matches_reference(space, ins, beta)
+
+
+def _property_spaces():
+    box = 2 * math.pi
+
+    def grid(species, modes):
+        return ModeGrid(axes=(3,), lengths=(box,), ranges=(modes,),
+                        species=species, mass=0.5)
+
+    boson = build_fock_space([("b", grid(Species.BOSON, (-1, 1)))], 3, 4)
+    fermion = build_fock_space([("f", grid(Species.FERMION, (-2, 2)))], 1, 4)
+    # the bosonic modes precede the fermionic ones in the basis order, so
+    # the Jordan-Wigner string must skip them
+    mixed = build_fock_space([("b", grid(Species.BOSON, (0, 1))),
+                              ("f", grid(Species.FERMION, (-1, 2)))], 2, 4)
+    return {"boson": boson, "fermion": fermion, "mixed": mixed}
+
+
+PROPERTY_SPACES = _property_spaces()
+
+
+@st.composite
+def contour_insertions(draw, space):
+    """2-6 insertions: creator/annihilator pairs on random modes (so even
+    lists can have nonzero traces), truncated and shuffled, at random
+    branches and times with a small imaginary part."""
+    contour = ctp_contour(math.inf, 2)
+    modes = [(m.channel, m.n) for m in space.modes]
+    count = draw(st.integers(2, 6))
+    ops = []
+    for _ in range((count + 1) // 2):
+        ch, n = draw(st.sampled_from(modes))
+        ops += [(ch, n, "a"), (ch, n, "c")]
+    ops = draw(st.permutations(ops[:count]))
+    out = []
+    for ch, n, kind in ops:
+        t = complex(draw(st.floats(-2.0, 2.0)), draw(st.floats(-0.1, 0.1)))
+        out.append(insertion(space, ch, n, kind,
+                             contour.time(draw(st.integers(0, 1)), t)))
+    return out
+
+
+@pytest.mark.parametrize("label", sorted(PROPERTY_SPACES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), beta=st.one_of(st.just(math.inf), st.floats(0.3, 3.0)))
+def test_oracle_matches_sparse_reference_on_random_insertions(label, data,
+                                                              beta):
+    space = PROPERTY_SPACES[label]
+    ins = data.draw(contour_insertions(space))
+    assert_matches_reference(space, ins, beta)

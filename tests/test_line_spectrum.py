@@ -21,11 +21,10 @@ from lehmann_reference import lehmann_reference
 from boxqft import fields
 from boxqft.fields import (dirac_current_density, em_field_strength_density,
                            scalar_bilinear_density)
-from boxqft.fock import ModeGrid, Species, build_fock_space
+from boxqft.fock import ModeGrid, Species, build_fock_space, thermal_state
 from boxqft.spacetime import FourVector
-from boxqft.spectral import (_boltzmann_weights, default_delta_omega,
-                             fdt_ratio, lehmann_spectral_density,
-                             line_spectrum)
+from boxqft.spectral import (default_delta_omega, fdt_ratio,
+                             lehmann_spectral_density, line_spectrum)
 
 U = 2 * math.pi / BOX
 
@@ -181,7 +180,7 @@ def test_detailed_balance_holds_on_every_line():
     assert np.array_equal(vp, vm) and np.array_equal(dep, -dem)
 
     # w_m L(-p)[m,n] = e^{-beta w} w_n L(p)[n,m] at each line's own w
-    w = _boltzmann_weights(space, beta)
+    w = thermal_state(space, beta).diagonal
     lhs = w[cp] * vm
     rhs = np.exp(-beta * dep) * w[rp] * vp
     assert np.all(np.abs(lhs - rhs) <= 1e-12 * np.abs(rhs))

@@ -20,8 +20,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = r"""
 import json, math
 import tracing
-from boxqft import fields, fock, measurement, spectral
-from boxqft.spacetime import FourVector
+from boxqft import correlators, fields, fock, measurement, spectral
+from boxqft.spacetime import FourVector, ctp_contour
 
 tracer = tracing.Tracer()
 tracing.install(tracer)
@@ -45,8 +45,18 @@ for beta in (0.5, 2.0):
     start = len(tracer.spans)
     spectral.fdt_ratio(space, phi2, q, beta)
     fdt_spans.append([s[0] for s in tracer.spans[start:]])
+# the oracle on a fresh space: every ladder it realizes is a child span
+cspace = fock.build_fock_space([("phi", grid)], 2, 2)
+contour = ctp_contour(1.0, 2)
+ins = [correlators.insertion(cspace, "phi", n, kind, contour.time(b, t))
+       for n, kind, b, t in (((1,), "a", 1, 0.2), ((-1,), "c", 0, 0.5),
+                             ((-1,), "a", 1, 0.7), ((1,), "c", 0, 0.1))]
+start = len(tracer.spans)
+correlators.exact_contour_correlator(cspace, ins, 1.0)
+oracle_spans = [[s[0], s[3] - start] for s in tracer.spans[start:]]
 print(json.dumps({
-    "spans": spans, "fdt_spans": fdt_spans,
+    "spans": spans, "fdt_spans": fdt_spans, "oracle_spans": oracle_spans,
+    "oracle_op_cache": len(cspace._op_cache),
     "metrics": {k: v["value"] for k, v in metrics.items()},
     "terms": len(density.terms), "kept": len(obs.terms), "nnz": nnz,
     "pairs": sample.term_count, "op_cache": len(space._op_cache),
@@ -99,3 +109,12 @@ def test_fdt_ratio_realizes_its_blocks_once(traced_run):
     assert first.count("spectral.lehmann") + second.count("spectral.lehmann") == 4
     assert first.count("fields.matrix") == 2
     assert second.count("fields.matrix") == 0
+
+
+def test_oracle_realizes_its_ladders_through_the_traced_methods(traced_run):
+    # parents are given relative to the oracle's span, the first recorded
+    spans = traced_run["oracle_spans"]
+    assert [name for name, _ in spans].count("correlators.oracle") == 1
+    assert spans[0][0] == "correlators.oracle"
+    ladder = [parent for name, parent in spans if name == "fock.ladder"]
+    assert ladder == [0] * (traced_run["oracle_op_cache"] // 2) == [0, 0]
