@@ -38,7 +38,7 @@ from .spectral import (NoiseExponentFit, SpectralSample, SpectrumDescriptor,
                        fdt_ratio, lehmann_spectral_density,
                        massless_current_spectrum, noise_exponent_fit,
                        signal_vs_noise_curve, suppression_slope,
-                       windowed_noise, write_spectral_csv)
+                       windowed_noise)
 from .tensors import (DecompositionFit, TensorCorrelation, boost_tensor,
                       canonical_boost, decompose_antisymmetric,
                       decompose_symmetric, decompose_vector,

@@ -47,36 +47,6 @@ def insertion(space: FockSpace, channel: str, n, kind: str, time: CTPTime) -> In
                      energy=grid.energy(n), time=time)
 
 
-# ---------------------------------------------------------------------------
-# thermal occupation factors
-
-
-def _bose_plus(E: float, beta: float) -> float:
-    # 1/(1 - e^{-beta E}) -> 1 at beta = inf
-    if math.isinf(beta):
-        return 1.0
-    return 1.0 / (1.0 - math.exp(-beta * E))
-
-
-def _bose_minus(E: float, beta: float) -> float:
-    # 1/(e^{beta E} - 1) -> 0 at beta = inf
-    if math.isinf(beta):
-        return 0.0
-    return 1.0 / (math.exp(beta * E) - 1.0)
-
-
-def _fermi_plus(E: float, beta: float) -> float:
-    if math.isinf(beta):
-        return 1.0
-    return 1.0 / (1.0 + math.exp(-beta * E))
-
-
-def _fermi_minus(E: float, beta: float) -> float:
-    if math.isinf(beta):
-        return 0.0
-    return 1.0 / (math.exp(beta * E) + 1.0)
-
-
 @dataclass(frozen=True)
 class CTPPropagator:
     """Thermal pair contraction factors for one mode energy.
@@ -85,21 +55,23 @@ class CTPPropagator:
     contour): 1/(1-e^{-beta E}) and 1/(e^{beta E}-1) for bosons,
     1/(1+e^{-beta E}) and -1/(e^{beta E}+1) for fermions; the fermionic
     minus sign is the contour-reordering sign of the canonical (psi, psi+)
-    pair.
+    pair.  With zeta = +1 for bosons and -1 for fermions they are
+    1/(1 - zeta e^{-beta E}) and zeta/(e^{beta E} - zeta), which give 1 and
+    +-0.0 at beta = inf.
     """
     species: Species
     energy: float
     beta: float
 
+    @property
+    def zeta(self) -> float:
+        return 1.0 if self.species is Species.BOSON else -1.0
+
     def annihilator_later_factor(self) -> float:
-        if self.species is Species.BOSON:
-            return _bose_plus(self.energy, self.beta)
-        return _fermi_plus(self.energy, self.beta)
+        return 1.0 / (1.0 - self.zeta * math.exp(-self.beta * self.energy))
 
     def creator_later_factor(self) -> float:
-        if self.species is Species.BOSON:
-            return _bose_minus(self.energy, self.beta)
-        return -_fermi_minus(self.energy, self.beta)
+        return self.zeta / (math.exp(self.beta * self.energy) - self.zeta)
 
 
 def free_propagator(species: Species, energy: float, t: CTPTime, tp: CTPTime,
@@ -294,15 +266,10 @@ def ordering_average(op_specs: Sequence[Tuple[str, str, Tuple[int, ...], float]]
 def _ordered_insertions(space, op_specs):
     """Insertions at their real times on a generalized contour whose branch
     structure forces the written order (first = latest on the contour)."""
-    out = []
     n = len(op_specs)
-    for pos, (kind, ch, mode, t) in enumerate(op_specs):
-        out.append(Insertion(kind=kind, species=space.grid(ch).species,
-                             mode=(ch, tuple(mode)),
-                             energy=space.grid(ch).energy(tuple(mode)),
-                             time=CTPTime(branch=pos, t=complex(t),
-                                          s=float(n - pos))))
-    return out
+    return [insertion(space, ch, mode, kind,
+                      CTPTime(branch=pos, t=complex(t), s=float(n - pos)))
+            for pos, (kind, ch, mode, t) in enumerate(op_specs)]
 
 
 # ---------------------------------------------------------------------------

@@ -403,12 +403,3 @@ def sagnac_regression(space_factory, configs: Sequence[SagnacConfig],
                 matched_variant=_match_variant(val, main ** n, appendix ** n)))
     return rows
 
-
-def write_regression_csv(rows: Sequence[RegressionRow], path) -> None:
-    with open(path, "w") as fh:
-        fh.write("config,observable,n,value,paper_value_main,"
-                 "paper_value_appendix,defect,matched_variant\n")
-        for r in rows:
-            fh.write(f"{r.config},{r.observable},{r.n},{r.value!r},"
-                     f"{r.paper_value_main!r},{r.paper_value_appendix!r},"
-                     f"{r.defect!r},{r.matched_variant}\n")

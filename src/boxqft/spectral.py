@@ -34,7 +34,6 @@ to its density, so a density is freed by reference counting alone.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -425,11 +424,3 @@ def signal_vs_noise_curve(D: int, E: float, taus: Sequence[float]) -> SignalNois
     return SignalNoiseCurve(dimension=D, energy=float(E), rows=tuple(rows),
                             tau_star=1.0)
 
-
-def write_spectral_csv(samples: Sequence[SpectralSample], path) -> None:
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh, lineterminator="\n")
-        out.writerow(["p0", "p1", "p2", "p3", "ReG", "ImG", "beta", "X", "Y",
-                      "norm_tag"])
-        out.writerows([*map(repr, s.p), repr(s.G.real), repr(s.G.imag),
-                       repr(s.beta), s.X, s.Y, s.norm_tag] for s in samples)

@@ -67,7 +67,7 @@ def test_criterion_2_signal_values():
 def test_criterion_3_noiseless_vacuum_and_suppression():
     t0 = time.perf_counter()
     cfg = merge_config(None)
-    rep_a = cmd_noiseless(cfg, seed=cfg["seed"])
+    rep_a = cmd_noiseless(cfg)
     var_checks = [c for c in rep_a.checks if c.name.startswith("vacvar[p")]
     ok = len(var_checks) >= 10
     ok = ok and all(c.computed <= 1e-12 for c in var_checks)
@@ -92,7 +92,7 @@ def test_criterion_4_fdt():
 def test_criterion_5_tensor_zeros():
     t0 = time.perf_counter()
     cfg = merge_config(None)
-    report = cmd_noiseless(cfg, seed=cfg["seed"])
+    report = cmd_noiseless(cfg)
     by = {c.name: c for c in report.checks}
     ok = all(by[k].passed and by[k].tolerance <= 1e-8 for k in (
         "pipeline.vector.xi", "pipeline.symmetric.v", "pipeline.symmetric.f",

@@ -1,15 +1,22 @@
 import csv
 import json
+import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 import scipy.sparse as sp
 from click.testing import CliRunner
 
-from boxqft import measurement
+from boxqft import cli, measurement
 
 from boxqft.cli import (COMMANDS, DEFAULT_CONFIG, RunReport, cmd_fdt,
-                        cmd_homodyne, cmd_threepoint, main, merge_config)
+                        cmd_homodyne, cmd_noiseless, cmd_threepoint, main,
+                        merge_config, write_table)
 from boxqft.errors import ConfigInvalid
+from boxqft.fields import em_field_strength_density
+from boxqft.spacetime import FourVector
+from boxqft.spectral import NORM_TAG
 
 
 def test_merge_config_validation():
@@ -39,13 +46,60 @@ def test_report_bookkeeping(tmp_path):
     assert len(lines) == 3
 
 
+def test_flag_records_one_or_zero_with_its_pass_state():
+    rep = RunReport("demo")
+    rep.flag("yes", True, "prov")
+    rep.flag("no", np.bool_(False), "prov")
+    yes, no = rep.checks
+    assert (yes.computed, yes.expected, yes.tolerance, yes.passed) == \
+        (1.0, 1.0, 0.5, True)
+    assert (no.computed, no.expected, no.tolerance, no.passed) == \
+        (0.0, 1.0, 0.5, False)
+    assert not rep.passed
+
+
+def test_write_table_quotes_text_and_writes_repr(tmp_path):
+    path = tmp_path / "table.csv"
+    text, x = 'a, "quoted" label', 0.1 + 0.2
+    write_table(path, ["text", "none", "flag", "count", "value"],
+                [(text, None, True, 4, x)])
+    with open(path, newline="") as fh:
+        assert list(csv.reader(fh)) == [
+            ["text", "none", "flag", "count", "value"],
+            [text, "None", "True", "4", repr(x)]]
+    assert b"\r" not in path.read_bytes()
+
+
 @pytest.fixture(scope="module")
-def all_csv_artifacts(tmp_path_factory):
+def all_run(tmp_path_factory):
+    """One ``boxqft all --seed 3`` run with ``cli.write_table`` wrapped by a
+    recorder: (artifact directory, paths written through write_table)."""
+    out = tmp_path_factory.mktemp("all")
+    written = []
+
+    def recording(path, header, rows):
+        written.append(Path(path))
+        write_table(path, header, rows)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "write_table", recording)
+        res = CliRunner().invoke(main, ["all", "--seed", "3", "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    return out, written
+
+
+def test_every_csv_artifact_is_written_by_write_table(all_run):
+    # a table written any other way is in the directory but not recorded
+    out, written = all_run
+    assert len(written) == len(set(written))
+    assert sorted(written) == sorted(out.glob("*.csv"))
+
+
+@pytest.fixture(scope="module")
+def all_csv_artifacts(all_run):
     """Every CSV written by one ``boxqft all --seed 3`` run, read back with
     csv.reader: {file name: (header, rows)}."""
-    out = tmp_path_factory.mktemp("all")
-    res = CliRunner().invoke(main, ["all", "--seed", "3", "--out", str(out)])
-    assert res.exit_code == 0, res.output
+    out, _ = all_run
     tables = {}
     for path in sorted(out.glob("*.csv")):
         with open(path, newline="") as fh:
@@ -87,6 +141,51 @@ def test_every_numeric_csv_field_of_all_parses_as_float(all_csv_artifacts):
     assert numeric > 0
 
 
+def test_fdt_samples_and_sagnac_regression_tables(all_csv_artifacts):
+    header, rows = all_csv_artifacts["fdt_samples.csv"]
+    assert header == ["p0", "p1", "p2", "p3", "ReG", "ImG", "beta", "X", "Y",
+                      "norm_tag"]
+    # two densities x the betas x 3 spatial x 7 frequency samples
+    assert len(rows) == 2 * len(DEFAULT_CONFIG["fdt"]["betas"]) * 21
+    assert all(row[-1] == NORM_TAG for row in rows)
+    header, rows = all_csv_artifacts["sagnac_regression.csv"]
+    assert header == ["config", "observable", "n", "value", "paper_value_main",
+                      "paper_value_appendix", "defect", "matched_variant"]
+    # four configurations x moments n = 1..n_max
+    assert len(rows) == 4 * DEFAULT_CONFIG["sagnac"]["n_max"]
+
+
+def test_noiseless_seed_comes_from_config():
+    def projector_values(seed):
+        report = cmd_noiseless(merge_config({"seed": seed}))
+        return report, [c.computed for c in report.checks
+                        if c.name.startswith("projector.")]
+
+    first, values = projector_values(5)
+    again, same = projector_values(5)
+    _, other = projector_values(6)
+    assert first.to_json() == again.to_json()
+    assert len(values) == 2 and values == same
+    assert other != values
+
+
+def test_field_strength_sign_folding_gives_the_full_tensor():
+    # F^{nu mu} = -F^{mu nu}: six densities and signs must reproduce the
+    # tensor of all twelve ordered densities exactly; at beta = inf and the
+    # space-like p of the artifacts every entry is zero, so a dropped sign
+    # shows only at a thermal beta and a momentum with lines
+    space = cli._photon_space(2 * math.pi, 1, caps=(1, 2))
+    folded = cli._field_strength_densities(space)
+    assert len({id(F) for _, F in folded.values()}) == 6
+    full = {I: (1, em_field_strength_density(space, *I)) for I in folded}
+    p = FourVector(1.0, 0.0, 0.0, 1.0)
+    G_folded, terms_folded = cli._pipeline_tensor(space, folded, p, 0.7)
+    G_full, terms_full = cli._pipeline_tensor(space, full, p, 0.7)
+    assert np.count_nonzero(G_full) > 0
+    assert np.array_equal(G_folded, G_full)
+    assert terms_folded == terms_full > 0
+
+
 def test_cmd_reports_pass():
     cfg = merge_config(None)
     assert cmd_threepoint(cfg).passed
@@ -121,6 +220,15 @@ def test_cli_bad_config_exit_two(tmp_path):
     assert res.exit_code == 2
 
 
+def test_cli_unknown_format_in_config_exit_two(tmp_path):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"format": "xml"}))
+    res = CliRunner().invoke(main, ["threepoint", "--config", str(cfgfile),
+                                    "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2
+    assert "format" in res.output
+
+
 def test_cli_config_override(tmp_path):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({"threepoint": {"w": 4.0, "m": 0.0}}))
@@ -141,6 +249,15 @@ def test_cli_json_format(tmp_path):
     assert res.exit_code == 0
     assert (tmp_path / "threepoint_report.json").exists()
     assert not (tmp_path / "threepoint_checks.csv").exists()
+
+
+def test_cli_json_format_writes_no_check_table_for_noiseless(tmp_path):
+    # the command used to write its own checks CSV whatever the format
+    res = CliRunner().invoke(main, ["noiseless", "--out", str(tmp_path),
+                                    "--format", "json"])
+    assert res.exit_code == 0
+    assert (tmp_path / "noiseless_report.json").exists()
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_cli_show_config():

@@ -56,6 +56,22 @@ def test_thermal_factors_displayed():
     assert abs(f.creator_later_factor() + 1 / (math.exp(beta * E) + 1)) < 1e-14
 
 
+@settings(max_examples=200, deadline=None)
+@given(E=st.floats(0.05, 20.0),
+       beta=st.one_of(st.just(math.inf), st.floats(0.1, 30.0)))
+def test_thermal_factors_equal_the_closed_forms(E, beta):
+    # the four displayed forms, bit for bit (repr tells -0.0 from 0.0)
+    b = CTPPropagator(Species.BOSON, E, beta)
+    assert repr(b.annihilator_later_factor()) == \
+        repr(1.0 / (1.0 - math.exp(-beta * E)))
+    assert repr(b.creator_later_factor()) == repr(1.0 / (math.exp(beta * E) - 1.0))
+    f = CTPPropagator(Species.FERMION, E, beta)
+    assert repr(f.annihilator_later_factor()) == \
+        repr(1.0 / (1.0 + math.exp(-beta * E)))
+    assert repr(f.creator_later_factor()) == \
+        repr(-1.0 / (math.exp(beta * E) + 1.0))
+
+
 @pytest.mark.parametrize("species", [Species.BOSON, Species.FERMION])
 @pytest.mark.parametrize("beta", [1.0, 2.0, math.inf])
 def test_two_point_matches_exact_trace(species, beta):

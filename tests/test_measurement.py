@@ -16,8 +16,7 @@ from boxqft.measurement import (HomodyneConfig, MeasurementWindow,
                                 commensurate_tau, homodyne_difference,
                                 localization_effect, moments, photon_signal,
                                 sagnac_regression, spacelike_windowed_observable,
-                                vacuum_variance, windowed_observable,
-                                write_regression_csv)
+                                vacuum_variance, windowed_observable)
 from boxqft.spacetime import FourVector
 
 
@@ -335,7 +334,7 @@ def test_homodyne_cubic_agreement_richardson():
     assert max(errs) < 1e-9
 
 
-def test_regression_table(tmp_path):
+def test_regression_table():
     from boxqft.cli import _sagnac_space_factory
     u = 2 * math.pi / BOX
     configs = [SagnacConfig(SagnacSpecies.DIRAC_A, 1.0, u),
@@ -349,8 +348,3 @@ def test_regression_table(tmp_path):
         if r.config == "scalar":
             assert r.matched_variant == "main_text"
         assert r.defect < 1e-10
-    path = tmp_path / "reg.csv"
-    write_regression_csv(rows, path)
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("config,observable,n,value")
-    assert len(lines) == 7

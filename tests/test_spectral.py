@@ -11,11 +11,11 @@ from conftest import scalar_space
 from boxqft.errors import BoxQFTError, OffLatticeMomentum
 from boxqft.fields import scalar_bilinear_density, scalar_density
 from boxqft.spacetime import FourVector
-from boxqft.spectral import (NORM_TAG, default_delta_omega, fdt_ratio,
+from boxqft.spectral import (default_delta_omega, fdt_ratio,
                              lehmann_spectral_density,
                              massless_current_spectrum, noise_exponent_fit,
                              signal_vs_noise_curve, suppression_slope,
-                             windowed_noise, write_spectral_csv)
+                             windowed_noise)
 
 
 def test_single_mode_support_structure():
@@ -291,17 +291,6 @@ def test_signal_vs_noise_curve():
     d1 = signal_vs_noise_curve(1, 1.0, taus)
     noises = [r[2] for r in d1.rows]
     assert max(noises) - min(noises) < 1e-14  # D=1 noise is flat in tau
-
-
-def test_spectral_csv_writer(tmp_path):
-    space = scalar_space(n_mode=1, mass=0.0, caps=(2, 2))
-    phi = scalar_density(space)
-    s = lehmann_spectral_density(space, phi, phi, FourVector(1.0, 0, 0, 1.0), 1.0)
-    path = tmp_path / "spec.csv"
-    write_spectral_csv([s], path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "p0,p1,p2,p3,ReG,ImG,beta,X,Y,norm_tag"
-    assert len(lines) == 2 and NORM_TAG in lines[1]
 
 
 def test_default_delta_omega_independent_of_channel_order():
