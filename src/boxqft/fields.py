@@ -325,7 +325,9 @@ def _quadratic(space: FockSpace, label: str, W: np.ndarray) -> QuadraticDensity:
     annihilators right, slots ascending moves every entry into the upper
     triangle: two fermionic slots anticommute (and a fermionic square
     vanishes).  Each [a_j, c_j] contraction leaves a constant; their sum, the
-    trace of the a-c block, is the subtracted vacuum constant.
+    trace of the a-c block, is the subtracted vacuum constant.  The trace is
+    summed exactly (math.fsum) so the constant is correctly rounded: a
+    near-massless zero mode makes one entry far larger than the rest.
     """
     M = len(space.modes)
     fermi = np.tile(space.fermionic, 2)
@@ -333,8 +335,10 @@ def _quadratic(space: FockSpace, label: str, W: np.ndarray) -> QuadraticDensity:
     N = np.triu(W, 1) + sign * np.triu(W.T, 1)
     N[np.diag_indices_from(N)] = np.where(fermi, 0.0, np.diagonal(W))
     left, right = np.nonzero(N)
+    contractions = np.diagonal(W[M:, :M])
+    vacuum = complex(math.fsum(contractions.real), math.fsum(contractions.imag))
     return QuadraticDensity(space, label, _terms(left, right, N[left, right]),
-                            vacuum_subtraction=complex(np.trace(W[M:, :M])))
+                            vacuum_subtraction=vacuum)
 
 
 def _symmetrized(space: FockSpace, label: str, W: np.ndarray) -> QuadraticDensity:

@@ -60,7 +60,9 @@ def merge(terms):
 
 
 def normal_order(space, terms):
-    const = 0.0
+    """Normal-ordered terms and the vacuum constant, the exact (math.fsum)
+    sum of the contractions."""
+    contractions = []
     done: List[QuadTerm] = []
     work = list(terms)
     while work:
@@ -75,7 +77,7 @@ def normal_order(space, terms):
         sign = -1.0 if fermi else 1.0
         if o1.kind == "a" and o2.kind == "c":
             if i1 == i2:
-                const += t.coeff
+                contractions.append(complex(t.coeff))
             work.append(QuadTerm((o2, o1), sign * t.coeff, t.transfer, t.lattice))
             continue
         if o1.kind == o2.kind and i1 > i2:
@@ -84,6 +86,8 @@ def normal_order(space, terms):
         if o1.kind == o2.kind and fermi and i1 == i2:
             continue
         done.append(t)
+    const = complex(math.fsum(c.real for c in contractions),
+                    math.fsum(c.imag for c in contractions))
     return merge(done), const
 
 

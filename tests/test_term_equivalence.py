@@ -11,7 +11,7 @@ has must lie below 1e-15 of the largest.
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import term_algebra_reference as ref
@@ -148,6 +148,11 @@ _POINT = dict(t=st.floats(-3.0, 3.0), z=st.floats(-7.0, 7.0),
        caps=st.sampled_from([(1, 1), (1, 2), (2, 2)]),
        which=st.integers(0, len(SCALAR_BUILDERS) - 1),
        lattice=st.tuples(*[st.integers(-2, 2).filter(bool)] * 3), **_POINT)
+# near-massless phi2: the zero mode's 1/(2 E V) = 4096 dominates the constant,
+# so any summation order other than an exact one is an ulp (9e-13) off
+@example(axes=(3,), n_mode=1, mass=6.103515625e-05, L=2.0, caps=(1, 1), which=2,
+         lattice=(1, 1, 1), t=0.0, z=0.0, tau=1.0, gauss=False, sigma_x=None,
+         ratio=0.0)
 def test_scalar_builders_match_reference(axes, n_mode, mass, L, caps, which,
                                          lattice, t, z, tau, gauss, sigma_x, ratio):
     if len(axes) == 3:
