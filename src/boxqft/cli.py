@@ -36,7 +36,7 @@ from .measurement import (HomodyneConfig, MeasurementWindow, RegressionRow,
                           commensurate_tau, homodyne_difference,
                           localization_effect, spacelike_windowed_observable,
                           vacuum_variance)
-from .spacetime import FourVector, ctp_contour
+from .spacetime import METRIC, FourVector, ctp_contour
 from .spectral import (lehmann_spectral_density, noise_exponent_fit,
                        signal_vs_noise_curve, suppression_slope)
 from .tensors import (TensorCorrelation, decompose_antisymmetric,
@@ -91,6 +91,10 @@ def merge_config(overrides: Optional[dict]) -> dict:
             cfg[key] = val
     if cfg["format"] not in ("csv", "json"):
         raise ConfigInvalid(f"format must be csv or json, not {cfg['format']!r}")
+    n_random = cfg["noiseless"]["n_random"]
+    if isinstance(n_random, bool) or not isinstance(n_random, int) or n_random < 1:
+        raise ConfigInvalid(
+            f"noiseless.n_random must be an integer >= 1, not {n_random!r}")
     return cfg
 
 
@@ -375,35 +379,47 @@ def _tensor_synthetic_checks(report: RunReport, cfg: dict, seed: int) -> None:
                0.0, "planted a=0.2 (product form)", tol)
 
     n = cfg["n_random"]
-    worst_v = worst_t = 0.0
-    from .spacetime import METRIC
-    for _ in range(n):
-        q = FourVector(rng.normal(), 0.0, 0.0, 2.0 + rng.random())
-        if abs(q.t) >= abs(q.z):
-            q = FourVector(q.t / (2 * abs(q.t / q.z)), 0.0, 0.0, q.z)
-        qa = q.as_array()
-        qnorm = float(np.linalg.norm(qa))
-        A = rng.normal(size=4) + 1j * rng.normal(size=4)
-        At = project_noiseless_vector(A, q)
-        resid = abs(complex(qa @ (METRIC @ At)))
-        worst_v = max(worst_v, resid / (qnorm * np.linalg.norm(At)))
-        B = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        B = (B + B.T) / 2
-        # transversalize, then the conserved-variant projector must stay
-        # transverse and traceless (defects relative to |p| |B~|)
-        proj = np.eye(4) - np.outer(qa, METRIC @ qa) / q.dot(q)
-        Bt = proj @ B @ proj.T
-        Btil = project_noiseless_tensor(Bt, q, conserved=True)
-        tr = complex(np.einsum("mn,mn->", METRIC, Btil))
-        scale = qnorm * float(np.linalg.norm(Btil))
-        worst_t = max(worst_t,
-                      float(np.max(np.abs(qa @ METRIC @ Btil))) / scale,
-                      abs(tr) / scale)
+    qa, A, B = _synthetic_projector_inputs(rng, n)
+    g = np.diag(METRIC)
+    q_low = qa * g
+    qnorm = np.linalg.norm(qa, axis=-1)
+    At = project_noiseless_vector(A, qa)
+    resid = np.abs(np.sum(q_low * At, axis=-1))
+    worst_v = float(np.max(resid / (qnorm * np.linalg.norm(At, axis=-1))))
+    # transversalize, then the conserved-variant projector must stay
+    # transverse and traceless (defects relative to |p| |B~|)
+    B = (B + np.swapaxes(B, -1, -2)) / 2
+    s = np.sum(q_low * qa, axis=-1)
+    proj = np.eye(4) - qa[:, :, None] * q_low[:, None, :] / s[:, None, None]
+    Bt = proj @ B @ np.swapaxes(proj, -1, -2)
+    Btil = project_noiseless_tensor(Bt, qa, conserved=True)
+    tr = np.abs(np.einsum("...mm,m->...", Btil, g))
+    div = np.max(np.abs(np.einsum("...m,...mn->...n", q_low, Btil)), axis=-1)
+    scale = qnorm * np.linalg.norm(Btil, axis=(-2, -1))
+    worst_t = float(np.max(np.maximum(div, tr) / scale))
     report.add("projector.vector.transversality", worst_v, 0.0,
                f"p.A~=0 on {n} random inputs, relative", ptol)
     report.add("projector.tensor.transversality", worst_t, 0.0,
                f"p.B~=0 and trace 0 on {n} random conserved inputs, relative",
                ptol)
+
+
+def _synthetic_projector_inputs(rng, n: int):
+    """n space-like momenta (n, 4) with |p0| < |p3|, complex vectors (n, 4)
+    and complex tensors (n, 4, 4), drawn per input in that order."""
+    qa = np.zeros((n, 4))
+    A = np.empty((n, 4), dtype=complex)
+    B = np.empty((n, 4, 4), dtype=complex)
+    for i in range(n):
+        t, z = rng.normal(), 2.0 + rng.random()
+        if abs(t) >= abs(z):
+            t = t / (2 * abs(t / z))
+        qa[i, 0], qa[i, 3] = t, z
+        a = rng.normal(size=8)
+        A[i] = a[:4] + 1j * a[4:]
+        b = rng.normal(size=32)
+        B[i] = (b[:16] + 1j * b[16:]).reshape(4, 4)
+    return qa, A, B
 
 
 def cmd_scaling(config: dict, out: Optional[Path] = None) -> RunReport:
@@ -489,27 +505,40 @@ def cmd_sagnac(config: dict, out: Optional[Path] = None) -> RunReport:
     return report
 
 
-def _dirac_signal(space: FockSpace, cfg: SagnacConfig, mu: int,
-                  n_periods: int):
-    """(<j^mu>, tau): the Sagnac state's windowed current at its momentum
-    transfer, over the commensurate duration tau with the cosine window."""
+def _windowed_current(space: FockSpace, cfg: SagnacConfig, mu: int,
+                      n_periods: int):
+    """(matrix, tau): the windowed current j^mu at the Sagnac state's
+    momentum transfer, over the commensurate duration tau with the cosine
+    window."""
     tau = commensurate_tau(cfg.energy, n_periods)
     obs = spacelike_windowed_observable(dirac_current_density(space, mu),
                                         cfg.momentum_transfer,
                                         MeasurementWindow(tau=tau))
-    return expectation(sagnac_state(space, cfg), obs.matrix()).real, tau
+    return obs.matrix(), tau
+
+
+def _dirac_signal(space: FockSpace, cfg: SagnacConfig, mu: int,
+                  n_periods: int):
+    """(<j^mu>, tau) in the Sagnac state of cfg."""
+    current, tau = _windowed_current(space, cfg, mu, n_periods)
+    return expectation(sagnac_state(space, cfg), current).real, tau
 
 
 def _write_current_component_table(out: Path, box, m, k3, n_periods) -> None:
-    """All four current components for both Dirac states."""
+    """All four current components for both Dirac states.  The two states
+    share tau and the readout momentum (0, 0, 0, 2 k3), so each windowed
+    current and each state is built once."""
     space = _dirac_space(box, 2, mass=m, caps=(1, 2))
+    configs = [SagnacConfig(species, m, k3)
+               for species in (SagnacSpecies.DIRAC_A, SagnacSpecies.DIRAC_B)]
+    currents = [_windowed_current(space, configs[0], mu, n_periods)[0]
+                for mu in range(4)]
+    states = [sagnac_state(space, cfg) for cfg in configs]
     write_table(out / "dirac_current_components.csv",
                 ["state", "component", "value"],
-                ((species.value, f"j{mu}",
-                  _dirac_signal(space, SagnacConfig(species, m, k3), mu,
-                                n_periods)[0])
-                 for species in (SagnacSpecies.DIRAC_A, SagnacSpecies.DIRAC_B)
-                 for mu in range(4)))
+                ((cfg.species.value, f"j{mu}", expectation(state, current).real)
+                 for cfg, state in zip(configs, states)
+                 for mu, current in enumerate(currents)))
 
 
 def cmd_homodyne(config: dict, out: Optional[Path] = None) -> RunReport:

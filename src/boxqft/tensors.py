@@ -266,16 +266,41 @@ def decompose_antisymmetric(G: TensorCorrelation,
 # noiseless projectors
 
 
-def project_noiseless_vector(A: np.ndarray, p: FourVector) -> np.ndarray:
-    """A~^m = (p.p) A^m - p^m (p.A); p.A~ = 0 identically."""
+_G_DIAG = np.diag(METRIC)
+
+
+def _momentum_stack(p, stack_shape: Tuple[int, ...]) -> np.ndarray:
+    """p as a float (..., 4) array whose stack broadcasts against stack_shape."""
+    pa = p.as_array() if isinstance(p, FourVector) else np.asarray(p, dtype=float)
+    if pa.shape[-1:] != (4,):
+        raise BoxQFTError(f"p must be a FourVector or a (..., 4) array, "
+                          f"not shape {pa.shape}")
+    try:
+        np.broadcast_shapes(pa.shape[:-1], stack_shape)
+    except ValueError:
+        raise BoxQFTError(f"p stack {pa.shape[:-1]} does not broadcast against "
+                          f"the input stack {stack_shape}") from None
+    return pa
+
+
+def project_noiseless_vector(A: np.ndarray, p) -> np.ndarray:
+    """A~^m = (p.p) A^m - p^m (p.A); p.A~ = 0 identically.
+
+    A has shape (..., 4), a stack of vectors.  p is a FourVector or a
+    (..., 4) array of momenta that broadcasts against the stack; the result
+    has the broadcast stack shape, (4,) for one A and one FourVector.
+    """
     A = np.asarray(A, dtype=complex)
-    pa = p.as_array()
-    s = minkowski_dot(p, p)
-    p_dot_A = complex(pa @ (METRIC @ A))
-    return s * A - pa.astype(complex) * p_dot_A
+    if A.shape[-1:] != (4,):
+        raise BoxQFTError(f"vector must have shape (..., 4), not {A.shape}")
+    pa = _momentum_stack(p, A.shape[:-1])
+    p_low = pa * _G_DIAG
+    s = np.sum(p_low * pa, axis=-1)[..., None]
+    p_dot_A = np.sum(p_low * A, axis=-1)[..., None]
+    return s * A - pa * p_dot_A
 
 
-def project_noiseless_tensor(B: np.ndarray, p: FourVector,
+def project_noiseless_tensor(B: np.ndarray, p,
                              conserved: bool = False) -> np.ndarray:
     """Project a symmetric tensor onto the noiseless subspace.
 
@@ -285,20 +310,25 @@ def project_noiseless_tensor(B: np.ndarray, p: FourVector,
     Conserved variant (for transverse B):
         B~ = (p.p) B - (g(p.p) - pp) trB/3
     is traceless identically and transverse on conserved input.
+
+    B has shape (..., 4, 4), a stack of tensors.  p is a FourVector or a
+    (..., 4) array of momenta that broadcasts against the stack; the result
+    has the broadcast stack shape, (4, 4) for one B and one FourVector.
     """
     B = np.asarray(B, dtype=complex)
-    if B.shape != (4, 4):
-        raise BoxQFTError("tensor must be 4x4")
-    pa = p.as_array()
-    g = METRIC
-    s = minkowski_dot(p, p)
-    trB = complex(np.einsum("mn,mn->", g, B))
-    pp = np.outer(pa, pa)
+    if B.shape[-2:] != (4, 4):
+        raise BoxQFTError(f"tensor must have shape (..., 4, 4), not {B.shape}")
+    pa = _momentum_stack(p, B.shape[:-2])
+    p_low = pa * _G_DIAG
+    s = np.sum(p_low * pa, axis=-1)[..., None, None]
+    trB = np.einsum("...mm,m->...", B, _G_DIAG)[..., None, None]
+    pp = pa[..., :, None] * pa[..., None, :]
+    gs = METRIC * s
     if conserved:
-        return s * B - (g * s - pp) * trB / 3.0
-    pBp = complex(pa @ (g @ B @ g) @ pa)
-    return (s ** 2 * B - s * (g * s - pp) * trB / 3.0
-            + (g * s - 4.0 * pp) * pBp / 3.0)
+        return s * B - (gs - pp) * trB / 3.0
+    pBp = np.einsum("...m,...mn,...n->...", p_low, B, p_low)[..., None, None]
+    return (s ** 2 * B - s * (gs - pp) * trB / 3.0
+            + (gs - 4.0 * pp) * pBp / 3.0)
 
 
 @dataclass(frozen=True)

@@ -229,6 +229,29 @@ def test_cli_unknown_format_in_config_exit_two(tmp_path):
     assert "format" in res.output
 
 
+@pytest.mark.parametrize("n_random", [0, -4, 2.5, "10", True])
+def test_cli_n_random_below_one_or_not_integer_exit_two(tmp_path, n_random):
+    # zero random inputs would pass both projector checks vacuously
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"noiseless": {"n_random": n_random}}))
+    res = CliRunner().invoke(main, ["noiseless", "--config", str(cfgfile),
+                                    "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2
+    assert "n_random" in res.output
+    assert not (tmp_path / "o").exists()
+
+
+def test_single_random_projector_input_is_checked():
+    cfg = merge_config({"noiseless": {"n_random": 1}})
+    report = RunReport("noiseless")
+    cli._tensor_synthetic_checks(report, cfg["noiseless"], 7)
+    checks = {c.name: c for c in report.checks}
+    for name in ("vector", "tensor"):
+        check = checks[f"projector.{name}.transversality"]
+        assert check.passed and 0.0 < check.computed < 1e-15
+        assert "on 1 random" in check.provenance
+
+
 def test_cli_config_override(tmp_path):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({"threepoint": {"w": 4.0, "m": 0.0}}))

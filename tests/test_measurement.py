@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from conftest import BOX, dirac_space, photon_space, scalar_space
 
 from boxqft.errors import BoxQFTError, DimensionOverflow, OffLatticeMomentum
-from boxqft.fields import (dirac_current_density, scalar_bilinear_density,
+from boxqft.fields import (dirac_current_density, em_field_strength_density,
+                           scalar_bilinear_density, scalar_density,
                            stress_tensor_em, stress_tensor_scalar)
 from boxqft.fock import (DensityOperator, SagnacConfig, SagnacSpecies,
                          basis_state, expectation, sagnac_state, thermal_state,
@@ -18,6 +21,7 @@ from boxqft.measurement import (HomodyneConfig, MeasurementWindow,
                                 sagnac_regression, spacelike_windowed_observable,
                                 vacuum_variance, windowed_observable)
 from boxqft.spacetime import FourVector
+from boxqft.spectral import lehmann_spectral_density
 
 
 def test_window_transform_against_quadrature():
@@ -348,3 +352,44 @@ def test_regression_table():
         if r.config == "scalar":
             assert r.matched_variant == "main_text"
         assert r.defect < 1e-10
+
+
+_SPACELIKE_CASES = {
+    "scalar": (lambda n, m, L, caps: scalar_space(n, m, L, caps),
+               {"phi": scalar_density, "phi2": scalar_bilinear_density,
+                "T00": lambda s: stress_tensor_scalar(s, 0, 0),
+                "T03": lambda s: stress_tensor_scalar(s, 0, 3),
+                "T11": lambda s: stress_tensor_scalar(s, 1, 1)}),
+    "dirac": (lambda n, m, L, caps: dirac_space(n, m, L, (1, caps[1])),
+              {f"j{mu}": (lambda s, mu=mu: dirac_current_density(s, mu))
+               for mu in range(4)}),
+    "photon": (lambda n, m, L, caps: photon_space(n, L, caps),
+               {"T00": lambda s: stress_tensor_em(s, 0, 0),
+                "T03": lambda s: stress_tensor_em(s, 0, 3),
+                "F01": lambda s: em_field_strength_density(s, 0, 1),
+                "F13": lambda s: em_field_strength_density(s, 1, 3)}),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), species=st.sampled_from(sorted(_SPACELIKE_CASES)),
+       n_mode=st.integers(1, 2), mass=st.floats(0.0, 2.0),
+       box=st.floats(math.pi, 3 * math.pi),
+       caps=st.sampled_from([(1, 2), (2, 2), (2, 3)]),
+       n_p=st.sampled_from([-2, -1, 1, 2]), f=st.floats(-0.85, 0.85),
+       tau=st.floats(0.5, 10.0))
+def test_spacelike_windowed_observables_random_grids(data, species, n_mode,
+                                                     mass, box, caps, n_p, f,
+                                                     tau):
+    # at space-like p a windowed observable is Hermitian, and no eigenstate
+    # pair reached from the vacuum carries its energy-momentum transfer
+    build_space, builders = _SPACELIKE_CASES[species]
+    kind = data.draw(st.sampled_from(sorted(builders)), label="kind")
+    space = build_space(n_mode, mass, box, caps)
+    density = builders[kind](space)
+    p3 = n_p * 2 * math.pi / box
+    p = FourVector(f * abs(p3), 0.0, 0.0, p3)
+    obs = spacelike_windowed_observable(density, p, MeasurementWindow(tau=tau))
+    assert obs.hermiticity_defect() <= 1e-12
+    assert lehmann_spectral_density(space, density, density, p,
+                                    math.inf).term_count == 0

@@ -54,8 +54,15 @@ ins = [correlators.insertion(cspace, "phi", n, kind, contour.time(b, t))
 start = len(tracer.spans)
 correlators.exact_contour_correlator(cspace, ins, 1.0)
 oracle_spans = [[s[0], s[3] - start] for s in tracer.spans[start:]]
+# the synthetic projector checks: one stacked call per projector
+from boxqft import cli
+start = len(tracer.spans)
+cli._tensor_synthetic_checks(cli.RunReport("noiseless"),
+                             cli.merge_config(None)["noiseless"], 5)
+projector_spans = [s[0] for s in tracer.spans[start:]]
 print(json.dumps({
     "spans": spans, "fdt_spans": fdt_spans, "oracle_spans": oracle_spans,
+    "projector_spans": projector_spans,
     "oracle_op_cache": len(cspace._op_cache),
     "metrics": {k: v["value"] for k, v in metrics.items()},
     "terms": len(density.terms), "kept": len(obs.terms), "nnz": nnz,
@@ -118,3 +125,10 @@ def test_oracle_realizes_its_ladders_through_the_traced_methods(traced_run):
     assert spans[0][0] == "correlators.oracle"
     ladder = [parent for name, parent in spans if name == "fock.ladder"]
     assert ladder == [0] * (traced_run["oracle_op_cache"] // 2) == [0, 0]
+
+
+def test_synthetic_projector_checks_project_each_stack_once(traced_run):
+    # both projectors are called through the module-level names the tracer
+    # rebinds in cli, once each on the whole stack of random inputs
+    spans = traced_run["projector_spans"]
+    assert spans.count("tensors.project") == 2

@@ -2,7 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from boxqft import cli
 from boxqft.errors import (BoxQFTError, DegenerateBasis,
                            RequiresCanonicalFrame)
 from boxqft.spacetime import METRIC, FourVector
@@ -204,6 +207,125 @@ def test_project_noiseless_tensor_kills_noise_structures():
     # trace removal for the g input under the conserved variant
     outg = project_noiseless_tensor(METRIC.astype(complex), p, conserved=True)
     assert abs(np.einsum("mn,mn->", METRIC, outg)) < 1e-12
+
+
+def _project(variant, X, p):
+    if variant == "vector":
+        return project_noiseless_vector(X, p)
+    return project_noiseless_tensor(X, p, conserved=variant == "conserved")
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       stack=st.sampled_from([(1,), (7,), (2, 3)]),
+       p_stack=st.sampled_from(["four_vector", "full", "broadcast"]),
+       variant=st.sampled_from(["vector", "general", "conserved"]))
+def test_stacked_projection_matches_single_inputs(seed, stack, p_stack,
+                                                  variant):
+    rng = np.random.default_rng(seed)
+    shape = stack + ((4,) if variant == "vector" else (4, 4))
+    X = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    if p_stack == "four_vector":
+        P = FourVector(*rng.normal(size=4))
+    else:
+        # "broadcast": one momentum per last stack axis, shared by the others
+        P = rng.normal(size=(stack if p_stack == "full" else stack[-1:]) + (4,))
+    out = _project(variant, X, P)
+    assert out.shape == shape
+    for idx in np.ndindex(*stack):
+        p = (P if isinstance(P, FourVector) else
+             FourVector.from_array(np.broadcast_to(P, stack + (4,))[idx]))
+        ref = _project(variant, X[idx], p)
+        assert np.max(np.abs(out[idx] - ref)) <= \
+            1e-14 * max(1.0, float(np.max(np.abs(ref))))
+
+
+def test_projectors_reject_wrong_shapes():
+    p = FourVector(0.3, 0.0, 0.0, 1.2)
+    with pytest.raises(BoxQFTError):
+        project_noiseless_vector(np.ones(3), p)
+    with pytest.raises(BoxQFTError):
+        project_noiseless_vector(np.ones((5, 3)), p)
+    with pytest.raises(BoxQFTError):
+        project_noiseless_vector(1.0, p)
+    with pytest.raises(BoxQFTError):
+        project_noiseless_tensor(np.ones((3, 3)), p)
+    with pytest.raises(BoxQFTError):
+        project_noiseless_tensor(np.ones((5, 4, 3)), p, conserved=True)
+    with pytest.raises(BoxQFTError):
+        project_noiseless_tensor(np.ones(4), p)
+
+
+def test_projectors_reject_momentum_stacks_that_do_not_broadcast():
+    with pytest.raises(BoxQFTError):
+        project_noiseless_vector(np.ones((5, 4)), np.ones((3, 4)))
+    with pytest.raises(BoxQFTError):
+        project_noiseless_vector(np.ones((5, 4)), np.ones((5, 3)))
+    with pytest.raises(BoxQFTError):
+        project_noiseless_tensor(np.ones((5, 4, 4)), np.ones((2, 4)))
+    with pytest.raises(BoxQFTError):
+        project_noiseless_tensor(np.ones((2, 5, 4, 4)), np.ones((2, 1, 3)),
+                                 conserved=True)
+    # stacks that do broadcast are accepted
+    assert project_noiseless_vector(np.ones((2, 5, 4)),
+                                    np.ones((5, 4))).shape == (2, 5, 4)
+    assert project_noiseless_tensor(np.ones((5, 4, 4)),
+                                    np.ones((2, 1, 4))).shape == (2, 5, 4, 4)
+
+
+def _reference_projector_draws(rng, n):
+    """The per-input draw loop the synthetic projector check used before its
+    draws were stacked: one scalar momentum pair, then A, then B."""
+    qs, As, Bs = [], [], []
+    for _ in range(n):
+        q = FourVector(rng.normal(), 0.0, 0.0, 2.0 + rng.random())
+        if abs(q.t) >= abs(q.z):
+            q = FourVector(q.t / (2 * abs(q.t / q.z)), 0.0, 0.0, q.z)
+        A = rng.normal(size=4) + 1j * rng.normal(size=4)
+        B = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        qs.append(q.as_array())
+        As.append(A)
+        Bs.append(B)
+    return np.array(qs), np.array(As), np.array(Bs)
+
+
+@pytest.mark.parametrize("seed", [1234, 3, 20240613])
+def test_stacked_projector_draws_match_the_per_input_loop(seed):
+    n = 1000
+    got = cli._synthetic_projector_inputs(np.random.default_rng(seed), n)
+    ref = _reference_projector_draws(np.random.default_rng(seed), n)
+    for g, r in zip(got, ref):
+        assert g.shape == r.shape and g.dtype == r.dtype
+        assert np.array_equal(g, r)
+    # both leave the generator at the same point of its stream
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    cli._synthetic_projector_inputs(a, 7)
+    _reference_projector_draws(b, 7)
+    assert a.normal() == b.normal()
+
+
+def _synthetic_checks(seed=5):
+    report = cli.RunReport("noiseless")
+    cli._tensor_synthetic_checks(report, cli.merge_config(None)["noiseless"],
+                                 seed)
+    return {c.name: c for c in report.checks}
+
+
+def test_tensor_transversality_check_catches_a_dropped_trace_term(monkeypatch):
+    checks = _synthetic_checks()
+    assert checks["projector.tensor.transversality"].passed
+
+    def without_trace_term(B, p, conserved=False):
+        # (p.p) B alone: transverse on transverse input, but not traceless
+        pa = np.asarray(p)
+        s = np.sum(pa * np.diag(METRIC) * pa, axis=-1)[..., None, None]
+        return s * np.asarray(B, dtype=complex)
+
+    monkeypatch.setattr(cli, "project_noiseless_tensor", without_trace_term)
+    checks = _synthetic_checks()
+    assert not checks["projector.tensor.transversality"].passed
+    assert checks["projector.tensor.transversality"].computed > 1e-3
+    assert checks["projector.vector.transversality"].passed
 
 
 def test_noiseless_components_lists():
