@@ -29,7 +29,7 @@ from .errors import BoxQFTError, ConfigInvalid
 from .fields import (dirac_current_density, dirac_space_channels,
                      em_field_strength_density, photon_space_channels,
                      scalar_bilinear_density, scalar_density,
-                     stress_tensor_em, stress_tensor_scalar)
+                     stress_tensor_scalar)
 from .fock import (FockSpace, ModeGrid, SagnacConfig, SagnacSpecies, Species,
                    build_fock_space, sagnac_state, expectation)
 from .measurement import (HomodyneConfig, MeasurementWindow, RegressionRow,
@@ -91,10 +91,13 @@ def merge_config(overrides: Optional[dict]) -> dict:
             cfg[key] = val
     if cfg["format"] not in ("csv", "json"):
         raise ConfigInvalid(f"format must be csv or json, not {cfg['format']!r}")
-    n_random = cfg["noiseless"]["n_random"]
-    if isinstance(n_random, bool) or not isinstance(n_random, int) or n_random < 1:
-        raise ConfigInvalid(
-            f"noiseless.n_random must be an integer >= 1, not {n_random!r}")
+    # counts that would otherwise pass vacuously (0 draws, tau = 0) or crash
+    for section, key, hi in (("noiseless", "n_random", math.inf),
+                             ("sagnac", "n_periods", math.inf), ("sagnac", "n_max", 6)):
+        val = cfg[section][key]
+        if isinstance(val, bool) or not isinstance(val, int) or not 1 <= val <= hi:
+            raise ConfigInvalid(f"{section}.{key} must be an integer in "
+                                f"[1, {hi}], not {val!r}")
     return cfg
 
 
@@ -445,20 +448,6 @@ def cmd_scaling(config: dict, out: Optional[Path] = None) -> RunReport:
     return report
 
 
-def _sagnac_space_factory(box: float):
-    def factory(cfg: SagnacConfig):
-        if cfg.species in (SagnacSpecies.DIRAC_A, SagnacSpecies.DIRAC_B):
-            space = _dirac_space(box, 2, mass=cfg.mass, caps=(1, 2))
-            mu = 0 if cfg.species is SagnacSpecies.DIRAC_A else 1
-            return space, dirac_current_density(space, mu), f"j{mu}"
-        if cfg.species is SagnacSpecies.SCALAR:
-            space = _scalar_space(box, 2, mass=cfg.mass, caps=(2, 2))
-            return space, stress_tensor_scalar(space, 0, 0), "T00"
-        space = _photon_space(box, 2, caps=(2, 2))
-        return space, stress_tensor_em(space, 1, 1), "T11"
-    return factory
-
-
 def cmd_sagnac(config: dict, out: Optional[Path] = None) -> RunReport:
     """Counter-propagating eigenstate property and signal values."""
     cfg = config["sagnac"]
@@ -467,13 +456,26 @@ def cmd_sagnac(config: dict, out: Optional[Path] = None) -> RunReport:
     u = 2 * math.pi / box
     k3 = cfg["k3_mode"] * u
     m = cfg["mass"]
-    configs = [
-        SagnacConfig(SagnacSpecies.DIRAC_A, m, k3),
-        SagnacConfig(SagnacSpecies.DIRAC_B, m, k3),
-        SagnacConfig(SagnacSpecies.SCALAR, m, k3),
-        SagnacConfig(SagnacSpecies.PHOTON_V, 0.0, k3),
-    ]
-    rows = measurement.sagnac_regression(_sagnac_space_factory(box), configs,
+    spaces: Dict = {}
+
+    def space_of(scfg: SagnacConfig) -> FockSpace:
+        """One Fock space per (species family, mass) for the whole command."""
+        dirac = scfg.species in (SagnacSpecies.DIRAC_A, SagnacSpecies.DIRAC_B)
+        key = ("dirac" if dirac else scfg.species.value, scfg.mass)
+        if key not in spaces:
+            if dirac:
+                spaces[key] = _dirac_space(box, 2, mass=scfg.mass, caps=(1, 2))
+            elif scfg.species is SagnacSpecies.SCALAR:
+                spaces[key] = _scalar_space(box, 2, mass=scfg.mass, caps=(2, 2))
+            else:
+                spaces[key] = _photon_space(box, 2, caps=(2, 2))
+        return spaces[key]
+
+    dirac_configs = [SagnacConfig(SagnacSpecies.DIRAC_A, m, k3),
+                     SagnacConfig(SagnacSpecies.DIRAC_B, m, k3)]
+    configs = dirac_configs + [SagnacConfig(SagnacSpecies.SCALAR, m, k3),
+                               SagnacConfig(SagnacSpecies.PHOTON_V, 0.0, k3)]
+    rows = measurement.sagnac_regression(space_of, configs,
                                          n_periods=cfg["n_periods"],
                                          n_max=cfg["n_max"])
     for r in rows:
@@ -482,17 +484,14 @@ def cmd_sagnac(config: dict, out: Optional[Path] = None) -> RunReport:
                        "eigenstate property, moments n<=4", cfg["defect_tol"])
     # signal values for extra (mass, k3) pairs
     for mass, nk in cfg["extra_pairs"]:
-        space = _dirac_space(box, 2, mass=mass, caps=(1, 2))
-        scfg = SagnacConfig(SagnacSpecies.DIRAC_A, mass, nk * u)
-        val, tau = _dirac_signal(space, scfg, 0, cfg["n_periods"])
-        report.add(f"signal.dirac_a[m={mass},n={nk}]", val,
-                   tau * mass / (2 * scfg.energy), "tau*m/2E",
-                   cfg["signal_tol"])
-        scfg = SagnacConfig(SagnacSpecies.DIRAC_B, mass, nk * u)
-        val, tau = _dirac_signal(space, scfg, 1, cfg["n_periods"])
-        report.add(f"signal.dirac_b[m={mass},n={nk}]", val,
-                   tau * nk * u / (2 * scfg.energy), "tau*k3/2E",
-                   cfg["signal_tol"])
+        pair = [SagnacConfig(species, mass, nk * u)
+                for species in (SagnacSpecies.DIRAC_A, SagnacSpecies.DIRAC_B)]
+        for r in measurement.sagnac_regression(space_of, pair,
+                                               cfg["n_periods"], n_max=1):
+            report.add(f"signal.{r.config}[m={mass},n={nk}]", r.value,
+                       r.paper_value_main,
+                       "tau*m/2E" if r.config == "dirac_a" else "tau*k3/2E",
+                       cfg["signal_tol"])
     # scalar and photon: record which quoted variant the exact value matches
     for r in rows:
         if r.n == 1 and r.config in ("scalar", "photon_v"):
@@ -501,38 +500,20 @@ def cmd_sagnac(config: dict, out: Optional[Path] = None) -> RunReport:
     if out:
         write_table(out / "sagnac_regression.csv",
                     [f.name for f in fields(RegressionRow)], map(astuple, rows))
-        _write_current_component_table(out, box, m, k3, cfg["n_periods"])
+        _write_current_component_table(out, space_of(dirac_configs[0]),
+                                       dirac_configs, cfg["n_periods"])
     return report
 
 
-def _windowed_current(space: FockSpace, cfg: SagnacConfig, mu: int,
-                      n_periods: int):
-    """(matrix, tau): the windowed current j^mu at the Sagnac state's
-    momentum transfer, over the commensurate duration tau with the cosine
-    window."""
-    tau = commensurate_tau(cfg.energy, n_periods)
-    obs = spacelike_windowed_observable(dirac_current_density(space, mu),
-                                        cfg.momentum_transfer,
-                                        MeasurementWindow(tau=tau))
-    return obs.matrix(), tau
-
-
-def _dirac_signal(space: FockSpace, cfg: SagnacConfig, mu: int,
-                  n_periods: int):
-    """(<j^mu>, tau) in the Sagnac state of cfg."""
-    current, tau = _windowed_current(space, cfg, mu, n_periods)
-    return expectation(sagnac_state(space, cfg), current).real, tau
-
-
-def _write_current_component_table(out: Path, box, m, k3, n_periods) -> None:
+def _write_current_component_table(out: Path, space: FockSpace, configs,
+                                   n_periods) -> None:
     """All four current components for both Dirac states.  The two states
     share tau and the readout momentum (0, 0, 0, 2 k3), so each windowed
     current and each state is built once."""
-    space = _dirac_space(box, 2, mass=m, caps=(1, 2))
-    configs = [SagnacConfig(species, m, k3)
-               for species in (SagnacSpecies.DIRAC_A, SagnacSpecies.DIRAC_B)]
-    currents = [_windowed_current(space, configs[0], mu, n_periods)[0]
-                for mu in range(4)]
+    w = MeasurementWindow(tau=commensurate_tau(configs[0].energy, n_periods))
+    currents = [spacelike_windowed_observable(
+        dirac_current_density(space, mu), configs[0].momentum_transfer,
+        w).matrix() for mu in range(4)]
     states = [sagnac_state(space, cfg) for cfg in configs]
     write_table(out / "dirac_current_components.csv",
                 ["state", "component", "value"],

@@ -245,12 +245,11 @@ class QuadraticObservable:
     """
 
     def __init__(self, space: FockSpace, label: str, terms,
-                 vacuum_subtraction: complex = 0.0, window: Optional[dict] = None):
+                 vacuum_subtraction: complex = 0.0):
         self.space = space
         self.label = label
         self.terms = np.asarray(terms, dtype=TERM_DTYPE)
         self.vacuum_subtraction = vacuum_subtraction
-        self.window = dict(window or {})
         self._matrix: Optional[sp.csr_matrix] = None
 
     def matrix(self) -> sp.csr_matrix:

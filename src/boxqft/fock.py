@@ -517,10 +517,12 @@ def expectation(state, operator) -> complex:
 
 
 class SagnacSpecies(Enum):
-    DIRAC_A = "dirac_a"     # (|L,+k3> + |R,-k3>)/sqrt(2), read out with j0
-    DIRAC_B = "dirac_b"     # (|L,+k3> - |L,-k3>)/sqrt(2), read out with j1
-    SCALAR = "scalar"       # (|+k3> + |-k3>)/sqrt(2), read out with T00
-    PHOTON_V = "photon_v"   # (|V,+k3> + |V,-k3>)/sqrt(2), stress readout
+    # the density each state is read out with, and its quoted signal values,
+    # are in measurement.sagnac_readout
+    DIRAC_A = "dirac_a"     # (|L,+k3> + |R,-k3>)/sqrt(2)
+    DIRAC_B = "dirac_b"     # (|L,+k3> - |L,-k3>)/sqrt(2)
+    SCALAR = "scalar"       # (|+k3> + |-k3>)/sqrt(2)
+    PHOTON_V = "photon_v"   # (|V,+k3> + |V,-k3>)/sqrt(2)
 
 
 @dataclass(frozen=True)
@@ -560,10 +562,15 @@ _SAGNAC_ARMS = {
 
 
 def sagnac_state(space: FockSpace, config: SagnacConfig) -> StateVector:
-    """Normalized superposition of the two counter-propagating arms."""
+    """Normalized superposition of the two counter-propagating arms; a config
+    whose energy is not the grid's (mass or v_c mismatch) raises."""
     (ch1, s1), (ch2, s2), rel_sign = _SAGNAC_ARMS[config.species]
     g = space.grid(ch1)
     n = g.mode_for_wavenumber(config.k3)
+    grid_energy = g.energy(n)
+    if abs(config.energy - grid_energy) > 1e-12 * grid_energy:
+        raise BoxQFTError(f"config energy {config.energy!r} is not the grid "
+                          f"energy {grid_energy!r} of mode {n}: mass or v_c mismatch")
     n1 = tuple(s1 * v for v in n)
     n2 = tuple(s2 * v for v in n)
     for ch, nn in ((ch1, n1), (ch2, n2)):

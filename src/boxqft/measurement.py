@@ -19,7 +19,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import BoxQFTError, DimensionOverflow
-from .fields import QuadraticDensity, QuadraticObservable, stress_tensor_em
+from .fields import (QuadraticDensity, QuadraticObservable,
+                     dirac_current_density, stress_tensor_em,
+                     stress_tensor_scalar)
 from .fock import (DensityOperator, FockSpace, SagnacConfig, SagnacSpecies,
                    StateVector, expectation, sagnac_state, vacuum_state)
 from .spacetime import FourVector, IntervalClass, classify_interval
@@ -79,9 +81,7 @@ def windowed_observable(S: QuadraticDensity, w: MeasurementWindow) -> QuadraticO
     q, lat = S.transfers()
     factor = _spatial_factor(S.space, lat, (0, 0, 0), w, q, np.zeros(3)) * \
         w.time_transform(q[:, 0])
-    obs = S.weighted(f"{S.label}|win", factor)
-    obs.window.update({"kind": "plain", "tau": w.tau, "envelope": w.envelope})
-    return obs
+    return S.weighted(f"{S.label}|win", factor)
 
 
 def spacelike_windowed_observable(S: QuadraticDensity, p: FourVector,
@@ -101,10 +101,7 @@ def spacelike_windowed_observable(S: QuadraticDensity, p: FourVector,
         w.time_transform(q[:, 0] + p.t)
     factor = factor + 0.5 * _spatial_factor(space, lat, lat_p, w, q, -p.spatial) * \
         w.time_transform(q[:, 0] - p.t)
-    obs = S.weighted(f"{S.label}|cos", factor)
-    obs.window.update({"kind": "cosine", "tau": w.tau, "envelope": w.envelope,
-                       "p": tuple(p.as_array())})
-    return obs
+    return S.weighted(f"{S.label}|cos", factor)
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +131,8 @@ def moments(state, S: QuadraticObservable, n_max: int = 4) -> MomentsResult:
     Reports the eigenstate defect max_n |<S^n> - <S>^n| / |<S>|^n; the
     defect vanishes iff the state is an eigenstate of S.
     """
+    if n_max < 1:
+        raise BoxQFTError(f"moments need n_max >= 1, not {n_max!r}")
     if n_max > 6:
         raise DimensionOverflow("operator powers limited to n_max <= 6")
     mat = S.matrix()
@@ -354,52 +353,58 @@ class RegressionRow:
     observable: str
     n: int
     value: float
-    paper_value_main: Optional[float]
-    paper_value_appendix: Optional[float]
+    paper_value_main: float
+    paper_value_appendix: float
     defect: float
     matched_variant: str
 
 
 def _match_variant(value, main, appendix, tol=1e-9) -> str:
     hits = []
-    if main is not None and abs(value - main) <= tol * max(1.0, abs(main)):
+    if abs(value - main) <= tol * max(1.0, abs(main)):
         hits.append("main_text")
-    if appendix is not None and abs(value - appendix) <= tol * max(1.0, abs(appendix)):
+    if abs(value - appendix) <= tol * max(1.0, abs(appendix)):
         hits.append("appendix")
     return "+".join(hits) if hits else "none"
 
 
-def sagnac_regression(space_factory, configs: Sequence[SagnacConfig],
+def sagnac_readout(space: FockSpace, cfg: SagnacConfig, tau: float):
+    """(label, density, main, appendix): the density that reads out the
+    counter-propagating state of cfg on space, and the main-text and
+    appendix values of its n=1 signal over the window duration tau."""
+    E, m, k3 = cfg.energy, cfg.mass, cfg.k3
+    if cfg.species is SagnacSpecies.DIRAC_A:
+        value = tau * m / (2 * E)
+        return "j0", dirac_current_density(space, 0), value, value
+    if cfg.species is SagnacSpecies.DIRAC_B:
+        value = tau * k3 / (2 * E)
+        return "j1", dirac_current_density(space, 1), value, value
+    if cfg.species is SagnacSpecies.SCALAR:
+        return "T00", stress_tensor_scalar(space, 0, 0), \
+            tau * m * m / (2 * E), tau * m * m / (4 * E)
+    return "T11", stress_tensor_em(space, 1, 1), E * tau / 2, tau * E
+
+
+def sagnac_regression(space_of, configs: Sequence[SagnacConfig],
                       n_periods: int = 2, n_max: int = 4) -> List[RegressionRow]:
     """Signal values and moments for each configuration vs both quoted values.
 
-    space_factory(config) -> (space, density) supplies the Fock space and the
-    readout density appropriate to the species.
+    space_of(config) -> FockSpace supplies the space the configuration's
+    state lives on; sagnac_readout picks the density read out on it.
     """
     rows: List[RegressionRow] = []
     for cfg in configs:
-        space, density, label = space_factory(cfg)
+        space = space_of(cfg)
         tau = commensurate_tau(cfg.energy, n_periods)
-        w = MeasurementWindow(tau=tau)
-        obs = spacelike_windowed_observable(density, cfg.momentum_transfer, w)
-        state = sagnac_state(space, cfg)
-        mom = moments(state, obs, n_max=n_max)
-        E, m, k3 = cfg.energy, cfg.mass, cfg.k3
-        if cfg.species is SagnacSpecies.DIRAC_A:
-            main = appendix = tau * m / (2 * E)
-        elif cfg.species is SagnacSpecies.DIRAC_B:
-            main = appendix = tau * k3 / (2 * E)
-        elif cfg.species is SagnacSpecies.SCALAR:
-            main, appendix = tau * m * m / (2 * E), tau * m * m / (4 * E)
-        else:
-            main, appendix = E * tau / 2, tau * E
+        label, density, main, appendix = sagnac_readout(space, cfg, tau)
+        obs = spacelike_windowed_observable(density, cfg.momentum_transfer,
+                                            MeasurementWindow(tau=tau))
+        mom = moments(sagnac_state(space, cfg), obs, n_max=n_max)
         for n in range(1, n_max + 1):
             val = mom.values[n - 1].real
             rows.append(RegressionRow(
                 config=cfg.species.value, observable=label, n=n, value=val,
-                paper_value_main=None if main is None else main ** n,
-                paper_value_appendix=None if appendix is None else appendix ** n,
+                paper_value_main=main ** n, paper_value_appendix=appendix ** n,
                 defect=mom.eigenstate_defect,
                 matched_variant=_match_variant(val, main ** n, appendix ** n)))
     return rows
-

@@ -1,7 +1,7 @@
 import math
 
 from boxqft.fields import dirac_space_channels, photon_space_channels
-from boxqft.fock import ModeGrid, Species, build_fock_space
+from boxqft.fock import ModeGrid, SagnacSpecies, Species, build_fock_space
 
 BOX = 2 * math.pi
 
@@ -26,3 +26,13 @@ def photon_space(n_mode=2, box=BOX, caps=(2, 2)):
     grid = ModeGrid(axes=(3,), lengths=(box,), ranges=((-n_mode, n_mode),),
                     species=Species.BOSON, mass=0.0)
     return build_fock_space(photon_space_channels(grid), caps[0], caps[1])
+
+
+def sagnac_space(cfg):
+    """Fock space for a counter-propagating configuration, on the n_mode=2
+    grids and caps of the sagnac command."""
+    if cfg.species is SagnacSpecies.SCALAR:
+        return scalar_space(2, cfg.mass, caps=(2, 2))
+    if cfg.species is SagnacSpecies.PHOTON_V:
+        return photon_space(2, caps=(2, 2))
+    return dirac_space(2, cfg.mass, caps=(1, 2))

@@ -7,11 +7,11 @@ Every tolerance is pinned here, matching the contract: run with
 import math
 import time
 
-from conftest import BOX
+from conftest import BOX, sagnac_space
 
 from boxqft.cli import (cmd_fdt, cmd_homodyne, cmd_noiseless, cmd_sagnac,
                         cmd_scaling, cmd_suppression, cmd_threepoint,
-                        cmd_wick_check, merge_config, _sagnac_space_factory)
+                        cmd_wick_check, merge_config)
 from boxqft.fock import SagnacConfig, SagnacSpecies
 from boxqft.measurement import sagnac_regression
 
@@ -34,7 +34,7 @@ def test_criterion_1_eigenstate_property():
         SagnacConfig(SagnacSpecies.PHOTON_V, 0.0, u),
     ]
     # 1-axis grids with 4 modes, Fock truncation at 2 particles
-    rows = sagnac_regression(_sagnac_space_factory(BOX), configs,
+    rows = sagnac_regression(sagnac_space, configs,
                              n_periods=2, n_max=4)
     worst = max(r.defect for r in rows)
     ok = worst <= 1e-10 and len({r.config for r in rows}) == 4
@@ -54,7 +54,7 @@ def test_criterion_2_signal_values():
     # the regression table records which quoted variant the oracle matches
     u = 2 * math.pi / BOX
     rows = sagnac_regression(
-        _sagnac_space_factory(BOX),
+        sagnac_space,
         [SagnacConfig(SagnacSpecies.SCALAR, 1.0, u),
          SagnacConfig(SagnacSpecies.PHOTON_V, 0.0, u)], n_periods=2, n_max=2)
     variants = {r.config: r.matched_variant for r in rows if r.n == 1}

@@ -241,6 +241,21 @@ def test_cli_n_random_below_one_or_not_integer_exit_two(tmp_path, n_random):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("key,value", [
+    ("n_periods", 0), ("n_periods", -1), ("n_periods", 1.5), ("n_periods", True),
+    ("n_max", 0), ("n_max", 7), ("n_max", "4"), ("n_max", False)])
+def test_cli_sagnac_counts_out_of_range_exit_two(tmp_path, key, value):
+    # n_periods = 0 gives tau = 0, where every signal check passes as 0 = 0;
+    # n_max = 0 leaves no moment to report
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"sagnac": {key: value}}))
+    res = CliRunner().invoke(main, ["sagnac", "--config", str(cfgfile),
+                                    "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2
+    assert f"sagnac.{key}" in res.output
+    assert not (tmp_path / "o").exists()
+
+
 def test_single_random_projector_input_is_checked():
     cfg = merge_config({"noiseless": {"n_random": 1}})
     report = RunReport("noiseless")

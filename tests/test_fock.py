@@ -359,6 +359,22 @@ def test_sagnac_states():
         sagnac_state(space, SagnacConfig(SagnacSpecies.DIRAC_A, 1.0, 7.0))
 
 
+def test_sagnac_state_rejects_a_config_energy_off_the_grid():
+    # the state is built from mode indices alone, so a mass or v_c that is
+    # not the space's would give a valid state with the wrong quoted values
+    k3 = 1.0
+    space = dirac_space(n_mode=2, mass=1.0)
+    sagnac_state(space, SagnacConfig(SagnacSpecies.DIRAC_A, 1.0, k3))
+    for cfg in (SagnacConfig(SagnacSpecies.DIRAC_A, 2.0, k3),
+                SagnacConfig(SagnacSpecies.DIRAC_B, 1.0, k3, v_c=0.5),
+                SagnacConfig(SagnacSpecies.DIRAC_A, 1.0 + 1e-9, k3)):
+        with pytest.raises(BoxQFTError, match="mass or v_c"):
+            sagnac_state(space, cfg)
+    with pytest.raises(BoxQFTError, match="mass or v_c"):
+        sagnac_state(photon_space(n_mode=1),
+                     SagnacConfig(SagnacSpecies.PHOTON_V, 0.3, k3))
+
+
 def test_sagnac_config_derived():
     cfg = SagnacConfig(SagnacSpecies.SCALAR, 1.0, 1.0)
     assert abs(cfg.energy - math.sqrt(2)) < 1e-14

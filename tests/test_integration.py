@@ -4,6 +4,8 @@ experiment driver outputs."""
 import math
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import BOX, dirac_space, photon_space, scalar_space
 
@@ -29,6 +31,16 @@ def test_scalar_energy_density_integrates_to_hamiltonian():
     assert np.max(np.abs((mat - H).toarray())) < 1e-12
 
 
+@settings(max_examples=30, deadline=None)
+@given(n_mode=st.integers(1, 3), mass=st.floats(0.0, 2.0),
+       caps=st.sampled_from([(1, 1), (1, 2), (2, 2), (2, 3), (3, 3)]))
+def test_scalar_energy_density_integrates_to_hamiltonian_random_grids(
+        n_mode, mass, caps):
+    space = scalar_space(n_mode=n_mode, mass=mass, caps=caps)
+    mat = _momentum_block(space, stress_tensor_scalar(space, 0, 0), (0, 0, 0))
+    assert np.max(np.abs((mat - free_hamiltonian(space)).toarray())) <= 1e-12
+
+
 def test_em_energy_density_integrates_to_hamiltonian():
     space = photon_space(n_mode=2)
     t00 = stress_tensor_em(space, 0, 0)
@@ -48,6 +60,26 @@ def test_dirac_charge_integrates_to_number_operator():
             term = sign * space.creation(ch, n) @ space.annihilation(ch, n)
             charge = term if charge is None else charge + term
     assert np.max(np.abs((mat - charge).toarray())) < 1e-12
+
+
+def _dirac_charge(space):
+    """N - Nbar: particle number minus antiparticle number."""
+    charge = None
+    for ch, sign in (("L", 1), ("R", 1), ("Lbar", -1), ("Rbar", -1)):
+        for n in space.grid(ch).modes:
+            term = sign * space.creation(ch, n) @ space.annihilation(ch, n)
+            charge = term if charge is None else charge + term
+    return charge
+
+
+@settings(max_examples=30, deadline=None)
+@given(n_mode=st.integers(1, 2), mass=st.floats(0.0, 2.0),
+       total_cap=st.integers(1, 3))
+def test_dirac_charge_integrates_to_number_operator_random_grids(
+        n_mode, mass, total_cap):
+    space = dirac_space(n_mode=n_mode, mass=mass, caps=(1, total_cap))
+    mat = _momentum_block(space, dirac_current_density(space, 0), (0, 0, 0))
+    assert np.max(np.abs((mat - _dirac_charge(space)).toarray())) <= 1e-12
 
 
 def test_gaussian_spatial_window():
@@ -123,3 +155,22 @@ def test_dirac_current_component_table(tmp_path):
         assert abs(rows[("dirac_a", comp)]) < 1e-12
     for comp in ("j0", "j2", "j3"):
         assert abs(rows[("dirac_b", comp)]) < 1e-12
+
+
+def test_sagnac_command_builds_one_space_per_family_and_mass(tmp_path,
+                                                            monkeypatch):
+    # Dirac m=1 (both regression states, the extra pair (1, 1) and the
+    # component table), scalar m=1, photon, Dirac m=2 and Dirac m=0.5
+    from boxqft.cli import cmd_sagnac, merge_config
+    from boxqft.fock import FockSpace
+    built = []
+    init = FockSpace.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(FockSpace, "__init__", counting_init)
+    assert cmd_sagnac(merge_config(None), tmp_path).passed
+    assert len(built) == 5
+    assert (tmp_path / "dirac_current_components.csv").exists()

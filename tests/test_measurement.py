@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from conftest import BOX, dirac_space, photon_space, scalar_space
+from conftest import (BOX, dirac_space, photon_space, sagnac_space,
+                      scalar_space)
 
 from boxqft.errors import BoxQFTError, DimensionOverflow, OffLatticeMomentum
 from boxqft.fields import (dirac_current_density, em_field_strength_density,
@@ -190,6 +191,16 @@ def test_moments_density_operator_state():
 
 
 
+@pytest.mark.parametrize("n_max", [0, -1])
+def test_moments_need_at_least_one_power(n_max):
+    space = scalar_space(n_mode=1, mass=1.0, caps=(2, 2))
+    obs = windowed_observable(scalar_bilinear_density(space),
+                              MeasurementWindow(tau=1.0))
+    for state in (vacuum_state(space), thermal_state(space, 2.0)):
+        with pytest.raises(BoxQFTError, match="n_max"):
+            moments(state, obs, n_max=n_max)
+
+
 @pytest.mark.parametrize("cell", ["scalar", "dirac"])
 def test_thermal_moments_match_dense_oracle(cell):
     # the sparse diagonal-state path against Tr(S^n rho) with rho dense
@@ -339,11 +350,10 @@ def test_homodyne_cubic_agreement_richardson():
 
 
 def test_regression_table():
-    from boxqft.cli import _sagnac_space_factory
     u = 2 * math.pi / BOX
     configs = [SagnacConfig(SagnacSpecies.DIRAC_A, 1.0, u),
                SagnacConfig(SagnacSpecies.SCALAR, 1.0, u)]
-    rows = sagnac_regression(_sagnac_space_factory(BOX), configs,
+    rows = sagnac_regression(sagnac_space, configs,
                              n_periods=2, n_max=3)
     assert len(rows) == 6
     for r in rows:
@@ -353,6 +363,35 @@ def test_regression_table():
             assert r.matched_variant == "main_text"
         assert r.defect < 1e-10
 
+
+
+@settings(max_examples=25, deadline=None)
+@given(mass=st.floats(0.1, 2.0), nk=st.sampled_from([-2, -1, 1, 2]),
+       n_periods=st.integers(1, 4))
+def test_regression_quoted_values_are_the_closed_forms(mass, nk, n_periods):
+    # every row's quoted values are the paper's closed forms, bit for bit
+    k3 = nk * 2 * math.pi / BOX
+    configs = [SagnacConfig(SagnacSpecies.DIRAC_A, mass, k3),
+               SagnacConfig(SagnacSpecies.DIRAC_B, mass, k3),
+               SagnacConfig(SagnacSpecies.SCALAR, mass, k3),
+               SagnacConfig(SagnacSpecies.PHOTON_V, 0.0, k3)]
+    rows = sagnac_regression(sagnac_space, configs, n_periods=n_periods,
+                             n_max=2)
+    assert [(r.config, r.n) for r in rows] == \
+        [(c.species.value, n) for c in configs for n in (1, 2)]
+    for i, r in enumerate(rows):
+        E, m = configs[i // 2].energy, configs[i // 2].mass
+        tau = n_periods * 2 * math.pi / E
+        main, appendix = {
+            "dirac_a": (tau * m / (2 * E), tau * m / (2 * E)),
+            "dirac_b": (tau * k3 / (2 * E), tau * k3 / (2 * E)),
+            "scalar": (tau * m * m / (2 * E), tau * m * m / (4 * E)),
+            "photon_v": (E * tau / 2, tau * E),
+        }[r.config]
+        assert repr(r.paper_value_main) == repr(main ** r.n)
+        assert repr(r.paper_value_appendix) == repr(appendix ** r.n)
+        assert r.observable == {"dirac_a": "j0", "dirac_b": "j1",
+                                "scalar": "T00", "photon_v": "T11"}[r.config]
 
 _SPACELIKE_CASES = {
     "scalar": (lambda n, m, L, caps: scalar_space(n, m, L, caps),
