@@ -481,7 +481,8 @@ def cmd_sagnac(config: dict, out: Optional[Path] = None) -> RunReport:
     for r in rows:
         if r.n == 1:
             report.add(f"defect[{r.config}]", r.defect, 0.0,
-                       "eigenstate property, moments n<=4", cfg["defect_tol"])
+                       f"eigenstate property, moments n<={cfg['n_max']}",
+                       cfg["defect_tol"])
     # signal values for extra (mass, k3) pairs
     for mass, nk in cfg["extra_pairs"]:
         pair = [SagnacConfig(species, mass, nk * u)

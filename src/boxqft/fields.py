@@ -31,10 +31,10 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import BoxQFTError, UnknownMode, ZeroMomentum
 from .fock import FockSpace, ModeGrid, Species
+from .operator import Operator
 from .spacetime import METRIC, FourVector
 
 # ---------------------------------------------------------------------------
@@ -191,19 +191,19 @@ def _terms(left, right, coeff) -> np.ndarray:
     return out
 
 
-def _assemble(space: FockSpace, terms: np.ndarray, coeffs) -> sp.csr_matrix:
-    """sum_t coeffs[t] * op(left_t) op(right_t) as one CSR matrix, op(-1) = 1.
+def _assemble(space: FockSpace, terms: np.ndarray, coeffs) -> Operator:
+    """sum_t coeffs[t] * op(left_t) op(right_t) as one Operator, op(-1) = 1.
 
     A ladder operator maps each basis state to at most one basis state
     (FockSpace.ladder_map), and so does the identity, so a term is a partial
     index map: each (source, target, amp) triplet of the right factor is
     passed on by looking its target up among the left factor's sources.  All
-    terms' (row, col, value) triplets go into a single COO assembly;
-    duplicates are summed and exact zeros dropped.
+    terms' (row, col, value) triplets are canonicalized in one pass
+    (Operator.from_triplets): duplicates summed, exact zeros dropped.
     """
     dim, M = space.dim, len(space.modes)
     if len(terms) == 0:
-        return sp.csr_matrix((dim, dim), dtype=complex)
+        return Operator.from_triplets([], [], [], dim)
     slots = np.unique(np.concatenate([terms["left"], terms["right"]]))
     ident = np.arange(dim, dtype=np.int64)
     maps = [(ident, ident, np.ones(dim, dtype=complex)) if s < 0 else
@@ -227,11 +227,7 @@ def _assemble(space: FockSpace, terms: np.ndarray, coeffs) -> sp.csr_matrix:
     ok = key[hit] == want
     term, pos, hit = term[ok], pos[ok], hit[ok]
     vals = np.asarray(coeffs, dtype=complex)[term] * (amp[pos] * amp[hit])
-    out = sp.csr_matrix((vals, (tgt[hit], src[pos])), shape=(dim, dim),
-                        dtype=complex)
-    out.sum_duplicates()
-    out.eliminate_zeros()
-    return out
+    return Operator.from_triplets(tgt[hit], src[pos], vals, dim)
 
 
 class QuadraticObservable:
@@ -239,7 +235,7 @@ class QuadraticObservable:
 
     ``terms`` is a TERM_DTYPE array of (left, right, coeff) records, one per
     operator product op(left) op(right) (left = -1 for a single operator).
-    Realized lazily as one sparse matrix, assembled in a single pass from the
+    Realized lazily as one Operator, assembled in a single pass from the
     ladder operators' index maps (all sign conventions ride on the operator
     algebra).
     """
@@ -250,17 +246,15 @@ class QuadraticObservable:
         self.label = label
         self.terms = np.asarray(terms, dtype=TERM_DTYPE)
         self.vacuum_subtraction = vacuum_subtraction
-        self._matrix: Optional[sp.csr_matrix] = None
+        self._matrix: Optional[Operator] = None
 
-    def matrix(self) -> sp.csr_matrix:
+    def matrix(self) -> Operator:
         if self._matrix is None:
             self._matrix = _assemble(self.space, self.terms, self.terms["coeff"])
         return self._matrix
 
     def hermiticity_defect(self) -> float:
-        m = self.matrix()
-        d = m - m.conjugate().transpose()
-        return float(np.max(np.abs(d.data))) if d.nnz else 0.0
+        return self.matrix().hermiticity_defect()
 
     def apply(self, amplitudes: np.ndarray) -> np.ndarray:
         return self.matrix() @ amplitudes
@@ -292,7 +286,7 @@ class QuadraticDensity:
         left, right = self.terms["left"], self.terms["right"]
         return Q[left] + Q[right], lat[left] + lat[right]
 
-    def at(self, x: FourVector) -> sp.csr_matrix:
+    def at(self, x: FourVector) -> Operator:
         """Realize the density operator at the spacetime point x."""
         xt = x.as_array()
         q, _ = self.transfers()
@@ -363,7 +357,7 @@ def _scalar_slots(space: FockSpace, channel: str) -> np.ndarray:
     return out
 
 
-def scalar_field(space: FockSpace, x: FourVector, channel: str = "phi") -> sp.csr_matrix:
+def scalar_field(space: FockSpace, x: FourVector, channel: str = "phi") -> Operator:
     """phi(x) as a Fock operator."""
     return scalar_density(space, channel).at(x)
 
@@ -379,7 +373,7 @@ def scalar_momentum_density(space: FockSpace, channel: str = "phi") -> Quadratic
     return _linear(space, "pi", _scalar_slots(space, channel) * 1j * Q[:-1, 0])
 
 
-def scalar_momentum(space: FockSpace, x: FourVector, channel: str = "phi") -> sp.csr_matrix:
+def scalar_momentum(space: FockSpace, x: FourVector, channel: str = "phi") -> Operator:
     return scalar_momentum_density(space, channel).at(x)
 
 
@@ -447,7 +441,7 @@ def _dirac_slots(space: FockSpace) -> np.ndarray:
     return psi
 
 
-def dirac_field(space: FockSpace, x: FourVector) -> List[sp.csr_matrix]:
+def dirac_field(space: FockSpace, x: FourVector) -> List[Operator]:
     """The four spinor components of psi(x) as Fock operators."""
     psi = _dirac_slots(space)
     return [_linear(space, f"psi{alpha}", psi[alpha]).at(x) for alpha in range(4)]

@@ -21,10 +21,10 @@ from enum import Enum
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (BoxQFTError, DimensionMismatch, DimensionOverflow,
                      OffLatticeMomentum, UnknownMode)
+from .operator import Operator
 from .spacetime import FourVector
 
 DIM_LIMIT_DEFAULT = 200_000
@@ -183,9 +183,7 @@ class FockSpace:
         self.mode_lattice = lat
         self.lattice_momentum = basis.astype(np.int64) @ lat   # (dim, 3) exact ints
 
-        self._op_cache: Dict[Tuple[str, Tuple[int, ...], str], sp.csr_matrix] = {}
-        self._op_maps: Dict[Tuple[str, Tuple[int, ...], str],
-                            Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._op_cache: Dict[Tuple[str, Tuple[int, ...], str], Operator] = {}
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -232,10 +230,10 @@ class FockSpace:
 
     # -- operators ----------------------------------------------------------
 
-    def annihilation(self, channel: str, n: Tuple[int, ...]) -> sp.csr_matrix:
+    def annihilation(self, channel: str, n: Tuple[int, ...]) -> Operator:
         return self._operator(channel, tuple(n), "a")
 
-    def creation(self, channel: str, n: Tuple[int, ...]) -> sp.csr_matrix:
+    def creation(self, channel: str, n: Tuple[int, ...]) -> Operator:
         return self._operator(channel, tuple(n), "c")
 
     def ladder_map(self, channel: str, n: Tuple[int, ...], kind: str):
@@ -245,13 +243,13 @@ class FockSpace:
         operator sends basis state source[i] to amplitude[i] times basis state
         target[i], and every other state to zero.  Each basis state has at
         most one image, so products of ladder operators compose on these
-        index arrays.  The operator is realized (and cached) through
-        annihilation/creation.
+        index arrays.  These are the arrays of the cached operator, realized
+        through annihilation/creation, so they are shared, not copied.
         """
-        (self.creation if kind == "c" else self.annihilation)(channel, n)
-        return self._op_maps[(channel, tuple(n), kind)]
+        op = (self.creation if kind == "c" else self.annihilation)(channel, n)
+        return op.col, op.row, op.value
 
-    def _operator(self, channel, n, kind) -> sp.csr_matrix:
+    def _operator(self, channel, n, kind) -> Operator:
         key = (channel, n, kind)
         if key in self._op_cache:
             return self._op_cache[key]
@@ -269,11 +267,11 @@ class FockSpace:
             amp = (1.0 - 2.0 * parity).astype(complex)
         else:
             amp = np.sqrt(occ[src, j].astype(float)).astype(complex)
-        # lowering one column keeps lexicographic order, so tgt ascends too
-        for k, m in (("a", (src, tgt, amp)), ("c", (tgt, src, amp.conj()))):
-            self._op_maps[(channel, n, k)] = m
-            self._op_cache[(channel, n, k)] = sp.csr_matrix(
-                (m[2], (m[1], m[0])), shape=(self.dim, self.dim), dtype=complex)
+        # lowering one column keeps lexicographic order, so tgt ascends too:
+        # the annihilator's rows tgt and the creator's rows src both ascend,
+        # one entry each, which is canonical as built
+        self._op_cache[(channel, n, "a")] = Operator(tgt, src, amp, self.dim)
+        self._op_cache[(channel, n, "c")] = Operator(src, tgt, amp.conj(), self.dim)
         return self._op_cache[key]
 
     # -- serialization ------------------------------------------------------
@@ -375,8 +373,8 @@ def build_fock_space(channels, n_max_per_mode: int = 4, n_max_total: int = 4,
 
 @dataclass(frozen=True)
 class ModeOperator:
-    """Sparse realization of one ladder operator."""
-    matrix: sp.csr_matrix
+    """Index-triplet realization of one ladder operator."""
+    matrix: Operator
     kind: str                    # "a" annihilate / "c" create
     channel: str
     n: Tuple[int, ...]
@@ -456,12 +454,12 @@ def basis_state(space: FockSpace, occupation: Dict[Tuple[str, Tuple[int, ...]], 
     return StateVector(amp)
 
 
-def free_hamiltonian(space: FockSpace) -> sp.csr_matrix:
+def free_hamiltonian(space: FockSpace) -> Operator:
     """Diagonal H0 with eigenvalue sum_k n_k E(k) (vacuum energy dropped)."""
-    return sp.diags(space.energies.astype(complex)).tocsr()
+    return Operator.from_diagonal(space.energies)
 
 
-def total_momentum(space: FockSpace, axis: int) -> sp.csr_matrix:
+def total_momentum(space: FockSpace, axis: int) -> Operator:
     """Diagonal total-momentum component (physical units)."""
     if axis not in (1, 2, 3):
         raise BoxQFTError("axis must be 1, 2 or 3")
@@ -471,7 +469,7 @@ def total_momentum(space: FockSpace, axis: int) -> sp.csr_matrix:
     else:
         L = 1.0
     vals = space.lattice_momentum[:, axis - 1] * (2 * math.pi / L)
-    return sp.diags(vals.astype(complex)).tocsr()
+    return Operator.from_diagonal(vals)
 
 
 def thermal_state(space: FockSpace, beta: float) -> DensityOperator:
@@ -491,12 +489,8 @@ def thermal_state(space: FockSpace, beta: float) -> DensityOperator:
 
 
 def expectation(state, operator) -> complex:
-    """<psi|O|psi> or Tr(rho O)."""
-    if sp.issparse(operator):
-        dim = operator.shape[0]
-    else:
-        operator = np.asarray(operator)
-        dim = operator.shape[0]
+    """<psi|O|psi> or Tr(rho O), for an Operator or a dense matrix."""
+    dim = operator.shape[0]
     if isinstance(state, StateVector):
         if len(state.amplitudes) != dim:
             raise DimensionMismatch("state/operator dimensions differ")
@@ -507,8 +501,7 @@ def expectation(state, operator) -> complex:
         if state.diagonal is not None:
             diag = operator.diagonal()
             return complex(np.sum(state.diagonal * diag))
-        prod = operator @ state.matrix
-        return complex(np.trace(prod if isinstance(prod, np.ndarray) else prod.toarray()))
+        return complex(np.trace(operator @ state.matrix))
     raise DimensionMismatch(f"unsupported state type {type(state)!r}")
 
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import BoxQFTError, DimensionOverflow
 from .fields import (QuadraticDensity, QuadraticObservable,
@@ -24,6 +23,7 @@ from .fields import (QuadraticDensity, QuadraticObservable,
                      stress_tensor_scalar)
 from .fock import (DensityOperator, FockSpace, SagnacConfig, SagnacSpecies,
                    StateVector, expectation, sagnac_state, vacuum_state)
+from .operator import Operator
 from .spacetime import FourVector, IntervalClass, classify_interval
 
 # ---------------------------------------------------------------------------
@@ -121,15 +121,16 @@ class MomentsResult:
 def moments(state, S: QuadraticObservable, n_max: int = 4) -> MomentsResult:
     """Exact Fock-space moments <S^n> for n = 1..n_max (n_max <= 6).
 
-    A state vector is propagated by repeated sparse application.  A diagonal
+    A state vector is propagated by repeated application of S.  A diagonal
     (thermal) state uses Tr(rho S^n) = sum_i w_i (S^a S^b)_ii with
     a = ceil(n/2), b = floor(n/2): the diagonal is the row sum of
-    S^a .multiply((S^b)^T), from sparse powers up to S^ceil(n_max/2), so no
-    dense rho is formed.  Only a state given by a full matrix is handled
-    densely.
+    S^a∘(S^b)ᵀ, from Operator powers up to S^ceil(n_max/2), so no dense rho
+    is formed.  Only a state given by a full matrix is handled densely.
 
-    Reports the eigenstate defect max_n |<S^n> - <S>^n| / |<S>|^n; the
-    defect vanishes iff the state is an eigenstate of S.
+    Reports the eigenstate defect over n = 2..n_max: max_n |<S^n> - <S>^n| /
+    |<S>|^n, and at <S> = 0, where an eigenstate has eigenvalue 0 and every
+    moment vanishes, max_n |<S^n>| / <1> with <1> the state's squared norm
+    or trace.  The defect vanishes iff the state is an eigenstate of S.
     """
     if n_max < 1:
         raise BoxQFTError(f"moments need n_max >= 1, not {n_max!r}")
@@ -138,23 +139,26 @@ def moments(state, S: QuadraticObservable, n_max: int = 4) -> MomentsResult:
     mat = S.matrix()
     vals: List[complex] = []
     if isinstance(state, StateVector):
-        v = state.amplitudes.copy()
+        v = state.amplitudes
+        norm = np.vdot(v, v).real
         for _ in range(n_max):
             v = mat @ v
             vals.append(complex(np.vdot(state.amplitudes, v)))
     elif isinstance(state, DensityOperator) and state.diagonal is not None:
+        norm = np.sum(state.diagonal)
         powers = [None, mat]                     # powers[k] = S^k
         while len(powers) <= (n_max + 1) // 2:
             powers.append(powers[-1] @ mat)
+        ones = np.ones(mat.dim)
         for n in range(1, n_max + 1):
             a, b = (n + 1) // 2, n // 2
             if b == 0:
                 diag = powers[a].diagonal()
             else:
-                diag = np.asarray(powers[a].multiply(powers[b].transpose())
-                                  .sum(axis=1)).ravel()
+                diag = powers[a].hadamard_transpose(powers[b]) @ ones
             vals.append(complex(np.sum(state.diagonal * diag)))
     elif isinstance(state, DensityOperator):
+        norm = np.trace(state.matrix).real
         acc = state.matrix
         for _ in range(n_max):
             acc = mat @ acc
@@ -163,10 +167,12 @@ def moments(state, S: QuadraticObservable, n_max: int = 4) -> MomentsResult:
         raise BoxQFTError(f"unsupported state type {type(state)!r}")
     mean = vals[0]
     defect = 0.0
-    if abs(mean) > 0:
-        for n in range(2, n_max + 1):
+    for n in range(2, n_max + 1):
+        if abs(mean) > 0:
             defect = max(defect, abs(vals[n - 1] - mean ** n) / abs(mean) ** n)
-    return MomentsResult(tuple(vals), defect)
+        else:
+            defect = max(defect, abs(vals[n - 1]) / norm)
+    return MomentsResult(tuple(vals), float(defect))
 
 
 def vacuum_variance(space: FockSpace, S: QuadraticObservable) -> float:
@@ -317,12 +323,11 @@ class HomodyneResult:
     weak_regime: bool
 
 
-def balanced_difference(x):
+def balanced_difference(x: Operator) -> Operator:
     """The balanced readout as an operator, (1 + x)^+ (1 + x) - (1 - x)^+ (1 - x),
-    for the sparse signal-arm operator x."""
-    one = sp.identity(x.shape[0], dtype=complex, format="csr")
-    xd = x.conjugate().transpose()
-    return ((one + xd) @ (one + x) - (one - xd) @ (one - x)).tocsr()
+    for the signal-arm operator x: the identity and x^+ x cancel, leaving
+    2 (x + x^+)."""
+    return 2.0 * (x + x.adjoint())
 
 
 def homodyne_difference(s_value: float, cfg: HomodyneConfig) -> HomodyneResult:

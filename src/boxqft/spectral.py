@@ -20,8 +20,9 @@ Neither the momentum blocks A = X(-lat), B = Y(lat) nor their elementwise
 product A∘Bᵀ depends on p0 or beta.  The product's nonzero entries, with
 their energy differences, form a LineSpectrum; a sample takes the Boltzmann
 weights from thermal_state and evaluates the line spectrum (bin mask,
-weighted sum, dominant weight, count).  Entries keep the product's COO order, so every sum adds the
-same numbers in the same order as a sum over a freshly built product.
+weighted sum, dominant weight, count).  Entries keep the product's row-major
+order, so every sum adds the same numbers in the same order as a sum over a
+freshly built product.
 
 Each QuadraticDensity holds one memo slot for the pair {lat, -lat} it was
 last asked about: at most two block observables, realized through
@@ -43,6 +44,7 @@ import numpy as np
 from .errors import BoxQFTError
 from .fields import QuadraticDensity, QuadraticObservable
 from .fock import FockSpace, thermal_state
+from .operator import Operator
 from .spacetime import FourVector, minkowski_dot
 
 NORM_TAG = "box: X(p)=int_V e^{-ip.x}X dx; G = binsum/(V); delta0=bin"
@@ -63,7 +65,7 @@ class SpectralSample:
 
 @dataclass(frozen=True)
 class LineSpectrum:
-    """Nonzero entries of A∘Bᵀ for A = X(-lat), B = Y(lat), in COO order.
+    """Nonzero entries of A∘Bᵀ for A = X(-lat), B = Y(lat), row-major.
 
     Entry k is the transition from state row[k] to state col[k], at energy
     de[k] = E[col] - E[row], with value[k] = A[row, col] * B[col, row].  It
@@ -126,12 +128,12 @@ def _momentum_block(space: FockSpace, density: QuadraticDensity,
     return blocks[target].matrix()
 
 
-def _line_spectrum(space: FockSpace, A, B) -> LineSpectrum:
-    prod = A.multiply(B.transpose()).tocoo()     # entries A[n,m] * B[m,n]
-    return LineSpectrum(row=prod.row.astype(np.int32, copy=False),
-                        col=prod.col.astype(np.int32, copy=False),
+def _line_spectrum(space: FockSpace, A: Operator, B: Operator) -> LineSpectrum:
+    prod = A.hadamard_transpose(B)               # entries A[n,m] * B[m,n]
+    return LineSpectrum(row=prod.row.astype(np.int32),
+                        col=prod.col.astype(np.int32),
                         de=space.energies[prod.col] - space.energies[prod.row],
-                        value=prod.data)
+                        value=prod.value)
 
 
 def line_spectrum(space: FockSpace, X: QuadraticDensity, Y: QuadraticDensity,

@@ -1,5 +1,7 @@
 import math
 
+import scipy.sparse as sp
+
 from boxqft.fields import dirac_space_channels, photon_space_channels
 from boxqft.fock import ModeGrid, SagnacSpecies, Species, build_fock_space
 
@@ -36,3 +38,9 @@ def sagnac_space(cfg):
     if cfg.species is SagnacSpecies.PHOTON_V:
         return photon_space(2, caps=(2, 2))
     return dirac_space(2, cfg.mass, caps=(1, 2))
+
+
+def csr(op):
+    """An Operator as a scipy CSR matrix, for tests that do matrix algebra
+    on it: scipy is the oracle."""
+    return sp.csr_matrix((op.value, (op.row, op.col)), shape=op.shape)

@@ -12,6 +12,8 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
+from conftest import csr
+
 from boxqft.correlators import Insertion
 from boxqft.fock import FockSpace, Species, thermal_state
 
@@ -39,7 +41,7 @@ def exact_contour_correlator(space: FockSpace, insertions: Sequence[Insertion],
     for idx in order:
         ins = insertions[idx]
         ch, n = ins.mode
-        op = space.annihilation(ch, n) if ins.kind == "a" else space.creation(ch, n)
+        op = csr(space.annihilation(ch, n) if ins.kind == "a" else space.creation(ch, n))
         t = ins.time.t
         # e^{iHt} op e^{-iHt}
         left = np.exp(1j * energies * t)

@@ -11,6 +11,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from conftest import csr
+
 from boxqft.fields import QuadraticDensity
 from boxqft.fock import FockSpace
 from boxqft.spacetime import FourVector
@@ -22,8 +24,8 @@ def momentum_block(space: FockSpace, density: QuadraticDensity,
     """Fock operator of int_V e^{-ip.x} X(0,x) dx, built afresh."""
     _, lat = density.transfers()
     hit = np.all(lat == lattice_target, axis=1)
-    return density.weighted(f"{density.label}(p)",
-                            np.where(hit, space.volume, 0.0)).matrix()
+    return csr(density.weighted(f"{density.label}(p)",
+                                np.where(hit, space.volume, 0.0)).matrix())
 
 
 def lehmann_reference(space: FockSpace, X: QuadraticDensity,

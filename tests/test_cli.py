@@ -8,11 +8,13 @@ import pytest
 import scipy.sparse as sp
 from click.testing import CliRunner
 
+from conftest import csr
+
 from boxqft import cli, measurement
 
 from boxqft.cli import (COMMANDS, DEFAULT_CONFIG, RunReport, cmd_fdt,
-                        cmd_homodyne, cmd_noiseless, cmd_threepoint, main,
-                        merge_config, write_table)
+                        cmd_homodyne, cmd_noiseless, cmd_sagnac, cmd_threepoint,
+                        main, merge_config, write_table)
 from boxqft.errors import ConfigInvalid
 from boxqft.fields import em_field_strength_density
 from boxqft.spacetime import FourVector
@@ -256,6 +258,15 @@ def test_cli_sagnac_counts_out_of_range_exit_two(tmp_path, key, value):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("n_max", [2, 4])
+def test_sagnac_defect_provenance_names_the_moments_computed(n_max):
+    report = cmd_sagnac(merge_config({"sagnac": {"n_max": n_max}}))
+    defects = [c for c in report.checks if c.name.startswith("defect[")]
+    assert len(defects) == 4 and report.passed
+    assert {c.provenance for c in defects} == {
+        f"eigenstate property, moments n<={n_max}"}
+
+
 def test_single_random_projector_input_is_checked():
     cfg = merge_config({"noiseless": {"n_random": 1}})
     report = RunReport("noiseless")
@@ -329,6 +340,7 @@ def test_homodyne_budget_check_compares_the_difference_operator(monkeypatch):
 
     # and fails when the x+ half of the operator is dropped: 2x, not 4x
     def without_dagger(x):
+        x = csr(x)
         one = sp.identity(x.shape[0], dtype=complex, format="csr")
         return ((one + x) - (one - x)).tocsr()
 

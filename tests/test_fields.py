@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BOX, dirac_space, photon_space, scalar_space
+from conftest import BOX, csr, dirac_space, photon_space, scalar_space
 
 from boxqft.errors import BoxQFTError, ZeroMomentum
 from boxqft.fields import (GAMMA, PAULI, EMFieldConfig, GammaMatrices,
@@ -118,8 +118,8 @@ def test_dirac_equal_time_anticommutator():
     V = grid.volume
     x = FourVector(0.0, 0.0, 0.0, 0.4)
     y = FourVector(0.0, 0.0, 0.0, 1.1)
-    psi_x = dirac_field(space, x)
-    psi_y = dirac_field(space, y)
+    psi_x = [csr(op) for op in dirac_field(space, x)]
+    psi_y = [csr(op) for op in dirac_field(space, y)]
     box_delta = sum(np.exp(1j * grid.wavevector(n)[2] * (x.z - y.z))
                     for n in grid.modes) / V
     for a in range(4):
@@ -153,8 +153,8 @@ def test_scalar_canonical_commutator():
     V = grid.volume
     x = FourVector(0.0, 0, 0, 0.5)
     y = FourVector(0.0, 0, 0, 1.7)
-    phi = scalar_field(space, x)
-    pi = scalar_momentum(space, y)
+    phi = csr(scalar_field(space, x))
+    pi = csr(scalar_momentum(space, y))
     comm = (phi @ pi - pi @ phi).toarray()
     box_delta = sum(np.exp(1j * grid.wavevector(n)[2] * (x.z - y.z))
                     for n in grid.modes) / V
@@ -187,8 +187,8 @@ def test_stress_scalar_symmetric():
     x = FourVector(0.1, 0, 0, 0.3)
     for mu in range(4):
         for nu in range(mu, 4):
-            a = stress_tensor_scalar(space, mu, nu).at(x)
-            b = stress_tensor_scalar(space, nu, mu).at(x)
+            a = csr(stress_tensor_scalar(space, mu, nu).at(x))
+            b = csr(stress_tensor_scalar(space, nu, mu).at(x))
             d = (a - b)
             assert d.nnz == 0 or np.max(np.abs(d.data)) < 1e-14
 
@@ -198,7 +198,7 @@ def test_em_stress_traceless_operator_identity():
     x = FourVector(0.4, 0, 0, 0.7)
     trace = None
     for mu in range(4):
-        term = METRIC[mu, mu] * stress_tensor_em(space, mu, mu).at(x)
+        term = METRIC[mu, mu] * csr(stress_tensor_em(space, mu, mu).at(x))
         trace = term if trace is None else trace + term
     assert np.max(np.abs(trace.toarray())) < 1e-13
 
@@ -211,7 +211,7 @@ def test_em_poynting_structure():
     vac = vacuum_state(space)
     for i in (1, 2, 3):
         t0i = stress_tensor_em(space, 0, i)
-        mat = t0i.at(x)
+        mat = csr(t0i.at(x))
         assert np.max(np.abs((mat - mat.conjugate().transpose()).toarray())) < 1e-13
         assert abs(expectation(vac, mat)) < 1e-13
 
@@ -247,18 +247,18 @@ def test_observable_hermiticity():
     dspace = dirac_space(n_mode=2, mass=1.0)
     x = FourVector(0.0, 0, 0, 0.0)
     for mu in range(4):
-        mat = dirac_current_density(dspace, mu).at(x)
+        mat = csr(dirac_current_density(dspace, mu).at(x))
         assert np.max(np.abs((mat - mat.conjugate().transpose()).toarray())) < 1e-12
     sspace = scalar_space(n_mode=2, mass=0.5)
-    mat = scalar_bilinear_density(sspace).at(x)
+    mat = csr(scalar_bilinear_density(sspace).at(x))
     assert np.max(np.abs((mat - mat.conjugate().transpose()).toarray())) < 1e-12
 
 
 def test_field_strength_antisymmetry():
     space = photon_space(n_mode=1)
     x = FourVector(0.1, 0, 0, 0.6)
-    f12 = em_field_strength_density(space, 1, 2).at(x)
-    f21 = em_field_strength_density(space, 2, 1).at(x)
+    f12 = csr(em_field_strength_density(space, 1, 2).at(x))
+    f21 = csr(em_field_strength_density(space, 2, 1).at(x))
     assert np.max(np.abs((f12 + f21).toarray())) < 1e-14
 
 
@@ -270,8 +270,8 @@ def _ladder(space, slot):
     annihilator of mode slot - M."""
     mode = space.modes[slot % len(space.modes)]
     if slot < len(space.modes):
-        return space.creation(mode.channel, mode.n)
-    return space.annihilation(mode.channel, mode.n)
+        return csr(space.creation(mode.channel, mode.n))
+    return csr(space.annihilation(mode.channel, mode.n))
 
 
 def _product_loop(space, terms, coeffs):
@@ -307,7 +307,7 @@ def _at_oracle(density, x):
 
 def _assert_same_operator(new, ref):
     """Identical sparsity pattern, values within 1e-12 of the largest entry."""
-    new, ref = new.tocsr(), ref.tocsr()
+    new, ref = csr(new), ref.tocsr()
     new.sort_indices()
     ref.sort_indices()
     assert np.array_equal(new.indptr, ref.indptr)

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import BOX, dirac_space, photon_space, scalar_grid, scalar_space
+from conftest import (BOX, csr, dirac_space, photon_space, scalar_grid,
+                      scalar_space)
 
 from boxqft.errors import (BoxQFTError, DimensionMismatch, DimensionOverflow,
                            UnknownMode)
@@ -144,8 +145,9 @@ def test_occupations_beyond_int8_are_rejected():
     space = build_fock_space([("phi", grid)], 127, 127)
     assert space.dim == 128
     assert [space.state_index([v]) for v in range(128)] == list(range(128))
-    a = space.annihilation("phi", (1,))
-    comm = (a @ space.creation("phi", (1,)) - space.creation("phi", (1,)) @ a)
+    a = csr(space.annihilation("phi", (1,)))
+    c = csr(space.creation("phi", (1,)))
+    comm = (a @ c - c @ a)
     expected = np.eye(space.dim)
     expected[127, 127] = -127.0
     assert np.max(np.abs(comm.toarray() - expected)) < 1e-12
@@ -220,7 +222,7 @@ def test_fermionic_antisymmetry():
 
 def test_bosonic_commutator_below_cap():
     space = one_mode_space(n_max=4)
-    a = space.annihilation("phi", (1,))
+    a = csr(space.annihilation("phi", (1,)))
     comm = (a @ a.conjugate().transpose() - a.conjugate().transpose() @ a).toarray()
     # identity except the single diagonal element at the cap state
     expected = np.eye(space.dim, dtype=complex)
@@ -237,8 +239,8 @@ def test_fermionic_algebra_exact():
     eye = np.eye(space.dim)
     for i, m in enumerate(modes):
         for n in modes[i:]:
-            am = space.annihilation("psi", m)
-            an = space.annihilation("psi", n)
+            am = csr(space.annihilation("psi", m))
+            an = csr(space.annihilation("psi", n))
             anti = (am @ an.conjugate().transpose()
                     + an.conjugate().transpose() @ am).toarray()
             target = eye if m == n else 0 * eye
@@ -262,8 +264,8 @@ def test_free_hamiltonian_eigenvalues():
 
 def test_hamiltonian_commutes_with_momentum():
     space = scalar_space(n_mode=2, mass=1.0)
-    H = free_hamiltonian(space)
-    P = total_momentum(space, 3)
+    H = csr(free_hamiltonian(space))
+    P = csr(total_momentum(space, 3))
     comm = H @ P - P @ H
     assert comm.nnz == 0 or np.max(np.abs(comm.data)) == 0.0
 
@@ -296,7 +298,7 @@ def test_thermal_fermion_occupancy_exact():
 
 def test_expectation_values_and_commutator():
     space = one_mode_space(n_max=6)
-    a = space.annihilation("phi", (1,))
+    a = csr(space.annihilation("phi", (1,)))
     n_op = a.conjugate().transpose() @ a
     assert abs(expectation(vacuum_state(space), n_op)) < 1e-14
     one = basis_state(space, {("phi", (1,)): 1})

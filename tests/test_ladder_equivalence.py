@@ -16,7 +16,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BOX, dirac_space, photon_space, scalar_space
+from conftest import BOX, csr, dirac_space, photon_space, scalar_space
 
 from boxqft.errors import DimensionOverflow
 from boxqft.fock import FockSpace, ModeGrid, Species, build_fock_space
@@ -62,8 +62,8 @@ def assert_ladders_match_reference(space):
             got = space.ladder_map(mode.channel, mode.n, kind)
             for x, y in zip(got, maps[kind]):
                 assert np.array_equal(x, y) and _same_bits(x, y), (mode, kind)
-            mat = (space.annihilation if kind == "a" else space.creation)(
-                mode.channel, mode.n)
+            mat = csr((space.annihilation if kind == "a" else space.creation)(
+                mode.channel, mode.n))
             ref = mats[kind]
             assert mat.format == "csr" and mat.shape == ref.shape
             for attr in ("indptr", "indices", "data"):

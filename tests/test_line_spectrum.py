@@ -210,6 +210,39 @@ def test_detailed_balance_holds_on_every_line():
         assert in_bin == 2 and binned_defect(w0) > 1e-3
 
 
+@settings(max_examples=30, deadline=None)
+@given(species=st.sampled_from(["scalar", "dirac", "photon"]),
+       n_mode=st.integers(1, 2), mass=st.sampled_from([0.0, 0.4, 1.0]),
+       caps=st.sampled_from([(1, 2), (2, 2), (1, 3), (2, 3)]),
+       p3=st.integers(1, 3), beta=st.floats(0.2, 3.0), i=st.integers(0, 2))
+def test_detailed_balance_on_isolated_lines_random(species, n_mode, mass, caps,
+                                                   p3, beta, i):
+    space, densities = _random_space(species, n_mode, mass, caps)
+    X = densities[i % len(densities)]
+    Lp = line_spectrum(space, X, X, (0, 0, p3))
+    Lm = line_spectrum(space, X, X, (0, 0, -p3))
+    rp, cp, dep, vp = _transposed_entries(Lp, transpose=False)
+    rm, cm, dem, vm = _transposed_entries(Lm, transpose=True)
+    assert np.array_equal(rp, rm) and np.array_equal(cp, cm)
+    assert np.array_equal(vp, vm) and np.array_equal(dep, -dem)
+    w = thermal_state(space, beta).diagonal
+    rhs = np.exp(-beta * dep) * w[rp] * vp
+    assert np.all(np.abs(w[cp] * vm - rhs) <= 1e-12 * np.abs(rhs))
+
+    # the binned sample on a line with no other line of this p3 within a bin
+    # holds detailed balance to the pinned tolerance, relative to the size
+    # of the line's terms (a line's values may cancel)
+    dw = default_delta_omega(space)
+    lines = np.unique(np.round(dep, 9))
+    for w0 in lines[np.sum(np.abs(lines[:, None] - lines) <= dw / 2, axis=1) == 1]:
+        p0 = float(dep[np.argmin(np.abs(dep - w0))])
+        lhs, rhs, sample = fdt_ratio(space, X, FourVector(p0, 0, 0, p3 * U), beta)
+        on = np.abs(p0 - Lp.de) <= dw / 2
+        scale = np.sum(np.abs(w[Lp.row[on]] * Lp.value[on])) / space.volume
+        assert sample.term_count == np.count_nonzero(on) > 0
+        assert abs(lhs - rhs) <= 1e-10 * scale
+
+
 # ---------------------------------------------------------------------------
 # the memo is one slot, bounded and free of reference cycles
 

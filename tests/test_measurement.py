@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from conftest import (BOX, dirac_space, photon_space, sagnac_space,
+from conftest import (BOX, csr, dirac_space, photon_space, sagnac_space,
                       scalar_space)
 
 from boxqft.errors import BoxQFTError, DimensionOverflow, OffLatticeMomentum
@@ -190,6 +190,29 @@ def test_moments_density_operator_state():
         moments(rho, obs, n_max=7)
 
 
+def test_moments_defect_at_zero_mean():
+    # the vacuum is not an eigenstate of the plain-windowed phi: <S> = 0 but
+    # <S^2> = 2.888, so the defect must not read 0
+    space = scalar_space(n_mode=1, mass=1.0, caps=(2, 2))
+    obs = windowed_observable(scalar_density(space), MeasurementWindow(tau=1.0))
+    vac = vacuum_state(space)
+    projector = np.outer(vac.amplitudes, vac.amplitudes.conj())
+    for state in (vac, thermal_state(space, math.inf),
+                  DensityOperator(matrix=projector)):
+        res = moments(state, obs, n_max=4)
+        assert res.mean == 0
+        assert abs(res.values[1] - 2.88836579751364) < 1e-12
+        assert res.eigenstate_defect == max(abs(v) for v in res.values[1:])
+        assert res.eigenstate_defect > 1.0
+    # an eigenstate of eigenvalue 0 keeps a zero defect: the commensurate
+    # T00 window annihilates the vacuum
+    E = space.grid("phi").energy((1,))
+    t00 = windowed_observable(stress_tensor_scalar(space, 0, 0),
+                              MeasurementWindow(tau=commensurate_tau(E)))
+    res = moments(vac, t00, n_max=4)
+    assert res.mean == 0 and res.eigenstate_defect <= 1e-12
+
+
 
 @pytest.mark.parametrize("n_max", [0, -1])
 def test_moments_need_at_least_one_power(n_max):
@@ -255,7 +278,7 @@ def test_polarization_orthogonality():
     cfg = SagnacConfig(SagnacSpecies.PHOTON_V, 0.0, k3)
     space = photon_space(n_mode=1)
     state = sagnac_state(space, cfg)
-    cross = space.creation("H", (-1,)) @ space.annihilation("H", (1,))
+    cross = csr(space.creation("H", (-1,))) @ csr(space.annihilation("H", (1,)))
     assert abs(expectation(state, cross + cross.conjugate().transpose())) < 1e-14
 
 
