@@ -489,7 +489,10 @@ def thermal_state(space: FockSpace, beta: float) -> DensityOperator:
 
 
 def expectation(state, operator) -> complex:
-    """<psi|O|psi> or Tr(rho O), for an Operator or a dense matrix."""
+    """<psi|O|psi> or Tr(rho O), for an Operator, any matrix type with a
+    shape (scipy's included) or a dense array-like."""
+    if not hasattr(operator, "shape"):
+        operator = np.asarray(operator)
     dim = operator.shape[0]
     if isinstance(state, StateVector):
         if len(state.amplitudes) != dim:

@@ -129,8 +129,9 @@ def moments(state, S: QuadraticObservable, n_max: int = 4) -> MomentsResult:
 
     Reports the eigenstate defect over n = 2..n_max: max_n |<S^n> - <S>^n| /
     |<S>|^n, and at <S> = 0, where an eigenstate has eigenvalue 0 and every
-    moment vanishes, max_n |<S^n>| / <1> with <1> the state's squared norm
-    or trace.  The defect vanishes iff the state is an eigenstate of S.
+    moment vanishes, max_n |<S^n>| / (<1> s^n) with <1> the state's squared
+    norm or trace and s = max_ij |S_ij|.  Both are unchanged when S is
+    rescaled, and vanish iff the state is an eigenstate of S.
     """
     if n_max < 1:
         raise BoxQFTError(f"moments need n_max >= 1, not {n_max!r}")
@@ -167,11 +168,13 @@ def moments(state, S: QuadraticObservable, n_max: int = 4) -> MomentsResult:
         raise BoxQFTError(f"unsupported state type {type(state)!r}")
     mean = vals[0]
     defect = 0.0
-    for n in range(2, n_max + 1):
-        if abs(mean) > 0:
+    if abs(mean) > 0:
+        for n in range(2, n_max + 1):
             defect = max(defect, abs(vals[n - 1] - mean ** n) / abs(mean) ** n)
-        else:
-            defect = max(defect, abs(vals[n - 1]) / norm)
+    elif mat.nnz:                               # S = 0 has every state as eigenstate
+        s = float(np.max(np.abs(mat.value)))
+        for n in range(2, n_max + 1):
+            defect = max(defect, abs(vals[n - 1]) / (norm * s ** n))
     return MomentsResult(tuple(vals), float(defect))
 
 

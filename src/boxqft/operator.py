@@ -86,11 +86,6 @@ class Operator:
     def shape(self):
         return (self.dim, self.dim)
 
-    def toarray(self) -> np.ndarray:
-        out = np.zeros(self.shape, dtype=complex)
-        out[self.row, self.col] = self.value
-        return out
-
     def diagonal(self) -> np.ndarray:
         out = np.zeros(self.dim, dtype=complex)
         on = self.row == self.col
@@ -109,8 +104,6 @@ class Operator:
         order = np.argsort(bt)                      # keys are unique
         bt = bt[order]
         key = self.row * self.dim + self.col
-        if np.array_equal(bt, key):                 # mirror-symmetric patterns
-            return np.ones(len(key), dtype=bool), order
         at = np.searchsorted(bt, key)
         # a sentinel that matches no key keeps every search result an index
         bt, order = np.append(bt, -1), np.append(order, 0)

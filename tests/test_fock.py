@@ -106,7 +106,7 @@ def test_ladder_map_matches_matrix():
             assert np.all(np.diff(src) > 0)
             rebuilt = np.zeros((space.dim, space.dim), dtype=complex)
             rebuilt[tgt, src] = amp
-            assert np.array_equal(rebuilt, mat.toarray())
+            assert np.array_equal(rebuilt, csr(mat).toarray())
 
 
 def test_state_index_rejects_rows_outside_the_basis(monkeypatch):
@@ -311,6 +311,20 @@ def test_expectation_values_and_commutator():
     E = space.grid("phi").energy((1,))
     val = (expectation(rho, aad) - expectation(rho, ada)).real
     assert abs(val - 1.0) < 10 * math.exp(-beta * E * 6)
+
+
+def test_expectation_accepts_every_operator_form():
+    # an Operator, a scipy matrix, an ndarray and nested lists give one value
+    space = one_mode_space(n_max=3)
+    H = free_hamiltonian(space)
+    dense = csr(H).toarray()
+    forms = (H, csr(H), dense, dense.tolist())
+    one = basis_state(space, {("phi", (1,)): 1})
+    rho = thermal_state(space, 1.5)
+    full = DensityOperator(matrix=np.diag(rho.diagonal.astype(complex)))
+    for state in (one, rho, full):
+        vals = [expectation(state, op) for op in forms]
+        assert all(abs(v - vals[0]) <= 1e-15 * abs(vals[0]) for v in vals)
 
 
 def test_expectation_dimension_mismatch():

@@ -10,9 +10,10 @@ from conftest import (BOX, csr, dirac_space, photon_space, sagnac_space,
                       scalar_space)
 
 from boxqft.errors import BoxQFTError, DimensionOverflow, OffLatticeMomentum
-from boxqft.fields import (dirac_current_density, em_field_strength_density,
-                           scalar_bilinear_density, scalar_density,
-                           stress_tensor_em, stress_tensor_scalar)
+from boxqft.fields import (QuadraticObservable, dirac_current_density,
+                           em_field_strength_density, scalar_bilinear_density,
+                           scalar_density, stress_tensor_em,
+                           stress_tensor_scalar)
 from boxqft.fock import (DensityOperator, SagnacConfig, SagnacSpecies,
                          basis_state, expectation, sagnac_state, thermal_state,
                          vacuum_state)
@@ -193,8 +194,13 @@ def test_moments_density_operator_state():
 def test_moments_defect_at_zero_mean():
     # the vacuum is not an eigenstate of the plain-windowed phi: <S> = 0 but
     # <S^2> = 2.888, so the defect must not read 0
+    # (scaled by max |S_ij|^n, so shrinking S cannot hide it under a tolerance)
     space = scalar_space(n_mode=1, mass=1.0, caps=(2, 2))
     obs = windowed_observable(scalar_density(space), MeasurementWindow(tau=1.0))
+    s = np.max(np.abs(obs.matrix().value))
+    terms = obs.terms.copy()
+    terms["coeff"] *= 1e-6
+    tiny = QuadraticObservable(space, obs.label, terms)
     vac = vacuum_state(space)
     projector = np.outer(vac.amplitudes, vac.amplitudes.conj())
     for state in (vac, thermal_state(space, math.inf),
@@ -202,8 +208,13 @@ def test_moments_defect_at_zero_mean():
         res = moments(state, obs, n_max=4)
         assert res.mean == 0
         assert abs(res.values[1] - 2.88836579751364) < 1e-12
-        assert res.eigenstate_defect == max(abs(v) for v in res.values[1:])
-        assert res.eigenstate_defect > 1.0
+        assert res.eigenstate_defect == max(abs(v) / s ** n for n, v in
+                                            enumerate(res.values[1:], 2))
+        assert res.eigenstate_defect > 0.1
+        small = moments(state, tiny, n_max=4)
+        assert small.mean == 0 and abs(small.values[1]) < 1e-10
+        assert small.eigenstate_defect == pytest.approx(res.eigenstate_defect,
+                                                        rel=1e-12)
     # an eigenstate of eigenvalue 0 keeps a zero defect: the commensurate
     # T00 window annihilates the vacuum
     E = space.grid("phi").energy((1,))
@@ -237,7 +248,7 @@ def test_thermal_moments_match_dense_oracle(cell):
             dirac_current_density(space, 3), FourVector(0.4, 0, 0, 2.0),
             MeasurementWindow(tau=BOX))
     rho = thermal_state(space, 0.8)
-    S = obs.matrix().toarray()
+    S = csr(obs.matrix()).toarray()
     norm = np.linalg.norm(S, 2)
     dense_rho = DensityOperator(matrix=np.diag(rho.diagonal.astype(complex)))
     for n_max in range(1, 7):
