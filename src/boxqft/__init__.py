@@ -14,20 +14,18 @@ from .errors import (BoxQFTError, ConfigInvalid, DegenerateBasis,
                      OffLatticeMomentum, RequiresCanonicalFrame, UnknownMode,
                      ZeroMomentum)
 from .spacetime import (CTPTime, Contour, FourVector, IntervalClass, boost,
-                        boost_matrix, classify_interval, ctp_contour, ctp_less,
+                        boost_matrix, classify_interval, ctp_contour,
                         minkowski_dot)
-from .fock import (DensityOperator, FockSpace, ModeGrid, ModeOperator,
-                   SagnacConfig, SagnacSpecies, Species, StateVector,
-                   basis_state, build_fock_space, expectation,
-                   free_hamiltonian, mode_operator, sagnac_state,
-                   thermal_state, total_momentum, vacuum_state)
-from .fields import (EMFieldConfig, GammaMatrices, QuadraticDensity,
-                     QuadraticObservable, Spinor, current_matrices,
-                     dirac_current_density, dirac_field, dirac_space_channels,
-                     em_field_strength_density, photon_space_channels,
-                     scalar_bilinear_density, scalar_density, scalar_field,
-                     scalar_momentum, spinor_u, spinor_v,
-                     stress_tensor_em, stress_tensor_scalar)
+from .fock import (DensityOperator, FockSpace, ModeGrid, SagnacConfig,
+                   SagnacSpecies, Species, StateVector, basis_state,
+                   build_fock_space, expectation, free_hamiltonian,
+                   sagnac_state, thermal_state, total_momentum, vacuum_state)
+from .fields import (EMFieldConfig, QuadraticObservable, Spinor,
+                     current_matrices, dirac_current_density, dirac_field,
+                     dirac_space_channels, em_field_strength_density,
+                     photon_space_channels, scalar_bilinear_density,
+                     scalar_density, scalar_momentum_density, spinor_u,
+                     spinor_v, stress_tensor_em, stress_tensor_scalar)
 from .correlators import (CTPPropagator, Insertion, KeldyshPropagator,
                           OrderingScheme, ThreePointResult,
                           exact_contour_correlator, free_propagator,

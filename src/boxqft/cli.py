@@ -73,6 +73,11 @@ DEFAULT_CONFIG: Dict = {
 }
 
 
+def _above(val, lo) -> bool:
+    """val is an int or a float, not a bool, and greater than lo."""
+    return isinstance(val, (int, float)) and not isinstance(val, bool) and val > lo
+
+
 def merge_config(overrides: Optional[dict]) -> dict:
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
     if not overrides:
@@ -91,13 +96,28 @@ def merge_config(overrides: Optional[dict]) -> dict:
             cfg[key] = val
     if cfg["format"] not in ("csv", "json"):
         raise ConfigInvalid(f"format must be csv or json, not {cfg['format']!r}")
-    # counts that would otherwise pass vacuously (0 draws, tau = 0) or crash
-    for section, key, hi in (("noiseless", "n_random", math.inf),
-                             ("sagnac", "n_periods", math.inf), ("sagnac", "n_max", 6)):
+    # values that would otherwise pass vacuously (0 draws, tau = 0, no beta)
+    # or crash (an empty grid, a fit through one point, beta or volume 0)
+    for section, key, lo, hi in (("noiseless", "n_random", 1, math.inf),
+                                 ("noiseless", "n_max_mode", 1, math.inf),
+                                 ("suppression", "n_max_mode", 1, math.inf),
+                                 ("scaling", "n_points", 2, math.inf),
+                                 ("sagnac", "n_periods", 1, math.inf),
+                                 ("sagnac", "n_max", 1, 6)):
         val = cfg[section][key]
-        if isinstance(val, bool) or not isinstance(val, int) or not 1 <= val <= hi:
+        if isinstance(val, bool) or not isinstance(val, int) or not lo <= val <= hi:
             raise ConfigInvalid(f"{section}.{key} must be an integer in "
-                                f"[1, {hi}], not {val!r}")
+                                f"[{lo}, {hi}], not {val!r}")
+    for section, key, lo in (("fdt", "betas", 0.0), ("wick", "betas", 0.0),
+                             ("homodyne", "sigmas", 0.0),
+                             ("homodyne", "alphas", -math.inf)):
+        val = cfg[section][key]
+        if not (isinstance(val, list) and val and all(_above(v, lo) for v in val)):
+            raise ConfigInvalid(f"{section}.{key} must be a non-empty list of "
+                                f"numbers > {lo}, not {val!r}")
+    if not _above(cfg["scaling"]["volume"], 0.0):
+        raise ConfigInvalid(f"scaling.volume must be a number > 0, not "
+                            f"{cfg['scaling']['volume']!r}")
     return cfg
 
 

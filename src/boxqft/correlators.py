@@ -41,6 +41,9 @@ class Insertion:
 
 
 def insertion(space: FockSpace, channel: str, n, kind: str, time: CTPTime) -> Insertion:
+    if kind not in ("a", "c"):
+        raise BoxQFTError(f"ladder kind must be 'a' (annihilate) or 'c' "
+                          f"(create), not {kind!r}")
     n = tuple(n)
     grid = space.grid(channel)
     return Insertion(kind=kind, species=grid.species, mode=(channel, n),

@@ -57,22 +57,6 @@ GAMMA = (
 )
 
 
-@dataclass(frozen=True)
-class GammaMatrices:
-    gamma: Tuple[np.ndarray, ...] = GAMMA
-    pauli: Tuple[np.ndarray, ...] = PAULI
-
-    def anticommutator_defect(self) -> float:
-        """max |{g^mu, g^nu} - 2 g^{mu nu}| over all index pairs."""
-        worst = 0.0
-        for mu in range(4):
-            for nu in range(4):
-                acomm = self.gamma[mu] @ self.gamma[nu] + self.gamma[nu] @ self.gamma[mu]
-                worst = max(worst, float(np.max(np.abs(
-                    acomm - 2 * METRIC[mu, nu] * np.eye(4)))))
-        return worst
-
-
 def current_matrices() -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The 4x4 spinor matrices of the current components j^mu.
 
@@ -231,14 +215,10 @@ def _assemble(space: FockSpace, terms: np.ndarray, coeffs) -> Operator:
 
 
 class QuadraticObservable:
-    """Windowed field bilinear: coefficients over slot pairs.
-
-    ``terms`` is a TERM_DTYPE array of (left, right, coeff) records, one per
-    operator product op(left) op(right) (left = -1 for a single operator).
-    Realized lazily as one Operator, assembled in a single pass from the
-    ladder operators' index maps (all sign conventions ride on the operator
-    algebra).
-    """
+    """A field bilinear as TERM_DTYPE records (see the module docstring).
+    The builders below return densities S(x), evaluated with .at(x); a
+    window (boxqft.measurement) weights the terms into the windowed
+    observable.  .matrix() realizes the terms as they stand, once."""
 
     def __init__(self, space: FockSpace, label: str, terms,
                  vacuum_subtraction: complex = 0.0):
@@ -247,6 +227,9 @@ class QuadraticObservable:
         self.terms = np.asarray(terms, dtype=TERM_DTYPE)
         self.vacuum_subtraction = vacuum_subtraction
         self._matrix: Optional[Operator] = None
+        # momentum blocks and line spectra of the Lehmann sum for the last
+        # lattice pair {lat, -lat} asked about (boxqft.spectral)
+        self._momentum_slot = None
 
     def matrix(self) -> Operator:
         if self._matrix is None:
@@ -255,29 +238,6 @@ class QuadraticObservable:
 
     def hermiticity_defect(self) -> float:
         return self.matrix().hermiticity_defect()
-
-    def apply(self, amplitudes: np.ndarray) -> np.ndarray:
-        return self.matrix() @ amplitudes
-
-
-class QuadraticDensity:
-    """Spacetime density S(x): term t carries the phase e^{i q_t.x}, with
-    q_t = Q[left_t] + Q[right_t] the sum of its slots' transfers.
-
-    Evaluate at a point with .at(x) or integrate against measurement windows
-    (module boxqft.measurement).  Densities are normal-ordered; the dropped
-    vacuum constant is kept in .vacuum_subtraction for bookkeeping.
-    """
-
-    def __init__(self, space: FockSpace, label: str, terms,
-                 vacuum_subtraction: complex = 0.0):
-        self.space = space
-        self.label = label
-        self.terms = np.asarray(terms, dtype=TERM_DTYPE)
-        self.vacuum_subtraction = vacuum_subtraction
-        # momentum blocks and line spectra of the Lehmann sum for the last
-        # lattice pair {lat, -lat} asked about (boxqft.spectral)
-        self._momentum_slot = None
 
     def transfers(self) -> Tuple[np.ndarray, np.ndarray]:
         """Four-momentum (n_terms, 4) and lattice (n_terms, 3) transfer of
@@ -295,7 +255,7 @@ class QuadraticDensity:
         return _assemble(self.space, self.terms, self.terms["coeff"] * phase)
 
     def weighted(self, label: str, factor: np.ndarray) -> QuadraticObservable:
-        """Observable with coefficients coeff * factor per term; terms whose
+        """The bilinear with coefficients coeff * factor per term; terms whose
         product is exactly zero are dropped."""
         coeff = self.terms["coeff"] * factor
         keep = coeff != 0
@@ -305,13 +265,13 @@ class QuadraticDensity:
                                    vacuum_subtraction=self.vacuum_subtraction)
 
 
-def _linear(space: FockSpace, label: str, ell: np.ndarray) -> QuadraticDensity:
+def _linear(space: FockSpace, label: str, ell: np.ndarray) -> QuadraticObservable:
     """Density of a linear field component, one term per nonzero slot."""
     right = np.flatnonzero(ell)
-    return QuadraticDensity(space, label, _terms(-1, right, ell[right]))
+    return QuadraticObservable(space, label, _terms(-1, right, ell[right]))
 
 
-def _quadratic(space: FockSpace, label: str, W: np.ndarray) -> QuadraticDensity:
+def _quadratic(space: FockSpace, label: str, W: np.ndarray) -> QuadraticObservable:
     """Normal-ordered density of sum_{s,t} W[s,t] op(s) op(t).
 
     Creator slots come first, so reordering each product as creators left,
@@ -330,11 +290,11 @@ def _quadratic(space: FockSpace, label: str, W: np.ndarray) -> QuadraticDensity:
     left, right = np.nonzero(N)
     contractions = np.diagonal(W[M:, :M])
     vacuum = complex(math.fsum(contractions.real), math.fsum(contractions.imag))
-    return QuadraticDensity(space, label, _terms(left, right, N[left, right]),
-                            vacuum_subtraction=vacuum)
+    return QuadraticObservable(space, label, _terms(left, right, N[left, right]),
+                               vacuum_subtraction=vacuum)
 
 
-def _symmetrized(space: FockSpace, label: str, W: np.ndarray) -> QuadraticDensity:
+def _symmetrized(space: FockSpace, label: str, W: np.ndarray) -> QuadraticObservable:
     """Both operator orders averaged, which keeps a bosonic composite
     Hermitian; the commutator constants land in the vacuum subtraction."""
     return _quadratic(space, label, 0.5 * (W + W.T))
@@ -357,34 +317,25 @@ def _scalar_slots(space: FockSpace, channel: str) -> np.ndarray:
     return out
 
 
-def scalar_field(space: FockSpace, x: FourVector, channel: str = "phi") -> Operator:
-    """phi(x) as a Fock operator."""
-    return scalar_density(space, channel).at(x)
-
-
-def scalar_density(space: FockSpace, channel: str = "phi") -> QuadraticDensity:
+def scalar_density(space: FockSpace, channel: str = "phi") -> QuadraticObservable:
     """The field phi itself as a (linear) observable density."""
     return _linear(space, "phi", _scalar_slots(space, channel))
 
 
-def scalar_momentum_density(space: FockSpace, channel: str = "phi") -> QuadraticDensity:
+def scalar_momentum_density(space: FockSpace, channel: str = "phi") -> QuadraticObservable:
     """Conjugate momentum pi = d_t phi."""
     Q, _ = _slot_transfers(space)
     return _linear(space, "pi", _scalar_slots(space, channel) * 1j * Q[:-1, 0])
 
 
-def scalar_momentum(space: FockSpace, x: FourVector, channel: str = "phi") -> Operator:
-    return scalar_momentum_density(space, channel).at(x)
-
-
-def scalar_bilinear_density(space: FockSpace, channel: str = "phi") -> QuadraticDensity:
+def scalar_bilinear_density(space: FockSpace, channel: str = "phi") -> QuadraticObservable:
     """Normal-ordered :phi^2:(x)."""
     ell = _scalar_slots(space, channel)
     return _symmetrized(space, "phi2", np.multiply.outer(ell, ell))
 
 
 def stress_tensor_scalar(space: FockSpace, mu: int, nu: int,
-                         channel: str = "phi") -> QuadraticDensity:
+                         channel: str = "phi") -> QuadraticObservable:
     """T^{mu nu} = d^mu phi d^nu phi - g^{mu nu}(d phi . d phi - m^2 phi^2)/2.
 
     Derivatives act analytically: a slot with transfer q picks up i*q^mu.
@@ -447,7 +398,7 @@ def dirac_field(space: FockSpace, x: FourVector) -> List[Operator]:
     return [_linear(space, f"psi{alpha}", psi[alpha]).at(x) for alpha in range(4)]
 
 
-def dirac_current_density(space: FockSpace, mu: int) -> QuadraticDensity:
+def dirac_current_density(space: FockSpace, mu: int) -> QuadraticObservable:
     """Normal-ordered current component :j^mu: = :psi+ J^mu psi:.
 
     Uses the explicit spinor-matrix form of the current (J^0 = Id,
@@ -497,7 +448,7 @@ def _em_vector_slots(space: FockSpace, config: EMFieldConfig) -> np.ndarray:
 
 
 def stress_tensor_em(space: FockSpace, mu: int, nu: int,
-                     config: Optional[EMFieldConfig] = None) -> QuadraticDensity:
+                     config: Optional[EMFieldConfig] = None) -> QuadraticObservable:
     """EM stress tensor from the covariant definition, expressed in E and B:
 
         T^{00} = (|E|^2+|B|^2)/2
@@ -532,7 +483,8 @@ def stress_tensor_em(space: FockSpace, mu: int, nu: int,
 
 
 def em_field_strength_density(space: FockSpace, mu: int, nu: int,
-                              config: Optional[EMFieldConfig] = None) -> QuadraticDensity:
+                              config: Optional[EMFieldConfig] = None,
+                              ) -> QuadraticObservable:
     """F^{mu nu} = d^mu A^nu - d^nu A^mu as a linear observable density."""
     Q, _ = _slot_transfers(space)
     A = _em_vector_slots(space, config or EMFieldConfig())

@@ -193,9 +193,6 @@ class FockSpace:
         except KeyError:
             raise UnknownMode(f"unknown channel {channel!r}")
 
-    def is_fermionic(self, channel: str) -> bool:
-        return self.grid(channel).species is Species.FERMION
-
     @property
     def volume(self) -> float:
         return self.channels[0][1].volume
@@ -245,7 +242,11 @@ class FockSpace:
         most one image, so products of ladder operators compose on these
         index arrays.  These are the arrays of the cached operator, realized
         through annihilation/creation, so they are shared, not copied.
+        kind is "a" (annihilate) or "c" (create).
         """
+        if kind not in ("a", "c"):
+            raise BoxQFTError(f"ladder kind must be 'a' (annihilate) or 'c' "
+                              f"(create), not {kind!r}")
         op = (self.creation if kind == "c" else self.annihilation)(channel, n)
         return op.col, op.row, op.value
 
@@ -371,23 +372,6 @@ def build_fock_space(channels, n_max_per_mode: int = 4, n_max_total: int = 4,
     return FockSpace(channels, n_max_per_mode, n_max_total, dim_limit)
 
 
-@dataclass(frozen=True)
-class ModeOperator:
-    """Index-triplet realization of one ladder operator."""
-    matrix: Operator
-    kind: str                    # "a" annihilate / "c" create
-    channel: str
-    n: Tuple[int, ...]
-
-
-def mode_operator(space: FockSpace, channel: str, n, kind: str) -> ModeOperator:
-    if kind not in ("a", "c"):
-        raise BoxQFTError("kind must be 'a' (annihilate) or 'c' (create)")
-    mat = space.annihilation(channel, tuple(n)) if kind == "a" \
-        else space.creation(channel, tuple(n))
-    return ModeOperator(matrix=mat, kind=kind, channel=channel, n=tuple(n))
-
-
 # ---------------------------------------------------------------------------
 # states
 
@@ -439,12 +423,6 @@ class DensityOperator:
                 raise BoxQFTError("density matrix not positive semidefinite")
 
 
-def vacuum_state(space: FockSpace) -> StateVector:
-    amp = np.zeros(space.dim, dtype=complex)
-    amp[space.state_index(np.zeros(len(space.modes), dtype=np.int8))] = 1.0
-    return StateVector(amp)
-
-
 def basis_state(space: FockSpace, occupation: Dict[Tuple[str, Tuple[int, ...]], int]) -> StateVector:
     occ = np.zeros(len(space.modes), dtype=np.int8)
     for (ch, n), v in occupation.items():
@@ -452,6 +430,10 @@ def basis_state(space: FockSpace, occupation: Dict[Tuple[str, Tuple[int, ...]], 
     amp = np.zeros(space.dim, dtype=complex)
     amp[space.state_index(occ)] = 1.0
     return StateVector(amp)
+
+
+def vacuum_state(space: FockSpace) -> StateVector:
+    return basis_state(space, {})
 
 
 def free_hamiltonian(space: FockSpace) -> Operator:
@@ -572,12 +554,7 @@ def sagnac_state(space: FockSpace, config: SagnacConfig) -> StateVector:
     for ch, nn in ((ch1, n1), (ch2, n2)):
         if (ch, nn) not in space.mode_index:
             raise UnknownMode(f"mode {nn} missing on channel {ch!r}")
-    amp = np.zeros(space.dim, dtype=complex)
-    occ = np.zeros(len(space.modes), dtype=np.int8)
-    occ[space.mode_index[(ch1, n1)]] = 1
-    amp[space.state_index(occ)] += 1.0
-    occ[:] = 0
-    occ[space.mode_index[(ch2, n2)]] = 1
-    amp[space.state_index(occ)] += rel_sign * np.exp(1j * config.phase)
+    amp = basis_state(space, {(ch1, n1): 1}).amplitudes + rel_sign * \
+        np.exp(1j * config.phase) * basis_state(space, {(ch2, n2): 1}).amplitudes
     amp /= np.linalg.norm(amp)
     return StateVector(amp)

@@ -18,11 +18,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import BoxQFTError, DimensionOverflow
-from .fields import (QuadraticDensity, QuadraticObservable,
-                     dirac_current_density, stress_tensor_em,
-                     stress_tensor_scalar)
+from .fields import (QuadraticObservable, dirac_current_density,
+                     stress_tensor_em, stress_tensor_scalar)
 from .fock import (DensityOperator, FockSpace, SagnacConfig, SagnacSpecies,
-                   StateVector, expectation, sagnac_state, vacuum_state)
+                   StateVector, expectation, sagnac_state)
 from .operator import Operator
 from .spacetime import FourVector, IntervalClass, classify_interval
 
@@ -76,7 +75,8 @@ def _spatial_factor(space: FockSpace, lattice: np.ndarray, target,
         np.exp(-0.5 * w.sigma_x ** 2 * np.sum(d * d, axis=1))
 
 
-def windowed_observable(S: QuadraticDensity, w: MeasurementWindow) -> QuadraticObservable:
+def windowed_observable(S: QuadraticObservable,
+                        w: MeasurementWindow) -> QuadraticObservable:
     """S integrated over the box and the time window (plain weight)."""
     q, lat = S.transfers()
     factor = _spatial_factor(S.space, lat, (0, 0, 0), w, q, np.zeros(3)) * \
@@ -84,7 +84,7 @@ def windowed_observable(S: QuadraticDensity, w: MeasurementWindow) -> QuadraticO
     return S.weighted(f"{S.label}|win", factor)
 
 
-def spacelike_windowed_observable(S: QuadraticDensity, p: FourVector,
+def spacelike_windowed_observable(S: QuadraticObservable, p: FourVector,
                                   w: MeasurementWindow) -> QuadraticObservable:
     """Cosine-modulated window: integral of cos(x.p) S(x) over box and tau.
 
@@ -183,12 +183,14 @@ def vacuum_variance(space: FockSpace, S: QuadraticObservable) -> float:
     return operator_vacuum_variance(space, S.matrix())
 
 
-def operator_vacuum_variance(space: FockSpace, mat) -> float:
-    """<0|O^2|0> - <0|O|0>^2 for a Hermitian Fock-space matrix O."""
-    vac = vacuum_state(space).amplitudes
-    sv = mat @ vac
-    mean = complex(np.vdot(vac, sv))
-    return float(np.vdot(sv, sv).real - abs(mean) ** 2)
+def operator_vacuum_variance(space: FockSpace, mat: Operator) -> float:
+    """<0|O^2|0> - <0|O|0>^2 for a Hermitian Fock-space operator O.  O|0>
+    is O's column at the vacuum, so this is sum_i |O_i0|^2 - |O_00|^2."""
+    vac = space.state_index(np.zeros(len(space.modes), dtype=np.int8))
+    on = mat.col == vac
+    column = mat.value[on]
+    mean = column[mat.row[on] == vac].sum()
+    return float(np.vdot(column, column).real - abs(mean) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +275,8 @@ def _timelike_leakage(pbar3: float, sigma_t: float, envelope: str,
 
 def localization_effect(pbar: FourVector, sigmas: Sequence[float],
                         envelope: str = "gauss",
-                        density: Optional[QuadraticDensity] = None) -> LocalizationReport:
+                        density: Optional[QuadraticObservable] = None,
+                        ) -> LocalizationReport:
     """Leakage of a localized readout window into the time-like region.
 
     For each time width sigma_t: the normalized leakage weight of

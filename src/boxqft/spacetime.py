@@ -56,9 +56,6 @@ class FourVector:
 
     __rmul__ = __mul__
 
-    def dot(self, other: "FourVector") -> float:
-        return minkowski_dot(self, other)
-
     def norm_sq_euclidean(self) -> float:
         return self.t ** 2 + self.x ** 2 + self.y ** 2 + self.z ** 2
 
@@ -145,9 +142,6 @@ class Contour:
     branches: tuple
     matsubara_beta: float
 
-    def branch(self, index: int) -> ContourBranch:
-        return self.branches[index]
-
     def time(self, branch: int, t: float) -> CTPTime:
         """Place a real time t on the given branch."""
         b = self.branches[branch]
@@ -155,11 +149,6 @@ class Contour:
         # strictly increasing parameter along the whole contour
         frac = (math.atan(b.direction * float(np.real(t))) + math.pi / 2) / math.pi
         return CTPTime(branch=branch, t=complex(t), s=branch + frac)
-
-
-def ctp_less(a: CTPTime, b: CTPTime) -> bool:
-    """True when a precedes b along the contour."""
-    return a.s < b.s
 
 
 def ctp_contour(beta: float, branch_count: int = 2) -> Contour:

@@ -24,8 +24,8 @@ weighted sum, dominant weight, count).  Entries keep the product's row-major
 order, so every sum adds the same numbers in the same order as a sum over a
 freshly built product.
 
-Each QuadraticDensity holds one memo slot for the pair {lat, -lat} it was
-last asked about: at most two block observables, realized through
+Each density holds one memo slot for the pair {lat, -lat} it was last asked
+about: at most two block observables, realized through
 QuadraticObservable.matrix(), and its auto line spectra (Y is X) at +-lat.
 A request for another |lat| replaces the slot, so memory stays bounded; once
 both auto spectra exist the blocks are released.  Cross spectra are built
@@ -42,7 +42,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import BoxQFTError
-from .fields import QuadraticDensity, QuadraticObservable
+from .fields import QuadraticObservable
 from .fock import FockSpace, thermal_state
 from .operator import Operator
 from .spacetime import FourVector, minkowski_dot
@@ -103,7 +103,7 @@ class _MomentumSlot:
         self.lines: Dict[Tuple[int, int, int], LineSpectrum] = {}
 
 
-def _slot(density: QuadraticDensity, lat: Tuple[int, int, int]) -> _MomentumSlot:
+def _slot(density: QuadraticObservable, lat: Tuple[int, int, int]) -> _MomentumSlot:
     """The density's memo for the pair {lat, -lat}; a request for another
     pair replaces it."""
     key = frozenset((lat, tuple(-v for v in lat)))
@@ -113,7 +113,7 @@ def _slot(density: QuadraticDensity, lat: Tuple[int, int, int]) -> _MomentumSlot
     return slot
 
 
-def _momentum_block(space: FockSpace, density: QuadraticDensity,
+def _momentum_block(space: FockSpace, density: QuadraticObservable,
                     lattice_target: Tuple[int, int, int]):
     """Fock operator of int_V e^{-ip.x} X(0,x) dx: keeps terms whose spatial
     transfer equals -p (lattice units), weighted by the volume.  Built once
@@ -136,7 +136,8 @@ def _line_spectrum(space: FockSpace, A: Operator, B: Operator) -> LineSpectrum:
                         value=prod.value)
 
 
-def line_spectrum(space: FockSpace, X: QuadraticDensity, Y: QuadraticDensity,
+def line_spectrum(space: FockSpace, X: QuadraticObservable,
+                  Y: QuadraticObservable,
                   lat: Tuple[int, int, int]) -> LineSpectrum:
     """Line spectrum of A = X(-lat), B = Y(lat).
 
@@ -167,8 +168,8 @@ def default_delta_omega(space: FockSpace) -> float:
     return quantum / 8.0
 
 
-def lehmann_spectral_density(space: FockSpace, X: QuadraticDensity,
-                             Y: QuadraticDensity, p: FourVector, beta: float,
+def lehmann_spectral_density(space: FockSpace, X: QuadraticObservable,
+                             Y: QuadraticObservable, p: FourVector, beta: float,
                              delta_omega: Optional[float] = None) -> SpectralSample:
     """Box-normalized eigenstate double sum for G_XY(p).
 
@@ -190,7 +191,7 @@ def lehmann_spectral_density(space: FockSpace, X: QuadraticDensity,
                           Y.label, NORM_TAG, dom, count, delta_omega)
 
 
-def fdt_ratio(space: FockSpace, X: QuadraticDensity, p: FourVector,
+def fdt_ratio(space: FockSpace, X: QuadraticObservable, p: FourVector,
               beta: float, delta_omega: Optional[float] = None):
     """(G(-p), e^{-beta p0} G(p)) for the detailed-balance check."""
     g_plus = lehmann_spectral_density(space, X, X, p, beta, delta_omega)
@@ -198,7 +199,7 @@ def fdt_ratio(space: FockSpace, X: QuadraticDensity, p: FourVector,
     return g_minus.G, math.exp(-beta * p.t) * g_plus.G, g_plus
 
 
-def suppression_slope(space: FockSpace, X: QuadraticDensity, p: FourVector,
+def suppression_slope(space: FockSpace, X: QuadraticObservable, p: FourVector,
                       betas: Sequence[float]) -> Tuple[float, float, List[Tuple[float, float]]]:
     """Least-squares beta-slope of log|G| at fixed space-like p.
 

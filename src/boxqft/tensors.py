@@ -24,18 +24,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import (BoxQFTError, DegenerateBasis, RequiresCanonicalFrame)
-from .spacetime import (METRIC, FourVector, IntervalClass, boost_matrix,
+from .spacetime import (METRIC, FourVector, IntervalClass, boost, boost_matrix,
                         classify_interval, minkowski_dot)
 
 # rank-4 Levi-Civita symbol from permutation parity, eps^{0123} = +1
 import itertools as _it
 
-_EPS4 = np.zeros((4, 4, 4, 4))
+EPSILON4 = np.zeros((4, 4, 4, 4))
 for _p in _it.permutations(range(4)):
     _inv = sum(1 for i in range(4) for j in range(i + 1, 4) if _p[i] > _p[j])
-    _EPS4[_p] = -1.0 if _inv % 2 else 1.0
-
-EPSILON4 = _EPS4
+    EPSILON4[_p] = -1.0 if _inv % 2 else 1.0
 
 
 @dataclass(frozen=True)
@@ -369,9 +367,7 @@ def canonical_boost(p: FourVector) -> Tuple[np.ndarray, FourVector]:
     if classify_interval(p) is not IntervalClass.SPACELIKE:
         raise RequiresCanonicalFrame("canonical frame exists for space-like p only")
     chi = math.atanh(p.t / p.z)
-    lam = boost_matrix(chi, 3)
-    p_can = FourVector.from_array(lam @ p.as_array())
-    return lam, p_can
+    return boost_matrix(chi, 3), boost(p, chi, 3)
 
 
 def boost_tensor(values: np.ndarray, lam: np.ndarray) -> np.ndarray:

@@ -13,13 +13,13 @@ import numpy as np
 
 from conftest import csr
 
-from boxqft.fields import QuadraticDensity
+from boxqft.fields import QuadraticObservable
 from boxqft.fock import FockSpace
 from boxqft.spacetime import FourVector
 from boxqft.spectral import default_delta_omega
 
 
-def momentum_block(space: FockSpace, density: QuadraticDensity,
+def momentum_block(space: FockSpace, density: QuadraticObservable,
                    lattice_target: Tuple[int, int, int]):
     """Fock operator of int_V e^{-ip.x} X(0,x) dx, built afresh."""
     _, lat = density.transfers()
@@ -28,8 +28,8 @@ def momentum_block(space: FockSpace, density: QuadraticDensity,
                                 np.where(hit, space.volume, 0.0)).matrix())
 
 
-def lehmann_reference(space: FockSpace, X: QuadraticDensity,
-                      Y: QuadraticDensity, p: FourVector, beta: float,
+def lehmann_reference(space: FockSpace, X: QuadraticObservable,
+                      Y: QuadraticObservable, p: FourVector, beta: float,
                       delta_omega: Optional[float] = None):
     """(G, dominant_weight, term_count, delta_omega) of the eigenstate sum."""
     if delta_omega is None:

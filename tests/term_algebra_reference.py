@@ -71,9 +71,9 @@ def normal_order(space, terms):
             done.append(t)
             continue
         o1, o2 = t.ops
-        fermi = space.is_fermionic(o1.channel) and space.is_fermionic(o2.channel)
         i1 = space.mode_index[(o1.channel, o1.mode)]
         i2 = space.mode_index[(o2.channel, o2.mode)]
+        fermi = space.fermionic[i1] and space.fermionic[i2]
         sign = -1.0 if fermi else 1.0
         if o1.kind == "a" and o2.kind == "c":
             if i1 == i2:

@@ -17,6 +17,7 @@ from boxqft.cli import (COMMANDS, DEFAULT_CONFIG, RunReport, cmd_fdt,
                         main, merge_config, write_table)
 from boxqft.errors import ConfigInvalid
 from boxqft.fields import em_field_strength_density
+from boxqft.operator import Operator
 from boxqft.spacetime import FourVector
 from boxqft.spectral import NORM_TAG
 
@@ -243,6 +244,25 @@ def test_cli_n_random_below_one_or_not_integer_exit_two(tmp_path, n_random):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command,section,key,value", [
+    ("scaling", "scaling", "n_points", 1),           # numpy polyfit crashed
+    ("homodyne", "homodyne", "alphas", []),          # IndexError
+    ("homodyne", "homodyne", "sigmas", []),          # ValueError
+    ("wick-check", "wick", "betas", [0]),            # ZeroDivisionError
+    ("scaling", "scaling", "volume", 0),             # ZeroDivisionError
+    ("noiseless", "noiseless", "n_max_mode", 0),     # ValueError
+    ("fdt", "fdt", "betas", [])])                    # passed with no check
+def test_cli_config_values_that_crash_or_check_nothing_exit_two(
+        tmp_path, command, section, key, value):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({section: {key: value}}))
+    res = CliRunner().invoke(main, [command, "--config", str(cfgfile),
+                                    "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2
+    assert f"{section}.{key}" in res.output
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("key,value", [
     ("n_periods", 0), ("n_periods", -1), ("n_periods", 1.5), ("n_periods", True),
     ("n_max", 0), ("n_max", 7), ("n_max", "4"), ("n_max", False)])
@@ -342,7 +362,8 @@ def test_homodyne_budget_check_compares_the_difference_operator(monkeypatch):
     def without_dagger(x):
         x = csr(x)
         one = sp.identity(x.shape[0], dtype=complex, format="csr")
-        return ((one + x) - (one - x)).tocsr()
+        diff = ((one + x) - (one - x)).tocoo()
+        return Operator.from_triplets(diff.row, diff.col, diff.data, diff.shape[0])
 
     monkeypatch.setattr(measurement, "balanced_difference", without_dagger)
     broken = _budget_check(cmd_homodyne(cfg))

@@ -15,7 +15,7 @@ from boxqft.correlators import (CTPPropagator, OrderingScheme,
                                 wick_npoint)
 from boxqft.errors import BoxQFTError, MomentumMismatch
 from boxqft.fock import ModeGrid, Species, build_fock_space
-from boxqft.spacetime import FourVector, ctp_contour
+from boxqft.spacetime import FourVector, ctp_contour, minkowski_dot
 
 
 def small_space(species, n_max=8, n_modes=1, box=math.pi / 2):
@@ -106,6 +106,15 @@ def test_wick_odd_vanishes():
     assert wick_npoint(ins3, 1.0) == 0.0
 
 
+def test_insertion_rejects_unknown_kind():
+    # any kind but "a"/"c" used to act as an annihilator in both the Wick
+    # engine and the oracle
+    space = small_space(Species.BOSON)
+    c = ctp_contour(1.0, 2)
+    with pytest.raises(BoxQFTError):
+        insertion(space, "f", (1,), "x", c.time(0, 0.1))
+
+
 def test_perfect_matchings_count():
     assert len(list(perfect_matchings(2))) == 3
     assert len(list(perfect_matchings(3))) == 15
@@ -181,7 +190,7 @@ def test_keldysh_scalar_propagator_descriptors():
     cq = keldysh_scalar_propagators("cq", m)
     p = FourVector(0.4, 0, 0, 1.1)  # off shell
     val = cq.rational_value(p)
-    s = p.dot(p)
+    s = minkowski_dot(p, p)
     assert abs(val - 1j / (s - m * m)) < 1e-14
     # epsilon-independence off shell: halving epsilon converges
     v1 = cq.rational_value(p, eps=1e-6)
@@ -215,7 +224,7 @@ def test_three_point_displayed_values():
     assert abs(res.numerator - (w ** 2 / 8 + m ** 2 / 2)) < 1e-14
     assert abs(res.numerator - 1.0) < 1e-14
     # value is numerator over the product of inverse propagators
-    den = (p.dot(p) - m * m) * (q.dot(q) - m * m)
+    den = (minkowski_dot(p, p) - m * m) * (minkowski_dot(q, q) - m * m)
     assert abs(res.value - res.numerator / den) < 1e-14
 
     v = 1.0

@@ -12,8 +12,8 @@ from boxqft.errors import (BoxQFTError, DimensionMismatch, DimensionOverflow,
 from boxqft.fock import (DensityOperator, FockSpace, ModeGrid, SagnacConfig,
                          SagnacSpecies, Species, basis_state,
                          build_fock_space, expectation, free_hamiltonian,
-                         mode_operator, sagnac_state, thermal_state,
-                         total_momentum, vacuum_state)
+                         sagnac_state, thermal_state, total_momentum,
+                         vacuum_state)
 
 
 def one_mode_space(n_max=4, mass=1.0, box=BOX):
@@ -203,10 +203,13 @@ def test_mode_operator_matrix_elements():
     assert abs(amp - math.sqrt(2)) < 1e-14
     with pytest.raises(UnknownMode):
         space.creation("phi", (5,))
-    op = mode_operator(space, "phi", (1,), "a")
-    assert op.kind == "a" and op.channel == "phi"
+
+
+def test_ladder_map_rejects_unknown_kind():
+    # any kind but "a"/"c" used to give the annihilator
+    space = one_mode_space()
     with pytest.raises(BoxQFTError):
-        mode_operator(space, "phi", (1,), "x")
+        space.ladder_map("phi", (1,), "x")
 
 
 def test_fermionic_antisymmetry():

@@ -19,9 +19,11 @@ from boxqft.fock import (DensityOperator, SagnacConfig, SagnacSpecies,
                          vacuum_state)
 from boxqft.measurement import (HomodyneConfig, MeasurementWindow,
                                 commensurate_tau, homodyne_difference,
-                                localization_effect, moments, photon_signal,
+                                localization_effect, moments,
+                                operator_vacuum_variance, photon_signal,
                                 sagnac_regression, spacelike_windowed_observable,
                                 vacuum_variance, windowed_observable)
+from boxqft.operator import Operator
 from boxqft.spacetime import FourVector
 from boxqft.spectral import lehmann_spectral_density
 
@@ -313,6 +315,20 @@ def test_vacuum_variance_spacelike_zero():
         p = FourVector(float(n0), 0, 0, float(n3))
         obs = spacelike_windowed_observable(t00, p, w)
         assert vacuum_variance(space, obs) < 1e-12
+
+
+def test_operator_vacuum_variance_against_the_definition():
+    # normal ordering gives every observable a vacuum mean of 0, so shift a
+    # pair-creating one by 3: <0|O^2|0> - <0|O|0>^2 must see the mean
+    space = scalar_space(n_mode=2, mass=1.0, caps=(2, 2))
+    S = windowed_observable(scalar_bilinear_density(space),
+                            MeasurementWindow(tau=1.0)).matrix()
+    O = S + Operator.from_diagonal(np.full(space.dim, 3.0))
+    vac = vacuum_state(space).amplitudes
+    Ov = csr(O) @ vac
+    expect = np.vdot(Ov, Ov).real - abs(np.vdot(vac, Ov)) ** 2
+    assert expect > 1e-3
+    assert abs(operator_vacuum_variance(space, O) - expect) <= 1e-12 * expect
 
 
 def test_localization_gaussian_vs_erfc_and_monotonicity():

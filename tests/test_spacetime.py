@@ -6,7 +6,7 @@ import pytest
 from boxqft.errors import BoxQFTError
 from boxqft.spacetime import (FourVector, IntervalClass, boost,
                               boost_matrix, classify_interval, ctp_contour,
-                              ctp_less, minkowski_dot)
+                              minkowski_dot)
 
 
 def test_minkowski_dot_signature():
@@ -97,7 +97,7 @@ def test_contour_two_branch():
     # forward-branch point precedes backward-branch point at equal real time
     x = c.time(0, 1.3)
     y = c.time(1, 1.3)
-    assert ctp_less(x, y) and not ctp_less(y, x)
+    assert x < y and not y < x
 
 
 def test_contour_three_branch_order():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from boxqft import cli
 from boxqft.errors import (BoxQFTError, DegenerateBasis,
                            RequiresCanonicalFrame)
-from boxqft.spacetime import METRIC, FourVector
+from boxqft.spacetime import METRIC, FourVector, minkowski_dot
 from boxqft.tensors import (EPSILON4, TensorCorrelation, boost_tensor,
                             canonical_boost, decompose_antisymmetric,
                             decompose_symmetric, decompose_vector,
@@ -58,7 +58,7 @@ def test_vector_conservation_identity():
     # then forces eta = 0
     p = P_CANON
     pa = p.as_array()
-    s = p.dot(p)
+    s = minkowski_dot(p, p)
     c = 1.7
     G = c * (METRIC - np.outer(pa, pa) / s)
     div = np.array([sum(METRIC[m, m] * pa[m] * G[m, n] for m in range(4))
@@ -104,7 +104,7 @@ def test_symmetric_fit_flags_v_f():
 def test_symmetric_conserved_reduction():
     p = P_CANON
     pa = p.as_array()
-    s = p.dot(p)
+    s = minkowski_dot(p, p)
     proj = METRIC - np.outer(pa, pa) / s
     G = 0.8 * np.einsum("mn,sr->mnsr", proj, proj)
     fit = decompose_symmetric(TensorCorrelation("symmetric2", p, G),
@@ -199,7 +199,7 @@ def test_project_noiseless_tensor_kills_noise_structures():
     rng = np.random.default_rng(17)
     B = rng.normal(size=(4, 4))
     B = (B + B.T) / 2
-    proj = np.eye(4) - np.outer(pa, METRIC @ pa) / p.dot(p)
+    proj = np.eye(4) - np.outer(pa, METRIC @ pa) / minkowski_dot(p, p)
     Bt = proj @ B @ proj.T
     out = project_noiseless_tensor(Bt, p, conserved=True)
     assert abs(np.einsum("mn,mn->", METRIC, out)) < 1e-12
@@ -344,7 +344,7 @@ def test_canonical_boost_and_frame_independence():
     p = FourVector(0.6, 0.0, 0.0, 1.5)  # space-like, axis-3 aligned
     lam, p_can = canonical_boost(p)
     assert abs(p_can.t) < 1e-12
-    assert abs(p_can.dot(p_can) - p.dot(p)) < 1e-12
+    assert abs(minkowski_dot(p_can, p_can) - minkowski_dot(p, p)) < 1e-12
     # fitting covariant synthetic data directly or in the canonical frame
     # gives the same invariant coefficients
     G = symmetric_model_product_form(p, w=1.2, b=0.1, a=0.05)
