@@ -115,9 +115,23 @@ def merge_config(overrides: Optional[dict]) -> dict:
         if not (isinstance(val, list) and val and all(_above(v, lo) for v in val)):
             raise ConfigInvalid(f"{section}.{key} must be a non-empty list of "
                                 f"numbers > {lo}, not {val!r}")
-    if not _above(cfg["scaling"]["volume"], 0.0):
-        raise ConfigInvalid(f"scaling.volume must be a number > 0, not "
-                            f"{cfg['scaling']['volume']!r}")
+    positive = [("scaling", "volume")] + [
+        (section, "box") for section, val in cfg.items()
+        if isinstance(val, dict) and "box" in val]
+    for section, key in positive:
+        if not _above(cfg[section][key], 0.0):
+            raise ConfigInvalid(f"{section}.{key} must be a number > 0, not "
+                                f"{cfg[section][key]!r}")
+    samples = cfg["suppression"]["samples"]
+    if not (isinstance(samples, list) and samples and all(
+            isinstance(s, list) and len(s) == 2 and
+            all(_above(v, -math.inf) for v in s) for s in samples)):
+        raise ConfigInvalid(f"suppression.samples must be a non-empty list of "
+                            f"[p0, p3] number pairs, not {samples!r}")
+    # the dark-count readout p = (0, 0, 0, 2 k3) must be space-like
+    k3 = cfg["homodyne"]["k3"]
+    if not (_above(k3, -math.inf) and k3 != 0):
+        raise ConfigInvalid(f"homodyne.k3 must be a nonzero number, not {k3!r}")
     return cfg
 
 

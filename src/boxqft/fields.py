@@ -175,32 +175,45 @@ def _terms(left, right, coeff) -> np.ndarray:
     return out
 
 
-def _assemble(space: FockSpace, terms: np.ndarray, coeffs) -> Operator:
-    """sum_t coeffs[t] * op(left_t) op(right_t) as one Operator, op(-1) = 1.
+def _factor_maps(space: FockSpace, terms: np.ndarray):
+    """The ladder maps of every slot the terms use, concatenated in slot
+    order (op(-1) = 1, the identity, first when used).
 
-    A ladder operator maps each basis state to at most one basis state
-    (FockSpace.ladder_map), and so does the identity, so a term is a partial
-    index map: each (source, target, amp) triplet of the right factor is
-    passed on by looking its target up among the left factor's sources.  All
-    terms' (row, col, value) triplets are canonicalized in one pass
-    (Operator.from_triplets): duplicates summed, exact zeros dropped.
+    Returns (left, right, src, tgt, amp, count): left and right index each
+    term's factors among the used slots, count[i] is the length of used slot
+    i's map, and (src, tgt, amp) are the maps' triplets.  A ladder map sends
+    each basis state to at most one basis state and ascends in both source
+    and target (FockSpace._operator), and so does the identity.
     """
     dim, M = space.dim, len(space.modes)
-    if len(terms) == 0:
-        return Operator.from_triplets([], [], [], dim)
     slots = np.unique(np.concatenate([terms["left"], terms["right"]]))
     ident = np.arange(dim, dtype=np.int64)
     maps = [(ident, ident, np.ones(dim, dtype=complex)) if s < 0 else
             space.ladder_map(space.modes[s % M].channel, space.modes[s % M].n,
                              "c" if s < M else "a") for s in slots]
     count = np.array([len(m[0]) for m in maps], dtype=np.int64)
-    start = np.cumsum(count) - count
     src, tgt, amp = (np.concatenate(a) for a in zip(*maps))
+    return (np.searchsorted(slots, terms["left"]),
+            np.searchsorted(slots, terms["right"]), src, tgt, amp, count)
+
+
+def _assemble(space: FockSpace, terms: np.ndarray, coeffs) -> Operator:
+    """sum_t coeffs[t] * op(left_t) op(right_t) as one Operator, op(-1) = 1.
+
+    Each factor is a partial index map (_factor_maps), so a term is one too:
+    each (source, target, amp) triplet of the right factor is passed on by
+    looking its target up among the left factor's sources.  All terms'
+    (row, col, value) triplets are canonicalized in one pass
+    (Operator.from_triplets): duplicates summed, exact zeros dropped.
+    """
+    dim = space.dim
+    if len(terms) == 0:
+        return Operator.from_triplets([], [], [], dim)
+    left, right, src, tgt, amp, count = _factor_maps(space, terms)
+    start = np.cumsum(count) - count
     # (slot, source) keys, ascending: maps are concatenated in slot order and
     # each is sorted by source
-    key = np.repeat(np.arange(len(slots), dtype=np.int64) * dim, count) + src
-    left = np.searchsorted(slots, terms["left"])
-    right = np.searchsorted(slots, terms["right"])
+    key = np.repeat(np.arange(len(count), dtype=np.int64) * dim, count) + src
 
     # every triplet of each term's right factor, then the left factor
     n = count[right]
@@ -212,6 +225,47 @@ def _assemble(space: FockSpace, terms: np.ndarray, coeffs) -> Operator:
     term, pos, hit = term[ok], pos[ok], hit[ok]
     vals = np.asarray(coeffs, dtype=complex)[term] * (amp[pos] * amp[hit])
     return Operator.from_triplets(tgt[hit], src[pos], vals, dim)
+
+
+def _assemble_at(space: FockSpace, terms: np.ndarray, state: int,
+                 side: str) -> Operator:
+    """Row (side "row") or column (side "col") `state` of
+    _assemble(space, terms, terms["coeff"]), without the rest of the matrix.
+
+    Each factor meets a given state in at most one triplet (_factor_maps),
+    found by binary search on the maps' (slot, source) keys: for the column,
+    the right factor's triplet with source `state`, then the left factor's
+    with source its target.  Row `state` of L R is column `state` of Rᵀ Lᵀ,
+    found the same way on (slot, target) keys.  Values are formed as in
+    _assemble and canonicalized the same way, in term order, so they equal
+    that row or column of the full matrix bit for bit.
+    """
+    dim = space.dim
+    if len(terms) == 0:
+        return Operator.from_triplets([], [], [], dim)
+    left, right, src, tgt, amp, count = _factor_maps(space, terms)
+    transpose = side == "row"
+    if transpose:
+        left, right, src, tgt = right, left, tgt, src
+    key = np.repeat(np.arange(len(count), dtype=np.int64) * dim, count) + src
+
+    def find(factor, at):
+        want = factor * dim + at
+        hit = np.minimum(np.searchsorted(key, want), len(key) - 1)
+        return hit, key[hit] == want
+
+    first, ok = find(right, state)
+    term = np.flatnonzero(ok)
+    second, ok = find(left[term], tgt[first[term]])
+    term, first, second = term[ok], first[term[ok]], second[ok]
+    # _assemble's order: the amplitude of the factor written right first
+    a_right, a_left = (amp[second], amp[first]) if transpose else \
+        (amp[first], amp[second])
+    vals = terms["coeff"][term] * (a_right * a_left)
+    fixed = np.full(len(term), state, dtype=np.int64)
+    if transpose:
+        return Operator.from_triplets(fixed, tgt[second], vals, dim)
+    return Operator.from_triplets(tgt[second], fixed, vals, dim)
 
 
 class QuadraticObservable:
@@ -238,6 +292,17 @@ class QuadraticObservable:
 
     def hermiticity_defect(self) -> float:
         return self.matrix().hermiticity_defect()
+
+    def lattice_hits(self, targets) -> List[np.ndarray]:
+        """For each lattice vector in targets, the mask of the terms whose
+        lattice transfer equals it."""
+        _, lat = _slot_transfers(self.space)
+        left, right = self.terms["left"], self.terms["right"]
+        # one axis at a time: gathering (n_terms, 3) rows is several times
+        # slower
+        total = [lat[:, a][left] + lat[:, a][right] for a in range(3)]
+        return [(total[0] == t[0]) & (total[1] == t[1]) & (total[2] == t[2])
+                for t in targets]
 
     def transfers(self) -> Tuple[np.ndarray, np.ndarray]:
         """Four-momentum (n_terms, 4) and lattice (n_terms, 3) transfer of

@@ -54,16 +54,19 @@ class Operator:
     @classmethod
     def from_triplets(cls, row, col, value, dim: int) -> "Operator":
         """Sum of value[k] at (row[k], col[k]): a stable sort on the
-        row-major key, duplicates summed in input order, exact zeros
-        dropped.  Assembled triplets come in long ascending runs, which a
-        stable sort merges in close to linear time."""
+        row-major key, every entry summed from zero in input order (so an
+        entry does not depend on whether others have duplicates), exact
+        zeros dropped.  Assembled triplets come in long ascending runs, which
+        a stable sort merges in close to linear time."""
         key = np.asarray(row, dtype=np.int64) * dim + np.asarray(col, dtype=np.int64)
         order = np.argsort(key, kind="stable")
         key, value = key[order], np.asarray(value, dtype=complex)[order]
         first = np.empty(len(key), dtype=bool)
         first[:1] = True
         np.not_equal(key[1:], key[:-1], out=first[1:])
-        if not first.all():
+        if first.all():
+            value += 0.0                # -0.0 parts become 0.0, as in a sum
+        else:
             key = key[first]
             value = _group_sums(np.cumsum(first) - 1, value, len(key))
         keep = value != 0

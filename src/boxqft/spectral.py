@@ -24,13 +24,21 @@ weighted sum, dominant weight, count).  Entries keep the product's row-major
 order, so every sum adds the same numbers in the same order as a sum over a
 freshly built product.
 
+At beta = inf thermal_state puts all weight on one state g, so only row g
+of A and column g of B contribute.  Those two records are built without the
+blocks (fields._assemble_at), and the sample's line spectrum is their
+elementwise product: the same entries, in the same order, as row g of the
+full product, so the sample is bit-identical to one taken from the blocks.
+
 Each density holds one memo slot for the pair {lat, -lat} it was last asked
 about: at most two block observables, realized through
-QuadraticObservable.matrix(), and its auto line spectra (Y is X) at +-lat.
-A request for another |lat| replaces the slot, so memory stays bounded; once
-both auto spectra exist the blocks are released.  Cross spectra are built
-from the two densities' blocks and not stored.  The slot holds no reference
-to its density, so a density is freed by reference counting alone.
+QuadraticObservable.matrix(), its auto line spectra (Y is X) at +-lat, and
+its ground rows and columns (row g at -lat and column g at +lat, for either
+sign of lat).  A request for another |lat| replaces the slot, so memory
+stays bounded; once both auto spectra exist the blocks are released.  Cross
+spectra at finite beta are built from the two densities' blocks and not
+stored.  The slot holds no reference to its density, so a density is freed
+by reference counting alone.
 """
 
 from __future__ import annotations
@@ -42,7 +50,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import BoxQFTError
-from .fields import QuadraticObservable
+from .fields import QuadraticObservable, _assemble_at
 from .fock import FockSpace, thermal_state
 from .operator import Operator
 from .spacetime import FourVector, minkowski_dot
@@ -85,6 +93,8 @@ class LineSpectrum:
                  delta_omega: float) -> Tuple[complex, float, int]:
         """(sum of w_row * value, dominant w_row, count) over the entries in
         the bin |p0 - de| <= delta_omega/2 with nonzero weight."""
+        if not len(self.value):              # common at space-like p
+            return 0j, 0.0, 0
         mask = np.abs(p0 - self.de) <= delta_omega / 2.0
         mask &= weights[self.row] > 0.0
         w = weights[self.row[mask]]
@@ -94,13 +104,15 @@ class LineSpectrum:
 
 class _MomentumSlot:
     """One density's memo for a pair {lat, -lat}: its momentum-block
-    observables and its auto line spectra, keyed by lattice target."""
-    __slots__ = ("key", "blocks", "lines")
+    observables and its auto line spectra, keyed by lattice target, and its
+    ground records, keyed by (lattice target, "row" or "col")."""
+    __slots__ = ("key", "blocks", "lines", "ground")
 
     def __init__(self, key: frozenset):
         self.key = key
         self.blocks: Dict[Tuple[int, int, int], QuadraticObservable] = {}
         self.lines: Dict[Tuple[int, int, int], LineSpectrum] = {}
+        self.ground: Dict[Tuple[Tuple[int, int, int], str], Operator] = {}
 
 
 def _slot(density: QuadraticObservable, lat: Tuple[int, int, int]) -> _MomentumSlot:
@@ -113,19 +125,40 @@ def _slot(density: QuadraticObservable, lat: Tuple[int, int, int]) -> _MomentumS
     return slot
 
 
+def _block_observable(space: FockSpace, density: QuadraticObservable,
+                      target: Tuple[int, int, int]) -> QuadraticObservable:
+    """int_V e^{-ip.x} X(0,x) dx for the lattice target -p: the terms whose
+    spatial transfer equals it, weighted by the volume.  Kept in the
+    density's slot; the first request weights both targets of the pair from
+    one pass over the terms' transfers."""
+    slot = _slot(density, target)
+    if target not in slot.blocks:
+        targets = tuple(slot.key)
+        for t, hit in zip(targets, density.lattice_hits(targets)):
+            slot.blocks[t] = density.weighted(f"{density.label}(p)",
+                                              np.where(hit, space.volume, 0.0))
+    return slot.blocks[target]
+
+
 def _momentum_block(space: FockSpace, density: QuadraticObservable,
                     lattice_target: Tuple[int, int, int]):
-    """Fock operator of int_V e^{-ip.x} X(0,x) dx: keeps terms whose spatial
-    transfer equals -p (lattice units), weighted by the volume.  Built once
-    per slot of the density."""
+    """Fock operator of the block observable at lattice_target, realized
+    once per slot of the density."""
+    return _block_observable(space, density, tuple(lattice_target)).matrix()
+
+
+def _ground_record(space: FockSpace, density: QuadraticObservable,
+                   lattice_target: Tuple[int, int, int], state: int,
+                   side: str) -> Operator:
+    """Row (side "row") or column ("col") `state` of the momentum block at
+    lattice_target, built without the block.  `state` is the space's ground
+    state, the same on every call; built once per slot of the density."""
     target = tuple(lattice_target)
-    blocks = _slot(density, target).blocks
-    if target not in blocks:
-        _, lat = density.transfers()
-        hit = np.all(lat == target, axis=1)
-        blocks[target] = density.weighted(f"{density.label}(p)",
-                                          np.where(hit, space.volume, 0.0))
-    return blocks[target].matrix()
+    ground = _slot(density, target).ground
+    if (target, side) not in ground:
+        ground[target, side] = _assemble_at(
+            space, _block_observable(space, density, target).terms, state, side)
+    return ground[target, side]
 
 
 def _line_spectrum(space: FockSpace, A: Operator, B: Operator) -> LineSpectrum:
@@ -180,14 +213,20 @@ def lehmann_spectral_density(space: FockSpace, X: QuadraticObservable,
     """
     if delta_omega is None:
         delta_omega = default_delta_omega(space)
-    lines = line_spectrum(space, X, Y, space.lattice_of(p))
+    lat = space.lattice_of(p)
     weights = thermal_state(space, beta).diagonal
-    p_tuple = tuple(p.as_array().tolist())
-    if len(lines.value) == 0:
-        return SpectralSample(p_tuple, 0.0, beta, X.label, Y.label,
-                              NORM_TAG, 0.0, 0, delta_omega)
+    if math.isinf(beta):
+        # one state carries all the weight: only its row of X(-lat) and its
+        # column of Y(lat) contribute
+        g = int(np.flatnonzero(weights)[0])
+        lines = _line_spectrum(
+            space, _ground_record(space, X, tuple(-v for v in lat), g, "row"),
+            _ground_record(space, Y, lat, g, "col"))
+    else:
+        lines = line_spectrum(space, X, Y, lat)
     total, dom, count = lines.evaluate(p.t, weights, delta_omega)
-    return SpectralSample(p_tuple, complex(total) / space.volume, beta, X.label,
+    return SpectralSample(tuple(p.as_array().tolist()),
+                          complex(total) / space.volume, beta, X.label,
                           Y.label, NORM_TAG, dom, count, delta_omega)
 
 

@@ -47,8 +47,6 @@ def lehmann_reference(space: FockSpace, X: QuadraticObservable,
 
     prod = A.multiply(B.transpose())        # entries A[n,m] * B[m,n]
     prod = prod.tocoo()
-    if prod.nnz == 0:
-        return 0.0, 0.0, 0, delta_omega
     de = space.energies[prod.col] - space.energies[prod.row]
     mask = np.abs(p.t - de) <= delta_omega / 2.0
     mask &= weights[prod.row] > 0.0

@@ -251,7 +251,15 @@ def test_cli_n_random_below_one_or_not_integer_exit_two(tmp_path, n_random):
     ("wick-check", "wick", "betas", [0]),            # ZeroDivisionError
     ("scaling", "scaling", "volume", 0),             # ZeroDivisionError
     ("noiseless", "noiseless", "n_max_mode", 0),     # ValueError
-    ("fdt", "fdt", "betas", [])])                    # passed with no check
+    ("fdt", "fdt", "betas", []),                     # passed with no check
+    ("suppression", "suppression", "samples", []),   # passed with no check
+    ("suppression", "suppression", "samples", [[1.0]]),  # ValueError
+    ("sagnac", "sagnac", "box", 0),                  # ZeroDivisionError
+    ("fdt", "fdt", "box", 0),                        # BoxQFTError, exit 1
+    ("noiseless", "noiseless", "box", -1.0),         # BoxQFTError, exit 1
+    ("suppression", "suppression", "box", "6"),      # TypeError
+    ("wick-check", "wick", "box", 0.0),              # BoxQFTError, exit 1
+    ("homodyne", "homodyne", "k3", 0.0)])            # read out at p = 0
 def test_cli_config_values_that_crash_or_check_nothing_exit_two(
         tmp_path, command, section, key, value):
     cfgfile = tmp_path / "cfg.json"

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (BOX, csr, dirac_space, photon_space, scalar_grid,
                       scalar_space)
@@ -107,6 +109,29 @@ def test_ladder_map_matches_matrix():
             rebuilt = np.zeros((space.dim, space.dim), dtype=complex)
             rebuilt[tgt, src] = amp
             assert np.array_equal(rebuilt, csr(mat).toarray())
+
+
+@settings(max_examples=40, deadline=None)
+@given(axes=st.sampled_from([(3,), (1, 3)]),
+       ranges=st.sampled_from([(-1, 1), (0, 2), (-3, 1)]),
+       kinds=st.lists(st.sampled_from([Species.BOSON, Species.FERMION]),
+                      min_size=1, max_size=3),
+       mass=st.sampled_from([0.0, 0.5]),
+       caps=st.tuples(st.integers(1, 3), st.integers(1, 3)))
+def test_ladder_maps_ascend_in_source_and_target(axes, ranges, kinds, mass,
+                                                  caps):
+    # fields._assemble_at finds a state among a map's sources or targets by
+    # binary search, so every map must ascend strictly in both
+    channels = [(f"c{i}", ModeGrid(axes=axes, lengths=(BOX,) * len(axes),
+                                   ranges=(ranges,) * len(axes), species=kind,
+                                   mass=mass))
+                for i, kind in enumerate(kinds)]
+    space = build_fock_space(channels, *caps)
+    for mode in space.modes:
+        for kind in ("a", "c"):
+            src, tgt, amp = space.ladder_map(mode.channel, mode.n, kind)
+            assert len(src) > 0
+            assert np.all(np.diff(src) > 0) and np.all(np.diff(tgt) > 0)
 
 
 def test_state_index_rejects_rows_outside_the_basis(monkeypatch):

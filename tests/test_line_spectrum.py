@@ -16,9 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import BOX, dirac_space, photon_space, scalar_space
-from lehmann_reference import lehmann_reference
+from lehmann_reference import lehmann_reference, momentum_block
 
-from boxqft import fields
+from boxqft import fields, spectral
 from boxqft.fields import (dirac_current_density, em_field_strength_density,
                            scalar_bilinear_density)
 from boxqft.fock import ModeGrid, Species, build_fock_space, thermal_state
@@ -152,6 +152,105 @@ def test_memoized_path_matches_reference_random(species, n_mode, mass, caps,
         p0 = float(de[line % len(de)]) if len(de) and line < 20 else offset
         assert_matches_reference(space, X, Y, FourVector(p0, 0.0, 0.0, p3 * U),
                                  beta)
+
+
+# ---------------------------------------------------------------------------
+# beta = inf: the ground state's row and column
+
+
+def _ground_lines(space, X, Y, lat):
+    """p0 of the lines in the ground state's row of X(-lat)∘Y(lat)ᵀ, from
+    blocks built afresh, so that X's and Y's memo slots stay untouched."""
+    g = int(np.argmin(space.energies))
+    A = momentum_block(space, X, tuple(-v for v in lat)).tocsr()
+    B = momentum_block(space, Y, lat).tocsc()
+    m = np.intersect1d(A[g].indices, B[:, g].indices)
+    return np.unique(space.energies[m] - space.energies[g])
+
+
+@settings(max_examples=40, deadline=None)
+@given(species=st.sampled_from(["scalar", "dirac", "photon"]),
+       n_mode=st.integers(1, 2), mass=st.sampled_from([0.0, 0.4, 1.0]),
+       caps=st.sampled_from([(1, 2), (2, 2), (1, 3), (2, 3)]),
+       calls=st.lists(st.tuples(st.integers(-3, 3), st.integers(0, 30),
+                                st.floats(-4.0, 4.0), st.integers(0, 2),
+                                st.integers(0, 2)),
+                      min_size=1, max_size=6))
+def test_zero_temperature_samples_match_reference_random(species, n_mode, mass,
+                                                        caps, calls):
+    # fresh densities: the first call on each builds its ground records
+    space, densities = _random_space(species, n_mode, mass, caps)
+    for p3, line, offset, i, j in calls:
+        X = densities[i % len(densities)]
+        Y = densities[j % len(densities)]
+        de = _ground_lines(space, X, Y, (0, 0, p3))
+        # on a line of the ground row when there is one, else anywhere
+        p0 = float(de[line % len(de)]) if len(de) and line < 20 else offset
+        s = assert_matches_reference(space, X, Y,
+                                     FourVector(p0, 0.0, 0.0, p3 * U), math.inf)
+        assert type(s.G) is complex
+
+
+def test_zero_temperature_sample_builds_no_block(monkeypatch):
+    space = dirac_space(n_mode=2, mass=1.0, caps=(1, 3))
+    j0 = dirac_current_density(space, 0)
+    j3 = dirac_current_density(space, 3)
+    assembled, records = [], []
+    assemble, assemble_at = fields._assemble, spectral._assemble_at
+
+    def counting_at(*args):
+        records.append(args[2:])
+        return assemble_at(*args)
+
+    monkeypatch.setattr(fields, "_assemble",
+                        lambda *args: assembled.append(args) or assemble(*args))
+    monkeypatch.setattr(spectral, "_assemble_at", counting_at)
+    p = FourVector(2.0, 0.0, 0.0, U)
+    for q in (p, -1.0 * p):
+        lehmann_spectral_density(space, j0, j0, q, math.inf)
+    # row g at -lat and column g at +lat, for both signs of lat
+    assert len(records) == 4
+    for q in (p, -1.0 * p):
+        lehmann_spectral_density(space, j0, j0, q, math.inf)
+        lehmann_spectral_density(space, j3, j0, q, math.inf)
+    # j3's two rows are new; j0's records are memoized
+    assert len(records) == 6 and assembled == []
+
+
+def test_a_sample_is_complex_where_no_line_exists():
+    # no term of phi2 on n_mode=1 transfers lattice momentum 5, and at
+    # beta = inf no ground line sits at p = (0.37, 0, 0, 0) for j0, although
+    # the full product has lines there
+    space = scalar_space(n_mode=1, mass=0.5, caps=(2, 2))
+    phi2 = scalar_bilinear_density(space)
+    dspace = dirac_space(n_mode=2, mass=1.0, caps=(1, 3))
+    j0 = dirac_current_density(dspace, 0)
+    assert len(line_spectrum(dspace, j0, j0, (0, 0, 0)).value) > 0
+    for sp_, X, p in ((space, phi2, FourVector(1.0, 0.0, 0.0, 5 * U)),
+                      (dspace, j0, FourVector(0.37, 0.0, 0.0, 0.0))):
+        for beta in (math.inf, 0.8):
+            s = assert_matches_reference(sp_, X, X, p, beta)
+            assert type(s.G) is complex and s.G == 0 and s.term_count == 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(species=st.sampled_from(["scalar", "dirac", "photon"]),
+       n_mode=st.integers(1, 2), mass=st.sampled_from([0.0, 0.4, 1.0]),
+       caps=st.sampled_from([(1, 2), (2, 2), (1, 3), (2, 3)]),
+       i=st.integers(0, 2), state=st.integers(0, 10 ** 6))
+def test_assemble_at_is_a_row_or_column_of_the_matrix(species, n_mode, mass,
+                                                     caps, i, state):
+    space, densities = _random_space(species, n_mode, mass, caps)
+    X = densities[i % len(densities)]
+    full = X.matrix()
+    for n in (int(np.argmin(space.energies)), state % space.dim):
+        for side, on in (("row", full.row), ("col", full.col)):
+            part = fields._assemble_at(space, X.terms, n, side)
+            sel = on == n
+            assert np.array_equal(part.row, full.row[sel])
+            assert np.array_equal(part.col, full.col[sel])
+            # repr tells -0.0 from 0.0 in either part
+            assert repr(part.value.tolist()) == repr(full.value[sel].tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -176,6 +176,17 @@ def test_diagonal_operators_match_scipy_diags():
     assert_matches(P, sp.diags(P.diagonal()))
 
 
+def test_an_entry_does_not_depend_on_duplicates_elsewhere():
+    # every entry is summed from zero, so a -0.0 part reads 0.0 whether or
+    # not another entry has a duplicate; a row or column canonicalized on
+    # its own then equals that of the whole matrix bit for bit
+    alone = Operator.from_triplets([0, 1], [0, 1], [complex(2.0, -0.0), 1], 2)
+    duped = Operator.from_triplets([0, 1, 1], [0, 1, 1],
+                                   [complex(2.0, -0.0), 1, 1], 2)
+    assert repr(complex(alone.value[0])) == repr(complex(duped.value[0])) \
+        == "(2+0j)"
+
+
 def test_empty_operator():
     op = Operator.from_triplets([], [], [], 4)
     assert_canonical(op)
