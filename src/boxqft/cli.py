@@ -101,6 +101,7 @@ def merge_config(overrides: Optional[dict]) -> dict:
     for section, key, lo, hi in (("noiseless", "n_random", 1, math.inf),
                                  ("noiseless", "n_max_mode", 1, math.inf),
                                  ("suppression", "n_max_mode", 1, math.inf),
+                                 ("suppression", "n_beta", 2, math.inf),
                                  ("scaling", "n_points", 2, math.inf),
                                  ("sagnac", "n_periods", 1, math.inf),
                                  ("sagnac", "n_max", 1, 6)):
@@ -128,6 +129,28 @@ def merge_config(overrides: Optional[dict]) -> dict:
             all(_above(v, -math.inf) for v in s) for s in samples)):
         raise ConfigInvalid(f"suppression.samples must be a non-empty list of "
                             f"[p0, p3] number pairs, not {samples!r}")
+    for section, key in (("suppression", "betas_range"), ("scaling", "tau_range")):
+        val = cfg[section][key]
+        if not (isinstance(val, list) and len(val) == 2 and
+                all(_above(v, 0.0) and math.isfinite(v) for v in val) and
+                val[0] < val[1]):
+            raise ConfigInvalid(f"{section}.{key} must be two finite numbers "
+                                f"0 < lo < hi, not {val!r}")
+    t0, t1 = cfg["scaling"]["tau_range"]
+    if t1 < 10 * t0 * 0.999:                 # noise_exponent_fit's decade rule
+        raise ConfigInvalid(f"scaling.tau_range must cover at least one decade, "
+                            f"not {[t0, t1]!r}")
+    exp_tol = cfg["scaling"]["exp_tol"]
+    if not (_above(exp_tol, -math.inf) and exp_tol >= 0):
+        raise ConfigInvalid(f"scaling.exp_tol must be a number >= 0, not {exp_tol!r}")
+    pairs = cfg["sagnac"]["extra_pairs"]
+    if not (isinstance(pairs, list) and pairs and all(
+            isinstance(pair, list) and len(pair) == 2 and
+            _above(pair[0], -math.inf) and 0 <= pair[0] < math.inf and
+            isinstance(pair[1], int) and not isinstance(pair[1], bool) and
+            pair[1] != 0 for pair in pairs)):
+        raise ConfigInvalid(f"sagnac.extra_pairs must be a non-empty list of "
+                            f"[mass >= 0, nonzero integer n] pairs, not {pairs!r}")
     # the dark-count readout p = (0, 0, 0, 2 k3) must be space-like
     k3 = cfg["homodyne"]["k3"]
     if not (_above(k3, -math.inf) and k3 != 0):

@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -259,7 +262,16 @@ def test_cli_n_random_below_one_or_not_integer_exit_two(tmp_path, n_random):
     ("noiseless", "noiseless", "box", -1.0),         # BoxQFTError, exit 1
     ("suppression", "suppression", "box", "6"),      # TypeError
     ("wick-check", "wick", "box", 0.0),              # BoxQFTError, exit 1
-    ("homodyne", "homodyne", "k3", 0.0)])            # read out at p = 0
+    ("homodyne", "homodyne", "k3", 0.0),             # read out at p = 0
+    ("suppression", "suppression", "n_beta", 1),     # slope fit, exit 1
+    ("suppression", "suppression", "betas_range", [5.0, 5.0]),  # exit 1
+    ("scaling", "scaling", "tau_range", [0, 100]),   # ValueError
+    ("scaling", "scaling", "tau_range", [-10, 100]),  # LinAlgError
+    ("scaling", "scaling", "tau_range", [10, 50, 100]),  # ValueError, unpack
+    ("scaling", "scaling", "tau_range", [10, 50]),   # under a decade, exit 1
+    ("scaling", "scaling", "exp_tol", -1),           # every check fails
+    ("sagnac", "sagnac", "extra_pairs", []),         # passed with no check
+    ("sagnac", "sagnac", "extra_pairs", [[1.0, 0]])])  # no grid mode, exit 1
 def test_cli_config_values_that_crash_or_check_nothing_exit_two(
         tmp_path, command, section, key, value):
     cfgfile = tmp_path / "cfg.json"
@@ -304,6 +316,24 @@ def test_single_random_projector_input_is_checked():
         check = checks[f"projector.{name}.transversality"]
         assert check.passed and 0.0 < check.computed < 1e-15
         assert "on 1 random" in check.provenance
+
+
+def test_cli_all_at_the_default_config_loads_no_scipy(tmp_path):
+    # scipy costs about 0.3 s and 25 MB in a fresh process; only the
+    # rect-window quadrature, which no default command uses, needs it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parent.parent)
+    code = ("import sys\n"
+            "from boxqft.cli import main\n"
+            "try:\n"
+            f"    main(['all', '--out', {str(tmp_path / 'o')!r}])\n"
+            "except SystemExit as exc:\n"
+            "    print('exit', exc.code)\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == ["exit 0", "[]"]
 
 
 def test_cli_config_override(tmp_path):

@@ -197,7 +197,7 @@ def test_empty_operator():
 
 def test_import_loads_no_scipy():
     # scipy.sparse alone costs about 0.2 s of start-up; only the lazily
-    # imported quadrature and erfc may bring scipy in
+    # imported rect-window quadrature (scipy.integrate.quad) may bring scipy in
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src")
     code = ("import sys, boxqft, boxqft.cli\n"

@@ -8,6 +8,7 @@ from scipy.special import erfc
 
 from conftest import scalar_space
 
+from boxqft import spectral
 from boxqft.errors import BoxQFTError, OffLatticeMomentum
 from boxqft.fields import scalar_bilinear_density, scalar_density
 from boxqft.spacetime import FourVector, minkowski_dot
@@ -171,7 +172,9 @@ def test_noise_exponents():
 
 def _reference_windowed_noise(s_type, D, V, tau, envelope="gauss", n_grid=48):
     """Per-tau quadrature on a fresh p-space meshgrid: the implementation
-    windowed_noise replaced, kept as the oracle for the batched u-space one."""
+    windowed_noise replaced, kept as the oracle for the batched u-space one.
+    It takes erfc from scipy.special, independently of the math.erfc that
+    windowed_noise uses."""
     def box_sq(p, L):
         return (L * np.sinc(p * L / (2 * math.pi))) ** 2
 
@@ -252,6 +255,60 @@ def test_noise_exponents_converged_in_n_grid(s_type, D):
     fine_exp = np.polyfit(np.log(taus), np.log(fine), 1)[0]
     fit = noise_exponent_fit(s_type, D, 1.0, 10.0, 100.0, 16)
     assert abs(fit.exponent - fine_exp) < 1e-6
+
+
+def _clear_noise_memos():
+    spectral._gauss_legendre.cache_clear()
+    spectral._noise_cores.cache_clear()
+
+
+def test_noise_fit_cells_build_each_gauss_legendre_rule_once(monkeypatch):
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counted(n):
+        calls.append(n)
+        return leggauss(n)
+
+    _clear_noise_memos()
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+    for s_type, D in NOISE_CELLS:
+        noise_exponent_fit(s_type, D, 1.0, 10.0, 100.0, 16)
+    assert calls == [384, 48]
+    # both D >= 2 cores were built once, for both s_types
+    assert spectral._noise_cores.cache_info().misses == 2
+
+
+def test_memoized_noise_tables_are_read_only():
+    windowed_noise("current", 3, 1.0, 50.0)
+    x, w = spectral._gauss_legendre(48)
+    cores = [a for D in (2, 3) for a in spectral._noise_cores(D, 48)]
+    for a in (x, w, *cores):
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+
+
+@pytest.mark.parametrize("s_type,D", NOISE_CELLS)
+def test_windowed_noise_repeats_from_its_memos(s_type, D):
+    taus = np.geomspace(10, 100, 16)
+    _clear_noise_memos()
+    first = windowed_noise(s_type, D, 1.0, taus)
+    assert repr(windowed_noise(s_type, D, 1.0, taus)) == repr(first)
+
+
+@pytest.mark.parametrize("D", [1, 2, 3])
+@pytest.mark.parametrize("n_grid", [48.0, 0, -3, True, "48", None])
+def test_windowed_noise_rejects_a_bad_n_grid_before_building(D, n_grid):
+    _clear_noise_memos()
+    with pytest.raises(BoxQFTError, match="n_grid"):
+        windowed_noise("current", D, 1.0, 50.0, n_grid=n_grid)
+    assert spectral._gauss_legendre.cache_info().currsize == 0
+    assert spectral._noise_cores.cache_info().currsize == 0
+
+
+def test_windowed_noise_takes_a_numpy_integer_n_grid():
+    assert windowed_noise("energy", 3, 1.0, 50.0, n_grid=np.int64(16)) == \
+        windowed_noise("energy", 3, 1.0, 50.0, n_grid=16)
 
 
 def test_noise_fit_needs_a_decade():
