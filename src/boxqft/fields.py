@@ -281,9 +281,9 @@ class QuadraticObservable:
         self.terms = np.asarray(terms, dtype=TERM_DTYPE)
         self.vacuum_subtraction = vacuum_subtraction
         self._matrix: Optional[Operator] = None
-        # momentum blocks and line spectra of the Lehmann sum for the last
-        # lattice pair {lat, -lat} asked about (boxqft.spectral)
-        self._momentum_slot = None
+        # block terms, line spectra and ground records of the Lehmann sum
+        # for the last lattice pair {lat, -lat} asked about (boxqft.spectral)
+        self._momentum_memo = None
 
     def matrix(self) -> Operator:
         if self._matrix is None:

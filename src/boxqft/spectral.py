@@ -30,15 +30,12 @@ blocks (fields._assemble_at), and the sample's line spectrum is their
 elementwise product: the same entries, in the same order, as row g of the
 full product, so the sample is bit-identical to one taken from the blocks.
 
-Each density holds one memo slot for the pair {lat, -lat} it was last asked
-about: at most two block observables, realized through
-QuadraticObservable.matrix(), its auto line spectra (Y is X) at +-lat, and
-its ground rows and columns (row g at -lat and column g at +lat, for either
-sign of lat).  A request for another |lat| replaces the slot, so memory
-stays bounded; once both auto spectra exist the blocks are released.  Cross
-spectra at finite beta are built from the two densities' blocks and not
-stored.  The slot holds no reference to its density, so a density is freed
-by reference counting alone.
+Each density holds one memo, a plain dict, for the pair {lat, -lat} it was
+last asked about: the block terms of both targets, its auto line spectra
+(Y is X) and its ground rows and columns.  Blocks are realized only to form
+a product and never kept; the auto spectrum at -lat is the one at +lat
+transposed, so a pair costs one product.  The memo holds no reference to
+its density, so a density is freed by reference counting alone.
 """
 
 from __future__ import annotations
@@ -47,7 +44,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -104,71 +101,54 @@ class LineSpectrum:
         return (self.value[mask] * w).sum(), dom, len(w)
 
 
-class _MomentumSlot:
-    """One density's memo for a pair {lat, -lat}: its momentum-block
-    observables and its auto line spectra, keyed by lattice target, and its
-    ground records, keyed by (lattice target, "row" or "col")."""
-    __slots__ = ("key", "blocks", "lines", "ground")
-
-    def __init__(self, key: frozenset):
-        self.key = key
-        self.blocks: Dict[Tuple[int, int, int], QuadraticObservable] = {}
-        self.lines: Dict[Tuple[int, int, int], LineSpectrum] = {}
-        self.ground: Dict[Tuple[Tuple[int, int, int], str], Operator] = {}
-
-
-def _slot(density: QuadraticObservable, lat: Tuple[int, int, int]) -> _MomentumSlot:
-    """The density's memo for the pair {lat, -lat}; a request for another
-    pair replaces it."""
-    key = frozenset((lat, tuple(-v for v in lat)))
-    slot = density._momentum_slot
-    if slot is None or slot.key != key:
-        slot = density._momentum_slot = _MomentumSlot(key)
-    return slot
-
-
-def _block_observable(space: FockSpace, density: QuadraticObservable,
-                      target: Tuple[int, int, int]) -> QuadraticObservable:
-    """int_V e^{-ip.x} X(0,x) dx for the lattice target -p: the terms whose
-    spatial transfer equals it, weighted by the volume.  Kept in the
-    density's slot; the first request weights both targets of the pair from
-    one pass over the terms' transfers."""
-    slot = _slot(density, target)
-    if target not in slot.blocks:
-        targets = tuple(slot.key)
-        for t, hit in zip(targets, density.lattice_hits(targets)):
-            slot.blocks[t] = density.weighted(f"{density.label}(p)",
-                                              np.where(hit, space.volume, 0.0))
-    return slot.blocks[target]
+def _memo(space: FockSpace, density: QuadraticObservable,
+          lat: Tuple[int, int, int]) -> dict:
+    """The density's memo for the pair {lat, -lat}, replacing one for another
+    pair; both targets' block terms are weighted in one pass."""
+    pair = {lat, tuple(-v for v in lat)}
+    memo = density._momentum_memo
+    if memo is None or memo["terms"].keys() != pair:
+        targets = tuple(pair)
+        memo = density._momentum_memo = {"lines": {}, "ground": {}, "terms": {
+            t: density.weighted("", np.where(hit, space.volume, 0.0)).terms
+            for t, hit in zip(targets, density.lattice_hits(targets))}}
+    return memo
 
 
 def _momentum_block(space: FockSpace, density: QuadraticObservable,
-                    lattice_target: Tuple[int, int, int]):
-    """Fock operator of the block observable at lattice_target, realized
-    once per slot of the density."""
-    return _block_observable(space, density, tuple(lattice_target)).matrix()
+                    target: Tuple[int, int, int]) -> Operator:
+    """Fock operator of int_V e^{-ip.x} X(0,x) dx for the lattice target -p,
+    realized afresh from the memoized terms and not kept."""
+    terms = _memo(space, density, target)["terms"][target]
+    return QuadraticObservable(space, f"{density.label}(p)", terms).matrix()
 
 
 def _ground_record(space: FockSpace, density: QuadraticObservable,
-                   lattice_target: Tuple[int, int, int], state: int,
+                   target: Tuple[int, int, int], state: int,
                    side: str) -> Operator:
-    """Row (side "row") or column ("col") `state` of the momentum block at
-    lattice_target, built without the block.  `state` is the space's ground
-    state, the same on every call; built once per slot of the density."""
-    target = tuple(lattice_target)
-    ground = _slot(density, target).ground
-    if (target, side) not in ground:
-        ground[target, side] = _assemble_at(
-            space, _block_observable(space, density, target).terms, state, side)
-    return ground[target, side]
+    """Row (side "row") or column ("col") `state`, the space's ground state,
+    of the momentum block at target: built without the block, once per memo."""
+    memo = _memo(space, density, target)
+    if (target, side) not in memo["ground"]:
+        memo["ground"][target, side] = _assemble_at(
+            space, memo["terms"][target], state, side)
+    return memo["ground"][target, side]
 
 
 def _line_spectrum(space: FockSpace, A: Operator, B: Operator) -> LineSpectrum:
     prod = A.hadamard_transpose(B)               # entries A[n,m] * B[m,n]
-    return LineSpectrum(row=prod.row.astype(np.int32),
-                        col=prod.col.astype(np.int32),
-                        de=space.energies[prod.col] - space.energies[prod.row],
-                        value=prod.value)
+    row, col = prod.row.astype(np.int32), prod.col.astype(np.int32)
+    return LineSpectrum(row, col, space.energies[col] - space.energies[row],
+                        prod.value)
+
+
+def _transposed(space: FockSpace, lines: LineSpectrum) -> LineSpectrum:
+    """B∘Aᵀ from A∘Bᵀ: entry (n, m) becomes (m, n), in row-major order.  The
+    values keep their bits: Operator's complex product commutes exactly."""
+    order = np.lexsort((lines.row, lines.col))
+    row, col = lines.col[order], lines.row[order]
+    return LineSpectrum(row, col, space.energies[col] - space.energies[row],
+                        lines.value[order])
 
 
 def line_spectrum(space: FockSpace, X: QuadraticObservable,
@@ -176,23 +156,22 @@ def line_spectrum(space: FockSpace, X: QuadraticObservable,
                   lat: Tuple[int, int, int]) -> LineSpectrum:
     """Line spectrum of A = X(-lat), B = Y(lat).
 
-    The auto spectrum (Y is X) is kept in X's slot; a cross spectrum is built
-    from the two densities' memoized blocks and not stored.
+    The auto spectrum (Y is X) is kept in X's memo, and the one at -lat is
+    the one at +lat transposed; a cross spectrum is not stored.
     """
     lat = tuple(lat)
     neg = tuple(-v for v in lat)
     if Y is not X:
         return _line_spectrum(space, _momentum_block(space, X, neg),
                               _momentum_block(space, Y, lat))
-    slot = _slot(X, lat)
-    if lat not in slot.lines:
-        slot.lines[lat] = _line_spectrum(space, _momentum_block(space, X, neg),
-                                         _momentum_block(space, X, lat))
-        if neg in slot.lines:
-            # both auto spectra of the pair exist: the blocks are only
-            # needed again by a cross spectrum, which rebuilds them
-            slot.blocks.clear()
-    return slot.lines[lat]
+    lines = _memo(space, X, lat)["lines"]
+    if lat not in lines and neg in lines:
+        lines[lat] = _transposed(space, lines[neg])
+    elif lat not in lines:
+        A = _momentum_block(space, X, neg)
+        lines[lat] = _line_spectrum(
+            space, A, A if lat == neg else _momentum_block(space, X, lat))
+    return lines[lat]
 
 
 def default_delta_omega(space: FockSpace) -> float:
@@ -215,6 +194,12 @@ def lehmann_spectral_density(space: FockSpace, X: QuadraticObservable,
     """
     if delta_omega is None:
         delta_omega = default_delta_omega(space)
+    elif (isinstance(delta_omega, bool)
+          or not isinstance(delta_omega, numbers.Real) or not delta_omega >= 0):
+        # a negative or nan width selects no line and would read as the
+        # structural zero
+        raise BoxQFTError(f"delta_omega must be None or a number >= 0, "
+                          f"not {delta_omega!r}")
     lat = space.lattice_of(p)
     weights = thermal_state(space, beta).diagonal
     if math.isinf(beta):
@@ -373,6 +358,19 @@ def _noise_cores(D: int, n_grid: int):
     return _read_only(current, energy)
 
 
+def _check_count(name: str, value, least: int) -> None:
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < least):
+        raise BoxQFTError(f"{name} must be an integer >= {least}, not {value!r}")
+
+
+def _check_positive(name: str, value) -> None:
+    """Raise unless value, a number or an array of them, is finite and > 0."""
+    a = np.asarray(value)
+    if a.dtype.kind not in "iuf" or not np.all(np.isfinite(a) & (a > 0)):
+        raise BoxQFTError(f"{name} must be finite and > 0, not {value!r}")
+
+
 def windowed_noise(s_type: str, D: int, V: float, tau,
                    envelope: str = "gauss", n_grid: int = 48):
     """Vacuum noise <Sbar^2> of the box-and-duration windowed observable.
@@ -405,10 +403,10 @@ def windowed_noise(s_type: str, D: int, V: float, tau,
     if envelope == "rect" and D >= 2:
         raise BoxQFTError("rect time envelopes are only supported in D=1; "
                           "use the Gaussian envelope for D >= 2")
-    if (isinstance(n_grid, bool) or not isinstance(n_grid, numbers.Integral)
-            or n_grid < 1):
-        raise BoxQFTError(f"n_grid must be a positive integer, not {n_grid!r}")
+    _check_count("n_grid", n_grid, 1)
     n_grid = int(n_grid)
+    _check_positive("V", V)
+    _check_positive("tau", tau)
     taus = np.asarray(tau, dtype=float)
     if taus.ndim > 1:
         raise BoxQFTError("tau must be a float or a 1-D array")
@@ -469,6 +467,8 @@ def noise_exponent_fit(s_type: str, D: int, V: float, tau_min: float,
 
     Expected exponents: current 2-2D, energy -2D.
     """
+    _check_positive("tau_min and tau_max", (tau_min, tau_max))
+    _check_count("n_points", n_points, 2)
     if tau_max < 10 * tau_min * 0.999:
         raise BoxQFTError("fit range must cover at least one decade")
     taus = np.geomspace(tau_min, tau_max, n_points)

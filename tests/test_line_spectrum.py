@@ -1,9 +1,10 @@
-"""Line spectra and the one-slot memo behind the Lehmann sum.
+"""Line spectra and the one-pair memo behind the Lehmann sum.
 
 The memoized path must give bit-identical samples to the reference that
 rebuilds both momentum blocks and their product on every call
 (tests/lehmann_reference.py), keep at most one {lat, -lat} pair per density
-without a reference cycle, and expose detailed balance line by line.
+without a reference cycle or a block matrix, form one product per pair, and
+expose detailed balance line by line.
 """
 
 import gc
@@ -19,11 +20,14 @@ from conftest import BOX, dirac_space, photon_space, scalar_space
 from lehmann_reference import lehmann_reference, momentum_block
 
 from boxqft import fields, spectral
-from boxqft.fields import (dirac_current_density, em_field_strength_density,
-                           scalar_bilinear_density)
-from boxqft.fock import ModeGrid, Species, build_fock_space, thermal_state
+from boxqft.errors import BoxQFTError
+from boxqft.fields import (QuadraticObservable, dirac_current_density,
+                           em_field_strength_density, scalar_bilinear_density)
+from boxqft.fock import (FockSpace, ModeGrid, Species, build_fock_space,
+                         thermal_state)
+from boxqft.operator import Operator
 from boxqft.spacetime import FourVector
-from boxqft.spectral import (default_delta_omega, fdt_ratio,
+from boxqft.spectral import (_momentum_block, default_delta_omega, fdt_ratio,
                              lehmann_spectral_density, line_spectrum)
 
 U = 2 * math.pi / BOX
@@ -92,6 +96,22 @@ def test_explicit_bin_width_matches_reference(case):
             assert_matches_reference(space, X, Y, p, 1.3, width)
 
 
+def test_a_bin_width_that_selects_nothing_is_rejected():
+    # a negative or nan width would find no line and read as the structural
+    # zero "no contributing eigenstate pair"
+    space = scalar_space(n_mode=2, mass=0.5, caps=(2, 2))
+    X = scalar_bilinear_density(space)
+    p0 = _line_momenta(space, X, (0, 0, 1))[1]
+    p = FourVector(p0, 0.0, 0.0, U)
+    assert lehmann_spectral_density(space, X, X, p, 1.0).term_count == 1
+    for width in (-1.0, math.nan, -math.inf, True, "0.1"):
+        with pytest.raises(BoxQFTError, match="delta_omega"):
+            lehmann_spectral_density(space, X, X, p, 1.0, width)
+        with pytest.raises(BoxQFTError, match="delta_omega"):
+            fdt_ratio(space, X, p, 1.0, width)
+    assert fdt_ratio(space, X, p, 1.0, np.float64(0.0))[2].delta_omega == 0.0
+
+
 def test_alternating_lattice_pairs_refill_the_slot():
     space = dirac_space(n_mode=2, mass=1.0, caps=(1, 3))
     # line positions from a separate density, so that only the calls below
@@ -108,7 +128,8 @@ def test_alternating_lattice_pairs_refill_the_slot():
                 s = assert_matches_reference(space, j0, j0, p, 0.9)
                 nonzero += s.term_count > 0
                 assert_matches_reference(space, j3, j0, p, 0.9)
-                assert j0._momentum_slot.key == {(0, 0, p3), (0, 0, -p3)}
+                assert j0._momentum_memo["terms"].keys() == {(0, 0, p3),
+                                                             (0, 0, -p3)}
     assert nonzero > 0
 
 
@@ -160,7 +181,7 @@ def test_memoized_path_matches_reference_random(species, n_mode, mass, caps,
 
 def _ground_lines(space, X, Y, lat):
     """p0 of the lines in the ground state's row of X(-lat)∘Y(lat)ᵀ, from
-    blocks built afresh, so that X's and Y's memo slots stay untouched."""
+    blocks built afresh, so that X's and Y's memos stay untouched."""
     g = int(np.argmin(space.energies))
     A = momentum_block(space, X, tuple(-v for v in lat)).tocsr()
     B = momentum_block(space, Y, lat).tocsc()
@@ -263,12 +284,25 @@ def _transposed_entries(L, transpose):
     return r[order], c[order], L.de[order], L.value[order]
 
 
+def assert_is_direct_product(space, X, lat):
+    """The memo's auto spectrum at -lat, taken after +lat and so derived from
+    it, holds the same bits as the product X(lat)∘X(-lat)ᵀ built directly."""
+    neg = tuple(-v for v in lat)
+    memo = line_spectrum(space, X, X, neg)
+    direct = spectral._line_spectrum(space, _momentum_block(space, X, lat),
+                                     _momentum_block(space, X, neg))
+    for name in ("row", "col", "de", "value"):
+        got, want = getattr(memo, name), getattr(direct, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_detailed_balance_holds_on_every_line():
     space = dirac_space(n_mode=4, mass=1.0, caps=(1, 3))
     j0 = dirac_current_density(space, 0)
     beta, lat, neg = 0.7, (0, 0, 1), (0, 0, -1)
     Lp = line_spectrum(space, j0, j0, lat)
     Lm = line_spectrum(space, j0, j0, neg)
+    assert_is_direct_product(space, j0, lat)
 
     # L(-p) is L(p) transposed, entry for entry: same pairs and values, and
     # the opposite energy difference
@@ -320,6 +354,7 @@ def test_detailed_balance_on_isolated_lines_random(species, n_mode, mass, caps,
     X = densities[i % len(densities)]
     Lp = line_spectrum(space, X, X, (0, 0, p3))
     Lm = line_spectrum(space, X, X, (0, 0, -p3))
+    assert_is_direct_product(space, X, (0, 0, p3))
     rp, cp, dep, vp = _transposed_entries(Lp, transpose=False)
     rm, cm, dem, vm = _transposed_entries(Lm, transpose=True)
     assert np.array_equal(rp, rm) and np.array_equal(cp, cm)
@@ -343,7 +378,8 @@ def test_detailed_balance_on_isolated_lines_random(species, n_mode, mass, caps,
 
 
 # ---------------------------------------------------------------------------
-# the memo is one slot, bounded and free of reference cycles
+# the memo is one lattice pair, bounded, free of reference cycles and of
+# block matrices
 
 
 def test_memo_keeps_one_lattice_pair():
@@ -351,9 +387,51 @@ def test_memo_keeps_one_lattice_pair():
     X = scalar_bilinear_density(space)
     for p3 in (1, 2, 3, 4, 5):
         lehmann_spectral_density(space, X, X, FourVector(1.0, 0, 0, p3 * U), 1.0)
-        slot = X._momentum_slot
-        assert slot.key == {(0, 0, p3), (0, 0, -p3)}
-        assert len(slot.blocks) <= 2 and set(slot.lines) == {(0, 0, p3)}
+        memo = X._momentum_memo
+        assert memo["terms"].keys() == {(0, 0, p3), (0, 0, -p3)}
+        assert set(memo["lines"]) == {(0, 0, p3)} and memo["ground"] == {}
+
+
+def _held(obj):
+    """obj and all it holds through containers and attributes, short of a
+    FockSpace (whose ladder cache holds operators of its own)."""
+    if isinstance(obj, dict):
+        inner = [*obj.keys(), *obj.values()]
+    elif isinstance(obj, (list, tuple, set, frozenset)):
+        inner = list(obj)
+    else:
+        inner = [getattr(obj, s) for s in getattr(type(obj), "__slots__", ())
+                 if hasattr(obj, s)] + list(getattr(obj, "__dict__", {}).values())
+    return [obj] + [h for o in inner if not isinstance(o, FockSpace)
+                    for h in _held(o)]
+
+
+def test_memo_holds_no_block_after_a_sample():
+    space = scalar_space(n_mode=2, mass=0.5, caps=(2, 2))
+    X = scalar_bilinear_density(space)
+    lehmann_spectral_density(space, X, X, FourVector(1.0, 0, 0, U), 1.0)
+    held = _held({k: v for k, v in vars(X).items() if k != "space"})
+    assert any(isinstance(h, spectral.LineSpectrum) for h in held)
+    assert not any(isinstance(h, (Operator, QuadraticObservable)) for h in held)
+
+
+def test_a_lattice_pair_costs_one_product(monkeypatch):
+    space = scalar_space(n_mode=2, mass=0.5, caps=(2, 2))
+    products, assembled = [], []
+    hadamard, assemble = Operator.hadamard_transpose, fields._assemble
+    monkeypatch.setattr(Operator, "hadamard_transpose",
+                        lambda A, B: products.append(1) or hadamard(A, B))
+    monkeypatch.setattr(fields, "_assemble",
+                        lambda *args: assembled.append(1) or assemble(*args))
+    # fdt_ratio samples +p and -p; at lat = 0 both share one block
+    for p3, blocks in ((1, 2), (-2, 2), (0, 1)):
+        X = scalar_bilinear_density(space)
+        p = FourVector(1.0, 0, 0, p3 * U)
+        del products[:], assembled[:]
+        fdt_ratio(space, X, p, 0.5)
+        assert (len(products), len(assembled)) == (1, blocks)
+        fdt_ratio(space, X, p, 2.0)
+        assert (len(products), len(assembled)) == (1, blocks)
 
 
 def test_density_is_freed_without_the_cyclic_collector():

@@ -316,6 +316,31 @@ def test_noise_fit_needs_a_decade():
         noise_exponent_fit("current", 1, 1.0, 10.0, 50.0)
 
 
+# each returned a number (an exponent of -2.0014 for V = -1), nan or a numpy
+# or LAPACK error before these inputs were checked
+@pytest.mark.parametrize("call,match", [
+    (lambda: noise_exponent_fit("current", 1, 1.0, 0.0, 100.0), "tau_min"),
+    (lambda: noise_exponent_fit("current", 1, 1.0, -1.0, 100.0), "tau_min"),
+    (lambda: noise_exponent_fit("current", 1, 1.0, 10.0, math.inf), "tau_max"),
+    (lambda: noise_exponent_fit("current", 2, -1.0, 10.0, 100.0), "V"),
+    (lambda: noise_exponent_fit("current", 2, 0.0, 10.0, 100.0), "V"),
+    (lambda: noise_exponent_fit("current", 1, 1.0, 10.0, 100.0, 1), "n_points"),
+    (lambda: noise_exponent_fit("current", 1, 1.0, 10.0, 100.0, 2.5), "n_points"),
+    (lambda: windowed_noise("current", 2, 1.0, -50.0), "tau"),
+    (lambda: windowed_noise("current", 1, 1.0, 0.0), "tau"),
+    (lambda: windowed_noise("current", 3, 1.0, [50.0, math.nan]), "tau"),
+    (lambda: windowed_noise("current", 2, 0.0, 50.0), "V"),
+    (lambda: windowed_noise("current", 1, math.inf, 50.0), "V"),
+    (lambda: windowed_noise("current", 1, math.nan, 50.0), "V"),
+], ids=["fit_tau_min_0", "fit_tau_min_neg", "fit_tau_max_inf", "fit_V_neg",
+        "fit_V_0", "fit_n_points_1", "fit_n_points_float", "noise_tau_neg",
+        "noise_tau_0", "noise_tau_nan", "noise_V_0", "noise_V_inf",
+        "noise_V_nan"])
+def test_noise_rejects_nonpositive_or_nonfinite_inputs(call, match):
+    with pytest.raises(BoxQFTError, match=match):
+        call()
+
+
 def test_windowed_noise_warnings_and_validation():
     with pytest.warns(UserWarning):
         windowed_noise("current", 1, 1.0, 0.5)
