@@ -25,8 +25,8 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import BoxQFTError, MomentumMismatch
-from .fock import FockSpace, Species, thermal_state
+from .errors import BoxQFTError, MomentumMismatch, UnknownMode
+from .fock import FockSpace, Species, lookup, thermal_state
 from .spacetime import METRIC, CTPTime, FourVector, minkowski_dot
 
 
@@ -46,6 +46,8 @@ def insertion(space: FockSpace, channel: str, n, kind: str, time: CTPTime) -> In
                           f"(create), not {kind!r}")
     n = tuple(n)
     grid = space.grid(channel)
+    if (channel, n) not in space.mode_index:
+        raise UnknownMode(f"mode {n} not on channel {channel!r}")
     return Insertion(kind=kind, species=grid.species, mode=(channel, n),
                      energy=grid.energy(n), time=time)
 
@@ -193,34 +195,37 @@ def exact_contour_correlator(space: FockSpace, insertions: Sequence[Insertion],
 
     Contour ordering places larger s leftmost (ties keep written order);
     the fermionic reordering sign is the parity of the applied permutation
-    restricted to fermionic insertions.  H0 is diagonal, so Heisenberg
-    evolution is a diagonal phase even at complex times: the evolved
-    operator sends |source> to amplitude * e^{i(E_target - E_source)t}
-    |target>.  Every basis state is carried through the ladder index maps,
-    rightmost operator first; the rows that come back to their start make
-    up the diagonal that the thermal weights sum.
+    restricted to fermionic insertions.  Every basis state is carried
+    through the ladder maps, rightmost operator first, by one lookup in the
+    space's LadderTable per insertion.  H0 is diagonal, so a step from
+    source to target multiplies by the (real) ladder amplitude and adds
+    i(E_target - E_source)t to the exponent of one phase, even at complex
+    times; no complex product is formed, so the result rounds alike on any
+    CPU.  The rows that return to their start make up the diagonal that the
+    thermal weights sum.
     """
     order = sorted(range(len(insertions)),
                    key=lambda i: (-insertions[i].time.s, i))
     sign = _inversion_sign([i for i in order
                             if insertions[i].species is Species.FERMION])
 
-    energies = space.energies
-    start = state = np.arange(space.dim)
-    amp = np.ones(space.dim, dtype=complex)
+    energies, dim, M = space.energies, space.dim, len(space.modes)
+    slots = [space.mode_index[ins.mode] + (M if ins.kind == "a" else 0)
+             for ins in insertions]
+    table = space.ladder_table(slots)
+    start = state = np.arange(dim)
+    amp = np.ones(dim)                   # ladder amplitudes are real
+    arg = np.zeros(dim, dtype=complex)   # i sum (E_target - E_source) t
     for idx in reversed(order):
-        ins = insertions[idx]
-        ch, n = ins.mode
-        src, tgt, val = space.ladder_map(ch, n, ins.kind)
-        pos = np.minimum(np.searchsorted(src, state), len(src) - 1)
-        hit = src[pos] == state
-        pos, start, state = pos[hit], start[hit], state[hit]
-        phase = np.exp(1j * (energies[tgt[pos]] - energies[state]) * ins.time.t)
-        amp = amp[hit] * val[pos] * phase
-        state = tgt[pos]
+        pos, hit = lookup(table.src_key, (slots[idx] + 1) * dim + state)
+        pos, start, state, arg = pos[hit], start[hit], state[hit], arg[hit]
+        amp = amp[hit] * table.amp[pos].real
+        arg += (energies[table.tgt[pos]] - energies[state]) \
+            * (1j * insertions[idx].time.t)
+        state = table.tgt[pos]
     back = state == start
-    weights = thermal_state(space, beta).diagonal
-    return sign * complex(np.sum(weights[start[back]] * amp[back]))
+    weights = thermal_state(space, beta).diagonal[start[back]]
+    return sign * complex(np.sum(weights * amp[back] * np.exp(arg[back])))
 
 
 # ---------------------------------------------------------------------------

@@ -8,15 +8,15 @@ Mode expansions used by the builders (box volume V, on-shell k0 = E(k)):
     photon   A(x)    = sum_{k,lam} (2 E V)^(-1/2) (e^lam_k a^lam_k e^{-ik.x}
                                                    + conj(e^lam_k) a+^lam_k e^{ik.x})
 
-Ladder operators are indexed by slot in FockSpace's global mode order: with
-M modes, slot j creates mode j and slot M+j annihilates it.  Slot s carries
-the four-momentum transfer Q[s] = +(E_j, k_j) for a creator and -(E_j, k_j)
-for an annihilator (lattice transfer +-mode_lattice[j]).  A linear field
-component at x = 0 is a coefficient vector over the 2M slots, and
-derivatives act analytically as multiplication by i*Q[:, mu].  A bilinear is
-the slot matrix W = sum w outer(l1, l2); normal ordering moves it into the
-upper triangle in one step, and the subtracted vacuum constant is recorded,
-not kept, which makes all vacuum expectations vanish identically.
+Ladder operators are indexed by slot, numbered as in fock.LadderTable.  Slot
+s carries the four-momentum transfer Q[s] = +(E_j, k_j) for the creator of
+mode j and -(E_j, k_j) for its annihilator (lattice transfer
++-mode_lattice[j]).  A linear field component at x = 0 is a coefficient
+vector over the 2M slots, and derivatives act analytically as
+multiplication by i*Q[:, mu].  A bilinear is the slot matrix
+W = sum w outer(l1, l2); normal ordering moves it into the upper triangle in
+one step, and the subtracted vacuum constant is recorded, not kept, which
+makes all vacuum expectations vanish identically.
 
 Densities store one (left, right, coeff) record per operator product
 (left = -1 for a single operator); a term's transfer Q[left] + Q[right] is
@@ -33,8 +33,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import BoxQFTError, UnknownMode, ZeroMomentum
-from .fock import FockSpace, ModeGrid, Species
-from .operator import Operator
+from .fock import FockSpace, ModeGrid, Species, lookup
+from .operator import Operator, _cmul
 from .spacetime import METRIC, FourVector
 
 # ---------------------------------------------------------------------------
@@ -159,11 +159,8 @@ _LEVI_CIVITA = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
 
 
 def _slot_transfers(space: FockSpace) -> Tuple[np.ndarray, np.ndarray]:
-    """Four-momentum (2M+1, 4) and lattice (2M+1, 3) transfer of every slot.
-
-    Slot j creates mode j, +(E_j, k_j); slot M+j annihilates it, -(E_j, k_j).
-    The last row is zero: slot -1 stands for "no operator".
-    """
+    """Four-momentum (2M+1, 4) and lattice (2M+1, 3) transfer of every slot;
+    the last row, slot -1's, is zero."""
     P, lat = space.mode_momenta, space.mode_lattice
     return (np.concatenate([P, -P, np.zeros((1, 4))]),
             np.concatenate([lat, -lat, np.zeros((1, 3), dtype=np.int64)]))
@@ -175,97 +172,46 @@ def _terms(left, right, coeff) -> np.ndarray:
     return out
 
 
-def _factor_maps(space: FockSpace, terms: np.ndarray):
-    """The ladder maps of every slot the terms use, concatenated in slot
-    order (op(-1) = 1, the identity, first when used).
+def _assemble(space: FockSpace, terms: np.ndarray, coeffs, state=None,
+              side: str = "col") -> Operator:
+    """sum_t coeffs[t] * op(left_t) op(right_t) as one Operator, or only its
+    row (side "row") or column (side "col") `state`; op(-1) = 1.
 
-    Returns (left, right, src, tgt, amp, count): left and right index each
-    term's factors among the used slots, count[i] is the length of used slot
-    i's map, and (src, tgt, amp) are the maps' triplets.  A ladder map sends
-    each basis state to at most one basis state and ascends in both source
-    and target (FockSpace._operator), and so does the identity.
-    """
-    dim, M = space.dim, len(space.modes)
-    slots = np.unique(np.concatenate([terms["left"], terms["right"]]))
-    ident = np.arange(dim, dtype=np.int64)
-    maps = [(ident, ident, np.ones(dim, dtype=complex)) if s < 0 else
-            space.ladder_map(space.modes[s % M].channel, space.modes[s % M].n,
-                             "c" if s < M else "a") for s in slots]
-    count = np.array([len(m[0]) for m in maps], dtype=np.int64)
-    src, tgt, amp = (np.concatenate(a) for a in zip(*maps))
-    return (np.searchsorted(slots, terms["left"]),
-            np.searchsorted(slots, terms["right"]), src, tgt, amp, count)
-
-
-def _assemble(space: FockSpace, terms: np.ndarray, coeffs) -> Operator:
-    """sum_t coeffs[t] * op(left_t) op(right_t) as one Operator, op(-1) = 1.
-
-    Each factor is a partial index map (_factor_maps), so a term is one too:
-    each (source, target, amp) triplet of the right factor is passed on by
-    looking its target up among the left factor's sources.  All terms'
-    (row, col, value) triplets are canonicalized in one pass
-    (Operator.from_triplets): duplicates summed, exact zeros dropped.
+    Each factor is a partial index map in the space's LadderTable, so a term
+    is one too: each triplet of the right factor (all, or the one with
+    source `state`) is passed on by looking its target up among the left
+    factor's sources.  Row `state` of L R is column `state` of Rᵀ Lᵀ, found
+    on the target keys.  Values are coeff * (amp * amp) by operator._cmul,
+    canonicalized in one pass in term order (Operator.from_triplets), so a
+    row or column equals that of the full matrix bit for bit.
     """
     dim = space.dim
     if len(terms) == 0:
         return Operator.from_triplets([], [], [], dim)
-    left, right, src, tgt, amp, count = _factor_maps(space, terms)
-    start = np.cumsum(count) - count
-    # (slot, source) keys, ascending: maps are concatenated in slot order and
-    # each is sorted by source
-    key = np.repeat(np.arange(len(count), dtype=np.int64) * dim, count) + src
-
-    # every triplet of each term's right factor, then the left factor
-    n = count[right]
-    term = np.repeat(np.arange(len(terms)), n)
-    pos = np.arange(n.sum()) + np.repeat(start[right] - (np.cumsum(n) - n), n)
-    want = left[term] * dim + tgt[pos]
-    hit = np.minimum(np.searchsorted(key, want), len(key) - 1)
-    ok = key[hit] == want
-    term, pos, hit = term[ok], pos[ok], hit[ok]
-    vals = np.asarray(coeffs, dtype=complex)[term] * (amp[pos] * amp[hit])
-    return Operator.from_triplets(tgt[hit], src[pos], vals, dim)
-
-
-def _assemble_at(space: FockSpace, terms: np.ndarray, state: int,
-                 side: str) -> Operator:
-    """Row (side "row") or column (side "col") `state` of
-    _assemble(space, terms, terms["coeff"]), without the rest of the matrix.
-
-    Each factor meets a given state in at most one triplet (_factor_maps),
-    found by binary search on the maps' (slot, source) keys: for the column,
-    the right factor's triplet with source `state`, then the left factor's
-    with source its target.  Row `state` of L R is column `state` of Rᵀ Lᵀ,
-    found the same way on (slot, target) keys.  Values are formed as in
-    _assemble and canonicalized the same way, in term order, so they equal
-    that row or column of the full matrix bit for bit.
-    """
-    dim = space.dim
-    if len(terms) == 0:
-        return Operator.from_triplets([], [], [], dim)
-    left, right, src, tgt, amp, count = _factor_maps(space, terms)
+    table = space.ladder_table(np.concatenate([terms["left"], terms["right"]]))
+    # each factor's slot + 1: its triplets' keys are (slot + 1) * dim + index
+    left, right = terms["left"] + 1, terms["right"] + 1
+    src, tgt, keys = table.src, table.tgt, table.src_key
     transpose = side == "row"
     if transpose:
-        left, right, src, tgt = right, left, tgt, src
-    key = np.repeat(np.arange(len(count), dtype=np.int64) * dim, count) + src
-
-    def find(factor, at):
-        want = factor * dim + at
-        hit = np.minimum(np.searchsorted(key, want), len(key) - 1)
-        return hit, key[hit] == want
-
-    first, ok = find(right, state)
-    term = np.flatnonzero(ok)
-    second, ok = find(left[term], tgt[first[term]])
-    term, first, second = term[ok], first[term[ok]], second[ok]
-    # _assemble's order: the amplitude of the factor written right first
-    a_right, a_left = (amp[second], amp[first]) if transpose else \
-        (amp[first], amp[second])
-    vals = terms["coeff"][term] * (a_right * a_left)
-    fixed = np.full(len(term), state, dtype=np.int64)
+        left, right, src, tgt, keys = right, left, tgt, src, table.tgt_key
+    if state is None:
+        start, _ = lookup(keys, right * dim)
+        n = lookup(keys, (right + 1) * dim)[0] - start
+        term = np.repeat(np.arange(len(terms)), n)
+        first = np.arange(n.sum()) + np.repeat(start - (np.cumsum(n) - n), n)
+    else:
+        first, ok = lookup(keys, right * dim + state)
+        term = np.flatnonzero(ok)
+        first = first[term]
+    second, ok = lookup(keys, left[term] * dim + tgt[first])
+    term, first, second = term[ok], first[ok], second[ok]
+    # _cmul commutes bit for bit, so the factors' order needs no swap
+    vals = _cmul(np.asarray(coeffs, dtype=complex)[term],
+                 _cmul(table.amp[first], table.amp[second]))
     if transpose:
-        return Operator.from_triplets(fixed, tgt[second], vals, dim)
-    return Operator.from_triplets(tgt[second], fixed, vals, dim)
+        return Operator.from_triplets(src[first], tgt[second], vals, dim)
+    return Operator.from_triplets(tgt[second], src[first], vals, dim)
 
 
 class QuadraticObservable:
@@ -317,12 +263,12 @@ class QuadraticObservable:
         q, _ = self.transfers()
         phase = np.exp(1j * (q[:, 0] * xt[0] - q[:, 1] * xt[1]
                              - q[:, 2] * xt[2] - q[:, 3] * xt[3]))
-        return _assemble(self.space, self.terms, self.terms["coeff"] * phase)
+        return _assemble(self.space, self.terms, _cmul(self.terms["coeff"], phase))
 
     def weighted(self, label: str, factor: np.ndarray) -> QuadraticObservable:
         """The bilinear with coefficients coeff * factor per term; terms whose
         product is exactly zero are dropped."""
-        coeff = self.terms["coeff"] * factor
+        coeff = _cmul(self.terms["coeff"], np.asarray(factor, dtype=complex))
         keep = coeff != 0
         terms = self.terms[keep]
         terms["coeff"] = coeff[keep]

@@ -8,8 +8,8 @@ ordering.
 
 Grids, states and basis arrays are immutable after construction.  A
 FockSpace realizes each ladder operator lazily, on first use, and caches it
-on the space; expectation values are pure functions and safe to evaluate in
-parallel.
+and its index map (LadderTable) on the space; expectation values are pure
+functions and safe to evaluate in parallel.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -129,6 +129,28 @@ class Mode:
     n: Tuple[int, ...]
 
 
+@dataclass(frozen=True)
+class LadderTable:
+    """The ladder maps a FockSpace has composed so far, as one set of arrays.
+
+    Slots number the ladder operators: with M modes, slot j creates mode j,
+    slot M+j annihilates it, and slot -1 is the identity.  (src, tgt, amp)
+    are the maps' triplets (FockSpace.ladder_map) in slot order; the keys
+    (slot+1)*dim + src and (slot+1)*dim + tgt ascend, since every map
+    ascends in source and in target."""
+    src: np.ndarray
+    tgt: np.ndarray
+    amp: np.ndarray
+    src_key: np.ndarray
+    tgt_key: np.ndarray
+
+
+def lookup(keys: np.ndarray, want) -> Tuple[np.ndarray, np.ndarray]:
+    """(pos, found): where each wanted key sorts into keys, and if it is there."""
+    pos = np.searchsorted(keys, want)
+    return pos, keys[np.minimum(pos, len(keys) - 1)] == want
+
+
 class FockSpace:
     """Truncated occupation-number space over labelled mode grids.
 
@@ -184,6 +206,8 @@ class FockSpace:
         self.lattice_momentum = basis.astype(np.int64) @ lat   # (dim, 3) exact ints
 
         self._op_cache: Dict[Tuple[str, Tuple[int, ...], str], Operator] = {}
+        self._slot_maps: Dict[int, Tuple[np.ndarray, ...]] = {}
+        self._ladder_table: Optional[LadderTable] = None
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -219,10 +243,9 @@ class FockSpace:
         """Position of an occupation row in the basis, by binary search."""
         occ = np.asarray(occ)
         if occ.shape == self.caps.shape and np.all((occ >= 0) & (occ <= self.caps)):
-            key = _row_keys(occ[None, :])
-            i = int(np.searchsorted(self._keys, key)[0])
-            if i < self.dim and self._keys[i] == key[0]:
-                return i
+            pos, found = lookup(self._keys, _row_keys(occ[None, :]))
+            if found[0]:
+                return int(pos[0])
         raise UnknownMode("occupation configuration outside the basis")
 
     # -- operators ----------------------------------------------------------
@@ -249,6 +272,25 @@ class FockSpace:
                               f"(create), not {kind!r}")
         op = (self.creation if kind == "c" else self.annihilation)(channel, n)
         return op.col, op.row, op.value
+
+    def ladder_table(self, slots) -> LadderTable:
+        """The space's LadderTable, grown by the slots among `slots` that it
+        does not hold yet; each is realized once, through ladder_map."""
+        maps, M, dim = self._slot_maps, len(self.modes), self.dim
+        new = sorted(set(np.unique(slots).tolist()) - maps.keys())
+        for s in new:
+            if s < 0:
+                maps[s] = (np.arange(dim), np.arange(dim), np.ones(dim, dtype=complex))
+            else:
+                mode = self.modes[s % M]
+                maps[s] = self.ladder_map(mode.channel, mode.n, "c" if s < M else "a")
+        if new:
+            held = sorted(maps)
+            src, tgt, amp = (np.concatenate(a) for a in zip(*map(maps.get, held)))
+            offset = np.repeat((np.array(held) + 1) * dim,
+                               [len(maps[s][0]) for s in held])
+            self._ladder_table = LadderTable(src, tgt, amp, offset + src, offset + tgt)
+        return self._ladder_table
 
     def _operator(self, channel, n, kind) -> Operator:
         key = (channel, n, kind)

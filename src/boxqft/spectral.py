@@ -26,9 +26,10 @@ freshly built product.
 
 At beta = inf thermal_state puts all weight on one state g, so only row g
 of A and column g of B contribute.  Those two records are built without the
-blocks (fields._assemble_at), and the sample's line spectrum is their
-elementwise product: the same entries, in the same order, as row g of the
-full product, so the sample is bit-identical to one taken from the blocks.
+blocks (fields._assemble given the state g), and the sample's line spectrum
+is their elementwise product: the same entries, in the same order, as row g
+of the full product, so the sample is bit-identical to one taken from the
+blocks.
 
 Each density holds one memo, a plain dict, for the pair {lat, -lat} it was
 last asked about: the block terms of both targets, its auto line spectra
@@ -49,7 +50,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import BoxQFTError
-from .fields import QuadraticObservable, _assemble_at
+from .fields import QuadraticObservable, _assemble
 from .fock import FockSpace, thermal_state
 from .operator import Operator
 from .spacetime import FourVector, minkowski_dot
@@ -130,8 +131,9 @@ def _ground_record(space: FockSpace, density: QuadraticObservable,
     of the momentum block at target: built without the block, once per memo."""
     memo = _memo(space, density, target)
     if (target, side) not in memo["ground"]:
-        memo["ground"][target, side] = _assemble_at(
-            space, memo["terms"][target], state, side)
+        terms = memo["terms"][target]
+        memo["ground"][target, side] = _assemble(space, terms, terms["coeff"],
+                                                 state, side)
     return memo["ground"][target, side]
 
 

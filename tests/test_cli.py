@@ -319,8 +319,8 @@ def test_single_random_projector_input_is_checked():
 
 
 def test_cli_all_at_the_default_config_loads_no_scipy(tmp_path):
-    # scipy costs about 0.3 s and 25 MB in a fresh process; only the
-    # rect-window quadrature, which no default command uses, needs it
+    # scipy costs about 0.3 s and 25 MB in a fresh process, and the package
+    # needs none at run time
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parent.parent)
     code = ("import sys\n"

@@ -13,7 +13,7 @@ from boxqft.correlators import (CTPPropagator, OrderingScheme,
                                 ordering_average, perfect_matchings,
                                 three_point_T_phi_phi, three_point_combination,
                                 wick_npoint)
-from boxqft.errors import BoxQFTError, MomentumMismatch
+from boxqft.errors import BoxQFTError, MomentumMismatch, UnknownMode
 from boxqft.fock import ModeGrid, Species, build_fock_space
 from boxqft.spacetime import FourVector, ctp_contour, minkowski_dot
 
@@ -113,6 +113,18 @@ def test_insertion_rejects_unknown_kind():
     c = ctp_contour(1.0, 2)
     with pytest.raises(BoxQFTError):
         insertion(space, "f", (1,), "x", c.time(0, 0.1))
+
+
+def test_insertion_rejects_a_mode_off_the_space():
+    # the Wick engine would return a value for a mode off the grid, which
+    # the oracle cannot evaluate
+    grid = ModeGrid(axes=(3,), lengths=(2 * math.pi,), ranges=((-1, 1),),
+                    species=Species.BOSON, mass=1.0)
+    space = build_fock_space([("phi", grid)], 2, 2)
+    c = ctp_contour(1.0, 2)
+    for n in ((5,), (1, 0)):
+        with pytest.raises(UnknownMode):
+            insertion(space, "phi", n, "a", c.time(0, 0.1))
 
 
 def test_perfect_matchings_count():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import BOX, csr, dirac_space, photon_space, scalar_space
 
+from boxqft import fields
 from boxqft.errors import BoxQFTError, ZeroMomentum
 from boxqft.fields import (GAMMA, PAULI, EMFieldConfig, QuadraticObservable,
                            current_matrices, dirac_current_density,
@@ -15,11 +16,12 @@ from boxqft.fields import (GAMMA, PAULI, EMFieldConfig, QuadraticObservable,
                            scalar_bilinear_density, scalar_density,
                            scalar_momentum_density, spinor_u, spinor_v,
                            stress_tensor_em, stress_tensor_scalar)
-from boxqft.fock import (ModeGrid, Species, basis_state, build_fock_space,
-                         expectation, vacuum_state)
+from boxqft.fock import (FockSpace, ModeGrid, Species, basis_state,
+                         build_fock_space, expectation, vacuum_state)
 from boxqft.measurement import (MeasurementWindow,
                                 spacelike_windowed_observable,
                                 windowed_observable)
+from boxqft.operator import _cmul
 from boxqft.spacetime import METRIC, FourVector
 
 
@@ -403,3 +405,63 @@ def test_assembly_matches_product_loop_random(n_mode, mass, caps, kind, t, z,
                    stress_tensor_scalar(space, int(kind[1]), int(kind[2])))
     _check_density(density, FourVector(t, 0.0, 0.0, z),
                    FourVector(p0 * abs(p3), 0.0, 0.0, float(p3)))
+
+
+def test_complex_coefficients_are_multiplied_with_cmul():
+    # numpy's complex product may fuse into FMAs and differ from _cmul in the
+    # last bit; .at and weighted must give the same bits on every CPU
+    space = scalar_space(n_mode=2, mass=0.5, caps=(2, 2))
+    rng = np.random.default_rng(7)
+    n, M = 16, len(space.modes)
+    coeff = rng.normal(size=n) + 1j * rng.normal(size=n)
+    X = QuadraticObservable(space, "random", fields._terms(
+        rng.integers(-1, 2 * M, n), rng.integers(0, 2 * M, n), coeff))
+    x = FourVector(0.3, 0.0, 0.0, 1.9)
+    q, _ = X.transfers()
+    xt = x.as_array()
+    phase = np.exp(1j * (q[:, 0] * xt[0] - q[:, 1] * xt[1]
+                         - q[:, 2] * xt[2] - q[:, 3] * xt[3]))
+    got = X.at(x)
+    want = fields._assemble(space, X.terms, _cmul(X.terms["coeff"], phase))
+    for a, b in zip((got.row, got.col, got.value), (want.row, want.col, want.value)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    factor = rng.normal(size=n) + 1j * rng.normal(size=n)
+    weighted = X.weighted("w", factor).terms["coeff"]
+    assert weighted.tobytes() == _cmul(coeff, factor).tobytes()
+
+
+def test_ladder_table_realizes_each_slot_once(monkeypatch):
+    space = scalar_space(n_mode=2, mass=0.5, caps=(2, 2))
+    M = len(space.modes)
+    realized = []
+    ladder_map = FockSpace.ladder_map
+    monkeypatch.setattr(FockSpace, "ladder_map", lambda self, ch, n, kind: (
+        realized.append((space.mode_index[ch, n], kind))
+        or ladder_map(self, ch, n, kind)))
+
+    def held():
+        table = space._ladder_table
+        for keys in (table.src_key, table.tgt_key):
+            assert np.all(np.diff(keys) > 0)
+        return (np.unique(table.src_key // space.dim) - 1).tolist()
+
+    X = scalar_bilinear_density(space)          # every ladder slot
+    X.matrix()
+    assert sorted(realized) == sorted([(j, k) for j in range(M) for k in "ac"])
+    table = space._ladder_table
+    arrays = [table.src, table.tgt, table.amp, table.src_key, table.tgt_key]
+    # the same slots again: nothing realized, the table's arrays kept
+    QuadraticObservable(space, "again", X.terms).matrix()
+    assert len(realized) == 2 * M and space._ladder_table is table
+    assert all(a is b for a, b in zip(arrays, vars(space._ladder_table).values()))
+    # a linear density needs the identity too: the table grows by slot -1
+    scalar_density(space).matrix()
+    assert len(realized) == 2 * M and held() == list(range(-1, 2 * M))
+
+    # on a fresh space, a term on a new slot grows the table by that slot
+    space = scalar_space(n_mode=2, mass=0.5, caps=(2, 2))
+    del realized[:]
+    QuadraticObservable(space, "a", [(0, M, 1.0)]).matrix()
+    assert realized == [(0, "c"), (0, "a")] and held() == [0, M]
+    QuadraticObservable(space, "b", [(0, M, 1.0), (1, M, 2.0)]).matrix()
+    assert realized == [(0, "c"), (0, "a"), (1, "c")] and held() == [0, 1, M]

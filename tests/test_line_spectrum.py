@@ -212,20 +212,26 @@ def test_zero_temperature_samples_match_reference_random(species, n_mode, mass,
         assert type(s.G) is complex
 
 
+def count_assembles(monkeypatch):
+    """Count the calls of fields._assemble, under both names it is called
+    by: one without a state realizes a block, one with a state a record."""
+    blocks, records = [], []
+    assemble = fields._assemble
+
+    def counting(space, terms, coeffs, state=None, side="col"):
+        (blocks if state is None else records).append((state, side))
+        return assemble(space, terms, coeffs, state, side)
+
+    for module in (fields, spectral):
+        monkeypatch.setattr(module, "_assemble", counting)
+    return blocks, records
+
+
 def test_zero_temperature_sample_builds_no_block(monkeypatch):
     space = dirac_space(n_mode=2, mass=1.0, caps=(1, 3))
     j0 = dirac_current_density(space, 0)
     j3 = dirac_current_density(space, 3)
-    assembled, records = [], []
-    assemble, assemble_at = fields._assemble, spectral._assemble_at
-
-    def counting_at(*args):
-        records.append(args[2:])
-        return assemble_at(*args)
-
-    monkeypatch.setattr(fields, "_assemble",
-                        lambda *args: assembled.append(args) or assemble(*args))
-    monkeypatch.setattr(spectral, "_assemble_at", counting_at)
+    blocks, records = count_assembles(monkeypatch)
     p = FourVector(2.0, 0.0, 0.0, U)
     for q in (p, -1.0 * p):
         lehmann_spectral_density(space, j0, j0, q, math.inf)
@@ -235,7 +241,7 @@ def test_zero_temperature_sample_builds_no_block(monkeypatch):
         lehmann_spectral_density(space, j0, j0, q, math.inf)
         lehmann_spectral_density(space, j3, j0, q, math.inf)
     # j3's two rows are new; j0's records are memoized
-    assert len(records) == 6 and assembled == []
+    assert len(records) == 6 and blocks == []
 
 
 def test_a_sample_is_complex_where_no_line_exists():
@@ -266,7 +272,7 @@ def test_assemble_at_is_a_row_or_column_of_the_matrix(species, n_mode, mass,
     full = X.matrix()
     for n in (int(np.argmin(space.energies)), state % space.dim):
         for side, on in (("row", full.row), ("col", full.col)):
-            part = fields._assemble_at(space, X.terms, n, side)
+            part = fields._assemble(space, X.terms, X.terms["coeff"], n, side)
             sel = on == n
             assert np.array_equal(part.row, full.row[sel])
             assert np.array_equal(part.col, full.col[sel])
@@ -417,12 +423,11 @@ def test_memo_holds_no_block_after_a_sample():
 
 def test_a_lattice_pair_costs_one_product(monkeypatch):
     space = scalar_space(n_mode=2, mass=0.5, caps=(2, 2))
-    products, assembled = [], []
-    hadamard, assemble = Operator.hadamard_transpose, fields._assemble
+    products = []
+    hadamard = Operator.hadamard_transpose
     monkeypatch.setattr(Operator, "hadamard_transpose",
                         lambda A, B: products.append(1) or hadamard(A, B))
-    monkeypatch.setattr(fields, "_assemble",
-                        lambda *args: assembled.append(1) or assemble(*args))
+    assembled, _ = count_assembles(monkeypatch)
     # fdt_ratio samples +p and -p; at lat = 0 both share one block
     for p3, blocks in ((1, 2), (-2, 2), (0, 1)):
         X = scalar_bilinear_density(space)
@@ -453,14 +458,7 @@ def test_density_is_freed_without_the_cyclic_collector():
 def test_second_beta_realizes_no_block(monkeypatch):
     space = scalar_space(n_mode=2, mass=0.5, caps=(2, 2))
     X = scalar_bilinear_density(space)
-    assembled = []
-    assemble = fields._assemble
-
-    def counting(*args):
-        assembled.append(args[1])
-        return assemble(*args)
-
-    monkeypatch.setattr(fields, "_assemble", counting)
+    assembled, _ = count_assembles(monkeypatch)
     p = FourVector(1.0, 0, 0, U)
     fdt_ratio(space, X, p, 0.5)
     assert len(assembled) == 2           # X(-lat) and X(lat), once each

@@ -1,5 +1,10 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -355,6 +360,42 @@ def test_localization_rectangular_algebraic_decay():
     gauss = localization_effect(pbar, sigmas, envelope="gauss")
     gleaks = [r.leakage for r in gauss.rows]
     assert gleaks[-1] / gleaks[0] < leaks[-1] / leaks[0] * 1e-3
+
+
+def test_rect_leakage_matches_the_closed_form():
+    # (2/pi) int_x^inf sin^2(u)/u^2 du at x = q*sigma, from mpmath's Si at
+    # 40 digits; the whole tail counts, however far out
+
+    def exact(x):
+        with mpmath.workdps(40):
+            x = mpmath.mpf(x)
+            return float(2 * (mpmath.sin(x) ** 2 / x + mpmath.pi / 2
+                              - mpmath.si(2 * x)) / mpmath.pi)
+
+    cases = [(1.0, s) for s in np.geomspace(1e-3, 1e4, 60)] + \
+        [(1.0, 0.8), (2.0, 8.0), (3.0, 50.0), (1.0, 1.0), (1.0, 2.0), (1.0, 2.5)]
+    for q, sigma in cases:
+        rep = localization_effect(FourVector(0, 0, 0, q), [sigma], envelope="rect")
+        want = exact(q * sigma)
+        assert abs(rep.rows[0].leakage - want) <= 1e-13 * want, (q, sigma)
+    # no time-like gap: all of the weight leaks
+    rep = localization_effect(FourVector(0, 0, 0, 0.0), [1.0], envelope="rect")
+    assert abs(rep.rows[0].leakage - 1.0) <= 1e-15
+
+
+def test_rect_leakage_loads_no_scipy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    code = ("import sys\n"
+            "from boxqft.measurement import localization_effect\n"
+            "from boxqft.spacetime import FourVector\n"
+            "localization_effect(FourVector(0, 0, 0, 2.0), [1.0, 8.0], "
+            "envelope='rect')\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_localization_variance_tracks_leakage():

@@ -196,8 +196,8 @@ def test_empty_operator():
 
 
 def test_import_loads_no_scipy():
-    # scipy.sparse alone costs about 0.2 s of start-up; only the lazily
-    # imported rect-window quadrature (scipy.integrate.quad) may bring scipy in
+    # scipy.sparse alone costs about 0.2 s of start-up, and the package
+    # needs no scipy at run time
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src")
     code = ("import sys, boxqft, boxqft.cli\n"
