@@ -12,10 +12,12 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
+import sys
 import time
 from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -48,41 +50,111 @@ from .tensors import (TensorCorrelation, decompose_antisymmetric,
 # configuration
 
 
-DEFAULT_CONFIG: Dict = {
-    "out": "artifacts",
-    "seed": 20240613,
-    "format": "csv",
-    "fdt": {"box": 2 * math.pi, "betas": [0.5, 1.0, 2.0], "tol": 1e-10},
-    "suppression": {"box": 2 * math.pi, "n_max_mode": 4,
-                    "betas_range": [2.0, 12.0], "n_beta": 21,
-                    "samples": [[0.0, 4], [1.0, 5], [0.0, 6], [2.0, 6], [1.0, 7]],
-                    "rel_tol": 0.05},
-    "noiseless": {"box": 2 * math.pi, "n_max_mode": 6, "variance_tol": 1e-12,
-                  "pipeline_tol": 1e-8, "synthetic_tol": 1e-10,
-                  "projector_tol": 1e-12, "n_random": 1000},
-    "scaling": {"volume": 1.0, "tau_range": [10.0, 100.0], "n_points": 16,
-                "exp_tol": 0.1},
-    "sagnac": {"box": 2 * math.pi, "mass": 1.0, "k3_mode": 1, "n_periods": 2,
-               "n_max": 4, "defect_tol": 1e-10, "signal_tol": 1e-10,
-               "extra_pairs": [[1.0, 1], [2.0, 1], [0.5, 2]]},
-    "homodyne": {"alphas": [0.02, 0.05, 0.1], "signal": 0.5,
-                 "sigmas": [0.8, 1.2, 1.6, 2.0, 2.6], "k3": 1.0},
-    "wick": {"box": math.pi / 2, "n_max_per_mode": 10, "betas": [1.0, 2.0, math.inf],
-             "tol": 1e-10},
-    "threepoint": {"w": 2.0, "m": 1.0, "v": 1.0, "tol": 1e-14},
+class _Rule(NamedTuple):
+    """The values one config key accepts, and the words that complete
+    "<section>.<key> must be ..."."""
+    accepts: Callable[[object], bool]
+    what: str
+
+
+def _integer(lo, hi=math.inf, nonzero: bool = False) -> _Rule:
+    return _Rule(lambda v: isinstance(v, int) and not isinstance(v, bool) and
+                 lo <= v <= hi and not (nonzero and v == 0),
+                 ("a nonzero" if nonzero else "an") + f" integer in [{lo}, {hi}]")
+
+
+_CMP = {">": operator.gt, ">=": operator.ge, "!=": operator.ne}
+
+
+def _number(cmp: Optional[str] = None, lo=0, inf_ok: bool = False) -> _Rule:
+    """An int or a float, not a bool, that is finite (or +inf if inf_ok),
+    and v cmp lo when cmp is given."""
+    return _Rule(lambda v: isinstance(v, (int, float)) and
+                 not isinstance(v, bool) and
+                 (abs(v) <= sys.float_info.max or inf_ok and v == math.inf) and
+                 (cmp is None or _CMP[cmp](v, lo)),
+                 ("a number" if inf_ok else "a finite number") +
+                 (f" {cmp} {lo}" if cmp else ""))
+
+
+def _list(item: _Rule) -> _Rule:
+    return _Rule(lambda v: isinstance(v, list) and v != [] and
+                 all(map(item.accepts, v)),
+                 f"a non-empty list, each item {item.what}")
+
+
+def _pair(first: _Rule, second: _Rule) -> _Rule:
+    return _Rule(lambda v: isinstance(v, list) and len(v) == 2 and
+                 first.accepts(v[0]) and second.accepts(v[1]),
+                 f"a pair [{first.what}, {second.what}]")
+
+
+_TEXT = _Rule(lambda v: isinstance(v, str) and v != "", "a non-empty string")
+_INTERVAL = _Rule(lambda v: _pair(_number(), _number()).accepts(v) and
+                  0 < v[0] < v[1], "two finite numbers 0 < lo < hi")
+_POSITIVE, _TOL, _COUNT = _number(">", 0), _number(">=", 0), _integer(1)
+_BETAS = _list(_number(">", 0, inf_ok=True))
+# the sagnac spaces hold the axis-3 modes -2..2; a state needs one of them
+_SAGNAC_HALF_WIDTH = 2
+_SAGNAC_MODE = _integer(-_SAGNAC_HALF_WIDTH, _SAGNAC_HALF_WIDTH, nonzero=True)
+
+# (default, rule) of every config key; DEFAULT_CONFIG holds the defaults
+CONFIG_SCHEMA: Dict = {
+    "out": ("artifacts", _TEXT), "seed": (20240613, _integer(0, 2 ** 64 - 1)),
+    "format": ("csv", _Rule(lambda v: v in ("csv", "json"), "csv or json")),
+    "fdt": {"box": (2 * math.pi, _POSITIVE), "betas": ([0.5, 1.0, 2.0], _BETAS),
+            "tol": (1e-10, _TOL)},
+    "suppression": {
+        "box": (2 * math.pi, _POSITIVE), "n_max_mode": (4, _COUNT),
+        "betas_range": ([2.0, 12.0], _INTERVAL), "n_beta": (21, _integer(2)),
+        "samples": ([[0.0, 4], [1.0, 5], [0.0, 6], [2.0, 6], [1.0, 7]],
+                    _list(_pair(_number(), _number()))),
+        "rel_tol": (0.05, _TOL)},
+    "noiseless": {
+        "box": (2 * math.pi, _POSITIVE), "n_max_mode": (6, _COUNT),
+        "variance_tol": (1e-12, _TOL), "pipeline_tol": (1e-8, _TOL),
+        "synthetic_tol": (1e-10, _TOL), "projector_tol": (1e-12, _TOL),
+        "n_random": (1000, _COUNT)},
+    "scaling": {"volume": (1.0, _POSITIVE), "tau_range": ([10.0, 100.0], _INTERVAL),
+                "n_points": (16, _integer(2)), "exp_tol": (0.1, _TOL)},
+    "sagnac": {
+        "box": (2 * math.pi, _POSITIVE), "mass": (1.0, _number(">=", 0)),
+        "k3_mode": (1, _SAGNAC_MODE), "n_periods": (2, _COUNT),
+        "n_max": (4, _integer(1, 6)), "defect_tol": (1e-10, _TOL),
+        "signal_tol": (1e-10, _TOL),
+        "extra_pairs": ([[1.0, 1], [2.0, 1], [0.5, 2]],
+                        _list(_pair(_number(">=", 0), _SAGNAC_MODE)))},
+    # k3 != 0: the dark-count readout p = (0, 0, 0, 2 k3) must be space-like
+    "homodyne": {"alphas": ([0.02, 0.05, 0.1], _list(_number())),
+                 "signal": (0.5, _number()),
+                 "sigmas": ([0.8, 1.2, 1.6, 2.0, 2.6], _list(_POSITIVE)),
+                 "k3": (1.0, _number("!=", 0))},
+    "wick": {"box": (math.pi / 2, _POSITIVE), "n_max_per_mode": (10, _COUNT),
+             "betas": ([1.0, 2.0, math.inf], _BETAS), "tol": (1e-10, _TOL)},
+    "threepoint": {"w": (2.0, _number()), "m": (1.0, _number(">=", 0)),
+                   "v": (1.0, _number()), "tol": (1e-14, _TOL)},
 }
 
+DEFAULT_CONFIG: Dict = {
+    key: {k: d for k, (d, _) in e.items()} if isinstance(e, dict) else e[0]
+    for key, e in CONFIG_SCHEMA.items()}
 
-def _above(val, lo) -> bool:
-    """val is an int or a float, not a bool, and greater than lo."""
-    return isinstance(val, (int, float)) and not isinstance(val, bool) and val > lo
+
+def _keyed_values(cfg: dict):
+    """(dotted name, value in cfg, rule) for every key of CONFIG_SCHEMA."""
+    for key, entry in CONFIG_SCHEMA.items():
+        if isinstance(entry, dict):
+            for k, (_, rule) in entry.items():
+                yield f"{key}.{k}", cfg[key][k], rule
+        else:
+            yield key, cfg[key], entry[1]
 
 
 def merge_config(overrides: Optional[dict]) -> dict:
+    """DEFAULT_CONFIG overlaid with overrides, each key checked by its rule
+    in CONFIG_SCHEMA; ConfigInvalid names the first bad key."""
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
-    if not overrides:
-        return cfg
-    for key, val in overrides.items():
+    for key, val in (overrides or {}).items():
         if key not in cfg:
             raise ConfigInvalid(f"unknown config key {key!r}")
         if isinstance(cfg[key], dict):
@@ -94,67 +166,13 @@ def merge_config(overrides: Optional[dict]) -> dict:
                 cfg[key][k2] = v2
         else:
             cfg[key] = val
-    if cfg["format"] not in ("csv", "json"):
-        raise ConfigInvalid(f"format must be csv or json, not {cfg['format']!r}")
-    # values that would otherwise pass vacuously (0 draws, tau = 0, no beta)
-    # or crash (an empty grid, a fit through one point, beta or volume 0)
-    for section, key, lo, hi in (("noiseless", "n_random", 1, math.inf),
-                                 ("noiseless", "n_max_mode", 1, math.inf),
-                                 ("suppression", "n_max_mode", 1, math.inf),
-                                 ("suppression", "n_beta", 2, math.inf),
-                                 ("scaling", "n_points", 2, math.inf),
-                                 ("sagnac", "n_periods", 1, math.inf),
-                                 ("sagnac", "n_max", 1, 6)):
-        val = cfg[section][key]
-        if isinstance(val, bool) or not isinstance(val, int) or not lo <= val <= hi:
-            raise ConfigInvalid(f"{section}.{key} must be an integer in "
-                                f"[{lo}, {hi}], not {val!r}")
-    for section, key, lo in (("fdt", "betas", 0.0), ("wick", "betas", 0.0),
-                             ("homodyne", "sigmas", 0.0),
-                             ("homodyne", "alphas", -math.inf)):
-        val = cfg[section][key]
-        if not (isinstance(val, list) and val and all(_above(v, lo) for v in val)):
-            raise ConfigInvalid(f"{section}.{key} must be a non-empty list of "
-                                f"numbers > {lo}, not {val!r}")
-    positive = [("scaling", "volume")] + [
-        (section, "box") for section, val in cfg.items()
-        if isinstance(val, dict) and "box" in val]
-    for section, key in positive:
-        if not _above(cfg[section][key], 0.0):
-            raise ConfigInvalid(f"{section}.{key} must be a number > 0, not "
-                                f"{cfg[section][key]!r}")
-    samples = cfg["suppression"]["samples"]
-    if not (isinstance(samples, list) and samples and all(
-            isinstance(s, list) and len(s) == 2 and
-            all(_above(v, -math.inf) for v in s) for s in samples)):
-        raise ConfigInvalid(f"suppression.samples must be a non-empty list of "
-                            f"[p0, p3] number pairs, not {samples!r}")
-    for section, key in (("suppression", "betas_range"), ("scaling", "tau_range")):
-        val = cfg[section][key]
-        if not (isinstance(val, list) and len(val) == 2 and
-                all(_above(v, 0.0) and math.isfinite(v) for v in val) and
-                val[0] < val[1]):
-            raise ConfigInvalid(f"{section}.{key} must be two finite numbers "
-                                f"0 < lo < hi, not {val!r}")
+    for name, val, rule in _keyed_values(cfg):
+        if not rule.accepts(val):
+            raise ConfigInvalid(f"{name} must be {rule.what}, not {val!r}")
     t0, t1 = cfg["scaling"]["tau_range"]
     if t1 < 10 * t0 * 0.999:                 # noise_exponent_fit's decade rule
         raise ConfigInvalid(f"scaling.tau_range must cover at least one decade, "
                             f"not {[t0, t1]!r}")
-    exp_tol = cfg["scaling"]["exp_tol"]
-    if not (_above(exp_tol, -math.inf) and exp_tol >= 0):
-        raise ConfigInvalid(f"scaling.exp_tol must be a number >= 0, not {exp_tol!r}")
-    pairs = cfg["sagnac"]["extra_pairs"]
-    if not (isinstance(pairs, list) and pairs and all(
-            isinstance(pair, list) and len(pair) == 2 and
-            _above(pair[0], -math.inf) and 0 <= pair[0] < math.inf and
-            isinstance(pair[1], int) and not isinstance(pair[1], bool) and
-            pair[1] != 0 for pair in pairs)):
-        raise ConfigInvalid(f"sagnac.extra_pairs must be a non-empty list of "
-                            f"[mass >= 0, nonzero integer n] pairs, not {pairs!r}")
-    # the dark-count readout p = (0, 0, 0, 2 k3) must be space-like
-    k3 = cfg["homodyne"]["k3"]
-    if not (_above(k3, -math.inf) and k3 != 0):
-        raise ConfigInvalid(f"homodyne.k3 must be a nonzero number, not {k3!r}")
     return cfg
 
 
@@ -417,7 +435,7 @@ def _tensor_zero_checks(report: RunReport, cfg: dict, box: float) -> None:
 
 
 def _tensor_synthetic_checks(report: RunReport, cfg: dict, seed: int) -> None:
-    rng = np.random.default_rng(seed or 1234)
+    rng = np.random.default_rng(seed)
     tol, ptol = cfg["synthetic_tol"], cfg["projector_tol"]
     p = FourVector(0.0, 0.0, 0.0, 1.0)
     pa = p.as_array()
@@ -520,12 +538,13 @@ def cmd_sagnac(config: dict, out: Optional[Path] = None) -> RunReport:
         dirac = scfg.species in (SagnacSpecies.DIRAC_A, SagnacSpecies.DIRAC_B)
         key = ("dirac" if dirac else scfg.species.value, scfg.mass)
         if key not in spaces:
+            n = _SAGNAC_HALF_WIDTH
             if dirac:
-                spaces[key] = _dirac_space(box, 2, mass=scfg.mass, caps=(1, 2))
+                spaces[key] = _dirac_space(box, n, mass=scfg.mass, caps=(1, 2))
             elif scfg.species is SagnacSpecies.SCALAR:
-                spaces[key] = _scalar_space(box, 2, mass=scfg.mass, caps=(2, 2))
+                spaces[key] = _scalar_space(box, n, mass=scfg.mass, caps=(2, 2))
             else:
-                spaces[key] = _photon_space(box, 2, caps=(2, 2))
+                spaces[key] = _photon_space(box, n, caps=(2, 2))
         return spaces[key]
 
     dirac_configs = [SagnacConfig(SagnacSpecies.DIRAC_A, m, k3),
@@ -743,17 +762,14 @@ COMMANDS = {
 
 def _run(command: str, config_path, out, seed, check_filter, fmt) -> int:
     try:
-        overrides = None
-        if config_path:
-            overrides = json.loads(Path(config_path).read_text())
-        cfg = merge_config(overrides)
-        if out:
-            cfg["out"] = out
-        if seed is not None:
-            cfg["seed"] = seed
-        if fmt:
-            cfg["format"] = fmt
-    except (ConfigInvalid, json.JSONDecodeError, OSError) as exc:
+        doc = json.loads(Path(config_path).read_text()) if config_path else {}
+        if not isinstance(doc, dict):
+            raise ConfigInvalid(f"a config file must hold a table, not {doc!r}")
+        flags = {"out": out, "seed": seed, "format": fmt}
+        cfg = merge_config({**doc, **{k: v for k, v in flags.items()
+                                      if v is not None}})
+    except (ConfigInvalid, json.JSONDecodeError, UnicodeDecodeError,
+            OSError) as exc:
         click.echo(f"config error: {exc}", err=True)
         return 2
     out_dir = Path(cfg["out"])
@@ -764,9 +780,6 @@ def _run(command: str, config_path, out, seed, check_filter, fmt) -> int:
         t0 = time.perf_counter()
         try:
             report = COMMANDS[name](cfg, out_dir)
-        except ConfigInvalid as exc:
-            click.echo(f"config error: {exc}", err=True)
-            return 2
         except BoxQFTError as exc:   # DimensionOverflow and friends
             click.echo(f"{name} failed: {exc}", err=True)
             return 1

@@ -39,11 +39,13 @@ class Insertion:
     energy: float
     time: CTPTime
 
+    def __post_init__(self):
+        if self.kind not in ("a", "c"):
+            raise BoxQFTError(f"ladder kind must be 'a' (annihilate) or 'c' "
+                              f"(create), not {self.kind!r}")
+
 
 def insertion(space: FockSpace, channel: str, n, kind: str, time: CTPTime) -> Insertion:
-    if kind not in ("a", "c"):
-        raise BoxQFTError(f"ladder kind must be 'a' (annihilate) or 'c' "
-                          f"(create), not {kind!r}")
     n = tuple(n)
     grid = space.grid(channel)
     if (channel, n) not in space.mode_index:
@@ -210,8 +212,11 @@ def exact_contour_correlator(space: FockSpace, insertions: Sequence[Insertion],
                             if insertions[i].species is Species.FERMION])
 
     energies, dim, M = space.energies, space.dim, len(space.modes)
-    slots = [space.mode_index[ins.mode] + (M if ins.kind == "a" else 0)
-             for ins in insertions]
+    try:
+        slots = [space.mode_index[ins.mode] + (M if ins.kind == "a" else 0)
+                 for ins in insertions]
+    except KeyError as exc:
+        raise UnknownMode(f"mode {exc.args[0]} is not on the space") from None
     table = space.ladder_table(slots)
     start = state = np.arange(dim)
     amp = np.ones(dim)                   # ladder amplitudes are real

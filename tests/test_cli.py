@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,9 +16,9 @@ from conftest import csr
 
 from boxqft import cli, measurement
 
-from boxqft.cli import (COMMANDS, DEFAULT_CONFIG, RunReport, cmd_fdt,
-                        cmd_homodyne, cmd_noiseless, cmd_sagnac, cmd_threepoint,
-                        main, merge_config, write_table)
+from boxqft.cli import (COMMANDS, CONFIG_SCHEMA, DEFAULT_CONFIG, RunReport,
+                        cmd_fdt, cmd_homodyne, cmd_noiseless, cmd_sagnac,
+                        cmd_threepoint, main, merge_config, write_table)
 from boxqft.errors import ConfigInvalid
 from boxqft.fields import em_field_strength_density
 from boxqft.operator import Operator
@@ -35,6 +36,75 @@ def test_merge_config_validation():
         merge_config({"threepoint": {"bogus": 1}})
     with pytest.raises(ConfigInvalid):
         merge_config({"threepoint": 5})
+
+
+# every key of DEFAULT_CONFIG, dotted for a key in a section
+CONFIG_KEYS = [name for section, val in DEFAULT_CONFIG.items()
+               for name in ([f"{section}.{key}" for key in val]
+                            if isinstance(val, dict) else [section])]
+
+# one value per key that its rule must reject; a new key needs a case here
+BAD_VALUES = {
+    "out": "",
+    "seed": -5,
+    "format": "xml",
+    "fdt.box": math.inf,
+    "fdt.betas": [1.0, -1.0],
+    "fdt.tol": -1,
+    "suppression.box": "6",
+    "suppression.n_max_mode": 0,
+    "suppression.betas_range": [12.0, 2.0],
+    "suppression.n_beta": 1,
+    "suppression.samples": [[0.0, math.nan]],
+    "suppression.rel_tol": -1,
+    "noiseless.box": 0,
+    "noiseless.n_max_mode": 2.0,
+    "noiseless.variance_tol": "x",
+    "noiseless.pipeline_tol": None,
+    "noiseless.synthetic_tol": math.nan,
+    "noiseless.projector_tol": True,
+    "noiseless.n_random": 0,
+    "scaling.volume": -1.0,
+    "scaling.tau_range": [10.0],
+    "scaling.n_points": 1,
+    "scaling.exp_tol": -0.1,
+    "sagnac.box": 0,
+    "sagnac.mass": -1,
+    "sagnac.k3_mode": 3,
+    "sagnac.n_periods": 0,
+    "sagnac.n_max": 7,
+    "sagnac.defect_tol": None,
+    "sagnac.signal_tol": -1e-10,
+    "sagnac.extra_pairs": [[1.0, 3]],
+    "homodyne.alphas": [0.1, math.inf],
+    "homodyne.signal": "a",
+    "homodyne.sigmas": [0.8, 0.0],
+    "homodyne.k3": 0,
+    "wick.box": math.inf,
+    "wick.n_max_per_mode": 0,
+    "wick.betas": [],
+    "wick.tol": -1,
+    "threepoint.w": math.nan,
+    "threepoint.m": -1.0,
+    "threepoint.v": math.inf,
+    "threepoint.tol": "x",
+}
+
+
+def test_config_schema_has_one_rule_per_default_key():
+    for name in CONFIG_KEYS:
+        section, _, key = name.rpartition(".")
+        default, rule = (CONFIG_SCHEMA[section] if section else CONFIG_SCHEMA)[key]
+        assert isinstance(rule, cli._Rule) and rule.accepts(default), name
+    assert set(BAD_VALUES) == set(CONFIG_KEYS)
+
+
+@pytest.mark.parametrize("name", CONFIG_KEYS)
+def test_merge_config_rejects_a_bad_value_of_every_key(name):
+    section, _, key = name.rpartition(".")
+    value = BAD_VALUES[name]
+    with pytest.raises(ConfigInvalid, match=f"^{re.escape(name)} must be "):
+        merge_config({section: {key: value}} if section else {key: value})
 
 
 def test_report_bookkeeping(tmp_path):
@@ -173,6 +243,8 @@ def test_noiseless_seed_comes_from_config():
     assert first.to_json() == again.to_json()
     assert len(values) == 2 and values == same
     assert other != values
+    # seed 0 used to fall back to 1234
+    assert projector_values(0)[1] != projector_values(1234)[1]
 
 
 def test_field_strength_sign_folding_gives_the_full_tensor():
@@ -271,15 +343,50 @@ def test_cli_n_random_below_one_or_not_integer_exit_two(tmp_path, n_random):
     ("scaling", "scaling", "tau_range", [10, 50]),   # under a decade, exit 1
     ("scaling", "scaling", "exp_tol", -1),           # every check fails
     ("sagnac", "sagnac", "extra_pairs", []),         # passed with no check
-    ("sagnac", "sagnac", "extra_pairs", [[1.0, 0]])])  # no grid mode, exit 1
+    ("sagnac", "sagnac", "extra_pairs", [[1.0, 0]]),  # no grid mode, exit 1
+    ("sagnac", "sagnac", "k3_mode", 0),              # no grid mode, exit 1
+    ("sagnac", "sagnac", "k3_mode", 3),              # no grid mode, exit 1
+    ("sagnac", "sagnac", "extra_pairs", [[1.0, 3]]),  # no grid mode, exit 1
+    ("sagnac", "sagnac", "mass", -1),                # exit 1
+    ("wick-check", "wick", "n_max_per_mode", 0),     # exit 1
+    ("fdt", "fdt", "tol", -1),                       # every check fails
+    ("suppression", "suppression", "rel_tol", -1),   # every check fails
+    ("wick-check", "wick", "box", math.inf),         # ZeroDivisionError
+    ("noiseless", "noiseless", "variance_tol", "x"),  # ValueError
+    ("threepoint", "threepoint", "tol", "x"),        # ValueError
+    ("homodyne", "homodyne", "signal", "a"),         # TypeError
+    ("sagnac", "sagnac", "defect_tol", None),        # TypeError
+    ("noiseless", None, "seed", -5)])                # ValueError
 def test_cli_config_values_that_crash_or_check_nothing_exit_two(
         tmp_path, command, section, key, value):
     cfgfile = tmp_path / "cfg.json"
-    cfgfile.write_text(json.dumps({section: {key: value}}))
+    cfgfile.write_text(json.dumps({section: {key: value}} if section
+                                  else {key: value}))
     res = CliRunner().invoke(main, [command, "--config", str(cfgfile),
                                     "--out", str(tmp_path / "o")])
     assert res.exit_code == 2
-    assert f"{section}.{key}" in res.output
+    assert (f"{section}.{key}" if section else f"{key} must be") in res.output
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_seed_flag_is_checked_like_a_config_value(tmp_path):
+    # flags skipped validation: default_rng raised ValueError on seed -5
+    res = CliRunner().invoke(main, ["noiseless", "--seed", "-5",
+                                    "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2
+    assert "seed must be" in res.output
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("content", [b"[1]", b"\xff\xfe{}"])
+def test_cli_config_file_that_is_not_a_json_table_exit_two(tmp_path, content):
+    # a list reached merge_config (AttributeError); bytes that are not UTF-8
+    # raised UnicodeDecodeError
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_bytes(content)
+    res = CliRunner().invoke(main, ["threepoint", "--config", str(cfgfile),
+                                    "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2
     assert not (tmp_path / "o").exists()
 
 
@@ -367,12 +474,20 @@ def test_cli_json_format_writes_no_check_table_for_noiseless(tmp_path):
     assert not list(tmp_path.glob("*.csv"))
 
 
-def test_cli_show_config():
+def test_cli_show_config(tmp_path):
     runner = CliRunner()
     res = runner.invoke(main, ["show-config"])
     assert res.exit_code == 0
     doc = json.loads(res.output)
     assert merge_config(None)["sagnac"]["mass"] == doc["sagnac"]["mass"]
+    # the printed defaults, Infinity in wick.betas included, are a config file
+    assert '"Infinity"' not in res.output and "Infinity" in res.output
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(res.output)
+    assert merge_config(json.loads(cfgfile.read_text())) == merge_config(None)
+    res = runner.invoke(main, ["wick-check", "--config", str(cfgfile),
+                               "--out", str(tmp_path / "o")])
+    assert res.exit_code == 0, res.output
 
 
 def test_cli_dimension_overflow_exit_one(tmp_path):

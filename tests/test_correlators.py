@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import pytest
@@ -125,6 +126,26 @@ def test_insertion_rejects_a_mode_off_the_space():
     for n in ((5,), (1, 0)):
         with pytest.raises(UnknownMode):
             insertion(space, "phi", n, "a", c.time(0, 0.1))
+
+
+def test_a_hand_built_insertion_rejects_an_unknown_kind():
+    # the oracle read kind "x" as a creator and the Wick engine as an
+    # annihilator, so the two disagreed
+    space = small_space(Species.BOSON)
+    good = insertion(space, "f", (1,), "a", ctp_contour(1.0, 2).time(0, 0.1))
+    with pytest.raises(BoxQFTError):
+        dataclasses.replace(good, kind="x")
+
+
+def test_oracle_rejects_a_hand_built_insertion_off_the_space():
+    # the oracle's mode lookup raised KeyError
+    space = small_space(Species.BOSON)
+    c = ctp_contour(1.0, 2)
+    ins = [insertion(space, "f", (1,), "a", c.time(0, 0.1)),
+           insertion(space, "f", (1,), "c", c.time(1, 0.2))]
+    off = [dataclasses.replace(i, mode=("f", (5,))) for i in ins]
+    with pytest.raises(UnknownMode):
+        exact_contour_correlator(space, off, 1.0)
 
 
 def test_perfect_matchings_count():
