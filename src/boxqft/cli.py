@@ -57,10 +57,9 @@ class _Rule(NamedTuple):
     what: str
 
 
-def _integer(lo, hi=math.inf, nonzero: bool = False) -> _Rule:
+def _integer(lo, hi=math.inf) -> _Rule:
     return _Rule(lambda v: isinstance(v, int) and not isinstance(v, bool) and
-                 lo <= v <= hi and not (nonzero and v == 0),
-                 ("a nonzero" if nonzero else "an") + f" integer in [{lo}, {hi}]")
+                 lo <= v <= hi, f"an integer in [{lo}, {hi}]")
 
 
 _CMP = {">": operator.gt, ">=": operator.ge, "!=": operator.ne}
@@ -94,9 +93,14 @@ _INTERVAL = _Rule(lambda v: _pair(_number(), _number()).accepts(v) and
                   0 < v[0] < v[1], "two finite numbers 0 < lo < hi")
 _POSITIVE, _TOL, _COUNT = _number(">", 0), _number(">=", 0), _integer(1)
 _BETAS = _list(_number(">", 0, inf_ok=True))
-# the sagnac spaces hold the axis-3 modes -2..2; a state needs one of them
+# the sagnac spaces hold the axis-3 modes -2..2; a state's +k3 arm needs one
+# of the positive ones: the quoted signal values take k3 > 0
 _SAGNAC_HALF_WIDTH = 2
-_SAGNAC_MODE = _integer(-_SAGNAC_HALF_WIDTH, _SAGNAC_HALF_WIDTH, nonzero=True)
+_SAGNAC_MODE = _integer(1, _SAGNAC_HALF_WIDTH)
+# the suppression bound (|p| - |p0|)/2 holds at space-like p only
+_SPACELIKE = _Rule(lambda v: _pair(_number(), _number()).accepts(v) and
+                   abs(v[0]) < abs(v[1]),
+                   "a pair [p0, p3] of finite numbers with |p0| < |p3|")
 
 # (default, rule) of every config key; DEFAULT_CONFIG holds the defaults
 CONFIG_SCHEMA: Dict = {
@@ -108,7 +112,7 @@ CONFIG_SCHEMA: Dict = {
         "box": (2 * math.pi, _POSITIVE), "n_max_mode": (4, _COUNT),
         "betas_range": ([2.0, 12.0], _INTERVAL), "n_beta": (21, _integer(2)),
         "samples": ([[0.0, 4], [1.0, 5], [0.0, 6], [2.0, 6], [1.0, 7]],
-                    _list(_pair(_number(), _number()))),
+                    _list(_SPACELIKE)),
         "rel_tol": (0.05, _TOL)},
     "noiseless": {
         "box": (2 * math.pi, _POSITIVE), "n_max_mode": (6, _COUNT),
@@ -124,8 +128,9 @@ CONFIG_SCHEMA: Dict = {
         "signal_tol": (1e-10, _TOL),
         "extra_pairs": ([[1.0, 1], [2.0, 1], [0.5, 2]],
                         _list(_pair(_number(">=", 0), _SAGNAC_MODE)))},
-    # k3 != 0: the dark-count readout p = (0, 0, 0, 2 k3) must be space-like
-    "homodyne": {"alphas": ([0.02, 0.05, 0.1], _list(_number())),
+    # alpha != 0, or a difference check compares 0 with 0; k3 != 0: the
+    # dark-count readout p = (0, 0, 0, 2 k3) must be space-like
+    "homodyne": {"alphas": ([0.02, 0.05, 0.1], _list(_number("!=", 0))),
                  "signal": (0.5, _number()),
                  "sigmas": ([0.8, 1.2, 1.6, 2.0, 2.6], _list(_POSITIVE)),
                  "k3": (1.0, _number("!=", 0))},

@@ -172,46 +172,63 @@ def _terms(left, right, coeff) -> np.ndarray:
     return out
 
 
-def _assemble(space: FockSpace, terms: np.ndarray, coeffs, state=None,
-              side: str = "col") -> Operator:
-    """sum_t coeffs[t] * op(left_t) op(right_t) as one Operator, or only its
-    row (side "row") or column (side "col") `state`; op(-1) = 1.
+def _assemble(space: FockSpace, terms: np.ndarray, coeffs) -> Operator:
+    """sum_t coeffs[t] * op(left_t) op(right_t) as one Operator; op(-1) = 1.
 
     Each factor is a partial index map in the space's LadderTable, so a term
-    is one too: each triplet of the right factor (all, or the one with
-    source `state`) is passed on by looking its target up among the left
-    factor's sources.  Row `state` of L R is column `state` of Rᵀ Lᵀ, found
-    on the target keys.  Values are coeff * (amp * amp) by operator._cmul,
-    canonicalized in one pass in term order (Operator.from_triplets), so a
-    row or column equals that of the full matrix bit for bit.
+    is one too: each triplet of the right factor is passed on by looking its
+    target up among the left factor's sources.  Values are coeff * (amp * amp)
+    by operator._cmul, canonicalized in one pass in term order
+    (Operator.from_triplets).
     """
     dim = space.dim
     if len(terms) == 0:
         return Operator.from_triplets([], [], [], dim)
     table = space.ladder_table(np.concatenate([terms["left"], terms["right"]]))
-    # each factor's slot + 1: its triplets' keys are (slot + 1) * dim + index
+    # each factor's slot + 1: its triplets' keys are (slot + 1) * dim + source
     left, right = terms["left"] + 1, terms["right"] + 1
-    src, tgt, keys = table.src, table.tgt, table.src_key
-    transpose = side == "row"
-    if transpose:
-        left, right, src, tgt, keys = right, left, tgt, src, table.tgt_key
-    if state is None:
-        start, _ = lookup(keys, right * dim)
-        n = lookup(keys, (right + 1) * dim)[0] - start
-        term = np.repeat(np.arange(len(terms)), n)
-        first = np.arange(n.sum()) + np.repeat(start - (np.cumsum(n) - n), n)
-    else:
-        first, ok = lookup(keys, right * dim + state)
-        term = np.flatnonzero(ok)
-        first = first[term]
-    second, ok = lookup(keys, left[term] * dim + tgt[first])
+    start, _ = lookup(table.src_key, right * dim)
+    n = lookup(table.src_key, (right + 1) * dim)[0] - start
+    term = np.repeat(np.arange(len(terms)), n)
+    first = np.arange(n.sum()) + np.repeat(start - (np.cumsum(n) - n), n)
+    second, ok = lookup(table.src_key, left[term] * dim + table.tgt[first])
     term, first, second = term[ok], first[ok], second[ok]
     # _cmul commutes bit for bit, so the factors' order needs no swap
     vals = _cmul(np.asarray(coeffs, dtype=complex)[term],
                  _cmul(table.amp[first], table.amp[second]))
-    if transpose:
-        return Operator.from_triplets(src[first], tgt[second], vals, dim)
-    return Operator.from_triplets(tgt[second], src[first], vals, dim)
+    return Operator.from_triplets(table.tgt[second], table.src[first], vals, dim)
+
+
+def _vacuum_records(space: FockSpace, terms: np.ndarray,
+                    creators: bool) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The vacuum's column (creators) or row of the terms' matrix from the
+    terms alone: (lo, hi, value) per state e_lo + e_hi (hi = M for one
+    particle), in basis order, descending (lo, hi).  Unique normal-ordered
+    terms each reach their own state, and a value is _assemble's bit for bit:
+    coeff * (amp * amp) by _cmul, the amplitudes FockSpace._operator's
+    (sqrt(2) for a doubly occupied boson, -1 for a fermionic annihilator
+    pair), + 0.0, with zeros and states over the caps dropped.
+    """
+    M = len(space.modes)
+    left, right = terms["left"], terms["right"]
+    if not np.all((-1 <= left) & (left <= right) & (0 <= right) & (right < 2 * M)) \
+            or len(np.unique((left + 1) * 2 * M + right)) != len(terms):
+        raise BoxQFTError("vacuum records need unique, normal-ordered terms")
+    shift = 0 if creators else M
+    keep = (right < M) if creators else (right >= M) & ((left < 0) | (left >= M))
+    single, coeff = left[keep] < 0, terms["coeff"][keep]
+    lo = np.where(single, right[keep], left[keep]) - shift
+    hi = np.where(single, M + shift, right[keep]) - shift
+    # amp * amp, exact and real: conjugating a creator's amplitude flips only
+    # the sign of a zero imaginary part, which no value keeps after + 0.0
+    fermi = np.append(space.fermionic, False)
+    amps = np.select([lo == hi, (not creators) & fermi[lo] & fermi[hi]],
+                     [math.sqrt(2.0), -1.0], 1.0)
+    value = _cmul(coeff, amps) + 0.0
+    fits = single | (space.n_max_total >= 2) & ((lo < hi) | (space.caps[lo] >= 2))
+    order = np.lexsort((-hi, -lo))
+    order = order[(fits & (value != 0))[order]]
+    return lo[order], hi[order], value[order]
 
 
 class QuadraticObservable:
@@ -227,7 +244,7 @@ class QuadraticObservable:
         self.terms = np.asarray(terms, dtype=TERM_DTYPE)
         self.vacuum_subtraction = vacuum_subtraction
         self._matrix: Optional[Operator] = None
-        # block terms, line spectra and ground records of the Lehmann sum
+        # block terms, line spectra and vacuum records of the Lehmann sum
         # for the last lattice pair {lat, -lat} asked about (boxqft.spectral)
         self._momentum_memo = None
 

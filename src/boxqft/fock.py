@@ -136,13 +136,11 @@ class LadderTable:
     Slots number the ladder operators: with M modes, slot j creates mode j,
     slot M+j annihilates it, and slot -1 is the identity.  (src, tgt, amp)
     are the maps' triplets (FockSpace.ladder_map) in slot order; the keys
-    (slot+1)*dim + src and (slot+1)*dim + tgt ascend, since every map
-    ascends in source and in target."""
+    (slot+1)*dim + src ascend, since every map ascends in source."""
     src: np.ndarray
     tgt: np.ndarray
     amp: np.ndarray
     src_key: np.ndarray
-    tgt_key: np.ndarray
 
 
 def lookup(keys: np.ndarray, want) -> Tuple[np.ndarray, np.ndarray]:
@@ -289,7 +287,7 @@ class FockSpace:
             src, tgt, amp = (np.concatenate(a) for a in zip(*map(maps.get, held)))
             offset = np.repeat((np.array(held) + 1) * dim,
                                [len(maps[s][0]) for s in held])
-            self._ladder_table = LadderTable(src, tgt, amp, offset + src, offset + tgt)
+            self._ladder_table = LadderTable(src, tgt, amp, offset + src)
         return self._ladder_table
 
     def _operator(self, channel, n, kind) -> Operator:

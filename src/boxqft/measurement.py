@@ -18,8 +18,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import BoxQFTError, DimensionOverflow
-from .fields import (QuadraticObservable, dirac_current_density,
-                     stress_tensor_em, stress_tensor_scalar)
+from .fields import (QuadraticObservable, _vacuum_records,
+                     dirac_current_density, stress_tensor_em,
+                     stress_tensor_scalar)
 from .fock import (DensityOperator, FockSpace, SagnacConfig, SagnacSpecies,
                    StateVector, expectation, sagnac_state)
 from .operator import Operator
@@ -179,8 +180,10 @@ def moments(state, S: QuadraticObservable, n_max: int = 4) -> MomentsResult:
 
 
 def vacuum_variance(space: FockSpace, S: QuadraticObservable) -> float:
-    """<0|S^2|0> - <0|S|0>^2 computed exactly (S Hermitian assumed)."""
-    return operator_vacuum_variance(space, S.matrix())
+    """<0|S^2|0> - <0|S|0>^2 = |S|0>|^2 for a normal-ordered Hermitian S,
+    exactly, from the vacuum column of its terms (fields._vacuum_records)."""
+    column = _vacuum_records(space, S.terms, True)[2]
+    return float(np.vdot(column, column).real)
 
 
 def operator_vacuum_variance(space: FockSpace, mat: Operator) -> float:

@@ -19,22 +19,21 @@ weight obeys E_min >= (|p| - |p0|)/2, the exponential suppression bound.
 Neither the momentum blocks A = X(-lat), B = Y(lat) nor their elementwise
 product A∘Bᵀ depends on p0 or beta.  The product's nonzero entries, with
 their energy differences, form a LineSpectrum; a sample takes the Boltzmann
-weights from thermal_state and evaluates the line spectrum (bin mask,
-weighted sum, dominant weight, count).  Entries keep the product's row-major
-order, so every sum adds the same numbers in the same order as a sum over a
-freshly built product.
+weights from thermal_state and forms a masked sum over the line spectrum
+(bin mask, weighted sum, dominant weight, count).  Entries keep the
+product's row-major order, so every sum adds the same numbers in the same
+order as a sum over a freshly built product.
 
-At beta = inf thermal_state puts all weight on one state g, so only row g
-of A and column g of B contribute.  Those two records are built without the
-blocks (fields._assemble given the state g), and the sample's line spectrum
-is their elementwise product: the same entries, in the same order, as row g
-of the full product, so the sample is bit-identical to one taken from the
-blocks.
+At beta = inf all the weight, 1.0, is on the vacuum, so only its row of A
+and its column of B contribute.  Both are read from the terms alone
+(fields._vacuum_records), and their join on the shared states e_lo + e_hi,
+in basis order, is the sample's line spectrum, at energies E_lo + E_hi: bit
+for bit the blocks' lines, with no block or ladder operator built.
 
 Each density holds one memo, a plain dict, for the pair {lat, -lat} it was
 last asked about: the block terms of both targets, its auto line spectra
-(Y is X) and its ground rows and columns.  Blocks are realized only to form
-a product and never kept; the auto spectrum at -lat is the one at +lat
+(Y is X) and its vacuum records.  Blocks are realized only to form a
+product and never kept; the auto spectrum at -lat is the one at +lat
 transposed, so a pair costs one product.  The memo holds no reference to
 its density, so a density is freed by reference counting alone.
 """
@@ -50,9 +49,9 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import BoxQFTError
-from .fields import QuadraticObservable, _assemble
+from .fields import QuadraticObservable, _vacuum_records
 from .fock import FockSpace, thermal_state
-from .operator import Operator
+from .operator import Operator, _cmul
 from .spacetime import FourVector, minkowski_dot
 
 NORM_TAG = "box: X(p)=int_V e^{-ip.x}X dx; G = binsum/(V); delta0=bin"
@@ -89,18 +88,6 @@ class LineSpectrum:
         for a in (self.row, self.col, self.de, self.value):
             a.flags.writeable = False
 
-    def evaluate(self, p0: float, weights: np.ndarray,
-                 delta_omega: float) -> Tuple[complex, float, int]:
-        """(sum of w_row * value, dominant w_row, count) over the entries in
-        the bin |p0 - de| <= delta_omega/2 with nonzero weight."""
-        if not len(self.value):              # common at space-like p
-            return 0j, 0.0, 0
-        mask = np.abs(p0 - self.de) <= delta_omega / 2.0
-        mask &= weights[self.row] > 0.0
-        w = weights[self.row[mask]]
-        dom = float(w.max()) if len(w) else 0.0
-        return (self.value[mask] * w).sum(), dom, len(w)
-
 
 def _memo(space: FockSpace, density: QuadraticObservable,
           lat: Tuple[int, int, int]) -> dict:
@@ -110,7 +97,7 @@ def _memo(space: FockSpace, density: QuadraticObservable,
     memo = density._momentum_memo
     if memo is None or memo["terms"].keys() != pair:
         targets = tuple(pair)
-        memo = density._momentum_memo = {"lines": {}, "ground": {}, "terms": {
+        memo = density._momentum_memo = {"lines": {}, "vacuum": {}, "terms": {
             t: density.weighted("", np.where(hit, space.volume, 0.0)).terms
             for t, hit in zip(targets, density.lattice_hits(targets))}}
     return memo
@@ -124,17 +111,15 @@ def _momentum_block(space: FockSpace, density: QuadraticObservable,
     return QuadraticObservable(space, f"{density.label}(p)", terms).matrix()
 
 
-def _ground_record(space: FockSpace, density: QuadraticObservable,
-                   target: Tuple[int, int, int], state: int,
-                   side: str) -> Operator:
-    """Row (side "row") or column ("col") `state`, the space's ground state,
-    of the momentum block at target: built without the block, once per memo."""
+def _vacuum_record(space: FockSpace, density: QuadraticObservable,
+                   target: Tuple[int, int, int], creators: bool):
+    """The vacuum's column (creators) or row of the momentum block at target,
+    from the block terms (fields._vacuum_records), once per memo."""
     memo = _memo(space, density, target)
-    if (target, side) not in memo["ground"]:
-        terms = memo["terms"][target]
-        memo["ground"][target, side] = _assemble(space, terms, terms["coeff"],
-                                                 state, side)
-    return memo["ground"][target, side]
+    if (target, creators) not in memo["vacuum"]:
+        memo["vacuum"][target, creators] = _vacuum_records(
+            space, memo["terms"][target], creators)
+    return memo["vacuum"][target, creators]
 
 
 def _line_spectrum(space: FockSpace, A: Operator, B: Operator) -> LineSpectrum:
@@ -203,20 +188,29 @@ def lehmann_spectral_density(space: FockSpace, X: QuadraticObservable,
         raise BoxQFTError(f"delta_omega must be None or a number >= 0, "
                           f"not {delta_omega!r}")
     lat = space.lattice_of(p)
-    weights = thermal_state(space, beta).diagonal
-    if math.isinf(beta):
-        # one state carries all the weight: only its row of X(-lat) and its
-        # column of Y(lat) contribute
-        g = int(np.flatnonzero(weights)[0])
-        lines = _line_spectrum(
-            space, _ground_record(space, X, tuple(-v for v in lat), g, "row"),
-            _ground_record(space, Y, lat, g, "col"))
+    if beta == math.inf:
+        # only the vacuum has weight, 1.0: its row of X(-lat) meets its column
+        # of Y(lat) on their shared states, joined on keys that ascend in
+        # basis order; a product that is exactly zero is no line
+        lo, hi, a = _vacuum_record(space, X, tuple(-v for v in lat), False)
+        lo_b, hi_b, b = _vacuum_record(space, Y, lat, True)
+        M = len(space.modes)
+        _, i, j = np.intersect1d(-lo * (M + 1) - hi, -lo_b * (M + 1) - hi_b,
+                                 assume_unique=True, return_indices=True)
+        value = _cmul(a[i], b[j])
+        energy = np.append(space.mode_energies, 0.0)
+        de, w = energy[lo[i]] + energy[hi[i]], (value != 0) * 1.0
     else:
+        weights = thermal_state(space, beta).diagonal
         lines = line_spectrum(space, X, Y, lat)
-    total, dom, count = lines.evaluate(p.t, weights, delta_omega)
+        de, value, w = lines.de, lines.value, weights[lines.row]
+    # the lines in the bin |p0 - de| <= dw/2 with nonzero weight
+    mask = (np.abs(p.t - de) <= delta_omega / 2.0) & (w > 0.0)
+    w = w[mask]
     return SpectralSample(tuple(p.as_array().tolist()),
-                          complex(total) / space.volume, beta, X.label,
-                          Y.label, NORM_TAG, dom, count, delta_omega)
+                          complex((value[mask] * w).sum()) / space.volume, beta,
+                          X.label, Y.label, NORM_TAG,
+                          float(w.max()) if len(w) else 0.0, len(w), delta_omega)
 
 
 def fdt_ratio(space: FockSpace, X: QuadraticObservable, p: FourVector,

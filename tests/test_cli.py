@@ -347,6 +347,11 @@ def test_cli_n_random_below_one_or_not_integer_exit_two(tmp_path, n_random):
     ("sagnac", "sagnac", "k3_mode", 0),              # no grid mode, exit 1
     ("sagnac", "sagnac", "k3_mode", 3),              # no grid mode, exit 1
     ("sagnac", "sagnac", "extra_pairs", [[1.0, 3]]),  # no grid mode, exit 1
+    ("sagnac", "sagnac", "extra_pairs", [[1.0, -1]]),  # sign flipped, exit 1
+    ("sagnac", "sagnac", "k3_mode", -1),             # passed with no check
+    ("homodyne", "homodyne", "alphas", [0.0]),       # compared 0 with 0
+    ("suppression", "suppression", "samples", [[0.0, 0]]),  # ZeroDivisionError
+    ("suppression", "suppression", "samples", [[2.0, 1]]),  # time-like, exit 1
     ("sagnac", "sagnac", "mass", -1),                # exit 1
     ("wick-check", "wick", "n_max_per_mode", 0),     # exit 1
     ("fdt", "fdt", "tol", -1),                       # every check fails

@@ -120,10 +120,11 @@ def test_ladder_map_matches_matrix():
        caps=st.tuples(st.integers(1, 3), st.integers(1, 3)))
 def test_ladder_maps_ascend_in_source_and_target(axes, ranges, kinds, mass,
                                                   caps):
-    # a LadderTable's keys ascend only if every map ascends strictly in both
-    # source and target: fields._assemble and the contour oracle find a state
-    # among them by binary search.  The oracle also scales by the real part
-    # of an amplitude, so amplitudes must be real.
+    # a LadderTable's keys ascend only if every map ascends strictly in
+    # source: fields._assemble and the contour oracle find a state among them
+    # by binary search.  A map that ascends in target too is a canonical
+    # Operator as built.  The oracle also scales by the real part of an
+    # amplitude, so amplitudes must be real.
     channels = [(f"c{i}", ModeGrid(axes=axes, lengths=(BOX,) * len(axes),
                                    ranges=(ranges,) * len(axes), species=kind,
                                    mass=mass))

@@ -25,6 +25,9 @@ from boxqft.fields import (QuadraticObservable, dirac_current_density,
                            em_field_strength_density, scalar_bilinear_density)
 from boxqft.fock import (FockSpace, ModeGrid, Species, build_fock_space,
                          thermal_state)
+from boxqft.measurement import (MeasurementWindow, operator_vacuum_variance,
+                                spacelike_windowed_observable, vacuum_variance,
+                                windowed_observable)
 from boxqft.operator import Operator
 from boxqft.spacetime import FourVector
 from boxqft.spectral import (_momentum_block, default_delta_omega, fdt_ratio,
@@ -176,7 +179,7 @@ def test_memoized_path_matches_reference_random(species, n_mode, mass, caps,
 
 
 # ---------------------------------------------------------------------------
-# beta = inf: the ground state's row and column
+# beta = inf: the vacuum's row and column, from the terms alone
 
 
 def _ground_lines(space, X, Y, lat):
@@ -213,35 +216,43 @@ def test_zero_temperature_samples_match_reference_random(species, n_mode, mass,
 
 
 def count_assembles(monkeypatch):
-    """Count the calls of fields._assemble, under both names it is called
-    by: one without a state realizes a block, one with a state a record."""
-    blocks, records = [], []
+    """Count the calls of fields._assemble, each of which realizes a block."""
+    blocks = []
     assemble = fields._assemble
-
-    def counting(space, terms, coeffs, state=None, side="col"):
-        (blocks if state is None else records).append((state, side))
-        return assemble(space, terms, coeffs, state, side)
-
-    for module in (fields, spectral):
-        monkeypatch.setattr(module, "_assemble", counting)
-    return blocks, records
+    monkeypatch.setattr(fields, "_assemble",
+                        lambda *args: blocks.append(1) or assemble(*args))
+    return blocks
 
 
 def test_zero_temperature_sample_builds_no_block(monkeypatch):
+    # beta = inf samples and vacuum variances read the terms alone: they
+    # realize neither a block nor a ladder operator
     space = dirac_space(n_mode=2, mass=1.0, caps=(1, 3))
     j0 = dirac_current_density(space, 0)
     j3 = dirac_current_density(space, 3)
-    blocks, records = count_assembles(monkeypatch)
+    blocks = count_assembles(monkeypatch)
+    tables, records = [], []
+    ladder_table, vacuum_records = FockSpace.ladder_table, spectral._vacuum_records
+    monkeypatch.setattr(FockSpace, "ladder_table", lambda self, slots: (
+        tables.append(1) or ladder_table(self, slots)))
+    monkeypatch.setattr(spectral, "_vacuum_records", lambda *args: (
+        records.append(1) or vacuum_records(*args)))
     p = FourVector(2.0, 0.0, 0.0, U)
     for q in (p, -1.0 * p):
         lehmann_spectral_density(space, j0, j0, q, math.inf)
-    # row g at -lat and column g at +lat, for both signs of lat
+    # row at -lat and column at +lat, for both signs of lat
     assert len(records) == 4
     for q in (p, -1.0 * p):
         lehmann_spectral_density(space, j0, j0, q, math.inf)
         lehmann_spectral_density(space, j3, j0, q, math.inf)
     # j3's two rows are new; j0's records are memoized
-    assert len(records) == 6 and blocks == []
+    assert len(records) == 6
+    window = MeasurementWindow(tau=BOX)
+    q = FourVector(0.5, 0.0, 0.0, 2 * U)
+    for S in (j0, spacelike_windowed_observable(j3, q, window),
+              windowed_observable(j0, window)):
+        vacuum_variance(space, S)
+    assert blocks == [] and tables == []
 
 
 def test_a_sample_is_complex_where_no_line_exists():
@@ -260,24 +271,60 @@ def test_a_sample_is_complex_where_no_line_exists():
             assert type(s.G) is complex and s.G == 0 and s.term_count == 0
 
 
-@settings(max_examples=30, deadline=None)
+def _basis_index(space, lo, hi):
+    """Basis index of each state e_lo + e_hi (hi = M for one particle)."""
+    M = len(space.modes)
+    occ = np.zeros((len(lo), M + 1), dtype=np.int8)
+    np.add.at(occ, (np.arange(len(lo)), lo), 1)
+    np.add.at(occ, (np.arange(len(lo)), hi), 1)
+    return [space.state_index(row[:M]) for row in occ]
+
+
+@settings(max_examples=40, deadline=None)
 @given(species=st.sampled_from(["scalar", "dirac", "photon"]),
        n_mode=st.integers(1, 2), mass=st.sampled_from([0.0, 0.4, 1.0]),
-       caps=st.sampled_from([(1, 2), (2, 2), (1, 3), (2, 3)]),
-       i=st.integers(0, 2), state=st.integers(0, 10 ** 6))
-def test_assemble_at_is_a_row_or_column_of_the_matrix(species, n_mode, mass,
-                                                     caps, i, state):
+       caps=st.sampled_from([(1, 1), (1, 2), (2, 2), (1, 3), (2, 3)]),
+       i=st.integers(0, 2), p3=st.sampled_from([-3, -2, -1, 1, 2, 3]),
+       frac=st.floats(0.0, 0.9), tau=st.floats(0.5, 20.0),
+       envelope=st.sampled_from(["rect", "gauss"]))
+def test_vacuum_records_are_the_matrix_vacuum_row_and_column(
+        species, n_mode, mass, caps, i, p3, frac, tau, envelope):
     space, densities = _random_space(species, n_mode, mass, caps)
     X = densities[i % len(densities)]
     full = X.matrix()
-    for n in (int(np.argmin(space.energies)), state % space.dim):
-        for side, on in (("row", full.row), ("col", full.col)):
-            part = fields._assemble(space, X.terms, X.terms["coeff"], n, side)
-            sel = on == n
-            assert np.array_equal(part.row, full.row[sel])
-            assert np.array_equal(part.col, full.col[sel])
-            # repr tells -0.0 from 0.0 in either part
-            assert repr(part.value.tolist()) == repr(full.value[sel].tolist())
+    vac = space.state_index(np.zeros(len(space.modes), dtype=np.int8))
+    for creators, at, to in ((True, full.col, full.row),
+                             (False, full.row, full.col)):
+        lo, hi, value = fields._vacuum_records(space, X.terms, creators)
+        sel = at == vac
+        assert _basis_index(space, lo, hi) == to[sel].tolist()
+        # repr tells -0.0 from 0.0
+        assert repr(value.tolist()) == repr(full.value[sel].tolist())
+
+    # the vacuum variance from the records against the Fock-matrix path
+    window = MeasurementWindow(tau=tau, envelope=envelope)
+    p = FourVector(frac * abs(p3) * U, 0.0, 0.0, p3 * U)
+    for S in (spacelike_windowed_observable(X, p, window),
+              windowed_observable(X, window)):
+        assert repr(vacuum_variance(space, S)) == \
+            repr(operator_vacuum_variance(space, S.matrix()))
+
+
+def test_vacuum_records_refuse_terms_out_of_normal_order():
+    # a_0 c_0 and the constant 1 have a vacuum mean; a repeated term would
+    # reach one state twice
+    space = scalar_space(n_mode=1, mass=0.5, caps=(2, 2))
+    M = len(space.modes)
+    for terms in ([(M, 0, 1.0)], [(-1, -1, 1.0)], [(0, 1, 1.0), (0, 1, 2.0)],
+                  [(M + 1, M, 1.0)]):
+        X = QuadraticObservable(space, "hand-built", terms)
+        with pytest.raises(BoxQFTError, match="normal-ordered"):
+            vacuum_variance(space, X)
+        # at the lattice momentum the first term transfers
+        p3 = X.transfers()[1][0, 2]
+        with pytest.raises(BoxQFTError, match="normal-ordered"):
+            lehmann_spectral_density(space, X, X, FourVector(1.0, 0, 0, p3 * U),
+                                     math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +442,7 @@ def test_memo_keeps_one_lattice_pair():
         lehmann_spectral_density(space, X, X, FourVector(1.0, 0, 0, p3 * U), 1.0)
         memo = X._momentum_memo
         assert memo["terms"].keys() == {(0, 0, p3), (0, 0, -p3)}
-        assert set(memo["lines"]) == {(0, 0, p3)} and memo["ground"] == {}
+        assert set(memo["lines"]) == {(0, 0, p3)} and memo["vacuum"] == {}
 
 
 def _held(obj):
@@ -427,7 +474,7 @@ def test_a_lattice_pair_costs_one_product(monkeypatch):
     hadamard = Operator.hadamard_transpose
     monkeypatch.setattr(Operator, "hadamard_transpose",
                         lambda A, B: products.append(1) or hadamard(A, B))
-    assembled, _ = count_assembles(monkeypatch)
+    assembled = count_assembles(monkeypatch)
     # fdt_ratio samples +p and -p; at lat = 0 both share one block
     for p3, blocks in ((1, 2), (-2, 2), (0, 1)):
         X = scalar_bilinear_density(space)
@@ -458,7 +505,7 @@ def test_density_is_freed_without_the_cyclic_collector():
 def test_second_beta_realizes_no_block(monkeypatch):
     space = scalar_space(n_mode=2, mass=0.5, caps=(2, 2))
     X = scalar_bilinear_density(space)
-    assembled, _ = count_assembles(monkeypatch)
+    assembled = count_assembles(monkeypatch)
     p = FourVector(1.0, 0, 0, U)
     fdt_ratio(space, X, p, 0.5)
     assert len(assembled) == 2           # X(-lat) and X(lat), once each

@@ -8,6 +8,10 @@ string constant equal to the name counts too.  The only exceptions are the
 names in KEEP, each of which pins a statement of the paper that a test
 checks.  Any other name that only tests use re-expresses another public
 call and is deleted.
+
+A private module-level function must likewise be referenced in the package
+outside its own definition: one that only tests call, or that a change left
+behind, is deleted.
 """
 
 import ast
@@ -53,12 +57,20 @@ def _public_definitions():
                 yield path.stem, node.name, node
 
 
-def _references():
+def _private_functions():
+    """(module, name, node) for every private module-level function."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+                yield path.stem, node.name, node
+
+
+def _references(with_bench=True):
     """name -> [(file, line)] of every Name and Attribute in the package
-    (but __init__.py) and in perfbench/, and of every string constant in
-    perfbench/."""
+    (but __init__.py) and, with_bench, in perfbench/, and of every string
+    constant in perfbench/."""
     files = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
-    bench = sorted((ROOT / "perfbench").glob("*.py"))
+    bench = sorted((ROOT / "perfbench").glob("*.py")) if with_bench else []
     refs = {}
     for path in files + bench:
         for node in ast.walk(ast.parse(path.read_text())):
@@ -86,6 +98,13 @@ def test_every_public_name_is_used_or_kept():
     refs = _references()
     unused = [f"{module}.{name}" for module, name, node in _public_definitions()
               if name not in KEEP and not _callers(refs, module, node)]
+    assert unused == []
+
+
+def test_every_private_function_is_used_in_the_package():
+    refs = _references(with_bench=False)
+    unused = [f"{module}.{name}" for module, name, node in _private_functions()
+              if not _callers(refs, module, node)]
     assert unused == []
 
 
