@@ -172,19 +172,24 @@ def _terms(left, right, coeff) -> np.ndarray:
     return out
 
 
-def _assemble(space: FockSpace, terms: np.ndarray, coeffs) -> Operator:
-    """sum_t coeffs[t] * op(left_t) op(right_t) as one Operator; op(-1) = 1.
+def _compose(space: FockSpace, terms: np.ndarray):
+    """Each term's ladder product op(left) op(right) as triplets; op(-1) = 1.
 
-    Each factor is a partial index map in the space's LadderTable, so a term
-    is one too: each triplet of the right factor is passed on by looking its
-    target up among the left factor's sources.  Values are coeff * (amp * amp)
-    by operator._cmul, canonicalized in one pass in term order
-    (Operator.from_triplets).
+    Returns (term, src, tgt, amp): term t sends basis state src to amp times
+    basis state tgt, amp = _cmul(amp_first, amp_second).  Each factor is a
+    partial index map in the space's LadderTable, so a term is one too: each
+    triplet of the right factor is passed on by looking its target up among
+    the left factor's sources.  A slot outside [-1, 2M) raises.
     """
-    dim = space.dim
+    M2, dim = 2 * len(space.modes), space.dim
+    slots = np.concatenate([terms["left"], terms["right"]])
+    bad = slots[(slots < -1) | (slots >= M2)]
+    if len(bad):
+        raise BoxQFTError(f"term slots must lie in [-1, {M2}), not {bad[0]}")
     if len(terms) == 0:
-        return Operator.from_triplets([], [], [], dim)
-    table = space.ladder_table(np.concatenate([terms["left"], terms["right"]]))
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, empty, np.zeros(0, dtype=complex)
+    table = space.ladder_table(slots)
     # each factor's slot + 1: its triplets' keys are (slot + 1) * dim + source
     left, right = terms["left"] + 1, terms["right"] + 1
     start, _ = lookup(table.src_key, right * dim)
@@ -193,10 +198,30 @@ def _assemble(space: FockSpace, terms: np.ndarray, coeffs) -> Operator:
     first = np.arange(n.sum()) + np.repeat(start - (np.cumsum(n) - n), n)
     second, ok = lookup(table.src_key, left[term] * dim + table.tgt[first])
     term, first, second = term[ok], first[ok], second[ok]
+    return (term, table.src[first], table.tgt[second],
+            _cmul(table.amp[first], table.amp[second]))
+
+
+def _assemble(space: FockSpace, terms: np.ndarray, coeffs) -> Operator:
+    """sum_t coeffs[t] * op(left_t) op(right_t) as one Operator: values are
+    coeff * (amp * amp) by operator._cmul, canonicalized in one pass in term
+    order (Operator.from_triplets)."""
+    term, src, tgt, amp = _compose(space, terms)
     # _cmul commutes bit for bit, so the factors' order needs no swap
-    vals = _cmul(np.asarray(coeffs, dtype=complex)[term],
-                 _cmul(table.amp[first], table.amp[second]))
-    return Operator.from_triplets(table.tgt[second], table.src[first], vals, dim)
+    vals = _cmul(np.asarray(coeffs, dtype=complex)[term], amp)
+    return Operator.from_triplets(tgt, src, vals, space.dim)
+
+
+def _check_normal_ordered(space: FockSpace, terms: np.ndarray) -> None:
+    """Raise unless the terms are unique and normal-ordered: -1 <= left <=
+    right < 2M and 0 <= right.  Then each term but a number term c_j a_j
+    changes the state by its own signature, so it alone fills its entries."""
+    left, right = terms["left"], terms["right"]
+    M2 = 2 * len(space.modes)
+    if not np.all((-1 <= left) & (left <= right) & (0 <= right) & (right < M2)) \
+            or len(np.unique((left + 1) * M2 + right)) != len(terms):
+        raise BoxQFTError("line spectra and vacuum records need unique, "
+                          "normal-ordered terms")
 
 
 def _vacuum_records(space: FockSpace, terms: np.ndarray,
@@ -209,11 +234,9 @@ def _vacuum_records(space: FockSpace, terms: np.ndarray,
     (sqrt(2) for a doubly occupied boson, -1 for a fermionic annihilator
     pair), + 0.0, with zeros and states over the caps dropped.
     """
+    _check_normal_ordered(space, terms)
     M = len(space.modes)
     left, right = terms["left"], terms["right"]
-    if not np.all((-1 <= left) & (left <= right) & (0 <= right) & (right < 2 * M)) \
-            or len(np.unique((left + 1) * 2 * M + right)) != len(terms):
-        raise BoxQFTError("vacuum records need unique, normal-ordered terms")
     shift = 0 if creators else M
     keep = (right < M) if creators else (right >= M) & ((left < 0) | (left >= M))
     single, coeff = left[keep] < 0, terms["coeff"][keep]

@@ -20,9 +20,22 @@ Neither the momentum blocks A = X(-lat), B = Y(lat) nor their elementwise
 product A∘Bᵀ depends on p0 or beta.  The product's nonzero entries, with
 their energy differences, form a LineSpectrum; a sample takes the Boltzmann
 weights from thermal_state and forms a masked sum over the line spectrum
-(bin mask, weighted sum, dominant weight, count).  Entries keep the
+(bin mask, weighted sum, dominant weight, count).  Entries are in the
 product's row-major order, so every sum adds the same numbers in the same
 order as a sum over a freshly built product.
+
+No block is realized for it.  A unique normal-ordered term changes a basis
+state by its own signature (the modes it creates and annihilates), so it
+alone fills its entries of a block; the entry of B that meets A[n, m] comes
+from the one term of Y whose key is that of the X term's normal-ordered
+adjoint.  A line spectrum is therefore a join of X's terms with Y's on
+that key, once per term: X's partnered terms are composed through the
+matrices' own kernel (fields._compose), and each line reuses the X term's
+amplitude for B, negated where two fermionic slots swap.  The exception is
+the diagonal at lat = 0, where every number term c_j a_j lands: there each
+block's diagonal is summed on its own, in term order, as the block's
+canonicalization would sum it.  Values are bit for bit those of the
+product of the realized blocks.
 
 At beta = inf all the weight, 1.0, is on the vacuum, so only its row of A
 and its column of B contribute.  Both are read from the terms alone
@@ -30,12 +43,14 @@ and its column of B contribute.  Both are read from the terms alone
 in basis order, is the sample's line spectrum, at energies E_lo + E_hi: bit
 for bit the blocks' lines, with no block or ladder operator built.
 
+Both paths refuse terms that are not unique and normal-ordered.
+
 Each density holds one memo, a plain dict, for the pair {lat, -lat} it was
 last asked about: the block terms of both targets, its auto line spectra
-(Y is X) and its vacuum records.  Blocks are realized only to form a
-product and never kept; the auto spectrum at -lat is the one at +lat
-transposed, so a pair costs one product.  The memo holds no reference to
-its density, so a density is freed by reference counting alone.
+(Y is X) and its vacuum records.  The auto spectrum at -lat is the one at
++lat transposed, so a pair costs one join; a cross spectrum (Y is not X)
+is joined afresh on each request.  The memo holds no reference to its
+density, so a density is freed by reference counting alone.
 """
 
 from __future__ import annotations
@@ -49,9 +64,10 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import BoxQFTError
-from .fields import QuadraticObservable, _vacuum_records
+from .fields import (QuadraticObservable, _check_normal_ordered,
+                     _compose, _vacuum_records)
 from .fock import FockSpace, thermal_state
-from .operator import Operator, _cmul
+from .operator import _cmul, _group_sums
 from .spacetime import FourVector, minkowski_dot
 
 NORM_TAG = "box: X(p)=int_V e^{-ip.x}X dx; G = binsum/(V); delta0=bin"
@@ -77,6 +93,10 @@ class LineSpectrum:
     Entry k is the transition from state row[k] to state col[k], at energy
     de[k] = E[col] - E[row], with value[k] = A[row, col] * B[col, row].  It
     depends on neither p0 nor beta; a Lehmann sample is a masked sum over it.
+    It is joined from the blocks' terms, not from the blocks (see the module
+    docstring): off the diagonal each entry pairs one term of X with its
+    adjoint term of Y, and the diagonal, at lat = 0 only, pairs the summed
+    number terms of each.
     """
     row: np.ndarray
     col: np.ndarray
@@ -103,14 +123,6 @@ def _memo(space: FockSpace, density: QuadraticObservable,
     return memo
 
 
-def _momentum_block(space: FockSpace, density: QuadraticObservable,
-                    target: Tuple[int, int, int]) -> Operator:
-    """Fock operator of int_V e^{-ip.x} X(0,x) dx for the lattice target -p,
-    realized afresh from the memoized terms and not kept."""
-    terms = _memo(space, density, target)["terms"][target]
-    return QuadraticObservable(space, f"{density.label}(p)", terms).matrix()
-
-
 def _vacuum_record(space: FockSpace, density: QuadraticObservable,
                    target: Tuple[int, int, int], creators: bool):
     """The vacuum's column (creators) or row of the momentum block at target,
@@ -122,17 +134,63 @@ def _vacuum_record(space: FockSpace, density: QuadraticObservable,
     return memo["vacuum"][target, creators]
 
 
-def _line_spectrum(space: FockSpace, A: Operator, B: Operator) -> LineSpectrum:
-    prod = A.hadamard_transpose(B)               # entries A[n,m] * B[m,n]
-    row, col = prod.row.astype(np.int32), prod.col.astype(np.int32)
+def _diagonal(space: FockSpace, terms: np.ndarray) -> np.ndarray:
+    """The diagonal of the terms' matrix, each entry summed from zero in term
+    order, as Operator.from_triplets sums it."""
+    term, src, _, amp = _compose(space, terms)
+    return _group_sums(src, _cmul(terms["coeff"][term], amp), space.dim)
+
+
+def _line_spectrum(space: FockSpace, x_terms: np.ndarray,
+                   y_terms: np.ndarray) -> LineSpectrum:
+    """A∘Bᵀ from the block terms of A = X(-lat) and B = Y(lat), joined on
+    the adjoint key (module docstring).  X's term t fills A[n, m] with
+    c_t amp + 0.0, and B[m, n] is c_s (±amp) + 0.0 for its partner s, bit for
+    bit what from_triplets would store in the realized blocks."""
+    for terms in (x_terms, y_terms):
+        _check_normal_ordered(space, terms)
+    M, dim = len(space.modes), space.dim
+    # each X term's adjoint op(r̄) op(l̄), s̄ = s with creator and annihilator
+    # swapped, normal-ordered as (lo, hi): swapping two fermionic slots
+    # negates it
+    left, right = x_terms["left"], x_terms["right"]
+    bar_l = np.where(left < 0, -1, (left + M) % (2 * M))
+    bar_r = (right + M) % (2 * M)
+    lo, hi = np.minimum(bar_l, bar_r), np.maximum(bar_l, bar_r)
+    odd = ((bar_l >= 0) & (bar_r > bar_l) & space.fermionic[bar_l % M]
+           & space.fermionic[bar_r % M])
+    # both keys are unique, and a number term is its own adjoint
+    _, i, j = np.intersect1d(
+        (lo + 1) * 2 * M + hi, (y_terms["left"] + 1) * 2 * M + y_terms["right"],
+        assume_unique=True, return_indices=True)
+    x_number, y_number = ((t["left"] >= 0) & (t["left"] + M == t["right"])
+                          for t in (x_terms, y_terms))
+    i, j = i[~x_number[i]], j[~x_number[i]]
+    partner = np.where(odd[i], -y_terms["coeff"][j], y_terms["coeff"][j])
+    term, src, tgt, amp = _compose(space, x_terms[i])
+    a, b = _cmul(x_terms["coeff"][i][term], amp), _cmul(partner[term], amp)
+    a += 0.0                            # -0.0 parts become 0.0, as in a sum
+    b += 0.0
+    row, col, value = tgt, src, _cmul(a, b)
+    if x_number.any() and y_number.any():
+        # each state's diagonal entry of A and of B, summed on its own
+        diag = _cmul(_diagonal(space, x_terms[x_number]),
+                     _diagonal(space, y_terms[y_number]))
+        on = np.arange(dim)
+        row, col = np.concatenate([row, on]), np.concatenate([col, on])
+        value = np.concatenate([value, diag])
+    # each term's entries ascend: a stable sort merges the runs
+    keep = np.flatnonzero(value != 0)
+    keep = keep[np.argsort(row[keep] * dim + col[keep], kind="stable")]
+    row, col = row[keep].astype(np.int32), col[keep].astype(np.int32)
     return LineSpectrum(row, col, space.energies[col] - space.energies[row],
-                        prod.value)
+                        value[keep])
 
 
 def _transposed(space: FockSpace, lines: LineSpectrum) -> LineSpectrum:
     """B∘Aᵀ from A∘Bᵀ: entry (n, m) becomes (m, n), in row-major order.  The
-    values keep their bits: Operator's complex product commutes exactly."""
-    order = np.lexsort((lines.row, lines.col))
+    values keep their bits: _cmul commutes exactly."""
+    order = np.argsort(lines.col.astype(np.int64) * space.dim + lines.row)
     row, col = lines.col[order], lines.row[order]
     return LineSpectrum(row, col, space.energies[col] - space.energies[row],
                         lines.value[order])
@@ -149,15 +207,14 @@ def line_spectrum(space: FockSpace, X: QuadraticObservable,
     lat = tuple(lat)
     neg = tuple(-v for v in lat)
     if Y is not X:
-        return _line_spectrum(space, _momentum_block(space, X, neg),
-                              _momentum_block(space, Y, lat))
-    lines = _memo(space, X, lat)["lines"]
-    if lat not in lines and neg in lines:
-        lines[lat] = _transposed(space, lines[neg])
-    elif lat not in lines:
-        A = _momentum_block(space, X, neg)
-        lines[lat] = _line_spectrum(
-            space, A, A if lat == neg else _momentum_block(space, X, lat))
+        return _line_spectrum(space, _memo(space, X, neg)["terms"][neg],
+                              _memo(space, Y, lat)["terms"][lat])
+    memo = _memo(space, X, lat)
+    lines = memo["lines"]
+    if lat not in lines:
+        lines[lat] = (_transposed(space, lines[neg]) if neg in lines else
+                      _line_spectrum(space, memo["terms"][neg],
+                                     memo["terms"][lat]))
     return lines[lat]
 
 
@@ -215,10 +272,19 @@ def lehmann_spectral_density(space: FockSpace, X: QuadraticObservable,
 
 def fdt_ratio(space: FockSpace, X: QuadraticObservable, p: FourVector,
               beta: float, delta_omega: Optional[float] = None):
-    """(G(-p), e^{-beta p0} G(p)) for the detailed-balance check."""
+    """(G(-p), e^{-beta p0} G(p)) for the detailed-balance check; beta must
+    be finite, and e^{-beta p0} a float."""
+    if not math.isfinite(beta):
+        # at beta = inf, e^{-beta p0} G(p) is 0 * inf or nan
+        raise BoxQFTError(f"detailed balance needs a finite beta, not {beta!r}")
     g_plus = lehmann_spectral_density(space, X, X, p, beta, delta_omega)
     g_minus = lehmann_spectral_density(space, X, X, -1.0 * p, beta, delta_omega)
-    return g_minus.G, math.exp(-beta * p.t) * g_plus.G, g_plus
+    try:
+        weight = math.exp(-beta * p.t)
+    except OverflowError:
+        raise BoxQFTError(f"e^(-beta p0) overflows at beta = {beta!r}, "
+                          f"p0 = {p.t!r}") from None
+    return g_minus.G, weight * g_plus.G, g_plus
 
 
 def suppression_slope(space: FockSpace, X: QuadraticObservable, p: FourVector,

@@ -361,7 +361,8 @@ def test_cli_n_random_below_one_or_not_integer_exit_two(tmp_path, n_random):
     ("threepoint", "threepoint", "tol", "x"),        # ValueError
     ("homodyne", "homodyne", "signal", "a"),         # TypeError
     ("sagnac", "sagnac", "defect_tol", None),        # TypeError
-    ("noiseless", None, "seed", -5)])                # ValueError
+    ("noiseless", None, "seed", -5),                 # ValueError
+    ("fdt", "fdt", "betas", [math.inf])])            # checked nan as 0
 def test_cli_config_values_that_crash_or_check_nothing_exit_two(
         tmp_path, command, section, key, value):
     cfgfile = tmp_path / "cfg.json"
@@ -372,6 +373,29 @@ def test_cli_config_values_that_crash_or_check_nothing_exit_two(
     assert res.exit_code == 2
     assert (f"{section}.{key}" if section else f"{key} must be") in res.output
     assert not (tmp_path / "o").exists()
+
+
+def test_cli_fdt_beta_whose_weight_overflows_exits_one(tmp_path):
+    # e^{-beta p0} at beta = 300, p0 = -3: an OverflowError traceback before
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"fdt": {"betas": [300.0]}}))
+    res = CliRunner().invoke(main, ["fdt", "--config", str(cfgfile),
+                                    "--out", str(tmp_path / "o")])
+    assert res.exit_code == 1 and not isinstance(res.exception, OverflowError)
+    assert "fdt failed: e^(-beta p0) overflows at beta = 300.0" in res.output
+
+
+def test_fdt_nan_defect_fails_its_check(monkeypatch):
+    fdt_ratio = cli.spectral.fdt_ratio
+
+    def nan_at_negative_p0(space, X, p, beta):
+        lhs, rhs, sample = fdt_ratio(space, X, p, beta)
+        return lhs, (math.nan if p.t < 0 else rhs), sample
+
+    monkeypatch.setattr(cli.spectral, "fdt_ratio", nan_at_negative_p0)
+    report = cmd_fdt(merge_config(None))
+    assert report.checks and not any(c.passed for c in report.checks)
+    assert all(math.isnan(c.computed) for c in report.checks)
 
 
 def test_cli_seed_flag_is_checked_like_a_config_value(tmp_path):

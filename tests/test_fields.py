@@ -23,6 +23,7 @@ from boxqft.measurement import (MeasurementWindow,
                                 windowed_observable)
 from boxqft.operator import _cmul
 from boxqft.spacetime import METRIC, FourVector
+from boxqft.spectral import lehmann_spectral_density
 
 
 def test_clifford_algebra_exact():
@@ -374,6 +375,25 @@ def test_assembly_identity_and_mixed_lengths():
     only_linear = QuadraticObservable(space, "a", terms[:1]).matrix()
     _assert_same_operator(only_linear, 0.3 * _ladder(space, a))
     assert QuadraticObservable(space, "empty", []).matrix().nnz == 0
+
+
+def test_slots_out_of_range_are_refused():
+    # the ladder table read slot 2M as a_0 and every negative slot as the
+    # identity: both terms below realized the matrix of a_0
+    space = scalar_space(n_mode=1, mass=0.0, caps=(2, 2))
+    M = len(space.modes)
+    assert M == 2
+    for terms in ([(-1, 2 * M, 1.0)], [(-2, M, 1.0)]):
+        X = QuadraticObservable(space, "hand-built", terms)
+        with pytest.raises(BoxQFTError, match="slots"):
+            X.matrix()
+        with pytest.raises(BoxQFTError, match="slots"):
+            X.at(FourVector(0.3, 0.0, 0.0, 1.0))
+        # at the lattice momentum the term transfers
+        p3 = X.transfers()[1][0, 2]
+        with pytest.raises(BoxQFTError, match="normal-ordered"):
+            lehmann_spectral_density(space, X, X,
+                                     FourVector(1.0, 0.0, 0.0, float(p3)), 0.8)
 
 
 def test_assembly_drops_exact_zeros():

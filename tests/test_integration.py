@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import BOX, csr, dirac_space, photon_space, scalar_space
+from lehmann_reference import momentum_block
 
 from boxqft.fields import (dirac_current_density, scalar_bilinear_density,
                            stress_tensor_em, stress_tensor_scalar)
@@ -18,7 +19,6 @@ from boxqft.measurement import (MeasurementWindow, commensurate_tau, moments,
                                 spacelike_windowed_observable,
                                 vacuum_variance, windowed_observable)
 from boxqft.spacetime import FourVector
-from boxqft.spectral import _momentum_block
 
 
 def test_scalar_energy_density_integrates_to_hamiltonian():
@@ -26,7 +26,7 @@ def test_scalar_energy_density_integrates_to_hamiltonian():
     # pair-creation parts cancel mode by mode at zero total momentum
     space = scalar_space(n_mode=2, mass=0.7, caps=(2, 2))
     t00 = stress_tensor_scalar(space, 0, 0)
-    mat = csr(_momentum_block(space, t00, (0, 0, 0)))
+    mat = momentum_block(space, t00, (0, 0, 0))
     H = csr(free_hamiltonian(space))
     assert np.max(np.abs((mat - H).toarray())) < 1e-12
 
@@ -37,14 +37,14 @@ def test_scalar_energy_density_integrates_to_hamiltonian():
 def test_scalar_energy_density_integrates_to_hamiltonian_random_grids(
         n_mode, mass, caps):
     space = scalar_space(n_mode=n_mode, mass=mass, caps=caps)
-    mat = csr(_momentum_block(space, stress_tensor_scalar(space, 0, 0), (0, 0, 0)))
+    mat = momentum_block(space, stress_tensor_scalar(space, 0, 0), (0, 0, 0))
     assert np.max(np.abs((mat - csr(free_hamiltonian(space))).toarray())) <= 1e-12
 
 
 def test_em_energy_density_integrates_to_hamiltonian():
     space = photon_space(n_mode=2)
     t00 = stress_tensor_em(space, 0, 0)
-    mat = csr(_momentum_block(space, t00, (0, 0, 0)))
+    mat = momentum_block(space, t00, (0, 0, 0))
     H = csr(free_hamiltonian(space))
     assert np.max(np.abs((mat - H).toarray())) < 1e-12
 
@@ -53,7 +53,7 @@ def test_dirac_charge_integrates_to_number_operator():
     # int_V :j0: dx = particle number minus antiparticle number
     space = dirac_space(n_mode=1, mass=1.0, caps=(1, 4))
     j0 = dirac_current_density(space, 0)
-    mat = csr(_momentum_block(space, j0, (0, 0, 0)))
+    mat = momentum_block(space, j0, (0, 0, 0))
     charge = None
     for ch, sign in (("L", 1), ("R", 1), ("Lbar", -1), ("Rbar", -1)):
         for n in space.grid(ch).modes:
@@ -78,7 +78,7 @@ def _dirac_charge(space):
 def test_dirac_charge_integrates_to_number_operator_random_grids(
         n_mode, mass, total_cap):
     space = dirac_space(n_mode=n_mode, mass=mass, caps=(1, total_cap))
-    mat = csr(_momentum_block(space, dirac_current_density(space, 0), (0, 0, 0)))
+    mat = momentum_block(space, dirac_current_density(space, 0), (0, 0, 0))
     assert np.max(np.abs((mat - _dirac_charge(space)).toarray())) <= 1e-12
 
 

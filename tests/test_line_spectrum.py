@@ -2,8 +2,9 @@
 
 The memoized path must give bit-identical samples to the reference that
 rebuilds both momentum blocks and their product on every call
-(tests/lehmann_reference.py), keep at most one {lat, -lat} pair per density
-without a reference cycle or a block matrix, form one product per pair, and
+(tests/lehmann_reference.py), build its lines from the block terms with no
+matrix realized, keep at most one {lat, -lat} pair per density without a
+reference cycle or a block matrix, build one line spectrum per pair, and
 expose detailed balance line by line.
 """
 
@@ -30,7 +31,7 @@ from boxqft.measurement import (MeasurementWindow, operator_vacuum_variance,
                                 windowed_observable)
 from boxqft.operator import Operator
 from boxqft.spacetime import FourVector
-from boxqft.spectral import (_momentum_block, default_delta_omega, fdt_ratio,
+from boxqft.spectral import (default_delta_omega, fdt_ratio,
                              lehmann_spectral_density, line_spectrum)
 
 U = 2 * math.pi / BOX
@@ -178,6 +179,36 @@ def test_memoized_path_matches_reference_random(species, n_mode, mass, caps,
                                  beta)
 
 
+def _has_number_terms(X):
+    left, right = X.terms["left"], X.terms["right"]
+    return np.any((left >= 0) & (left + len(X.space.modes) == right))
+
+
+@settings(max_examples=30, deadline=None)
+@given(species=st.sampled_from(["scalar", "dirac", "photon"]),
+       n_mode=st.integers(1, 2), mass=st.sampled_from([0.0, 0.4, 1.0]),
+       caps=st.sampled_from([(1, 2), (2, 2), (1, 3), (2, 3)]),
+       swap=st.booleans())
+def test_cross_lines_at_zero_lattice_momentum_are_the_block_product(
+        species, n_mode, mass, caps, swap):
+    # at lat = 0 every number term c_j a_j lands on the diagonal, and X's
+    # differ from Y's: the join sums each block's diagonal on its own
+    space, _ = _random_space(species, n_mode, mass, caps)
+    if species == "dirac":
+        X, Y = (dirac_current_density(space, mu) for mu in (0, 3))
+    elif species == "photon":
+        X, Y = (fields.stress_tensor_em(space, 0, nu) for nu in (0, 3))
+    else:
+        X = scalar_bilinear_density(space)
+        Y = fields.stress_tensor_scalar(space, 0, 0)
+    if swap:
+        X, Y = Y, X
+    assert _has_number_terms(X) and _has_number_terms(Y)
+    for A, B in ((X, Y), (X, X), (Y, Y)):
+        assert_lines_are_product(line_spectrum(space, A, B, (0, 0, 0)),
+                                 product_lines(space, A, B, (0, 0, 0)))
+
+
 # ---------------------------------------------------------------------------
 # beta = inf: the vacuum's row and column, from the terms alone
 
@@ -216,12 +247,21 @@ def test_zero_temperature_samples_match_reference_random(species, n_mode, mass,
 
 
 def count_assembles(monkeypatch):
-    """Count the calls of fields._assemble, each of which realizes a block."""
+    """Count the calls of fields._assemble, each of which realizes a matrix."""
     blocks = []
     assemble = fields._assemble
     monkeypatch.setattr(fields, "_assemble",
                         lambda *args: blocks.append(1) or assemble(*args))
     return blocks
+
+
+def count_line_builds(monkeypatch):
+    """Count the line spectra built from block terms."""
+    builds = []
+    build = spectral._line_spectrum
+    monkeypatch.setattr(spectral, "_line_spectrum",
+                        lambda *args: builds.append(1) or build(*args))
+    return builds
 
 
 def test_zero_temperature_sample_builds_no_block(monkeypatch):
@@ -320,11 +360,13 @@ def test_vacuum_records_refuse_terms_out_of_normal_order():
         X = QuadraticObservable(space, "hand-built", terms)
         with pytest.raises(BoxQFTError, match="normal-ordered"):
             vacuum_variance(space, X)
-        # at the lattice momentum the first term transfers
+        # at the lattice momentum the first term transfers, at zero and at
+        # finite temperature
         p3 = X.transfers()[1][0, 2]
-        with pytest.raises(BoxQFTError, match="normal-ordered"):
-            lehmann_spectral_density(space, X, X, FourVector(1.0, 0, 0, p3 * U),
-                                     math.inf)
+        for beta in (math.inf, 0.8):
+            with pytest.raises(BoxQFTError, match="normal-ordered"):
+                lehmann_spectral_density(space, X, X,
+                                         FourVector(1.0, 0, 0, p3 * U), beta)
 
 
 # ---------------------------------------------------------------------------
@@ -337,16 +379,29 @@ def _transposed_entries(L, transpose):
     return r[order], c[order], L.de[order], L.value[order]
 
 
+def product_lines(space, X, Y, lat):
+    """(row, col, de, value) of X(-lat)∘Y(lat)ᵀ in row-major order, from the
+    reference's scipy blocks and their product A.multiply(B.T)."""
+    A = momentum_block(space, X, tuple(-v for v in lat))
+    B = momentum_block(space, Y, lat)
+    prod = A.multiply(B.T).tocoo()
+    order = np.lexsort((prod.col, prod.row))
+    row, col = prod.row[order].astype(np.int32), prod.col[order].astype(np.int32)
+    return row, col, space.energies[col] - space.energies[row], prod.data[order]
+
+
+def assert_lines_are_product(lines, want):
+    for name, w in zip(("row", "col", "de", "value"), want):
+        got = getattr(lines, name)
+        assert got.dtype == w.dtype and got.tobytes() == w.tobytes()
+
+
 def assert_is_direct_product(space, X, lat):
     """The memo's auto spectrum at -lat, taken after +lat and so derived from
-    it, holds the same bits as the product X(lat)∘X(-lat)ᵀ built directly."""
+    it, holds the same bits as the product X(lat)∘X(-lat)ᵀ of the blocks."""
     neg = tuple(-v for v in lat)
-    memo = line_spectrum(space, X, X, neg)
-    direct = spectral._line_spectrum(space, _momentum_block(space, X, lat),
-                                     _momentum_block(space, X, neg))
-    for name in ("row", "col", "de", "value"):
-        got, want = getattr(memo, name), getattr(direct, name)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert_lines_are_product(line_spectrum(space, X, X, neg),
+                             product_lines(space, X, X, neg))
 
 
 def test_detailed_balance_holds_on_every_line():
@@ -470,20 +525,18 @@ def test_memo_holds_no_block_after_a_sample():
 
 def test_a_lattice_pair_costs_one_product(monkeypatch):
     space = scalar_space(n_mode=2, mass=0.5, caps=(2, 2))
-    products = []
-    hadamard = Operator.hadamard_transpose
-    monkeypatch.setattr(Operator, "hadamard_transpose",
-                        lambda A, B: products.append(1) or hadamard(A, B))
+    builds = count_line_builds(monkeypatch)
     assembled = count_assembles(monkeypatch)
-    # fdt_ratio samples +p and -p; at lat = 0 both share one block
-    for p3, blocks in ((1, 2), (-2, 2), (0, 1)):
+    # fdt_ratio samples +p and -p; lat = 0 is its own pair
+    for p3 in (1, -2, 0):
         X = scalar_bilinear_density(space)
         p = FourVector(1.0, 0, 0, p3 * U)
-        del products[:], assembled[:]
+        del builds[:]
         fdt_ratio(space, X, p, 0.5)
-        assert (len(products), len(assembled)) == (1, blocks)
+        assert len(builds) == 1
         fdt_ratio(space, X, p, 2.0)
-        assert (len(products), len(assembled)) == (1, blocks)
+        assert len(builds) == 1
+    assert assembled == []
 
 
 def test_density_is_freed_without_the_cyclic_collector():
@@ -505,10 +558,11 @@ def test_density_is_freed_without_the_cyclic_collector():
 def test_second_beta_realizes_no_block(monkeypatch):
     space = scalar_space(n_mode=2, mass=0.5, caps=(2, 2))
     X = scalar_bilinear_density(space)
+    builds = count_line_builds(monkeypatch)
     assembled = count_assembles(monkeypatch)
     p = FourVector(1.0, 0, 0, U)
     fdt_ratio(space, X, p, 0.5)
-    assert len(assembled) == 2           # X(-lat) and X(lat), once each
+    assert len(builds) == 1              # X(-lat)∘X(lat)ᵀ, then transposed
     fdt_ratio(space, X, p, 2.0)
     lehmann_spectral_density(space, X, X, p, math.inf)
-    assert len(assembled) == 2
+    assert len(builds) == 1 and assembled == []

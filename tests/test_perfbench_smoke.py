@@ -98,24 +98,23 @@ def test_traced_pass_counts_match_the_objects(traced_run):
     metrics = run["metrics"]
     assert metrics["fields.density_terms"] == run["terms"] > 0
     assert metrics["measurement.window_keep_ratio"] == run["kept"] / run["terms"]
-    # the windowed matrix is the first realized; the Lehmann sum realizes
-    # its two momentum blocks through the same traced method
+    # the windowed matrix is the only one realized: the Lehmann sum builds
+    # its lines from the block terms
     matrix_nnz = [c["nnz"] for name, c in spans if name == "fields.matrix"]
-    assert matrix_nnz[0] == run["nnz"] and len(matrix_nnz) == 3
+    assert matrix_nnz == [run["nnz"]]
     # one span per realized mode: the first call builds a and a^+ together,
     # so the tracer's _op_cache test must see the second as a cache hit
     ladder = [name for name, _ in spans if name == "fock.ladder"]
     assert len(ladder) == run["op_cache"] // 2 == run["n_modes"] == 5
 
 
-def test_fdt_ratio_realizes_its_blocks_once(traced_run):
+def test_fdt_ratio_realizes_no_block(traced_run):
     # both Lehmann samples go through the module-level name the tracer
-    # rebinds, and the two momentum blocks through QuadraticObservable.matrix,
-    # once per density and lattice pair: none for the second beta
+    # rebinds, and neither realizes a matrix through
+    # QuadraticObservable.matrix, at either beta
     first, second = traced_run["fdt_spans"]
     assert first.count("spectral.lehmann") + second.count("spectral.lehmann") == 4
-    assert first.count("fields.matrix") == 2
-    assert second.count("fields.matrix") == 0
+    assert first.count("fields.matrix") == second.count("fields.matrix") == 0
 
 
 def test_oracle_realizes_its_ladders_through_the_traced_methods(traced_run):

@@ -68,6 +68,20 @@ def test_fdt_detailed_balance():
             assert checked > 0
 
 
+def test_fdt_ratio_refuses_a_weight_that_is_not_a_float():
+    # e^{-beta p0} overflowed into an OverflowError at beta = 300, and at
+    # beta = inf it made the ratio nan, which no check saw
+    space = scalar_space(n_mode=1, mass=0.0, caps=(4, 4))
+    X = scalar_bilinear_density(space)
+    p = FourVector(-3.0, 0, 0, 1.0)
+    for beta, match in ((300.0, "overflows"), (math.inf, "finite beta"),
+                        (math.nan, "finite beta")):
+        with pytest.raises(BoxQFTError, match=match):
+            fdt_ratio(space, X, p, beta)
+    lhs, rhs, sample = fdt_ratio(space, X, -1.0 * p, 300.0)
+    assert rhs == math.exp(-900.0) * sample.G
+
+
 def test_off_lattice_momentum_rejected():
     space = scalar_space(n_mode=1, mass=0.0)
     phi = scalar_density(space)
