@@ -166,6 +166,20 @@ def _slot_transfers(space: FockSpace) -> Tuple[np.ndarray, np.ndarray]:
             np.concatenate([lat, -lat, np.zeros((1, 3), dtype=np.int64)]))
 
 
+def _term_slots(space: FockSpace,
+                terms: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The terms' left and right slots.  Raises unless every slot lies in
+    [-1, 2M): slot -1 is the last row of _slot_transfers' arrays, so a slot
+    outside would read another slot's row or none."""
+    left, right = terms["left"], terms["right"]
+    M2 = 2 * len(space.modes)
+    slots = np.concatenate([left, right])
+    bad = slots[(slots < -1) | (slots >= M2)]
+    if len(bad):
+        raise BoxQFTError(f"term slots must lie in [-1, {M2}), not {bad[0]}")
+    return left, right
+
+
 def _terms(left, right, coeff) -> np.ndarray:
     out = np.empty(len(coeff), dtype=TERM_DTYPE)
     out["left"], out["right"], out["coeff"] = left, right, coeff
@@ -181,17 +195,14 @@ def _compose(space: FockSpace, terms: np.ndarray):
     triplet of the right factor is passed on by looking its target up among
     the left factor's sources.  A slot outside [-1, 2M) raises.
     """
-    M2, dim = 2 * len(space.modes), space.dim
-    slots = np.concatenate([terms["left"], terms["right"]])
-    bad = slots[(slots < -1) | (slots >= M2)]
-    if len(bad):
-        raise BoxQFTError(f"term slots must lie in [-1, {M2}), not {bad[0]}")
+    left, right = _term_slots(space, terms)
     if len(terms) == 0:
         empty = np.zeros(0, dtype=np.int64)
         return empty, empty, empty, np.zeros(0, dtype=complex)
-    table = space.ladder_table(slots)
+    dim = space.dim
+    table = space.ladder_table(np.concatenate([left, right]))
     # each factor's slot + 1: its triplets' keys are (slot + 1) * dim + source
-    left, right = terms["left"] + 1, terms["right"] + 1
+    left, right = left + 1, right + 1
     start, _ = lookup(table.src_key, right * dim)
     n = lookup(table.src_key, (right + 1) * dim)[0] - start
     term = np.repeat(np.arange(len(terms)), n)
@@ -218,8 +229,12 @@ def _check_normal_ordered(space: FockSpace, terms: np.ndarray) -> None:
     changes the state by its own signature, so it alone fills its entries."""
     left, right = terms["left"], terms["right"]
     M2 = 2 * len(space.modes)
+    key = (left + 1) * M2 + right
+    # the density builders list terms by ascending key, which makes them unique
+    # without a sort
     if not np.all((-1 <= left) & (left <= right) & (0 <= right) & (right < M2)) \
-            or len(np.unique((left + 1) * M2 + right)) != len(terms):
+            or not (np.all(key[1:] > key[:-1])
+                    or len(np.unique(key)) == len(terms)):
         raise BoxQFTError("line spectra and vacuum records need unique, "
                           "normal-ordered terms")
 
@@ -267,6 +282,8 @@ class QuadraticObservable:
         self.terms = np.asarray(terms, dtype=TERM_DTYPE)
         self.vacuum_subtraction = vacuum_subtraction
         self._matrix: Optional[Operator] = None
+        # the thermal moments' diagonals for n = 1, 2, ... (boxqft.measurement)
+        self._moment_diagonals: List[np.ndarray] = []
         # block terms, line spectra and vacuum records of the Lehmann sum
         # for the last lattice pair {lat, -lat} asked about (boxqft.spectral)
         self._momentum_memo = None
@@ -283,7 +300,7 @@ class QuadraticObservable:
         """For each lattice vector in targets, the mask of the terms whose
         lattice transfer equals it."""
         _, lat = _slot_transfers(self.space)
-        left, right = self.terms["left"], self.terms["right"]
+        left, right = _term_slots(self.space, self.terms)
         # one axis at a time: gathering (n_terms, 3) rows is several times
         # slower
         total = [lat[:, a][left] + lat[:, a][right] for a in range(3)]
@@ -294,7 +311,7 @@ class QuadraticObservable:
         """Four-momentum (n_terms, 4) and lattice (n_terms, 3) transfer of
         every term."""
         Q, lat = _slot_transfers(self.space)
-        left, right = self.terms["left"], self.terms["right"]
+        left, right = _term_slots(self.space, self.terms)
         return Q[left] + Q[right], lat[left] + lat[right]
 
     def at(self, x: FourVector) -> Operator:

@@ -206,6 +206,8 @@ class FockSpace:
         self._op_cache: Dict[Tuple[str, Tuple[int, ...], str], Operator] = {}
         self._slot_maps: Dict[int, Tuple[np.ndarray, ...]] = {}
         self._ladder_table: Optional[LadderTable] = None
+        # (beta, state) of the last thermal_state call
+        self._thermal: Optional[Tuple[float, "DensityOperator"]] = None
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -499,15 +501,25 @@ def thermal_state(space: FockSpace, beta: float) -> DensityOperator:
 
     beta = math.inf returns the vacuum projector.  Truncation error of
     thermal observables is bounded by exp(-beta*E*n_max) per mode.
+
+    The space keeps the state of the last beta asked for, so samples at one
+    beta share one Boltzmann vector: a repeated call returns the same
+    object, whose weights are read-only.
     """
     if not (beta > 0):
         raise BoxQFTError("beta must be positive")
+    if space._thermal is not None and space._thermal[0] == beta:
+        return space._thermal[1]
     if math.isinf(beta):
         w = np.zeros(space.dim)
         w[int(np.argmin(space.energies))] = 1.0
-        return DensityOperator(diagonal=w)
-    w = np.exp(-beta * (space.energies - space.energies.min()))
-    return DensityOperator(diagonal=w / w.sum())
+    else:
+        w = np.exp(-beta * (space.energies - space.energies.min()))
+        w = w / w.sum()
+    w.flags.writeable = False
+    state = DensityOperator(diagonal=w)
+    space._thermal = (beta, state)
+    return state
 
 
 def expectation(state, operator) -> complex:

@@ -126,7 +126,10 @@ def moments(state, S: QuadraticObservable, n_max: int = 4) -> MomentsResult:
     (thermal) state uses Tr(rho S^n) = sum_i w_i (S^a S^b)_ii with
     a = ceil(n/2), b = floor(n/2): the diagonal is the row sum of
     S^a∘(S^b)ᵀ, from Operator powers up to S^ceil(n_max/2), so no dense rho
-    is formed.  Only a state given by a full matrix is handled densely.
+    is formed.  These diagonals do not depend on the state, so S keeps them
+    for the largest n_max asked so far: a later diagonal state costs n_max
+    weighted sums and no Operator product.  Only a state given by a full
+    matrix is handled densely.
 
     Reports the eigenstate defect over n = 2..n_max: max_n |<S^n> - <S>^n| /
     |<S>|^n, and at <S> = 0, where an eigenstate has eigenvalue 0 and every
@@ -148,17 +151,8 @@ def moments(state, S: QuadraticObservable, n_max: int = 4) -> MomentsResult:
             vals.append(complex(np.vdot(state.amplitudes, v)))
     elif isinstance(state, DensityOperator) and state.diagonal is not None:
         norm = np.sum(state.diagonal)
-        powers = [None, mat]                     # powers[k] = S^k
-        while len(powers) <= (n_max + 1) // 2:
-            powers.append(powers[-1] @ mat)
-        ones = np.ones(mat.dim)
-        for n in range(1, n_max + 1):
-            a, b = (n + 1) // 2, n // 2
-            if b == 0:
-                diag = powers[a].diagonal()
-            else:
-                diag = powers[a].hadamard_transpose(powers[b]) @ ones
-            vals.append(complex(np.sum(state.diagonal * diag)))
+        vals = [complex(np.sum(state.diagonal * diag))
+                for diag in _moment_diagonals(S, n_max)[:n_max]]
     elif isinstance(state, DensityOperator):
         norm = np.trace(state.matrix).real
         acc = state.matrix
@@ -177,6 +171,21 @@ def moments(state, S: QuadraticObservable, n_max: int = 4) -> MomentsResult:
         for n in range(2, n_max + 1):
             defect = max(defect, abs(vals[n - 1]) / (norm * s ** n))
     return MomentsResult(tuple(vals), float(defect))
+
+
+def _moment_diagonals(S: QuadraticObservable, n_max: int) -> List[np.ndarray]:
+    """diag(S^a∘(S^b)ᵀ·1), a = ceil(n/2), b = floor(n/2), for n = 1..n_max
+    or more: S's kept list, rebuilt when n_max exceeds it."""
+    if len(S._moment_diagonals) < n_max:
+        mat = S.matrix()
+        powers = [None, mat]                     # powers[k] = S^k
+        while len(powers) <= (n_max + 1) // 2:
+            powers.append(powers[-1] @ mat)
+        ones = np.ones(mat.dim)
+        S._moment_diagonals = [mat.diagonal()] + [
+            powers[(n + 1) // 2].hadamard_transpose(powers[n // 2]) @ ones
+            for n in range(2, n_max + 1)]
+    return S._moment_diagonals
 
 
 def vacuum_variance(space: FockSpace, S: QuadraticObservable) -> float:

@@ -46,11 +46,16 @@ for bit the blocks' lines, with no block or ladder operator built.
 Both paths refuse terms that are not unique and normal-ordered.
 
 Each density holds one memo, a plain dict, for the pair {lat, -lat} it was
-last asked about: the block terms of both targets, its auto line spectra
+last asked about: the block terms of both targets, one auto line spectrum
 (Y is X) and its vacuum records.  The auto spectrum at -lat is the one at
-+lat transposed, so a pair costs one join; a cross spectrum (Y is not X)
-is joined afresh on each request.  The memo holds no reference to its
-density, so a density is freed by reference counting alone.
++lat transposed, so the memo keeps only the side asked for first, and a
+pair costs one join.  A finite-beta sample at the other side reads it in
+place: it selects the lines in the bin at the negated energies (negating a
+float is exact), sorts only those into the transposed row-major order and
+takes the weights at their columns, so the sum adds the same numbers in the
+same order as a sum over the transposed spectrum.  A cross spectrum (Y is
+not X) is joined afresh on each request.  The memo holds no reference to
+its density, so a density is freed by reference counting alone.
 """
 
 from __future__ import annotations
@@ -112,9 +117,13 @@ class LineSpectrum:
 def _memo(space: FockSpace, density: QuadraticObservable,
           lat: Tuple[int, int, int]) -> dict:
     """The density's memo for the pair {lat, -lat}, replacing one for another
-    pair; both targets' block terms are weighted in one pass."""
+    pair; both targets' block terms are weighted in one pass.  The density's
+    terms are checked to be unique and normal-ordered before its first memo
+    is made."""
     pair = {lat, tuple(-v for v in lat)}
     memo = density._momentum_memo
+    if memo is None:
+        _check_normal_ordered(space, density.terms)
     if memo is None or memo["terms"].keys() != pair:
         targets = tuple(pair)
         memo = density._momentum_memo = {"lines": {}, "vacuum": {}, "terms": {
@@ -146,9 +155,8 @@ def _line_spectrum(space: FockSpace, x_terms: np.ndarray,
     """A∘Bᵀ from the block terms of A = X(-lat) and B = Y(lat), joined on
     the adjoint key (module docstring).  X's term t fills A[n, m] with
     c_t amp + 0.0, and B[m, n] is c_s (±amp) + 0.0 for its partner s, bit for
-    bit what from_triplets would store in the realized blocks."""
-    for terms in (x_terms, y_terms):
-        _check_normal_ordered(space, terms)
+    bit what from_triplets would store in the realized blocks.  Both term
+    sets come from densities that _memo has checked."""
     M, dim = len(space.modes), space.dim
     # each X term's adjoint op(r̄) op(l̄), s̄ = s with creator and annihilator
     # swapped, normal-ordered as (lo, hi): swapping two fermionic slots
@@ -173,8 +181,10 @@ def _line_spectrum(space: FockSpace, x_terms: np.ndarray,
     b += 0.0
     row, col, value = tgt, src, _cmul(a, b)
     if x_number.any() and y_number.any():
-        # each state's diagonal entry of A and of B, summed on its own
-        diag = _cmul(_diagonal(space, x_terms[x_number]),
+        # each state's diagonal entry of A and of B, summed on its own; an
+        # auto spectrum at lat = 0 has one diagonal, squared
+        a = _diagonal(space, x_terms[x_number])
+        diag = _cmul(a, a if y_terms is x_terms else
                      _diagonal(space, y_terms[y_number]))
         on = np.arange(dim)
         row, col = np.concatenate([row, on]), np.concatenate([col, on])
@@ -196,26 +206,38 @@ def _transposed(space: FockSpace, lines: LineSpectrum) -> LineSpectrum:
                         lines.value[order])
 
 
+def _auto_lines(space: FockSpace, X: QuadraticObservable,
+                lat: Tuple[int, int, int]) -> Tuple[LineSpectrum, bool]:
+    """X's auto spectrum at lat as (lines, flipped): the one that X's memo
+    keeps for the pair {lat, -lat}, joined at the side asked for first, and
+    whether it is the spectrum at -lat, to be read transposed."""
+    neg = tuple(-v for v in lat)
+    memo = _memo(space, X, lat)
+    lines = memo["lines"]
+    if lat in lines:
+        return lines[lat], False
+    if neg in lines:
+        return lines[neg], True
+    lines[lat] = _line_spectrum(space, memo["terms"][neg], memo["terms"][lat])
+    return lines[lat], False
+
+
 def line_spectrum(space: FockSpace, X: QuadraticObservable,
                   Y: QuadraticObservable,
                   lat: Tuple[int, int, int]) -> LineSpectrum:
     """Line spectrum of A = X(-lat), B = Y(lat).
 
-    The auto spectrum (Y is X) is kept in X's memo, and the one at -lat is
-    the one at +lat transposed; a cross spectrum is not stored.
+    The auto spectrum (Y is X) is kept in X's memo at the side of the pair
+    {lat, -lat} asked for first; the other side is that one transposed,
+    built on request and not stored.  A cross spectrum is not stored.
     """
     lat = tuple(lat)
-    neg = tuple(-v for v in lat)
     if Y is not X:
+        neg = tuple(-v for v in lat)
         return _line_spectrum(space, _memo(space, X, neg)["terms"][neg],
                               _memo(space, Y, lat)["terms"][lat])
-    memo = _memo(space, X, lat)
-    lines = memo["lines"]
-    if lat not in lines:
-        lines[lat] = (_transposed(space, lines[neg]) if neg in lines else
-                      _line_spectrum(space, memo["terms"][neg],
-                                     memo["terms"][lat]))
-    return lines[lat]
+    lines, flipped = _auto_lines(space, X, lat)
+    return _transposed(space, lines) if flipped else lines
 
 
 def default_delta_omega(space: FockSpace) -> float:
@@ -257,15 +279,29 @@ def lehmann_spectral_density(space: FockSpace, X: QuadraticObservable,
         value = _cmul(a[i], b[j])
         energy = np.append(space.mode_energies, 0.0)
         de, w = energy[lo[i]] + energy[hi[i]], (value != 0) * 1.0
+        # the lines in the bin |p0 - de| <= dw/2 with nonzero weight
+        mask = (np.abs(p.t - de) <= delta_omega / 2.0) & (w > 0.0)
+        value, w = value[mask], w[mask]
     else:
-        weights = thermal_state(space, beta).diagonal
-        lines = line_spectrum(space, X, Y, lat)
-        de, value, w = lines.de, lines.value, weights[lines.row]
-    # the lines in the bin |p0 - de| <= dw/2 with nonzero weight
-    mask = (np.abs(p.t - de) <= delta_omega / 2.0) & (w > 0.0)
-    w = w[mask]
+        lines, flipped = ((line_spectrum(space, X, Y, lat), False)
+                          if Y is not X else _auto_lines(space, X, lat))
+        if flipped:
+            # the lines at -lat read transposed: entry (n, m) is (m, n) at
+            # energy -de, exactly, so p0 - (-de) is p0 + de; the lines in the
+            # bin, in the transposed spectrum's row-major order
+            on = np.flatnonzero(np.abs(p.t + lines.de) <= delta_omega / 2.0)
+            on = on[np.argsort(lines.col[on].astype(np.int64) * space.dim
+                               + lines.row[on])]
+            row = lines.col[on]
+        else:
+            on = np.flatnonzero(np.abs(p.t - lines.de) <= delta_omega / 2.0)
+            row = lines.row[on]
+        # their Boltzmann weights; a line of zero weight is dropped
+        w = thermal_state(space, beta).diagonal[row]
+        kept = w > 0.0
+        value, w = lines.value[on][kept], w[kept]
     return SpectralSample(tuple(p.as_array().tolist()),
-                          complex((value[mask] * w).sum()) / space.volume, beta,
+                          complex((value * w).sum()) / space.volume, beta,
                           X.label, Y.label, NORM_TAG,
                           float(w.max()) if len(w) else 0.0, len(w), delta_omega)
 

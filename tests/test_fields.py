@@ -379,21 +379,29 @@ def test_assembly_identity_and_mixed_lengths():
 
 def test_slots_out_of_range_are_refused():
     # the ladder table read slot 2M as a_0 and every negative slot as the
-    # identity: both terms below realized the matrix of a_0
+    # identity: the first two terms realized the matrix of a_0.  The last two
+    # lie past the (2M+1)-row transfer arrays and raised numpy's IndexError
+    # from every path but .matrix()
     space = scalar_space(n_mode=1, mass=0.0, caps=(2, 2))
     M = len(space.modes)
     assert M == 2
-    for terms in ([(-1, 2 * M, 1.0)], [(-2, M, 1.0)]):
+    for terms in ([(-1, 2 * M, 1.0)], [(-2, M, 1.0)],
+                  [(-1, 2 * M + 1, 1.0)], [(-(2 * M + 2), 0, 1.0)]):
         X = QuadraticObservable(space, "hand-built", terms)
         with pytest.raises(BoxQFTError, match="slots"):
             X.matrix()
         with pytest.raises(BoxQFTError, match="slots"):
             X.at(FourVector(0.3, 0.0, 0.0, 1.0))
-        # at the lattice momentum the term transfers
-        p3 = X.transfers()[1][0, 2]
-        with pytest.raises(BoxQFTError, match="normal-ordered"):
-            lehmann_spectral_density(space, X, X,
-                                     FourVector(1.0, 0.0, 0.0, float(p3)), 0.8)
+        with pytest.raises(BoxQFTError, match="slots"):
+            X.transfers()
+        with pytest.raises(BoxQFTError, match="slots"):
+            X.lattice_hits([(0, 0, 0)])
+        # a sample refuses the terms before it weighs them at any momentum
+        for p3 in (0.0, 2 * math.pi / BOX):
+            for beta in (0.8, math.inf):
+                with pytest.raises(BoxQFTError, match="normal-ordered"):
+                    lehmann_spectral_density(
+                        space, X, X, FourVector(1.0, 0.0, 0.0, p3), beta)
 
 
 def test_assembly_drops_exact_zeros():

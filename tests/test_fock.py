@@ -315,6 +315,21 @@ def test_thermal_state_limits():
     assert abs(occ - exact) <= math.exp(-beta * E * 12)
 
 
+def test_thermal_state_is_kept_for_the_last_beta():
+    space = one_mode_space(n_max=6)
+    for beta in (1.5, math.inf):
+        rho = thermal_state(space, beta)
+        assert thermal_state(space, beta) is rho
+        # shared by every caller at this beta
+        with pytest.raises(ValueError):
+            rho.diagonal[0] = 0.5
+    # a beta asked for again after another is computed afresh, to the bit
+    again = thermal_state(space, 1.5)
+    assert again is not rho and thermal_state(space, 1.5) is again
+    w = np.exp(-1.5 * (space.energies - space.energies.min()))
+    assert again.diagonal.tobytes() == (w / w.sum()).tobytes()
+
+
 def test_thermal_fermion_occupancy_exact():
     grid = ModeGrid(axes=(3,), lengths=(BOX,), ranges=((1, 1),),
                     species=Species.FERMION, mass=0.5)

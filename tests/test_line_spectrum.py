@@ -397,8 +397,9 @@ def assert_lines_are_product(lines, want):
 
 
 def assert_is_direct_product(space, X, lat):
-    """The memo's auto spectrum at -lat, taken after +lat and so derived from
-    it, holds the same bits as the product X(lat)∘X(-lat)ᵀ of the blocks."""
+    """The auto spectrum at -lat, taken after +lat and so the memo's +lat
+    spectrum transposed, holds the same bits as the product X(lat)∘X(-lat)ᵀ
+    of the blocks."""
     neg = tuple(-v for v in lat)
     assert_lines_are_product(line_spectrum(space, X, X, neg),
                              product_lines(space, X, X, neg))
@@ -483,6 +484,68 @@ def test_detailed_balance_on_isolated_lines_random(species, n_mode, mass, caps,
         scale = np.sum(np.abs(w[Lp.row[on]] * Lp.value[on])) / space.volume
         assert sample.term_count == np.count_nonzero(on) > 0
         assert abs(lhs - rhs) <= 1e-10 * scale
+
+
+@settings(max_examples=25, deadline=None)
+@given(species=st.sampled_from(["scalar", "dirac", "photon"]),
+       n_mode=st.integers(1, 2), mass=st.sampled_from([0.0, 0.4, 1.0]),
+       caps=st.sampled_from([(1, 2), (2, 2), (1, 3), (2, 3)]),
+       p3=st.integers(0, 3), minus_first=st.booleans(), i=st.integers(0, 2),
+       beta=st.sampled_from([0.3, 1.0, 2.5]))
+def test_either_side_of_a_lattice_pair_matches_reference_random(
+        species, n_mode, mass, caps, p3, minus_first, i, beta):
+    # the memo keeps the auto spectrum of the side of {lat, -lat} asked for
+    # first; samples at the other side read it transposed, in place
+    space, densities = _random_space(species, n_mode, mass, caps)
+    X = densities[i % len(densities)]
+    first, second = (0, 0, p3), (0, 0, -p3)
+    if minus_first:
+        first, second = second, first
+    # p0 on lines of both sides, from blocks built afresh
+    de = np.unique(product_lines(space, X, X, first)[2])
+    p0s = [0.37] + [float(w) for w in de[::max(1, len(de) // 3)]]
+    p0s += [-w for w in p0s[1:]]
+    # a wide bin sums many lines, so their order shows in the bits
+    wide = 16 * default_delta_omega(space)
+    for lat in (first, second):
+        for p0 in p0s:
+            p = FourVector(p0, 0.0, 0.0, lat[2] * U)
+            assert_matches_reference(space, X, X, p, beta)
+            assert_matches_reference(space, X, X, p, beta, wide)
+    assert set(X._momentum_memo["lines"]) == {first}
+
+
+def test_zero_lattice_auto_spectrum_sums_one_diagonal(monkeypatch):
+    # at lat = 0 both blocks of an auto spectrum are X(0): its number terms'
+    # diagonal is composed once and squared
+    composed = []
+    compose = spectral._compose
+    monkeypatch.setattr(spectral, "_compose", lambda *args: (
+        composed.append(1) or compose(*args)))
+    for species in ("scalar", "dirac", "photon"):
+        space, _ = _random_space(species, 2, 1.0 if species == "dirac" else 0.4,
+                                 (1, 3) if species == "dirac" else (2, 3))
+        X = {"scalar": scalar_bilinear_density,
+             "dirac": lambda s: dirac_current_density(s, 0),
+             "photon": lambda s: fields.stress_tensor_em(s, 0, 0)}[species](space)
+        assert _has_number_terms(X)
+        del composed[:]
+        lines = line_spectrum(space, X, X, (0, 0, 0))
+        # X's partnered terms, then the number terms' diagonal
+        assert len(composed) == 2
+        assert_lines_are_product(lines, product_lines(space, X, X, (0, 0, 0)))
+
+
+def test_fdt_ratio_evaluates_one_boltzmann_vector(monkeypatch):
+    # G(p) and G(-p) share the space's thermal state at beta
+    space = dirac_space(n_mode=2, mass=1.0, caps=(1, 3))
+    j0 = dirac_current_density(space, 0)
+    exps = []
+    exp = np.exp
+    monkeypatch.setattr(np, "exp", lambda x, *args, **kw: (
+        exps.append(np.shape(x)) or exp(x, *args, **kw)))
+    fdt_ratio(space, j0, FourVector(2.0, 0.0, 0.0, U), 0.7)
+    assert exps.count((space.dim,)) == 1
 
 
 # ---------------------------------------------------------------------------

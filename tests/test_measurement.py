@@ -269,6 +269,30 @@ def test_thermal_moments_match_dense_oracle(cell):
             assert abs(dense.values[n - 1] - ref) <= 1e-12 * norm ** n
 
 
+def test_thermal_moments_keep_their_diagonals(monkeypatch):
+    # the diagonals of S^a∘(S^b)ᵀ do not depend on beta: a second diagonal
+    # state costs weighted sums only, with the values of a fresh observable
+    space = dirac_space(n_mode=2, mass=1.0, caps=(1, 3))
+    obs = spacelike_windowed_observable(
+        dirac_current_density(space, 0), FourVector(0.4, 0, 0, 2.0),
+        MeasurementWindow(tau=BOX))
+    moments(thermal_state(space, 0.8), obs)
+    products = []
+    for name in ("__matmul__", "hadamard_transpose"):
+        product = getattr(Operator, name)
+        monkeypatch.setattr(Operator, name, lambda self, other, name=name,
+                            product=product: (products.append(name)
+                                              or product(self, other)))
+    kept = {n: moments(thermal_state(space, 1.7), obs, n_max=n) for n in (2, 4)}
+    assert products == []
+    monkeypatch.undo()
+    for n, res in kept.items():
+        fresh = QuadraticObservable(space, obs.label, obs.terms,
+                                    obs.vacuum_subtraction)
+        assert repr(moments(thermal_state(space, 1.7), fresh, n_max=n)) == \
+            repr(res)
+
+
 def test_photon_signals():
     k3 = 1.0
     cfg = SagnacConfig(SagnacSpecies.PHOTON_V, 0.0, k3)
