@@ -84,10 +84,6 @@ class Spinor:
     k3: float
     mass: float
 
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.components))
-
 
 def spinor_u(k3: float, handedness: str, m: float) -> Spinor:
     """Positive-energy helicity spinor for momentum (0,0,k3), k3 != 0.

@@ -14,7 +14,6 @@ functions and safe to evaluate in parallel.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -66,10 +65,6 @@ class ModeGrid:
             raise BoxQFTError("mode ranges must satisfy lo <= hi")
         if self.mass < 0 or self.v_c <= 0:
             raise BoxQFTError("mass must be >= 0 and v_c > 0")
-
-    @property
-    def dimension(self) -> int:
-        return len(self.axes)
 
     @property
     def excludes_zero_mode(self) -> bool:
@@ -317,34 +312,6 @@ class FockSpace:
         self._op_cache[(channel, n, "c")] = Operator(src, tgt, amp.conj(), self.dim)
         return self._op_cache[key]
 
-    # -- serialization ------------------------------------------------------
-
-    def to_json(self) -> str:
-        doc = {
-            "schema": "boxqft/fockspace-v1",
-            "n_max_per_mode": self.n_max_per_mode,
-            "n_max_total": self.n_max_total,
-            "channels": [
-                {"label": lbl, "axes": list(g.axes), "lengths": list(g.lengths),
-                 "ranges": [list(r) for r in g.ranges], "species": g.species.value,
-                 "mass": g.mass, "v_c": g.v_c}
-                for lbl, g in self.channels],
-        }
-        return json.dumps(doc, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "FockSpace":
-        doc = json.loads(text)
-        if doc.get("schema") != "boxqft/fockspace-v1":
-            raise BoxQFTError("unknown FockSpace schema")
-        channels = [
-            (c["label"],
-             ModeGrid(axes=tuple(c["axes"]), lengths=tuple(c["lengths"]),
-                      ranges=tuple(tuple(r) for r in c["ranges"]),
-                      species=Species(c["species"]), mass=c["mass"], v_c=c["v_c"]))
-            for c in doc["channels"]]
-        return FockSpace(channels, doc["n_max_per_mode"], doc["n_max_total"])
-
 
 def _row_keys(occ: np.ndarray) -> np.ndarray:
     """Int8 occupation rows as void keys; for 0..127 byte order is lexicographic."""
@@ -426,43 +393,16 @@ class StateVector:
         object.__setattr__(self, "amplitudes",
                            np.asarray(self.amplitudes, dtype=complex))
 
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def validate(self, tol: float = 1e-12) -> None:
-        if abs(self.norm - 1.0) > tol:
-            raise BoxQFTError(f"state norm {self.norm} deviates from 1")
-
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Hermitian unit-trace state.  Thermal states are stored diagonally."""
-    diagonal: np.ndarray = None
-    matrix: np.ndarray = None
-
-    def __post_init__(self):
-        if (self.diagonal is None) == (self.matrix is None):
-            raise BoxQFTError("provide exactly one of diagonal or matrix")
+    """Unit-trace state diagonal in the basis: its weights over the basis
+    states.  Thermal states are the only density operators built."""
+    diagonal: np.ndarray
 
     @property
     def dim(self) -> int:
-        return len(self.diagonal) if self.diagonal is not None else self.matrix.shape[0]
-
-    def validate(self, tol: float = 1e-12) -> None:
-        if self.diagonal is not None:
-            tr = float(np.sum(self.diagonal))
-            if abs(tr - 1.0) > tol:
-                raise BoxQFTError(f"trace {tr} deviates from 1")
-            if np.min(self.diagonal) < -tol:
-                raise BoxQFTError("negative thermal weight")
-        else:
-            if abs(np.trace(self.matrix) - 1.0) > tol:
-                raise BoxQFTError("trace deviates from 1")
-            if np.max(np.abs(self.matrix - self.matrix.conj().T)) > tol:
-                raise BoxQFTError("density matrix not Hermitian")
-            if np.min(np.linalg.eigvalsh(self.matrix)) < -tol:
-                raise BoxQFTError("density matrix not positive semidefinite")
+        return len(self.diagonal)
 
 
 def basis_state(space: FockSpace, occupation: Dict[Tuple[str, Tuple[int, ...]], int]) -> StateVector:
@@ -523,8 +463,9 @@ def thermal_state(space: FockSpace, beta: float) -> DensityOperator:
 
 
 def expectation(state, operator) -> complex:
-    """<psi|O|psi> or Tr(rho O), for an Operator, any matrix type with a
-    shape (scipy's included) or a dense array-like."""
+    """<psi|O|psi>, or Tr(rho O) = sum_i w_i O_ii for a diagonal rho, for an
+    Operator, any matrix type with a shape (scipy's included) or a dense
+    array-like."""
     if not hasattr(operator, "shape"):
         operator = np.asarray(operator)
     dim = operator.shape[0]
@@ -535,10 +476,8 @@ def expectation(state, operator) -> complex:
     if isinstance(state, DensityOperator):
         if state.dim != dim:
             raise DimensionMismatch("state/operator dimensions differ")
-        if state.diagonal is not None:
-            diag = operator.diagonal()
-            return complex(np.sum(state.diagonal * diag))
-        return complex(np.trace(operator @ state.matrix))
+        diag = operator.diagonal()
+        return complex(np.sum(state.diagonal * diag))
     raise DimensionMismatch(f"unsupported state type {type(state)!r}")
 
 
@@ -572,10 +511,6 @@ class SagnacConfig:
     @property
     def energy(self) -> float:
         return math.sqrt(self.mass ** 2 + self.v_c ** 2 * self.k3 ** 2)
-
-    @property
-    def group_velocity(self) -> float:
-        return self.v_c ** 2 * abs(self.k3) / self.energy
 
     @property
     def momentum_transfer(self) -> FourVector:

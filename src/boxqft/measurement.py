@@ -122,14 +122,13 @@ class MomentsResult:
 def moments(state, S: QuadraticObservable, n_max: int = 4) -> MomentsResult:
     """Exact Fock-space moments <S^n> for n = 1..n_max (n_max <= 6).
 
-    A state vector is propagated by repeated application of S.  A diagonal
-    (thermal) state uses Tr(rho S^n) = sum_i w_i (S^a S^b)_ii with
-    a = ceil(n/2), b = floor(n/2): the diagonal is the row sum of
-    S^a∘(S^b)ᵀ, from Operator powers up to S^ceil(n_max/2), so no dense rho
-    is formed.  These diagonals do not depend on the state, so S keeps them
-    for the largest n_max asked so far: a later diagonal state costs n_max
-    weighted sums and no Operator product.  Only a state given by a full
-    matrix is handled densely.
+    A state vector is propagated by repeated application of S.  A density
+    operator is diagonal (a thermal state) and uses Tr(rho S^n) =
+    sum_i w_i (S^a S^b)_ii with a = ceil(n/2), b = floor(n/2): the diagonal
+    is the row sum of S^a∘(S^b)ᵀ, from Operator powers up to S^ceil(n_max/2),
+    so no dense rho is formed.  These diagonals do not depend on the state,
+    so S keeps them for the largest n_max asked so far: a later diagonal
+    state costs n_max weighted sums and no Operator product.
 
     Reports the eigenstate defect over n = 2..n_max: max_n |<S^n> - <S>^n| /
     |<S>|^n, and at <S> = 0, where an eigenstate has eigenvalue 0 and every
@@ -149,16 +148,10 @@ def moments(state, S: QuadraticObservable, n_max: int = 4) -> MomentsResult:
         for _ in range(n_max):
             v = mat @ v
             vals.append(complex(np.vdot(state.amplitudes, v)))
-    elif isinstance(state, DensityOperator) and state.diagonal is not None:
+    elif isinstance(state, DensityOperator):
         norm = np.sum(state.diagonal)
         vals = [complex(np.sum(state.diagonal * diag))
                 for diag in _moment_diagonals(S, n_max)[:n_max]]
-    elif isinstance(state, DensityOperator):
-        norm = np.trace(state.matrix).real
-        acc = state.matrix
-        for _ in range(n_max):
-            acc = mat @ acc
-            vals.append(complex(np.trace(acc)))
     else:
         raise BoxQFTError(f"unsupported state type {type(state)!r}")
     mean = vals[0]
@@ -277,21 +270,21 @@ def _sine_integral_tail(z: float) -> float:
     return float((1j * np.exp(1j * z) * np.sum(w / (z + 1j * s))).imag)
 
 
-def _timelike_leakage(pbar3: float, sigma_t: float, envelope: str,
-                      tau: Optional[float] = None) -> float:
+def _timelike_leakage(pbar3: float, sigma_t: float, envelope: str) -> float:
     """Normalized weight of |N(p - pbar)|^2 in the time-like region.
 
     The spatial part of N is kept box-sharp (Kronecker), so the leakage is
     the fraction of the time transform beyond |p0| > |pbar3|: erfc for a
-    Gaussian.  For a rectangular window of duration tau it is the sinc^2
-    tail (2/pi) int_x^inf sin^2(u)/u^2 du with x = |pbar3| tau/2, in closed
-    form 2 (sin^2(x)/x + pi/2 - Si(2x))/pi.
+    Gaussian.  For a rectangular window of duration tau = 2 sigma_t it is
+    the sinc^2 tail (2/pi) int_x^inf sin^2(u)/u^2 du with
+    x = |pbar3| tau/2 = |pbar3| sigma_t, in closed form
+    2 (sin^2(x)/x + pi/2 - Si(2x))/pi.
     """
     q = abs(pbar3)
     if envelope == "gauss":
         return float(math.erfc(sigma_t * q))
     if envelope == "rect":
-        x = q * (2.0 * sigma_t if tau is None else tau) / 2.0
+        x = q * sigma_t
         head = math.sin(x) ** 2 / x if x else 0.0
         return 2.0 * (head + _sine_integral_tail(2.0 * x)) / math.pi
     raise BoxQFTError("envelope must be 'gauss' or 'rect'")
@@ -333,7 +326,7 @@ class HomodyneConfig:
 
     The reference arm amplitude is 1; the signal arm acquires
     attenuation * exp(i (phase + tune)) * alpha * S.  |alpha*S| << 1 is the
-    calibrated linear regime; the result flags violations.
+    calibrated linear regime.
     """
     alpha: float
     attenuation: float = 1.0
@@ -350,7 +343,6 @@ class HomodyneResult:
     exact: float
     linearized: float
     linearization_error: float
-    weak_regime: bool
 
 
 def balanced_difference(x: Operator) -> Operator:
@@ -374,7 +366,6 @@ def homodyne_difference(s_value: float, cfg: HomodyneConfig) -> HomodyneResult:
         exact=exact,
         linearized=linear,
         linearization_error=abs(exact - linear),
-        weak_regime=abs(cfg.alpha * s_value) < 0.1,
     )
 
 

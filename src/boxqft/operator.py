@@ -130,16 +130,12 @@ class Operator:
         return float(np.max(np.abs(d))) if self.nnz else 0.0
 
     def __matmul__(self, other):
+        """A B for an Operator B, or the matvec A v for a 1-D array v."""
         if isinstance(other, Operator):
             return self._product(other)
         other = np.asarray(other)
-        if other.ndim == 1:
-            return _group_sums(self.row, _cmul(self.value, other[self.col]),
-                               self.dim)
-        out = np.empty((self.dim, other.shape[1]), dtype=complex)
-        for j in range(other.shape[1]):
-            out[:, j] = self @ other[:, j]
-        return out
+        return _group_sums(self.row, _cmul(self.value, other[self.col]),
+                           self.dim)
 
     def _product(self, other: "Operator") -> "Operator":
         """A B: each entry A[i, k] meets every entry B[k, j] of row k."""

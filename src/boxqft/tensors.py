@@ -16,7 +16,6 @@ time-like p; the fits honor that constraint.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -51,56 +50,28 @@ class TensorCorrelation:
         if self.rank in ("symmetric2", "antisymmetric2") and v.shape != (4, 4, 4, 4):
             raise BoxQFTError("rank-2 correlations are 4x4x4x4")
 
-    def symmetry_defect(self) -> float:
-        v = self.values
-        if self.rank == "vector":
-            return 0.0
-        sign = 1.0 if self.rank == "symmetric2" else -1.0
-        d1 = np.max(np.abs(v - sign * np.transpose(v, (1, 0, 2, 3))))
-        d2 = np.max(np.abs(v - sign * np.transpose(v, (0, 1, 3, 2))))
-        return float(max(d1, d2))
-
 
 @dataclass
 class DecompositionFit:
     coefficients: Dict[str, complex]
     residual: float
-    condition_number: float
-    frame: str
-    conservation_assumed: bool = False
     degenerate: bool = False
-    trivial_zero: bool = False
     positivity_violations: List[str] = field(default_factory=list)
-
-    def to_json(self) -> str:
-        doc = {
-            "coefficients": {k: [v.real, v.imag]
-                             for k, v in sorted(self.coefficients.items())},
-            "residual": self.residual,
-            "condition_number": self.condition_number,
-            "frame": self.frame,
-            "conservation_assumed": self.conservation_assumed,
-            "degenerate": self.degenerate,
-            "trivial_zero": self.trivial_zero,
-            "positivity_violations": self.positivity_violations,
-        }
-        return json.dumps(doc, sort_keys=True)
 
 
 def _lstsq(basis: Sequence[np.ndarray], data: np.ndarray, real_params: bool):
-    """Exact-rank least squares; returns (coeffs, residual_rel, cond)."""
+    """Exact-rank least squares; returns (coeffs, residual_rel)."""
     cols = [b.reshape(-1) for b in basis]
     A = np.stack(cols, axis=1)
     y = data.reshape(-1)
     if real_params:
         A = np.concatenate([A.real, A.imag], axis=0)
         y = np.concatenate([y.real, y.imag])
-    coeffs, _, _, sv = np.linalg.lstsq(A, y, rcond=None)
+    coeffs = np.linalg.lstsq(A, y, rcond=None)[0]
     model = A @ coeffs
     ny = float(np.linalg.norm(y))
     resid = float(np.linalg.norm(y - model))
-    cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
-    return coeffs, (resid / ny if ny > 0 else resid), cond, bool(ny == 0.0)
+    return coeffs, (resid / ny if ny > 0 else resid)
 
 
 def _degeneracy(p: FourVector) -> bool:
@@ -113,8 +84,8 @@ def _degeneracy(p: FourVector) -> bool:
 # vector
 
 
-def decompose_vector(G: TensorCorrelation, p: Optional[FourVector] = None,
-                     conserved: bool = False) -> DecompositionFit:
+def decompose_vector(G: TensorCorrelation,
+                     p: Optional[FourVector] = None) -> DecompositionFit:
     """Fit G^{mn} = eta p^m p^n - xi g^{mn}.
 
     For positivity-consistent space-like vacuum data xi = 0; conservation
@@ -128,11 +99,9 @@ def decompose_vector(G: TensorCorrelation, p: Optional[FourVector] = None,
     pa = p.as_array()
     degenerate = _degeneracy(p)
     basis = [np.outer(pa, pa).astype(complex), -METRIC.astype(complex)]
-    coeffs, resid, cond, trivial = _lstsq(basis, G.values, real_params=False)
+    coeffs, resid = _lstsq(basis, G.values, real_params=False)
     eta, xi = complex(coeffs[0]), complex(coeffs[1])
-    fit = DecompositionFit({"eta": eta, "xi": xi}, resid, cond, "direct",
-                           conservation_assumed=conserved, degenerate=degenerate,
-                           trivial_zero=trivial)
+    fit = DecompositionFit({"eta": eta, "xi": xi}, resid, degenerate=degenerate)
     # canonical-frame positivity: G00 = -xi must be >= 0, G11 = +xi >= 0
     if abs(xi) > 1e-10 * max(1.0, float(np.max(np.abs(G.values)))):
         fit.positivity_violations.append(
@@ -179,28 +148,25 @@ def decompose_symmetric(G: TensorCorrelation, p: Optional[FourVector] = None,
         g = METRIC.astype(complex)
         proj = g - np.einsum("m,n->mn", pa, pa) / s
         basis = [np.einsum("mn,sr->mnsr", proj, proj)]
-        coeffs, resid, cond, trivial = _lstsq(basis, G.values, real_params=False)
-        fit = DecompositionFit({"w": complex(coeffs[0])}, resid, cond, "direct",
-                               conservation_assumed=True, degenerate=degenerate,
-                               trivial_zero=trivial)
-        return fit
+        coeffs, resid = _lstsq(basis, G.values, real_params=False)
+        return DecompositionFit({"w": complex(coeffs[0])}, resid,
+                                degenerate=degenerate)
 
     pppp, ppg, gpp, f_term, v_term, w_term = _sym_basis(pa)
     spacelike = classify_interval(p) is IntervalClass.SPACELIKE
     if spacelike:
         basis = [pppp, -(ppg + gpp), f_term, v_term, w_term]
-        coeffs, resid, cond, trivial = _lstsq(basis, G.values, real_params=True)
+        coeffs, resid = _lstsq(basis, G.values, real_params=True)
         names = ["a", "b", "f", "v", "w"]
         cd = {k: complex(v) for k, v in zip(names, coeffs)}
     else:
         basis = [pppp, -(ppg + gpp), -1j * (ppg - gpp), f_term, v_term, w_term]
-        coeffs, resid, cond, trivial = _lstsq(basis, G.values, real_params=True)
+        coeffs, resid = _lstsq(basis, G.values, real_params=True)
         cd = {"a": complex(coeffs[0]),
               "b": complex(coeffs[1] + 1j * coeffs[2]),
               "f": complex(coeffs[3]), "v": complex(coeffs[4]),
               "w": complex(coeffs[5])}
-    fit = DecompositionFit(cd, resid, cond, "direct", degenerate=degenerate,
-                           trivial_zero=trivial)
+    fit = DecompositionFit(cd, resid, degenerate=degenerate)
     scale = max(1.0, float(np.max(np.abs(G.values))))
     for name in ("v", "f"):
         if abs(cd[name]) > 1e-10 * scale and spacelike:
@@ -246,11 +212,9 @@ def decompose_antisymmetric(G: TensorCorrelation,
     pa = p.as_array()
     degenerate = _degeneracy(p)
     eps, v_term, f_term = _antisym_basis(pa)
-    coeffs, resid, cond, trivial = _lstsq([eps, v_term, f_term], G.values,
-                                          real_params=False)
+    coeffs, resid = _lstsq([eps, v_term, f_term], G.values, real_params=False)
     cd = {"a": complex(coeffs[0]), "v": complex(coeffs[1]), "f": complex(coeffs[2])}
-    fit = DecompositionFit(cd, resid, cond, "direct", degenerate=degenerate,
-                           trivial_zero=trivial)
+    fit = DecompositionFit(cd, resid, degenerate=degenerate)
     scale = max(1.0, float(np.max(np.abs(G.values))))
     if classify_interval(p) is IntervalClass.SPACELIKE:
         for name, val in cd.items():

@@ -1,4 +1,5 @@
-"""Every public function and class of the package has a job in the code.
+"""Every public function, class, method and property of the package has a
+job in the code.
 
 A public module-level function or class in src/boxqft/*.py must be referenced
 by identifier (an AST Name or Attribute, not a word in a docstring) outside
@@ -9,16 +10,31 @@ names in KEEP, each of which pins a statement of the paper that a test
 checks.  Any other name that only tests use re-expresses another public
 call and is deleted.
 
-A private module-level function must likewise be referenced in the package
-outside its own definition: one that only tests call, or that a change left
-behind, is deleted.
+A public method or property of a module-level class must likewise be
+referenced outside its own definition, in the same files, but only by an
+AST Attribute (or a perfbench string constant): a Name such as a dataclass
+field declaration `dimension: int` is not a read of a method `.dimension`.
+The exceptions are the methods in METHOD_KEEP, which pin paper statements as
+KEEP does.  A method name that more than one package class defines cannot
+be traced to one class by this scan, so SHARED lists each such name by hand,
+with the package call that reaches each class's member; the test fails when
+a shared name is missing from SHARED or an entry there is no longer shared.
+
+A private module-level function, and a private method (not a dunder), must
+be referenced in the package outside its own definition: one that only tests
+call, or that a change left behind, is deleted.
+
+Each file is parsed once, and every check reads that parse.
 """
 
 import ast
+import functools
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "boxqft"
+FILES = sorted(PACKAGE.glob("*.py"))
+BENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
 KEEP = {
     "boost_tensor": "tensor correlations are frame independent "
@@ -47,11 +63,49 @@ KEEP = {
                    "decorator (test_cli.py::test_cli_show_config)",
 }
 
+METHOD_KEEP = {
+    "SpectrumDescriptor.evaluate": "the massless spectrum vanishes at space-like "
+                                   "p in every D (test_spectral.py::"
+                                   "test_massless_spectrum_vanishes_spacelike)",
+    "KeldyshPropagator.rational_value": "the Keldysh cq/qq/+- descriptors "
+                                        "(test_correlators.py::"
+                                        "test_keldysh_scalar_propagator_descriptors)",
+    "KeldyshPropagator.on_shell_weight": "the Keldysh cq/qq/+- descriptors "
+                                         "(test_correlators.py::"
+                                         "test_keldysh_scalar_propagator_descriptors)",
+}
+
+# name -> {class: the package call that reaches that class's member}
+SHARED = {
+    "volume": {
+        "ModeGrid": "fields._dirac_slots and fields._em_vector_slots, "
+                    "grid.volume; FockSpace.volume",
+        "FockSpace": "fields._scalar_slots, measurement._spatial_factor and "
+                     "spectral.lehmann_spectral_density, space.volume",
+    },
+    "energy": {
+        "ModeGrid": "fock.sagnac_state and correlators.insertion, grid.energy(n)",
+        "SagnacConfig": "fock.sagnac_state and measurement.sagnac_readout, "
+                        "config.energy",
+    },
+    "hermiticity_defect": {
+        "QuadraticObservable": "the lattice-build Hermiticity gate of "
+                               "perfbench/workloads.py, obs.hermiticity_defect()",
+        "Operator": "QuadraticObservable.hermiticity_defect, "
+                    "self.matrix().hermiticity_defect()",
+    },
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _tree(path):
+    return ast.parse(path.read_text())
+
 
 def _public_definitions():
     """(module, name, node) for every public module-level def and class."""
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
+    for path in FILES:
+        for node in _tree(path).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
                     and not node.name.startswith("_"):
                 yield path.stem, node.name, node
@@ -59,25 +113,41 @@ def _public_definitions():
 
 def _private_functions():
     """(module, name, node) for every private module-level function."""
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
+    for path in FILES:
+        for node in _tree(path).body:
             if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
                 yield path.stem, node.name, node
 
 
-def _references(with_bench=True):
-    """name -> [(file, line)] of every Name and Attribute in the package
-    (but __init__.py) and, with_bench, in perfbench/, and of every string
-    constant in perfbench/."""
-    files = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
-    bench = sorted((ROOT / "perfbench").glob("*.py")) if with_bench else []
+def _methods():
+    """(module, class, name, node) for every method and property of a
+    module-level class."""
+    for path in FILES:
+        for cls in _tree(path).body:
+            if isinstance(cls, ast.ClassDef):
+                for node in cls.body:
+                    if isinstance(node, ast.FunctionDef):
+                        yield path.stem, cls.name, node.name, node
+
+
+def _public_methods():
+    return [m for m in _methods() if not m[2].startswith("_")]
+
+
+@functools.lru_cache(maxsize=None)
+def _references(with_bench=True, attributes_only=False):
+    """name -> [(file, line)] of every Attribute (and, unless
+    attributes_only, every Name) in the package but __init__.py and,
+    with_bench, in perfbench/, and of every string constant in perfbench/."""
+    files = [p for p in FILES if p.name != "__init__.py"]
+    bench = BENCH if with_bench else []
     refs = {}
     for path in files + bench:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
-                name = node.id
-            elif isinstance(node, ast.Attribute):
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Attribute):
                 name = node.attr
+            elif isinstance(node, ast.Name) and not attributes_only:
+                name = node.id
             elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
                     and path in bench:
                 name = node.value
@@ -101,10 +171,35 @@ def test_every_public_name_is_used_or_kept():
     assert unused == []
 
 
+def test_every_public_method_is_used_or_kept():
+    refs = _references(attributes_only=True)
+    unused = [f"{cls}.{name}" for module, cls, name, node in _public_methods()
+              if f"{cls}.{name}" not in METHOD_KEEP
+              and not _callers(refs, module, node)]
+    assert unused == []
+
+
+def test_shared_method_names_are_checked_by_hand():
+    # a shared name hides an unused member behind a used one of the same name
+    owners = {}
+    for _, cls, name, _ in _public_methods():
+        owners.setdefault(name, set()).add(cls)
+    shared = {name: cls for name, cls in owners.items() if len(cls) > 1}
+    assert {name: set(table) for name, table in SHARED.items()} == shared
+
+
 def test_every_private_function_is_used_in_the_package():
     refs = _references(with_bench=False)
     unused = [f"{module}.{name}" for module, name, node in _private_functions()
               if not _callers(refs, module, node)]
+    assert unused == []
+
+
+def test_every_private_method_is_used_in_the_package():
+    refs = _references(with_bench=False, attributes_only=True)
+    unused = [f"{cls}.{name}" for module, cls, name, node in _methods()
+              if name.startswith("_") and not name.endswith("__")
+              and not _callers(refs, module, node)]
     assert unused == []
 
 
@@ -114,3 +209,12 @@ def test_keep_list_names_exist_and_have_no_caller():
     defined = {name: (module, node) for module, name, node in _public_definitions()}
     assert set(KEEP) <= set(defined)
     assert [name for name in KEEP if _callers(refs, *defined[name])] == []
+
+
+def test_method_keep_list_exists_and_has_no_caller():
+    # a kept method that code starts to use no longer needs its entry
+    refs = _references(attributes_only=True)
+    defined = {f"{cls}.{name}": (module, node)
+               for module, cls, name, node in _public_methods()}
+    assert set(METHOD_KEEP) <= set(defined)
+    assert [name for name in METHOD_KEEP if _callers(refs, *defined[name])] == []
