@@ -217,7 +217,7 @@ def exact_contour_correlator(space: FockSpace, insertions: Sequence[Insertion],
                  for ins in insertions]
     except KeyError as exc:
         raise UnknownMode(f"mode {exc.args[0]} is not on the space") from None
-    table = space.ladder_table(slots)
+    table = space.ladder_table()
     start = state = np.arange(dim)
     amp = np.ones(dim)                   # ladder amplitudes are real
     arg = np.zeros(dim, dtype=complex)   # i sum (E_target - E_source) t

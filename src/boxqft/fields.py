@@ -8,10 +8,12 @@ Mode expansions used by the builders (box volume V, on-shell k0 = E(k)):
     photon   A(x)    = sum_{k,lam} (2 E V)^(-1/2) (e^lam_k a^lam_k e^{-ik.x}
                                                    + conj(e^lam_k) a+^lam_k e^{ik.x})
 
-Ladder operators are indexed by slot, numbered as in fock.LadderTable.  Slot
-s carries the four-momentum transfer Q[s] = +(E_j, k_j) for the creator of
-mode j and -(E_j, k_j) for its annihilator (lattice transfer
-+-mode_lattice[j]).  A linear field component at x = 0 is a coefficient
+Ladder operators are indexed by slot, numbered as in fock.LadderTable: with
+M modes, slot j creates mode j, slot M+j annihilates it, and slot -1 is the
+identity.  Every composition reads the space's one LadderTable, which holds
+all slots once it is built.  Slot s carries the four-momentum transfer
+Q[s] = +(E_j, k_j) for the creator of mode j and -(E_j, k_j) for its
+annihilator (lattice transfer +-mode_lattice[j]).  A linear field component at x = 0 is a coefficient
 vector over the 2M slots, and derivatives act analytically as
 multiplication by i*Q[:, mu].  A bilinear is the slot matrix
 W = sum w outer(l1, l2); normal ordering moves it into the upper triangle in
@@ -188,19 +190,20 @@ def _compose(space: FockSpace, terms: np.ndarray):
     Returns (term, src, tgt, amp): term t sends basis state src to amp times
     basis state tgt, amp = _cmul(amp_first, amp_second).  Each factor is a
     partial index map in the space's LadderTable, so a term is one too: each
-    triplet of the right factor is passed on by looking its target up among
-    the left factor's sources.  A slot outside [-1, 2M) raises.
+    triplet of the right factor (its slot's slice of the table) is passed on
+    by looking its target up among the left factor's sources, by binary
+    search over the table's keys.  A slot outside [-1, 2M) raises.
     """
     left, right = _term_slots(space, terms)
     if len(terms) == 0:
         empty = np.zeros(0, dtype=np.int64)
         return empty, empty, empty, np.zeros(0, dtype=complex)
     dim = space.dim
-    table = space.ladder_table(np.concatenate([left, right]))
+    table = space.ladder_table()
     # each factor's slot + 1: its triplets' keys are (slot + 1) * dim + source
     left, right = left + 1, right + 1
-    start, _ = lookup(table.src_key, right * dim)
-    n = lookup(table.src_key, (right + 1) * dim)[0] - start
+    start = table.start[right]
+    n = table.start[right + 1] - start
     term = np.repeat(np.arange(len(terms)), n)
     first = np.arange(n.sum()) + np.repeat(start - (np.cumsum(n) - n), n)
     second, ok = lookup(table.src_key, left[term] * dim + table.tgt[first])

@@ -6,10 +6,15 @@ Occupation-number bases are enumerated deterministically (modes sorted by
 elements, Jordan-Wigner signs and oracle computations all agree on one
 ordering.
 
-Grids, states and basis arrays are immutable after construction.  A
-FockSpace realizes each ladder operator lazily, on first use, and caches it
-and its index map (LadderTable) on the space; expectation values are pure
-functions and safe to evaluate in parallel.
+A basis state is stored as its occupied-mode list (FockSpace.occupied) and
+indexed by its exact rank, a sum of one table entry per unit of occupation
+(_rank_terms): no dense basis is kept and no search finds a state.  The
+first ladder use builds every slot's map from the ranks into the space's
+LadderTable, and the cached ladder Operators are views of it.
+
+Grids, states and basis arrays are immutable after construction; the
+LadderTable is built lazily and cached on the space.  Expectation values are
+pure functions and safe to evaluate in parallel.
 """
 
 from __future__ import annotations
@@ -126,16 +131,22 @@ class Mode:
 
 @dataclass(frozen=True)
 class LadderTable:
-    """The ladder maps a FockSpace has composed so far, as one set of arrays.
+    """Every ladder map of a FockSpace as one set of read-only arrays.
 
     Slots number the ladder operators: with M modes, slot j creates mode j,
-    slot M+j annihilates it, and slot -1 is the identity.  (src, tgt, amp)
-    are the maps' triplets (FockSpace.ladder_map) in slot order; the keys
-    (slot+1)*dim + src ascend, since every map ascends in source."""
+    slot M+j annihilates it, and slot -1 is the identity.  Slot s sends basis
+    state src[k] to amp[k] times basis state tgt[k], for k in
+    start[s+1]:start[s+2], and every other state to zero.  Each basis state
+    has at most one image, and a slot's sources and targets both ascend, so
+    the keys (slot+1)*dim + src ascend over the whole table.  An
+    annihilator's amplitudes are real (sqrt(n) for a boson, the
+    Jordan-Wigner sign for a fermion) and its creator's are their
+    conjugates, with imaginary parts -0.0."""
     src: np.ndarray
     tgt: np.ndarray
     amp: np.ndarray
     src_key: np.ndarray
+    start: np.ndarray
 
 
 def lookup(keys: np.ndarray, want) -> Tuple[np.ndarray, np.ndarray]:
@@ -150,7 +161,10 @@ class FockSpace:
     Basis enumeration: global mode order is (channel order as given, then
     mode tuples lexicographically); basis states are all occupation tuples
     with per-mode caps (1 for fermions) and total cap, listed in
-    lexicographic order of the occupation tuple.
+    lexicographic order of the occupation tuple.  `occupied`, (dim,
+    n_max_total), holds each state's occupied modes, ascending, one entry
+    per unit of occupation, padded with M; descending lexicographic order of
+    these lists is the basis order.
     """
 
     def __init__(self, channels: Sequence[Tuple[str, ModeGrid]],
@@ -159,6 +173,8 @@ class FockSpace:
         if n_max_per_mode < 1 or n_max_total < 1:
             raise BoxQFTError("occupation caps must be >= 1")
         self.channels: Tuple[Tuple[str, ModeGrid], ...] = tuple(channels)
+        if not self.channels:
+            raise BoxQFTError("a Fock space needs at least one channel")
         if len({lbl for lbl, _ in self.channels}) != len(self.channels):
             raise BoxQFTError("channel labels must be unique")
         if len({(g.axes, g.lengths) for _, g in self.channels}) > 1:
@@ -167,6 +183,7 @@ class FockSpace:
         self.n_max_per_mode = int(n_max_per_mode)
         self.n_max_total = int(n_max_total)
         self._grid: Dict[str, ModeGrid] = dict(self.channels)
+        self.volume = self.channels[0][1].volume
 
         modes: List[Mode] = []
         for lbl, grid in self.channels:
@@ -181,25 +198,24 @@ class FockSpace:
         self.fermionic = np.array(
             [self._grid[m.channel].species is Species.FERMION for m in self.modes])
 
-        basis = _enumerate_occupations(caps, self.n_max_total, dim_limit)
-        self.occupations = basis                     # (dim, n_modes) int8
-        self.dim = basis.shape[0]
-        self._keys = _row_keys(basis)                # sorted: basis is lexicographic
+        self._rank_terms, self.dim = _rank_terms(caps, self.n_max_total, dim_limit)
+        self.occupied = _enumerate_lists(caps, self._rank_terms, self.dim)
 
         # (n_modes, 4) on-shell four-momenta (E, k1, k2, k3)
         self.mode_momenta = np.array(
             [self._grid[m.channel].momentum(m.n).as_array() for m in self.modes]
         ).reshape(-1, 4)
         self.mode_energies = self.mode_momenta[:, 0].copy()
-        self.energies = basis.astype(float) @ self.mode_energies
+        energy = np.append(self.mode_energies, 0.0)     # the padding adds 0.0
+        self.energies = energy[self.occupied[:, 0]]
+        for p in range(1, self.n_max_total):
+            self.energies += energy[self.occupied[:, p]]
 
-        lat = np.array([self._grid[m.channel].lattice3(m.n) for m in self.modes],
-                       dtype=np.int64)
-        self.mode_lattice = lat
-        self.lattice_momentum = basis.astype(np.int64) @ lat   # (dim, 3) exact ints
+        self.mode_lattice = np.array(
+            [self._grid[m.channel].lattice3(m.n) for m in self.modes],
+            dtype=np.int64).reshape(-1, 3)
 
         self._op_cache: Dict[Tuple[str, Tuple[int, ...], str], Operator] = {}
-        self._slot_maps: Dict[int, Tuple[np.ndarray, ...]] = {}
         self._ladder_table: Optional[LadderTable] = None
         # (beta, state) of the last thermal_state call
         self._thermal: Optional[Tuple[float, "DensityOperator"]] = None
@@ -211,10 +227,6 @@ class FockSpace:
             return self._grid[channel]
         except KeyError:
             raise UnknownMode(f"unknown channel {channel!r}")
-
-    @property
-    def volume(self) -> float:
-        return self.channels[0][1].volume
 
     def lattice_of(self, p: FourVector) -> Tuple[int, int, int]:
         """Spatial part of p in lattice units of the box; raises
@@ -235,12 +247,13 @@ class FockSpace:
         return tuple(out)
 
     def state_index(self, occ) -> int:
-        """Position of an occupation row in the basis, by binary search."""
+        """Position of an occupation row in the basis: the rank of its
+        occupied-mode list."""
         occ = np.asarray(occ)
-        if occ.shape == self.caps.shape and np.all((occ >= 0) & (occ <= self.caps)):
-            pos, found = lookup(self._keys, _row_keys(occ[None, :]))
-            if found[0]:
-                return int(pos[0])
+        if occ.shape == self.caps.shape and np.all((occ >= 0) & (occ <= self.caps)) \
+                and occ.sum() <= self.n_max_total:
+            units = np.repeat(np.arange(len(occ)), occ.astype(np.int64))
+            return int(self._rank_terms[units, np.arange(len(units))].sum())
         raise UnknownMode("occupation configuration outside the basis")
 
     # -- operators ----------------------------------------------------------
@@ -251,129 +264,166 @@ class FockSpace:
     def creation(self, channel: str, n: Tuple[int, ...]) -> Operator:
         return self._operator(channel, tuple(n), "c")
 
-    def ladder_map(self, channel: str, n: Tuple[int, ...], kind: str):
-        """One ladder operator as a partial index map.
-
-        Returns (source, target, amplitude) arrays sorted by source: the
-        operator sends basis state source[i] to amplitude[i] times basis state
-        target[i], and every other state to zero.  Each basis state has at
-        most one image, so products of ladder operators compose on these
-        index arrays.  These are the arrays of the cached operator, realized
-        through annihilation/creation, so they are shared, not copied.
-        kind is "a" (annihilate) or "c" (create).
-        """
-        if kind not in ("a", "c"):
-            raise BoxQFTError(f"ladder kind must be 'a' (annihilate) or 'c' "
-                              f"(create), not {kind!r}")
-        op = (self.creation if kind == "c" else self.annihilation)(channel, n)
-        return op.col, op.row, op.value
-
-    def ladder_table(self, slots) -> LadderTable:
-        """The space's LadderTable, grown by the slots among `slots` that it
-        does not hold yet; each is realized once, through ladder_map."""
-        maps, M, dim = self._slot_maps, len(self.modes), self.dim
-        new = sorted(set(np.unique(slots).tolist()) - maps.keys())
-        for s in new:
-            if s < 0:
-                maps[s] = (np.arange(dim), np.arange(dim), np.ones(dim, dtype=complex))
-            else:
-                mode = self.modes[s % M]
-                maps[s] = self.ladder_map(mode.channel, mode.n, "c" if s < M else "a")
-        if new:
-            held = sorted(maps)
-            src, tgt, amp = (np.concatenate(a) for a in zip(*map(maps.get, held)))
-            offset = np.repeat((np.array(held) + 1) * dim,
-                               [len(maps[s][0]) for s in held])
-            self._ladder_table = LadderTable(src, tgt, amp, offset + src)
+    def ladder_table(self) -> LadderTable:
+        """The space's LadderTable, built whole on first use."""
+        if self._ladder_table is None:
+            self._ladder_table = _build_ladder_table(
+                self.occupied, self._rank_terms, self.fermionic)
         return self._ladder_table
 
     def _operator(self, channel, n, kind) -> Operator:
+        """A mode's creator and annihilator, cached together as Operators
+        over their slots' slices of the LadderTable (views, not copies): a
+        slot's targets and sources both ascend, so each is canonical."""
         key = (channel, n, kind)
         if key in self._op_cache:
             return self._op_cache[key]
         if (channel, n) not in self.mode_index:
             raise UnknownMode(f"mode {n} not on channel {channel!r}")
         j = self.mode_index[(channel, n)]
-        occ = self.occupations
-        src = np.flatnonzero(occ[:, j] > 0)        # states annihilation acts on
-        lowered = occ[src]
-        lowered[:, j] -= 1
-        tgt = np.searchsorted(self._keys, _row_keys(lowered))
-        if self.fermionic[j]:
-            # Jordan-Wigner string over the fermionic modes preceding j
-            parity = lowered[:, :j][:, self.fermionic[:j]].sum(axis=1) % 2
-            amp = (1.0 - 2.0 * parity).astype(complex)
-        else:
-            amp = np.sqrt(occ[src, j].astype(float)).astype(complex)
-        # lowering one column keeps lexicographic order, so tgt ascends too:
-        # the annihilator's rows tgt and the creator's rows src both ascend,
-        # one entry each, which is canonical as built
-        self._op_cache[(channel, n, "a")] = Operator(tgt, src, amp, self.dim)
-        self._op_cache[(channel, n, "c")] = Operator(src, tgt, amp.conj(), self.dim)
+        table = self.ladder_table()
+        for k, slot in (("c", j), ("a", len(self.modes) + j)):
+            part = slice(table.start[slot + 1], table.start[slot + 2])
+            self._op_cache[(channel, n, k)] = Operator(
+                table.tgt[part], table.src[part], table.amp[part], self.dim)
         return self._op_cache[key]
 
 
-def _row_keys(occ: np.ndarray) -> np.ndarray:
-    """Int8 occupation rows as void keys; for 0..127 byte order is lexicographic."""
-    occ = np.ascontiguousarray(occ, dtype=np.int8)
-    # not occ.view(...): with no modes that gives no key at all, not one per row
-    return np.ndarray(len(occ), np.dtype((np.void, occ.shape[1])), occ)
+def _rank_terms(caps: np.ndarray, total_cap: int,
+                dim_limit: int) -> Tuple[np.ndarray, int]:
+    """(R, dim): the rank terms of the basis, and its dimension.
 
-
-def _count_occupations(caps: np.ndarray, total_cap: int) -> np.ndarray:
-    """Number of occupation tuples of each total 0..total_cap, by
-    convolution over modes (cheap overflow precheck)."""
-    counts = np.zeros(total_cap + 1, dtype=object)
-    counts[0] = 1
-    for cap in caps:
-        new = np.zeros(total_cap + 1, dtype=object)
-        for t in range(total_cap + 1):
-            if counts[t]:
-                for v in range(min(int(cap), total_cap - t) + 1):
-                    new[t + v] += counts[t]
-        counts = new
-    return counts
-
-
-def _enumerate_occupations(caps: np.ndarray, total_cap: int, dim_limit: int) -> np.ndarray:
-    """All occupation tuples with per-mode and total caps, lexicographic.
-
-    Built from the last mode backwards, one mode prepended per stage: the
-    rows of a stage are the suffixes that fit under the total cap, listed as
-    (value of the new mode, ascending) x (fitting rows of the previous stage,
-    in order), which keeps every stage lexicographic.  A row is stored as its
-    value and the index of its tail row, and the full tuples are gathered
-    once at the end.
+    C[j][t], the number of occupation tuples over modes j..M-1 with total at
+    most t, is counted from the last mode backwards in Python ints, so no
+    count overflows before the limit check.  The index of a basis row in
+    lexicographic order is sum_p R[L_p, p] over the positions p of its
+    occupied-mode list L, with R[l, p] = C[l+1][T-p] (T the total cap) and
+    R[M, p] = 0 for the padding: the rows that share L's first p units, hold
+    no further unit of l and at most T-p units of later modes precede the
+    row, and each row that precedes it is counted so once.
     """
     if min(int(max(caps, default=0)), total_cap) > 127:
-        raise BoxQFTError("occupations above 127 exceed the int8 basis arrays; "
-                          "lower the per-mode or total cap")
-    dims = np.cumsum(_count_occupations(caps, total_cap))   # per total cap
-    dim = int(dims[-1])
+        raise BoxQFTError("occupations above 127 exceed the int8 occupation "
+                          "rows of basis_state; lower the per-mode or total cap")
+    count = [1] * (total_cap + 1)                  # C[M]: only the empty tuple
+    counts = [count]
+    for cap in caps[::-1]:
+        # C[j][t] = sum of C[j+1][t-v] for v = 0..cap, as a running window
+        cap, prev, window, count = int(cap), count, 0, []
+        for t in range(total_cap + 1):
+            window += prev[t] - (prev[t - cap - 1] if t > cap else 0)
+            count.append(window)
+        counts.append(count)
+    dim = count[total_cap]
     if dim > dim_limit:
-        smaller = ", ".join(f"{t}: {int(d)}" for t, d in enumerate(dims[1:-1], 1))
+        smaller = ", ".join(f"{t}: {count[t]}" for t in range(1, total_cap))
         raise DimensionOverflow(
             f"Fock dimension {dim} exceeds limit {dim_limit} for {len(caps)} "
             f"modes with per-mode cap {int(max(caps, default=0))} and total cap "
             f"{total_cap}; smaller total caps give dimensions {{{smaller}}}; "
             f"shrink the grid or the caps")
-    used = np.zeros(1, dtype=np.int64)              # total occupation per row
-    values, tails = [], []
-    for cap in caps[::-1]:
-        val, tail = [], []
-        for v in range(min(int(cap), total_cap) + 1):
-            keep = np.flatnonzero(used <= total_cap - v)
-            val.append(np.full(len(keep), v, dtype=np.int8))
-            tail.append(keep)
-        values.append(np.concatenate(val))
-        tails.append(np.concatenate(tail))
-        used = values[-1] + used[tails[-1]]
-    out = np.empty((len(used), len(caps)), dtype=np.int8)
-    row = np.arange(len(used))
-    for j, (val, tail) in enumerate(zip(values[::-1], tails[::-1])):
-        out[:, j] = val[row]
-        row = tail[row]
+    terms = np.zeros((len(caps) + 1, total_cap), dtype=np.int64)
+    # counts[M-1-l] is C[l+1]; its entries at T..1 are positions 0..T-1
+    terms[:-1] = np.array(counts[-2::-1], dtype=np.int64).reshape(
+        len(caps), total_cap + 1)[:, total_cap:0:-1]
+    return terms, dim
+
+
+def _enumerate_lists(caps: np.ndarray, terms: np.ndarray, dim: int) -> np.ndarray:
+    """Every basis state's occupied-mode list, placed at its rank.
+
+    The lists grow by one unit per level from the vacuum's empty list: a
+    list whose last mode l holds n units gains one more unit of l if n is
+    below its cap, or one unit of any later mode.  A unit of mode m at
+    position k adds terms[m, k] to the rank.
+    """
+    M, total_cap = len(caps), terms.shape[1]
+    out = np.full((dim, total_cap), M, dtype=np.int64)
+    capped = np.append(caps, 0)                 # capped[-1]: no last mode yet
+    rank, last, run = np.zeros(1, np.int64), np.full(1, -1), np.zeros(1, np.int64)
+    for k in range(total_cap):
+        first = last + 1 - (run < capped[last])
+        n = M - first
+        parent = np.repeat(np.arange(len(rank)), n)
+        mode = np.arange(len(parent)) - np.repeat(np.cumsum(n) - n - first, n)
+        child = rank[parent] + terms[mode, k]
+        out[child, :k] = out[rank[parent], :k]
+        out[child, k] = mode
+        rank, run = child, np.where(mode == last[parent], run[parent] + 1, 1)
+        last = mode
     return out
+
+
+def _build_ladder_table(occupied: np.ndarray, terms: np.ndarray,
+                        fermionic: np.ndarray) -> LadderTable:
+    """Every slot's map at once, from the ranks alone.
+
+    The annihilator of mode j acts on each (row, distinct mode j) pair: it
+    drops the row's last unit of j, at position q, so the target's rank is
+    the row's own, less the dropped unit's term and with the later units'
+    terms shifted one position left.  The pairs come in row order; a stable
+    radix sort by mode lays them out slot by slot, each slot ascending in
+    source.  A creator's map is its annihilator's with source and target
+    exchanged.  The sorted pairs are written straight into the table's
+    arrays, so the build's temporaries stay a few arrays of one entry per
+    pair, and the table's arrays share one allocation.
+    """
+    dim, total_cap = occupied.shape
+    M = len(terms) - 1
+    # shift[r, q]: the target's rank less the row's, for a drop at q
+    shift = np.empty((dim, total_cap), dtype=np.int64)
+    acc = np.zeros(dim, dtype=np.int64)
+    for q in range(total_cap - 1, -1, -1):
+        acc -= terms[occupied[:, q], q]
+        shift[:, q] = acc
+        if q:
+            acc += terms[occupied[:, q], q - 1]
+    # the last unit of each run of one mode, row-major: row * total_cap + q
+    last = np.empty((dim, total_cap), dtype=bool)
+    np.not_equal(occupied[:, :-1], occupied[:, 1:], out=last[:, :-1])
+    np.not_equal(occupied[:, -1], M, out=last[:, -1])
+    at = np.flatnonzero(last)
+    row, q = np.divmod(at, total_cap)
+    mode = occupied.ravel()[at]
+    tgt = shift.ravel()[at]
+    tgt += row
+    # a boson's units: q + 1 on its row's first pair, else q less the last q
+    units = q + 1
+    same = row[1:] == row[:-1]
+    units[1:][same] = q[1:][same] - q[:-1][same]
+    amp = np.sqrt(units)
+    if fermionic.any():
+        ferm = np.append(fermionic, False)
+        # fermions at positions up to q; a fermion's own run is one unit
+        upto = np.cumsum(ferm[occupied], axis=1, dtype=np.int8).ravel()[at]
+        on = ferm[mode]
+        amp[on] = 1.0 - 2.0 * ((upto[on] - 1) % 2)
+
+    order = np.argsort(mode.astype(np.int16) if M < 2 ** 15 else mode,
+                       kind="stable")
+    P = len(order)
+    counts = np.bincount(mode, minlength=M)
+    sizes = np.concatenate(([dim], counts, counts))
+    start = np.concatenate(([0], np.cumsum(sizes)))
+    n = dim + 2 * P
+    ident, create, destroy = slice(0, dim), slice(dim, dim + P), slice(dim + P, n)
+    # the table is built, used and freed whole, so one block holds its arrays
+    block = np.empty(5 * n, dtype=np.int64)
+    src, dst, key = block[:n], block[n:2 * n], block[2 * n:3 * n]
+    value = block[3 * n:].view(complex)
+    src[ident] = dst[ident] = np.arange(dim)
+    np.take(tgt, order, out=src[create])
+    np.take(row, order, out=dst[create])
+    src[destroy], dst[destroy] = dst[create], src[create]
+    value.real[ident], value.imag[ident] = 1.0, 0.0
+    value.real[create], value.imag[create] = amp[order], -0.0
+    value.real[destroy], value.imag[destroy] = value.real[create], 0.0
+    key[:] = np.repeat(np.arange(2 * M + 1, dtype=np.int64) * dim, sizes)
+    key += src
+    arrays = (src, dst, value, key, start)
+    for a in arrays:
+        a.flags.writeable = False
+    return LadderTable(*arrays)
 
 
 def build_fock_space(channels, n_max_per_mode: int = 4, n_max_total: int = 4,
@@ -432,7 +482,8 @@ def total_momentum(space: FockSpace, axis: int) -> Operator:
         L = grid.lengths[grid.axes.index(axis)]
     else:
         L = 1.0
-    vals = space.lattice_momentum[:, axis - 1] * (2 * math.pi / L)
+    lattice = np.append(space.mode_lattice[:, axis - 1], 0)    # 0 for padding
+    vals = lattice[space.occupied].sum(axis=1) * (2 * math.pi / L)
     return Operator.from_diagonal(vals)
 
 

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import scipy.sparse as sp
 
 from boxqft.fields import dirac_space_channels, photon_space_channels
@@ -44,3 +45,12 @@ def csr(op):
     """An Operator as a scipy CSR matrix, for tests that do matrix algebra
     on it: scipy is the oracle."""
     return sp.csr_matrix((op.value, (op.row, op.col)), shape=op.shape)
+
+
+def occupations(space):
+    """The basis as dense (dim, M) occupation rows, expanded from the
+    space's occupied-mode lists (the padding M lands in a dropped column)."""
+    M = len(space.modes)
+    occ = np.zeros((space.dim, M + 1), dtype=np.int64)
+    np.add.at(occ, (np.arange(space.dim)[:, None], space.occupied), 1)
+    return occ[:, :M]

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import BOX, csr, dirac_space, photon_space, scalar_space
 
-from boxqft import fields
+from boxqft import fields, fock
 from boxqft.errors import BoxQFTError, ZeroMomentum
 from boxqft.fields import (GAMMA, PAULI, EMFieldConfig, QuadraticObservable,
                            current_matrices, dirac_current_density,
@@ -16,8 +16,8 @@ from boxqft.fields import (GAMMA, PAULI, EMFieldConfig, QuadraticObservable,
                            scalar_bilinear_density, scalar_density,
                            scalar_momentum_density, spinor_u, spinor_v,
                            stress_tensor_em, stress_tensor_scalar)
-from boxqft.fock import (FockSpace, ModeGrid, Species, basis_state,
-                         build_fock_space, expectation, vacuum_state)
+from boxqft.fock import (ModeGrid, Species, basis_state, build_fock_space,
+                         expectation, vacuum_state)
 from boxqft.measurement import (MeasurementWindow,
                                 spacelike_windowed_observable,
                                 windowed_observable)
@@ -458,37 +458,37 @@ def test_complex_coefficients_are_multiplied_with_cmul():
     assert weighted.tobytes() == _cmul(coeff, factor).tobytes()
 
 
-def test_ladder_table_realizes_each_slot_once(monkeypatch):
+def test_ladder_table_is_built_once_per_space(monkeypatch):
+    # the first composition builds every slot's map at once; later matrices,
+    # a linear density's identity slot and the cached ladder Operators all
+    # read that one table, and the Operators are views of its arrays
+    builds = []
+    build = fock._build_ladder_table
+    monkeypatch.setattr(fock, "_build_ladder_table", lambda *args: (
+        builds.append(1) or build(*args)))
     space = scalar_space(n_mode=2, mass=0.5, caps=(2, 2))
     M = len(space.modes)
-    realized = []
-    ladder_map = FockSpace.ladder_map
-    monkeypatch.setattr(FockSpace, "ladder_map", lambda self, ch, n, kind: (
-        realized.append((space.mode_index[ch, n], kind))
-        or ladder_map(self, ch, n, kind)))
-
-    def held():
-        table = space._ladder_table
-        assert np.all(np.diff(table.src_key) > 0)
-        return (np.unique(table.src_key // space.dim) - 1).tolist()
-
+    QuadraticObservable(space, "a", [(0, M, 1.0)]).matrix()
+    table = space.ladder_table()
+    assert builds == [1] and np.all(np.diff(table.src_key) > 0)
+    held = np.unique(table.src_key // space.dim) - 1
+    assert held.tolist() == list(range(-1, 2 * M))
     X = scalar_bilinear_density(space)          # every ladder slot
     X.matrix()
-    assert sorted(realized) == sorted([(j, k) for j in range(M) for k in "ac"])
-    table = space._ladder_table
-    arrays = [table.src, table.tgt, table.amp, table.src_key]
-    # the same slots again: nothing realized, the table's arrays kept
     QuadraticObservable(space, "again", X.terms).matrix()
-    assert len(realized) == 2 * M and space._ladder_table is table
-    assert all(a is b for a, b in zip(arrays, vars(space._ladder_table).values()))
-    # a linear density needs the identity too: the table grows by slot -1
     scalar_density(space).matrix()
-    assert len(realized) == 2 * M and held() == list(range(-1, 2 * M))
+    assert builds == [1] and space.ladder_table() is table
+    assert space._op_cache == {}         # compositions realize no Operator
+    for mode in space.modes:
+        for op in (space.annihilation(mode.channel, mode.n),
+                   space.creation(mode.channel, mode.n)):
+            for mine, its in ((op.row, table.tgt), (op.col, table.src),
+                              (op.value, table.amp)):
+                assert np.shares_memory(mine, its)
+    assert builds == [1] and len(space._op_cache) == 2 * M
 
-    # on a fresh space, a term on a new slot grows the table by that slot
-    space = scalar_space(n_mode=2, mass=0.5, caps=(2, 2))
-    del realized[:]
-    QuadraticObservable(space, "a", [(0, M, 1.0)]).matrix()
-    assert realized == [(0, "c"), (0, "a")] and held() == [0, M]
-    QuadraticObservable(space, "b", [(0, M, 1.0), (1, M, 2.0)]).matrix()
-    assert realized == [(0, "c"), (0, "a"), (1, "c")] and held() == [0, 1, M]
+    # a fresh space builds its own table, once
+    other = scalar_space(n_mode=2, mass=0.5, caps=(2, 2))
+    other.annihilation("phi", (1,))
+    other.creation("phi", (2,))
+    assert builds == [1, 1] and other.ladder_table() is not table

@@ -5,15 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (BOX, csr, dirac_space, photon_space, scalar_grid,
-                      scalar_space)
+from conftest import (BOX, csr, dirac_space, occupations, photon_space,
+                      scalar_grid, scalar_space)
 
 from boxqft.errors import (BoxQFTError, DimensionMismatch, DimensionOverflow,
                            UnknownMode)
-from boxqft.fock import (ModeGrid, SagnacConfig, SagnacSpecies, Species,
-                         basis_state, build_fock_space, expectation,
-                         free_hamiltonian, sagnac_state, thermal_state,
-                         total_momentum, vacuum_state)
+from boxqft.fock import (DIM_LIMIT_DEFAULT, ModeGrid, SagnacConfig,
+                         SagnacSpecies, Species, basis_state,
+                         build_fock_space, expectation, free_hamiltonian,
+                         sagnac_state, thermal_state, total_momentum,
+                         vacuum_state)
 
 
 def one_mode_space(n_max=4, mass=1.0, box=BOX):
@@ -35,7 +36,7 @@ def test_two_boson_modes_enumeration():
                     species=Species.BOSON, mass=1.0)
     space = build_fock_space([("phi", grid)], 2, 2)
     assert space.dim == 6
-    occs = [tuple(row) for row in space.occupations]
+    occs = [tuple(row) for row in occupations(space)]
     assert occs == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
 
 
@@ -76,8 +77,7 @@ def test_basis_order_matches_product_oracle(cell):
                         ranges=((0, 1),) * 3, species=Species.BOSON, mass=1.0)
         space = build_fock_space([("phi", grid)], 2, 3)
     expect = _product_basis(space.caps, space.n_max_total)
-    assert [tuple(row) for row in space.occupations] == expect
-    assert space.occupations.dtype == np.int8
+    assert [tuple(row) for row in occupations(space)] == expect
 
 
 def test_enumeration_leaves_recursion_limit_alone(monkeypatch):
@@ -92,18 +92,51 @@ def test_enumeration_leaves_recursion_limit_alone(monkeypatch):
                     species=Species.BOSON, mass=0.0)
     space = build_fock_space([("phi", grid)], 1, 1)
     assert len(space.modes) == 1200 and space.dim == 1201
-    assert space.occupations[1:].sum() == 1200
-    assert np.array_equal(space.occupations[1:], np.fliplr(np.eye(1200)))
+    occ = occupations(space)
+    assert occ[1:].sum() == 1200
+    assert np.array_equal(occ[1:], np.fliplr(np.eye(1200)))
+
+
+def test_wall_space_just_under_the_dimension_limit():
+    # 600 massless modes with caps (2, 2): the largest 1D cell below the
+    # default limit, enumerated and indexed by rank alone
+    grid = ModeGrid(axes=(3,), lengths=(BOX,), ranges=((-300, 300),),
+                    species=Species.BOSON, mass=0.0)
+    space = build_fock_space([("phi", grid)], 2, 2)
+    M = len(space.modes)
+    assert M == 600 and space.dim == 180_901 < DIM_LIMIT_DEFAULT
+    assert space.occupied.shape == (space.dim, 2)
+    assert np.all(space.occupied[0] == M)
+    assert space.state_index(np.zeros(M, dtype=np.int8)) == 0
+    rows = np.random.default_rng(5).choice(space.dim, 400, replace=False)
+    for i in rows.tolist() + [1, M, M + 1, space.dim - 1]:
+        occ = np.bincount(space.occupied[i], minlength=M + 1)[:M]
+        assert space.state_index(occ) == i
+    # the last row holds two units of the first mode
+    assert space.occupied[-1].tolist() == [0, 0]
+    # an annihilator at the wall lowers each sampled source by one unit
+    j = 123
+    a = space.annihilation(space.modes[j].channel, space.modes[j].n)
+    for k in np.random.default_rng(6).choice(len(a.col), 200, replace=False):
+        src = np.bincount(space.occupied[a.col[k]], minlength=M + 1)[:M]
+        src[j] -= 1
+        assert space.state_index(src) == a.row[k]
+        assert a.value[k] == math.sqrt(src[j] + 1)
 
 
 def test_ladder_map_matches_matrix():
+    # each slot of the LadderTable is its Operator's (col, row, value)
     space = dirac_space(n_mode=1, caps=(1, 3))
-    for mode in space.modes:
-        for kind in ("a", "c"):
-            src, tgt, amp = space.ladder_map(mode.channel, mode.n, kind)
+    table, M = space.ladder_table(), len(space.modes)
+    for j, mode in enumerate(space.modes):
+        for kind, slot in (("c", j), ("a", M + j)):
+            part = slice(table.start[slot + 1], table.start[slot + 2])
+            src, tgt, amp = table.src[part], table.tgt[part], table.amp[part]
             mat = (space.annihilation if kind == "a" else space.creation)(
                 mode.channel, mode.n)
             assert np.all(np.diff(src) > 0)
+            for x, y in ((src, mat.col), (tgt, mat.row), (amp, mat.value)):
+                assert x.tobytes() == y.tobytes()
             rebuilt = np.zeros((space.dim, space.dim), dtype=complex)
             rebuilt[tgt, src] = amp
             assert np.array_equal(rebuilt, csr(mat).toarray())
@@ -121,8 +154,8 @@ def test_ladder_maps_ascend_in_source_and_target(axes, ranges, kinds, mass,
     # a LadderTable's keys ascend only if every map ascends strictly in
     # source: fields._assemble and the contour oracle find a state among them
     # by binary search.  A map that ascends in target too is a canonical
-    # Operator as built.  The oracle also scales by the real part of an
-    # amplitude, so amplitudes must be real.
+    # Operator as a slice of the table.  The oracle also scales by the real
+    # part of an amplitude, so amplitudes must be real.
     channels = [(f"c{i}", ModeGrid(axes=axes, lengths=(BOX,) * len(axes),
                                    ranges=(ranges,) * len(axes), species=kind,
                                    mass=mass))
@@ -130,21 +163,16 @@ def test_ladder_maps_ascend_in_source_and_target(axes, ranges, kinds, mass,
     space = build_fock_space(channels, *caps)
     for mode in space.modes:
         for kind in ("a", "c"):
-            src, tgt, amp = space.ladder_map(mode.channel, mode.n, kind)
+            op = (space.annihilation if kind == "a" else space.creation)(
+                mode.channel, mode.n)
+            src, tgt, amp = op.col, op.row, op.value
             assert len(src) > 0 and not np.any(amp.imag)
             assert np.all(np.diff(src) > 0) and np.all(np.diff(tgt) > 0)
+    assert np.all(np.diff(space.ladder_table().src_key) > 0)
 
 
-def test_state_index_rejects_rows_outside_the_basis(monkeypatch):
+def test_state_index_rejects_rows_outside_the_basis():
     space = scalar_space(n_mode=1, mass=1.0, caps=(3, 4))      # 3 modes
-    widths = []
-    searchsorted = np.searchsorted
-
-    def spy(keys, needles, *args, **kwargs):
-        widths.append(needles.dtype.itemsize)
-        return searchsorted(keys, needles, *args, **kwargs)
-
-    monkeypatch.setattr(np, "searchsorted", spy)
     outside = [[0, 0], [0, 0, 0, 0],           # wrong length
                [2, 3, 0],                       # above the total cap
                [4, 0, 0],                       # above the per-mode cap
@@ -153,7 +181,6 @@ def test_state_index_rejects_rows_outside_the_basis(monkeypatch):
     for row in outside:
         with pytest.raises(UnknownMode):
             space.state_index(row)
-    assert widths == [3]          # only the full-width row above the total cap
     assert space.state_index([2, 0, 2]) == space.state_index(
         np.array([2, 0, 2], dtype=np.int8))
 
@@ -167,7 +194,7 @@ def test_occupations_beyond_int8_are_rejected():
     # fermionic occupations stay at 1 whatever the per-mode cap
     assert (dirac_space(n_mode=1, caps=(200, 2)).dim
             == dirac_space(n_mode=1, caps=(1, 2)).dim)
-    # the top state's key is byte 0x7f, the last before the sign bit
+    # 127 units of one mode: the largest occupation an int8 row holds
     space = build_fock_space([("phi", grid)], 127, 127)
     assert space.dim == 128
     assert [space.state_index([v]) for v in range(128)] == list(range(128))
@@ -180,7 +207,8 @@ def test_occupations_beyond_int8_are_rejected():
 
 
 def test_space_without_modes_has_one_state():
-    # a massless grid holding only k=0 has no modes: each key is zero bytes
+    # a massless grid holding only k=0 has no modes: the vacuum's list is
+    # all padding, and its rank is the empty sum
     grid = ModeGrid(axes=(3,), lengths=(BOX,), ranges=((0, 0),),
                     species=Species.BOSON, mass=0.0)
     space = build_fock_space([("phi", grid)], 2, 2)
@@ -229,13 +257,6 @@ def test_mode_operator_matrix_elements():
     assert abs(amp - math.sqrt(2)) < 1e-14
     with pytest.raises(UnknownMode):
         space.creation("phi", (5,))
-
-
-def test_ladder_map_rejects_unknown_kind():
-    # any kind but "a"/"c" used to give the annihilator
-    space = one_mode_space()
-    with pytest.raises(BoxQFTError):
-        space.ladder_map("phi", (1,), "x")
 
 
 def test_fermionic_antisymmetry():
@@ -443,6 +464,9 @@ def test_channels_must_share_one_box():
                           species=Species.BOSON)
     with pytest.raises(BoxQFTError):
         build_fock_space([("a", g), ("b", other_axis)], 1, 2)
+    # with no channel there is no box at all
+    with pytest.raises(BoxQFTError, match="at least one channel"):
+        build_fock_space([], 1, 2)
     # differing ranges, species and masses on one box stay allowed
     fermi = ModeGrid(axes=(3,), lengths=(BOX,), ranges=((-2, 2),),
                      species=Species.FERMION, mass=1.0)

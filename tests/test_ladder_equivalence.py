@@ -1,11 +1,12 @@
 """Ladder operators against the per-state reference loop.
 
 ``reference_ladder`` is the construction `FockSpace` used before the basis
-was indexed by binary search: a dict from each basis row's bytes to its
-index, one Python iteration per source state, the Jordan-Wigner sign taken
-over the whole basis, and the creation matrix as the conjugate transpose of
-the annihilation matrix.  Every map and matrix must agree with it exactly,
-down to the bits of the amplitudes.
+was indexed by binary search, let alone by rank: a dict from each dense
+basis row's bytes to its index, one Python iteration per source state, the
+Jordan-Wigner sign taken over the whole basis, and the creation matrix as
+the conjugate transpose of the annihilation matrix.  Every ladder Operator's
+(col, row, value) map and its matrix must agree with it exactly, down to the
+bits of the amplitudes.
 """
 
 import math
@@ -16,7 +17,8 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BOX, csr, dirac_space, photon_space, scalar_space
+from conftest import (BOX, csr, dirac_space, occupations, photon_space,
+                      scalar_space)
 
 from boxqft.errors import DimensionOverflow
 from boxqft.fock import FockSpace, ModeGrid, Species, build_fock_space
@@ -24,7 +26,7 @@ from boxqft.fock import FockSpace, ModeGrid, Species, build_fock_space
 
 def reference_ladder(space, channel, n):
     """(maps, matrices) of mode (channel, n), each a dict over kind a/c."""
-    occ = space.occupations
+    occ = occupations(space)
     index = {row.tobytes(): i for i, row in enumerate(occ)}
     j = space.mode_index[(channel, n)]
     fermion = space.fermionic[j]
@@ -59,18 +61,18 @@ def assert_ladders_match_reference(space):
     for mode in space.modes:
         maps, mats = reference_ladder(space, mode.channel, mode.n)
         for kind in ("a", "c"):
-            got = space.ladder_map(mode.channel, mode.n, kind)
-            for x, y in zip(got, maps[kind]):
+            op = (space.annihilation if kind == "a" else space.creation)(
+                mode.channel, mode.n)
+            for x, y in zip((op.col, op.row, op.value), maps[kind]):
                 assert np.array_equal(x, y) and _same_bits(x, y), (mode, kind)
-            mat = csr((space.annihilation if kind == "a" else space.creation)(
-                mode.channel, mode.n))
+            mat = csr(op)
             ref = mats[kind]
             assert mat.format == "csr" and mat.shape == ref.shape
             for attr in ("indptr", "indices", "data"):
                 assert _same_bits(getattr(mat, attr), getattr(ref, attr)), (
                     mode, kind, attr)
             assert (mat != ref).nnz == 0
-    for i, row in enumerate(space.occupations):
+    for i, row in enumerate(occupations(space)):
         assert space.state_index(row) == i
 
 
@@ -104,12 +106,25 @@ def test_ladders_match_reference_loop(cell):
 def test_mixed_space_sign_skips_bosonic_columns():
     space = _mixed_space()
     j = space.mode_index[("psi", (-2,))]
-    src, tgt, amp = space.ladder_map("psi", (-2,), "a")
+    a = space.annihilation("psi", (-2,))
+    src, amp = a.col, a.value
     # sources with an odd number of fermions before j and any phi occupation
-    before = space.occupations[src][:, :j]
+    before = occupations(space)[src][:, :j]
     odd = before[:, space.fermionic[:j]].sum(axis=1) % 2 == 1
     assert np.array_equal(amp.real, np.where(odd, -1.0, 1.0))
     assert np.any(before[:, ~space.fermionic[:j]].sum(axis=1) % 2 == 1)
+
+
+def _product_order(caps, total):
+    """The occupation tuples within caps and total, in itertools.product's
+    (lexicographic) order.  A branch over the total is skipped whole: the
+    unpruned product over 27 modes' caps would not finish."""
+    if not caps:
+        yield ()
+        return
+    for v in range(min(caps[0], total) + 1):
+        for rest in _product_order(caps[1:], total - v):
+            yield (v,) + rest
 
 
 _SPECIES = st.sampled_from([Species.BOSON, Species.FERMION])
@@ -123,6 +138,12 @@ _SPECIES = st.sampled_from([Species.BOSON, Species.FERMION])
        n_max_per_mode=st.integers(1, 3), n_max_total=st.integers(1, 4))
 def test_ladders_match_reference_random(axes, spans, n_max_per_mode,
                                         n_max_total):
+    # the exact ranks on mixed channels: the lists, expanded, are the
+    # itertools.product basis in order; state_index inverts the enumeration
+    # (in assert_ladders_match_reference); every ladder map is the
+    # reference's; and the energies, summed over each list in position
+    # order, are the dense product's bits up to total cap 2 (beyond it, the
+    # order of a dense product's sum is the BLAS library's)
     channels = [
         (f"ch{c}", ModeGrid(axes=axes, lengths=(BOX,) * len(axes),
                             ranges=((lo, hi),) * len(axes), species=species,
@@ -132,4 +153,12 @@ def test_ladders_match_reference_random(axes, spans, n_max_per_mode,
         space = FockSpace(channels, n_max_per_mode, n_max_total, dim_limit=3000)
     except DimensionOverflow:
         return
+    occ = occupations(space)
+    assert [tuple(row) for row in occ] == list(
+        _product_order(space.caps.tolist(), n_max_total))
     assert_ladders_match_reference(space)
+    dense = occ.astype(float) @ space.mode_energies
+    if n_max_total <= 2:
+        assert _same_bits(space.energies, dense)
+    assert np.all(np.abs(space.energies - dense)
+                  <= n_max_total * np.spacing(dense))

@@ -159,9 +159,12 @@ def test_ladders_are_canonical_and_adjoint_to_each_other():
             assert_matches(c, csr(a).conjugate().transpose())
             assert_matches(a.adjoint(), csr(c))
             assert a.adjoint().value.tobytes() == c.value.tobytes()
-            # the ladder map is the operator's own arrays, not a copy
-            src, tgt, amp = space.ladder_map(mode.channel, mode.n, "a")
-            assert src is a.col and tgt is a.row and amp is a.value
+            # an operator's arrays are views of the space's ladder table
+            table = space.ladder_table()
+            for op in (a, c):
+                assert np.shares_memory(op.col, table.src)
+                assert np.shares_memory(op.row, table.tgt)
+                assert np.shares_memory(op.value, table.amp)
 
 
 def test_diagonal_operators_match_scipy_diags():

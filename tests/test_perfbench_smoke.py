@@ -35,6 +35,13 @@ obs = measurement.spacelike_windowed_observable(
     density, p, measurement.MeasurementWindow(tau=L))
 nnz = obs.matrix().nnz
 sample = spectral.lehmann_spectral_density(space, density, density, p, 1.0)
+# matrices and samples compose on the ladder table and realize no Operator;
+# then each mode's first explicit call realizes its pair, in one span, and
+# the second is a cache hit
+composed_op_cache = len(space._op_cache)
+for mode in space.modes:
+    space.annihilation(mode.channel, mode.n)
+    space.creation(mode.channel, mode.n)
 metrics, calls = tracing.layer_metrics(tracer, [0], 1.0)
 spans = [[s[0], s[5]] for s in tracer.spans]
 # detailed balance at one p with nonzero lattice momentum, two betas
@@ -64,6 +71,7 @@ print(json.dumps({
     "spans": spans, "fdt_spans": fdt_spans, "oracle_spans": oracle_spans,
     "projector_spans": projector_spans,
     "oracle_op_cache": len(cspace._op_cache),
+    "composed_op_cache": composed_op_cache,
     "metrics": {k: v["value"] for k, v in metrics.items()},
     "terms": len(density.terms), "kept": len(obs.terms), "nnz": nnz,
     "pairs": sample.term_count, "op_cache": len(space._op_cache),
@@ -102,8 +110,10 @@ def test_traced_pass_counts_match_the_objects(traced_run):
     # its lines from the block terms
     matrix_nnz = [c["nnz"] for name, c in spans if name == "fields.matrix"]
     assert matrix_nnz == [run["nnz"]]
-    # one span per realized mode: the first call builds a and a^+ together,
-    # so the tracer's _op_cache test must see the second as a cache hit
+    # the matrix and the sample realize no ladder Operator; then one span per
+    # mode realized explicitly: the call builds a and a^+ together, so the
+    # tracer's _op_cache test must see the second as a cache hit
+    assert run["composed_op_cache"] == 0
     ladder = [name for name, _ in spans if name == "fock.ladder"]
     assert len(ladder) == run["op_cache"] // 2 == run["n_modes"] == 5
 
@@ -117,13 +127,15 @@ def test_fdt_ratio_realizes_no_block(traced_run):
     assert first.count("fields.matrix") == second.count("fields.matrix") == 0
 
 
-def test_oracle_realizes_its_ladders_through_the_traced_methods(traced_run):
-    # parents are given relative to the oracle's span, the first recorded
+def test_oracle_realizes_no_ladder_operator(traced_run):
+    # parents are given relative to the oracle's span, the first recorded;
+    # the oracle steps through the space's ladder table, as matrices do, so
+    # no fock.ladder span and no cached Operator comes from it
     spans = traced_run["oracle_spans"]
     assert [name for name, _ in spans].count("correlators.oracle") == 1
     assert spans[0][0] == "correlators.oracle"
     ladder = [parent for name, parent in spans if name == "fock.ladder"]
-    assert ladder == [0] * (traced_run["oracle_op_cache"] // 2) == [0, 0]
+    assert ladder == [0] * (traced_run["oracle_op_cache"] // 2) == []
 
 
 def test_synthetic_projector_checks_project_each_stack_once(traced_run):

@@ -77,12 +77,6 @@ METHOD_KEEP = {
 
 # name -> {class: the package call that reaches that class's member}
 SHARED = {
-    "volume": {
-        "ModeGrid": "fields._dirac_slots and fields._em_vector_slots, "
-                    "grid.volume; FockSpace.volume",
-        "FockSpace": "fields._scalar_slots, measurement._spatial_factor and "
-                     "spectral.lehmann_spectral_density, space.volume",
-    },
     "energy": {
         "ModeGrid": "fock.sagnac_state and correlators.insertion, grid.energy(n)",
         "SagnacConfig": "fock.sagnac_state and measurement.sagnac_readout, "
