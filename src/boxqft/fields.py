@@ -300,17 +300,24 @@ class QuadraticObservable:
         lattice transfer equals it."""
         _, lat = _slot_transfers(self.space)
         left, right = _term_slots(self.space, self.terms)
-        # one axis at a time: gathering (n_terms, 3) rows is several times
-        # slower
-        total = [lat[:, a][left] + lat[:, a][right] for a in range(3)]
-        return [(total[0] == t[0]) & (total[1] == t[1]) & (total[2] == t[2])
-                for t in targets]
+        # each slot's lattice vector as one integer, its components balanced
+        # digits in a base that holds any sum of two: a term's code is then
+        # the sum of its slots' codes, and equal codes mean equal vectors
+        reach = 2 * int(np.abs(lat).max())
+        base = 2 * reach + 1
+        code = (lat[:, 0] * base + lat[:, 1]) * base + lat[:, 2]
+        total = code[left] + code[right]
+        return [total == (t[0] * base + t[1]) * base + t[2]
+                if max(abs(v) for v in t) <= reach
+                else np.zeros(len(total), dtype=bool) for t in targets]
 
-    def transfers(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Four-momentum (n_terms, 4) and lattice (n_terms, 3) transfer of
-        every term."""
+    def transfers(self, keep: Optional[np.ndarray] = None
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+        """Four-momentum (n, 4) and lattice (n, 3) transfer of every term, or
+        of the terms at the indices keep."""
         Q, lat = _slot_transfers(self.space)
-        left, right = _term_slots(self.space, self.terms)
+        left, right = _term_slots(self.space, self.terms if keep is None
+                                  else self.terms[keep])
         return Q[left] + Q[right], lat[left] + lat[right]
 
     def at(self, x: FourVector) -> Operator:
@@ -321,13 +328,16 @@ class QuadraticObservable:
                              - q[:, 2] * xt[2] - q[:, 3] * xt[3]))
         return _assemble(self.space, self.terms, _cmul(self.terms["coeff"], phase))
 
-    def weighted(self, label: str, factor: np.ndarray) -> QuadraticObservable:
-        """The bilinear with coefficients coeff * factor per term; terms whose
-        product is exactly zero are dropped."""
-        coeff = _cmul(self.terms["coeff"], np.asarray(factor, dtype=complex))
-        keep = coeff != 0
-        terms = self.terms[keep]
-        terms["coeff"] = coeff[keep]
+    def weighted(self, label: str, factor,
+                 keep: Optional[np.ndarray] = None) -> QuadraticObservable:
+        """The bilinear with coefficients coeff * factor per term, or per term
+        at the indices keep with the others dropped; terms whose product is
+        exactly zero are dropped."""
+        coeff = self.terms["coeff"] if keep is None else self.terms["coeff"][keep]
+        coeff = _cmul(coeff, np.asarray(factor, dtype=complex))
+        nonzero = coeff != 0
+        terms = self.terms[nonzero if keep is None else keep[nonzero]]
+        terms["coeff"] = coeff[nonzero]
         return QuadraticObservable(self.space, label, terms,
                                    vacuum_subtraction=self.vacuum_subtraction)
 
@@ -348,11 +358,17 @@ def _quadratic(space: FockSpace, label: str, W: np.ndarray) -> QuadraticObservab
     trace of the a-c block, is the subtracted vacuum constant.  The trace is
     summed exactly (math.fsum) so the constant is correctly rounded: a
     near-massless zero mode makes one entry far larger than the rest.
+    The sign matrix is applied only when a slot is fermionic; on the
+    symmetrized W of a bosonic density, multiplying by 1.0 changes no bit
+    of a kept term.
     """
     M = len(space.modes)
     fermi = np.tile(space.fermionic, 2)
-    sign = np.where(np.logical_and.outer(fermi, fermi), -1.0, 1.0)
-    N = np.triu(W, 1) + sign * np.triu(W.T, 1)
+    upper = ~np.tri(2 * M, dtype=bool)
+    N = np.where(upper, W.T, 0)
+    if fermi.any():
+        N *= np.where(np.logical_and.outer(fermi, fermi), -1.0, 1.0)
+    np.add(N, W, out=N, where=upper)
     N[np.diag_indices_from(N)] = np.where(fermi, 0.0, np.diagonal(W))
     left, right = np.nonzero(N)
     contractions = np.diagonal(W[M:, :M])
@@ -364,7 +380,9 @@ def _quadratic(space: FockSpace, label: str, W: np.ndarray) -> QuadraticObservab
 def _symmetrized(space: FockSpace, label: str, W: np.ndarray) -> QuadraticObservable:
     """Both operator orders averaged, which keeps a bosonic composite
     Hermitian; the commutator constants land in the vacuum subtraction."""
-    return _quadratic(space, label, 0.5 * (W + W.T))
+    W = W + W.T
+    W *= 0.5
+    return _quadratic(space, label, W)
 
 
 # ---------------------------------------------------------------------------
@@ -411,14 +429,26 @@ def stress_tensor_scalar(space: FockSpace, mu: int, nu: int,
         raise BoxQFTError("tensor indices must be 0..3")
     ell = _scalar_slots(space, channel)
     m = space.grid(channel).mass
-    Q, _ = _slot_transfers(space)
-    q1, q2 = Q[:-1, None, :], Q[None, :-1, :]
-    # (i q1^mu)(i q2^nu) symmetrized in (mu,nu), minus the trace part
-    dmu_dnu = -(q1[..., mu] * q2[..., nu] + q1[..., nu] * q2[..., mu]) / 2.0
-    dd = -(q1[..., 0] * q2[..., 0] - q1[..., 1] * q2[..., 1]
-           - q1[..., 2] * q2[..., 2] - q1[..., 3] * q2[..., 3])
-    vertex = dmu_dnu - METRIC[mu, nu] * (dd - m * m) / 2.0
-    return _symmetrized(space, f"T{mu}{nu}", np.multiply.outer(ell, ell) * vertex)
+    Q = _slot_transfers(space)[0][:-1]
+    # (i q1^mu)(i q2^nu) symmetrized in (mu,nu), minus the trace part, built
+    # in place in three (2M)^2 buffers: -(q1^mu q2^nu + q1^nu q2^mu) / 2 and
+    # dd = -(q1^0 q2^0 - q1^1 q2^1 - q1^2 q2^2 - q1^3 q2^3)
+    vertex, dd, tmp = (np.empty((len(Q), len(Q))) for _ in range(3))
+    np.multiply.outer(Q[:, mu], Q[:, nu], out=vertex)
+    vertex += np.multiply.outer(Q[:, nu], Q[:, mu], out=tmp)
+    np.negative(vertex, out=vertex)
+    vertex /= 2.0
+    np.multiply.outer(Q[:, 0], Q[:, 0], out=dd)
+    for a in (1, 2, 3):
+        dd -= np.multiply.outer(Q[:, a], Q[:, a], out=tmp)
+    np.negative(dd, out=dd)
+    dd -= m * m
+    dd *= METRIC[mu, nu]
+    dd /= 2.0
+    vertex -= dd
+    W = np.multiply.outer(ell, ell)
+    W *= vertex
+    return _symmetrized(space, f"T{mu}{nu}", W)
 
 
 # ---------------------------------------------------------------------------

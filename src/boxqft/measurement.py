@@ -64,25 +64,42 @@ def commensurate_tau(energy: float, periods: int = 1) -> float:
     return periods * 2 * math.pi / energy
 
 
-def _spatial_factor(space: FockSpace, lattice: np.ndarray, target,
-                    w: MeasurementWindow, transfer: np.ndarray,
-                    p_spatial: np.ndarray) -> np.ndarray:
-    """Box (Kronecker) or Gaussian spatial transform of every term, from the
-    terms' lattice (n, 3) and four-momentum (n, 4) transfers."""
-    if w.sigma_x is None:
-        return np.where(np.all(lattice == target, axis=1), space.volume, 0.0)
+def _gauss_spatial_factor(w: MeasurementWindow, transfer: np.ndarray,
+                          p_spatial: np.ndarray) -> np.ndarray:
+    """Gaussian spatial transform of every term, from the terms'
+    four-momentum (n, 4) transfers."""
     d = transfer[:, 1:] + p_spatial   # residual spatial transfer after the weight
     return (math.sqrt(2 * math.pi) * w.sigma_x) ** 3 * \
         np.exp(-0.5 * w.sigma_x ** 2 * np.sum(d * d, axis=1))
 
 
+def _box_windowed(S: QuadraticObservable, w: MeasurementWindow, label: str,
+                  targets) -> QuadraticObservable:
+    """S under the box window: targets lists (lattice transfer, scale, shift),
+    and a term at a target's transfer gets scale * V * T(q0 + shift), summed
+    over the targets it meets.  The box is a Kronecker filter, so the terms
+    at no target are dropped first and the rest alone are transformed."""
+    hits = S.lattice_hits([t for t, _, _ in targets])
+    keep = np.flatnonzero(np.logical_or.reduce(hits))
+    q0 = S.transfers(keep)[0][:, 0]
+    factor = np.zeros(len(keep))
+    for hit, (_, scale, shift) in zip(hits, targets):
+        on = hit[keep]
+        factor[on] += scale * S.space.volume * w.time_transform(q0[on] + shift)
+    return S.weighted(label, factor, keep)
+
+
 def windowed_observable(S: QuadraticObservable,
                         w: MeasurementWindow) -> QuadraticObservable:
-    """S integrated over the box and the time window (plain weight)."""
-    q, lat = S.transfers()
-    factor = _spatial_factor(S.space, lat, (0, 0, 0), w, q, np.zeros(3)) * \
-        w.time_transform(q[:, 0])
-    return S.weighted(f"{S.label}|win", factor)
+    """S integrated over the box and the time window (plain weight).  The
+    box keeps the terms at lattice transfer 0 only, and only those are
+    transformed."""
+    label = f"{S.label}|win"
+    if w.sigma_x is None:
+        return _box_windowed(S, w, label, [((0, 0, 0), 1.0, 0.0)])
+    q, _ = S.transfers()
+    factor = _gauss_spatial_factor(w, q, np.zeros(3)) * w.time_transform(q[:, 0])
+    return S.weighted(label, factor)
 
 
 def spacelike_windowed_observable(S: QuadraticObservable, p: FourVector,
@@ -91,18 +108,24 @@ def spacelike_windowed_observable(S: QuadraticObservable, p: FourVector,
 
     cos splits into two plane waves, so each mode pair with transfer q gets
     (V/2)[delta(q_sp, -p_sp) T(q0 + p0) + delta(q_sp, +p_sp) T(q0 - p0)].
+    The box keeps the terms at lattice transfer -lat(p) or +lat(p) (one
+    target when lat(p) = 0), and only those are transformed.
     """
     space = S.space
     if classify_interval(p) is not IntervalClass.SPACELIKE:
         warnings.warn("readout momentum p is not space-like; vacuum noise "
                       "suppression does not apply", stacklevel=2)
-    lat_p = np.array(space.lattice_of(p))
-    q, lat = S.transfers()
-    factor = 0.5 * _spatial_factor(space, lat, -lat_p, w, q, +p.spatial) * \
+    label = f"{S.label}|cos"
+    lat_p = space.lattice_of(p)
+    if w.sigma_x is None:
+        return _box_windowed(S, w, label, [
+            (tuple(-v for v in lat_p), 0.5, p.t), (lat_p, 0.5, -p.t)])
+    q, _ = S.transfers()
+    factor = 0.5 * _gauss_spatial_factor(w, q, +p.spatial) * \
         w.time_transform(q[:, 0] + p.t)
-    factor = factor + 0.5 * _spatial_factor(space, lat, lat_p, w, q, -p.spatial) * \
+    factor = factor + 0.5 * _gauss_spatial_factor(w, q, -p.spatial) * \
         w.time_transform(q[:, 0] - p.t)
-    return S.weighted(f"{S.label}|cos", factor)
+    return S.weighted(label, factor)
 
 
 # ---------------------------------------------------------------------------

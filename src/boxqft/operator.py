@@ -44,6 +44,13 @@ class Operator:
 
     The constructor trusts its arrays to be canonical and keeps them without
     a copy; build anything else with from_triplets or from_diagonal.
+
+    The adjoint and the mirror entries that A∘Bᵀ and the Hermiticity defect
+    need come from B's column-major order: a stable radix sort of its 16-bit
+    columns up to dim 65,536, a sort of its transposed keys above.  When B's
+    transposed keys in that order are A's own keys, as for every Hermitian
+    operator against itself, that order is the mirror map; otherwise A's
+    keys are looked up in them by binary search.
     """
     __slots__ = ("row", "col", "value", "dim")
 
@@ -95,17 +102,32 @@ class Operator:
         out[self.row[on]] = self.value[on]
         return out
 
+    def _column_order(self) -> np.ndarray:
+        """The entries in column-major order.  Canonical entries ascend in
+        row within each column, so a stable sort on the column alone gives
+        it: a radix sort of 16-bit columns up to dim 65,536, a sort on the
+        unique transposed keys above."""
+        if self.dim <= 1 << 16:
+            return np.argsort(self.col.astype(np.uint16), kind="stable")
+        return np.argsort(self.col * self.dim + self.row)
+
     def adjoint(self) -> "Operator":
-        order = np.argsort(self.col * self.dim + self.row)    # keys are unique
+        order = self._column_order()
         return Operator(self.col[order], self.row[order],
                         self.value[order].conj(), self.dim)
 
     def _mirrors(self, other: "Operator"):
         """(on, at): entry k of self, at (i, j), meets other's entry at[k]
-        at (j, i) where on[k] holds."""
-        bt = other.col * self.dim + other.row       # other's keys, transposed
-        order = np.argsort(bt)                      # keys are unique
-        bt = bt[order]
+        at (j, i) where on[k] holds; on is slice(None) when that holds for
+        every k.  other's column-major order lists its entries by transposed
+        key: when those keys are self's own, as for every Hermitian operator
+        against itself, that order is the map, else each key is looked up in
+        them by binary search."""
+        order = other._column_order()
+        bt_row, bt_col = other.col[order], other.row[order]
+        if np.array_equal(bt_row, self.row) and np.array_equal(bt_col, self.col):
+            return slice(None), order
+        bt = bt_row * self.dim + bt_col             # other's keys, transposed
         key = self.row * self.dim + self.col
         at = np.searchsorted(bt, key)
         # a sentinel that matches no key keeps every search result an index
@@ -126,7 +148,8 @@ class Operator:
         A at its place mirrors an entry of A with none of A^+ at its place,
         of the same size, so A's entries cover them all."""
         on, at = self._mirrors(self)
-        d = self.value - np.where(on, self.value[at].conj(), 0)
+        d = self.value.copy()
+        d[on] -= self.value[at[on]].conj()
         return float(np.max(np.abs(d))) if self.nnz else 0.0
 
     def __matmul__(self, other):

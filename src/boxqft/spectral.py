@@ -117,9 +117,9 @@ class LineSpectrum:
 def _memo(space: FockSpace, density: QuadraticObservable,
           lat: Tuple[int, int, int]) -> dict:
     """The density's memo for the pair {lat, -lat}, replacing one for another
-    pair; both targets' block terms are weighted in one pass.  The density's
-    terms are checked to be unique and normal-ordered before its first memo
-    is made."""
+    pair; both targets' block terms are selected in one pass over the terms,
+    and only they are weighted by V.  The density's terms are checked to be
+    unique and normal-ordered before its first memo is made."""
     pair = {lat, tuple(-v for v in lat)}
     memo = density._momentum_memo
     if memo is None:
@@ -127,7 +127,7 @@ def _memo(space: FockSpace, density: QuadraticObservable,
     if memo is None or memo["terms"].keys() != pair:
         targets = tuple(pair)
         memo = density._momentum_memo = {"lines": {}, "vacuum": {}, "terms": {
-            t: density.weighted("", np.where(hit, space.volume, 0.0)).terms
+            t: density.weighted("", space.volume, np.flatnonzero(hit)).terms
             for t, hit in zip(targets, density.lattice_hits(targets))}}
     return memo
 

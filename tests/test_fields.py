@@ -458,6 +458,25 @@ def test_complex_coefficients_are_multiplied_with_cmul():
     assert weighted.tobytes() == _cmul(coeff, factor).tobytes()
 
 
+def test_lattice_hits_compare_whole_vectors():
+    # lattice_hits reads a term's lattice transfer as one integer code; a
+    # target beyond every term's reach must not alias a real transfer (on
+    # the 1D grid below, (0, 1, -3) has the code of (0, 0, 2))
+    grid3 = ModeGrid(axes=(1, 2, 3), lengths=(BOX,) * 3, ranges=((-1, 1),) * 3,
+                     species=Species.BOSON)
+    space3 = build_fock_space([("phi", grid3)], 1, 1)
+    space1 = scalar_space(n_mode=1, mass=0.5, caps=(2, 2))
+    targets = [(0, 0, 0), (0, 0, 2), (0, 0, -2), (0, 1, -3), (0, -1, 3),
+               (0, 0, 7), (1, 0, 0), (1, -1, 0), (-2, 2, 0), (0, 5, 0)]
+    for density in (stress_tensor_scalar(space1, 0, 0),
+                    stress_tensor_scalar(space3, 0, 3)):
+        _, lat = density.transfers()
+        hits = density.lattice_hits(targets)
+        for t, hit in zip(targets, hits):
+            assert np.array_equal(hit, np.all(lat == t, axis=1))
+        assert sum(int(h.sum()) for h in hits) > 0
+
+
 def test_ladder_table_is_built_once_per_space(monkeypatch):
     # the first composition builds every slot's map at once; later matrices,
     # a linear density's identity slot and the cached ladder Operators all

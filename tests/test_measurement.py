@@ -19,9 +19,9 @@ from boxqft.fields import (QuadraticObservable, dirac_current_density,
                            em_field_strength_density, scalar_bilinear_density,
                            scalar_density, stress_tensor_em,
                            stress_tensor_scalar)
-from boxqft.fock import (SagnacConfig, SagnacSpecies, basis_state,
-                         expectation, sagnac_state, thermal_state,
-                         vacuum_state)
+from boxqft.fock import (ModeGrid, SagnacConfig, SagnacSpecies, Species,
+                         basis_state, build_fock_space, expectation,
+                         sagnac_state, thermal_state, vacuum_state)
 from boxqft.measurement import (HomodyneConfig, MeasurementWindow,
                                 commensurate_tau, homodyne_difference,
                                 localization_effect, moments,
@@ -542,3 +542,105 @@ def test_spacelike_windowed_observables_random_grids(data, species, n_mode,
     assert obs.hermiticity_defect() <= 1e-12
     assert lehmann_spectral_density(space, density, density, p,
                                     math.inf).term_count == 0
+
+
+# ---------------------------------------------------------------------------
+# the box window selects its lattice targets before any transform
+
+
+def _reference_windowed(S, w, p=None):
+    """Both windows as a transform of every term, the box as a Kronecker
+    mask over all of them: the reference the selecting windows must match
+    byte for byte."""
+    space = S.space
+    q, lat = S.transfers()
+
+    def spatial(target, p_spatial):
+        if w.sigma_x is None:
+            return np.where(np.all(lat == target, axis=1), space.volume, 0.0)
+        d = q[:, 1:] + p_spatial
+        return (math.sqrt(2 * math.pi) * w.sigma_x) ** 3 * \
+            np.exp(-0.5 * w.sigma_x ** 2 * np.sum(d * d, axis=1))
+
+    if p is None:
+        factor = spatial((0, 0, 0), np.zeros(3)) * w.time_transform(q[:, 0])
+        return S.weighted(f"{S.label}|win", factor)
+    lat_p = np.array(space.lattice_of(p))
+    factor = 0.5 * spatial(-lat_p, +p.spatial) * w.time_transform(q[:, 0] + p.t)
+    factor = factor + 0.5 * spatial(lat_p, -p.spatial) * \
+        w.time_transform(q[:, 0] - p.t)
+    return S.weighted(f"{S.label}|cos", factor)
+
+
+_WINDOW_DENSITIES = {
+    "scalar T00": (lambda: scalar_space(2, 0.7, caps=(2, 2)),
+                   lambda s: stress_tensor_scalar(s, 0, 0)),
+    "scalar T03": (lambda: scalar_space(2, 0.0, caps=(2, 2)),
+                   lambda s: stress_tensor_scalar(s, 0, 3)),
+    "dirac j0": (lambda: dirac_space(2, 1.0, caps=(1, 2)),
+                 lambda s: dirac_current_density(s, 0)),
+    "dirac j3": (lambda: dirac_space(2, 1.0, caps=(1, 2)),
+                 lambda s: dirac_current_density(s, 3)),
+    "photon T00": (lambda: photon_space(2, caps=(1, 2)),
+                   lambda s: stress_tensor_em(s, 0, 0)),
+    "photon T03": (lambda: photon_space(2, caps=(1, 2)),
+                   lambda s: stress_tensor_em(s, 0, 3)),
+}
+
+_WINDOWS = {
+    "rect": MeasurementWindow(tau=2.3),
+    "gauss": MeasurementWindow(tau=2.3, envelope="gauss", sigma_t=0.9),
+    "gauss spatial": MeasurementWindow(tau=2.3, envelope="gauss", sigma_t=0.9,
+                                       sigma_x=0.4),
+}
+
+_READOUTS = {
+    "lat(p) = +-1": FourVector(0.6, 0.0, 0.0, 1.0),
+    "lat(p) = 2": FourVector(1.3, 0.0, 0.0, 2.0),
+    # both targets coincide at lattice transfer 0 (p is then time-like)
+    "lat(p) = 0": FourVector(0.7, 0.0, 0.0, 0.0),
+}
+
+
+@pytest.mark.filterwarnings("ignore:readout momentum p is not space-like")
+@pytest.mark.parametrize("density", sorted(_WINDOW_DENSITIES))
+def test_selecting_windows_match_the_transform_of_every_term(density):
+    build_space, build = _WINDOW_DENSITIES[density]
+    S = build(build_space())
+    for w in _WINDOWS.values():
+        cases = [(windowed_observable(S, w), _reference_windowed(S, w))]
+        cases += [(spacelike_windowed_observable(S, p, w),
+                   _reference_windowed(S, w, p)) for p in _READOUTS.values()]
+        for got, ref in cases:
+            assert got.label == ref.label
+            assert len(ref.terms) > 0
+            assert got.terms.tobytes() == ref.terms.tobytes()
+            assert repr(got.vacuum_subtraction) == repr(ref.vacuum_subtraction)
+
+
+def test_box_window_transforms_only_the_terms_it_keeps(monkeypatch):
+    # the 3D massless cell of the lattice-build benchmark (R = 2, caps
+    # (2, 2)): the box keeps about 1% of T00's terms, and neither the
+    # window's time transform nor the Lehmann memo's weighting may see more
+    grid = ModeGrid(axes=(1, 2, 3), lengths=(BOX,) * 3, ranges=((-2, 2),) * 3,
+                    species=Species.BOSON)
+    space = build_fock_space([("phi", grid)], 2, 2)
+    S = stress_tensor_scalar(space, 0, 0)
+    p = FourVector(0.5, 1.0, 0.0, 0.0)
+    targets = [space.lattice_of(p), tuple(-v for v in space.lattice_of(p))]
+    hits = [int(h.sum()) for h in S.lattice_hits(targets)]
+    seen, weighted = [], []
+    transform = MeasurementWindow.time_transform
+    monkeypatch.setattr(MeasurementWindow, "time_transform",
+                        lambda self, omega: seen.append(len(omega))
+                        or transform(self, omega))
+    obs = spacelike_windowed_observable(S, p, MeasurementWindow(tau=BOX))
+    assert 0 < sum(seen) <= len(obs.terms) == sum(hits) < len(S.terms) // 50
+
+    weight = QuadraticObservable.weighted
+    monkeypatch.setattr(QuadraticObservable, "weighted",
+                        lambda self, label, factor, keep=None: weighted.append(
+                            len(self.terms) if keep is None else len(keep))
+                        or weight(self, label, factor, keep))
+    lehmann_spectral_density(space, S, S, p, math.inf)
+    assert sorted(weighted) == sorted(hits)

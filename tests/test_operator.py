@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 from conftest import csr, dirac_space, photon_space, scalar_space
 
 from boxqft.fock import free_hamiltonian, total_momentum
-from boxqft.operator import Operator
+from boxqft.operator import Operator, _cmul
 
 ROOT = Path(__file__).resolve().parent.parent
 REL = 1e-15
@@ -193,6 +194,101 @@ def test_empty_operator():
     assert op.nnz == 0 and not csr(op).toarray().any()
     assert np.array_equal(op @ np.ones(4), np.zeros(4))
     assert (op @ op).nnz == op.hadamard_transpose(op).nnz == op.adjoint().nnz == 0
+
+
+def _entries(op):
+    return {(int(i), int(j)): complex(v)
+            for i, j, v in zip(op.row, op.col, op.value)}
+
+
+def _defect_oracle(op):
+    """max |A - A^+| over the union of both patterns, from a dict of
+    entries: the dense oracle without a dense matrix, so it also serves
+    dimensions beyond 65,536."""
+    a = _entries(op)
+    keys = set(a) | {(j, i) for i, j in a}
+    return max((abs(a.get((i, j), 0) - a.get((j, i), 0).conjugate())
+                for i, j in keys), default=0.0)
+
+
+def _search_mirrors(A, B):
+    """A∘Bᵀ by binary search of A's keys among B's transposed keys, with no
+    shortcut: the reference for both of Operator._mirrors' paths."""
+    bt = B.col * A.dim + B.row
+    order = np.argsort(bt)
+    bt = bt[order]
+    key = A.row * A.dim + A.col
+    at = np.minimum(np.searchsorted(bt, key), max(len(bt) - 1, 0))
+    on = bt[at] == key if len(bt) else np.zeros(len(key), dtype=bool)
+    value = _cmul(A.value[on], B.value[order[at[on]]])
+    keep = value != 0
+    return A.row[on][keep], A.col[on][keep], value[keep]
+
+
+_KERNEL_CASES = {
+    # (0, 1) has no mirror: the defect is its own size, sqrt(5)
+    "absent mirror": (Operator.from_triplets([0, 1, 2], [1, 1, 0],
+                                             [2 + 1j, 3, 0.5j], 3), 5 ** 0.5),
+    # A[1, 0] = A[0, 1] instead of its conjugate: |(1+1j) - (1-1j)| = 2
+    "wrong phase": (Operator.from_triplets([0, 1, 2], [1, 0, 2],
+                                           [1 + 1j, 1 + 1j, 4.0], 3), 2.0),
+    "hermitian": (Operator.from_triplets([0, 1, 2, 2, 0], [1, 0, 2, 0, 2],
+                                         [1 + 1j, 1 - 1j, 4.0, 1e-3, 1e-3],
+                                         3), 0.0),
+    "empty": (Operator.from_triplets([], [], [], 5), 0.0),
+    # columns at and above 2**16 take the wide-key path; a 16-bit column
+    # would wrap them onto 0 and 1
+    "wide": (Operator.from_triplets(
+        [0, 65536, 70000, 1, 69999, 65536],
+        [65536, 0, 69999, 65537, 70000, 65536],
+        [2 - 1j, 2 + 1j, 3j, 1.5, -3j, 7.0], 70001), 1.5),
+    "edge of 16 bits": (Operator.from_triplets(
+        [65535, 0, 3, 65535], [0, 65535, 65535, 65535],
+        [1j, -1j, 2.0, 1.0], 65536), 2.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_KERNEL_CASES))
+def test_hermiticity_and_adjoint_against_an_entry_oracle(case):
+    op, defect = _KERNEL_CASES[case]
+    assert op.hermiticity_defect() == _defect_oracle(op) == defect
+    adj = op.adjoint()
+    assert_canonical(adj)
+    assert _entries(adj) == {(j, i): v.conjugate()
+                             for (i, j), v in _entries(op).items()}
+    assert adj.adjoint().value.tobytes() == op.value.tobytes()
+
+
+@pytest.mark.parametrize("case", sorted(_KERNEL_CASES))
+def test_hadamard_transpose_matches_the_search_reference(case):
+    op, _ = _KERNEL_CASES[case]
+    rng = np.random.default_rng(sorted(_KERNEL_CASES).index(case))
+    # a differently structured operand: half of op's transposed pattern,
+    # other entries and random values
+    keep = rng.random(op.nnz) < 0.5
+    other = Operator.from_triplets(
+        np.concatenate([op.col[keep], rng.integers(0, op.dim, 4)]),
+        np.concatenate([op.row[keep], rng.integers(0, op.dim, 4)]),
+        rng.normal(size=keep.sum() + 4) + 1j * rng.normal(size=keep.sum() + 4),
+        op.dim)
+    for B in (other, op, op.adjoint()):
+        got = op.hadamard_transpose(B)
+        assert_canonical(got)
+        row, col, value = _search_mirrors(op, B)
+        assert np.array_equal(got.row, row) and np.array_equal(got.col, col)
+        assert got.value.tobytes() == value.tobytes()
+
+
+def test_a_symmetric_pattern_is_mirrored_without_a_search(monkeypatch):
+    # every Hermitian operator reads its mirrors off its column order
+    space = scalar_space(n_mode=2, mass=0.5, caps=(2, 2))
+    H = free_hamiltonian(space)
+    a = space.annihilation("phi", (1,))
+    A = a + a.adjoint()
+    expected = [_defect_oracle(op) for op in (H, A)]
+    monkeypatch.setattr(np, "searchsorted", None)
+    assert [H.hermiticity_defect(), A.hermiticity_defect()] == expected
+    assert A.hadamard_transpose(A).nnz == A.nnz
 
 
 def test_import_loads_no_scipy():

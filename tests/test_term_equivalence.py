@@ -21,7 +21,7 @@ from boxqft.fock import ModeGrid, Species, build_fock_space
 from boxqft.measurement import (MeasurementWindow,
                                 spacelike_windowed_observable,
                                 windowed_observable)
-from boxqft.spacetime import FourVector
+from boxqft.spacetime import METRIC, FourVector
 
 COEFF_TOL = 1e-12
 RESIDUE_TOL = 1e-15
@@ -232,3 +232,74 @@ def test_normal_ordering_matches_reference(seed, n_boson, n_fermion, zeros):
     new = fields._quadratic(space, "W", W)
     _assert_terms_equivalent(space, ref_terms, new, True)
     assert abs(ref_const - new.vacuum_subtraction) <= CONST_TOL
+
+
+def _dense_quadratic(space, W):
+    """The normal-ordering step with its full (2M)^2 temporaries: both
+    triangles copied, every entry of the transpose multiplied by its sign."""
+    M = len(space.modes)
+    fermi = np.tile(space.fermionic, 2)
+    sign = np.where(np.logical_and.outer(fermi, fermi), -1.0, 1.0)
+    N = np.triu(W, 1) + sign * np.triu(W.T, 1)
+    N[np.diag_indices_from(N)] = np.where(fermi, 0.0, np.diagonal(W))
+    left, right = np.nonzero(N)
+    contractions = np.diagonal(W[M:, :M])
+    vacuum = complex(math.fsum(contractions.real), math.fsum(contractions.imag))
+    return fields._terms(left, right, N[left, right]), vacuum
+
+
+def _dense_stress_tensor_scalar(space, mu, nu):
+    """T^{mu nu} of the scalar field as one broadcast expression per factor,
+    symmetrized out of place."""
+    ell = fields._scalar_slots(space, "phi")
+    m = space.grid("phi").mass
+    Q, _ = fields._slot_transfers(space)
+    q1, q2 = Q[:-1, None, :], Q[None, :-1, :]
+    dmu_dnu = -(q1[..., mu] * q2[..., nu] + q1[..., nu] * q2[..., mu]) / 2.0
+    dd = -(q1[..., 0] * q2[..., 0] - q1[..., 1] * q2[..., 1]
+           - q1[..., 2] * q2[..., 2] - q1[..., 3] * q2[..., 3])
+    vertex = dmu_dnu - METRIC[mu, nu] * (dd - m * m) / 2.0
+    W = np.multiply.outer(ell, ell) * vertex
+    return _dense_quadratic(space, 0.5 * (W + W.T))
+
+
+def test_in_place_builders_keep_every_bit():
+    # the builders form their slot matrices in place and skip the sign
+    # matrix on bosonic spaces; every term, the signs of zero imaginary parts
+    # included, and the vacuum constant stay those of the out-of-place forms
+    L = 2 * math.pi
+    for space in (
+            build_fock_space([("phi", _grid((1, 2, 3), 1, Species.BOSON, 0.0, L))],
+                             1, 1),
+            build_fock_space([("phi", _grid((3,), 3, Species.BOSON, 0.8, L)),
+                              ("psi", _grid((3,), 2, Species.FERMION, 1.0, L))],
+                             1, 1)):
+        for mu in range(4):
+            for nu in range(4):
+                got = fields.stress_tensor_scalar(space, mu, nu)
+                terms, vacuum = _dense_stress_tensor_scalar(space, mu, nu)
+                assert got.terms.tobytes() == terms.tobytes()
+                assert repr(got.vacuum_subtraction) == repr(vacuum)
+    # random slot matrices whose parts include zeros of both signs: through
+    # _symmetrized on a bosonic space (no sign matrix), and straight into
+    # _quadratic on a space with fermions (the sign matrix applied)
+    rng = np.random.default_rng(5)
+    boson = build_fock_space(
+        photon_space_channels(_grid((3,), 2, Species.BOSON, 0.0, L)), 1, 1)
+    mixed = build_fock_space([("phi", _grid((3,), 2, Species.BOSON, 1.0, L)),
+                              ("psi", _grid((3,), 2, Species.FERMION, 1.0, L))],
+                             1, 1)
+    for space, symmetrize in ((boson, True), (mixed, False)):
+        n = 2 * len(space.modes)
+        parts = rng.choice([-1.5, -0.0, 0.0, 0.5, 2.0], size=(2, n, n))
+        W = np.empty((n, n), dtype=complex)
+        W.real, W.imag = parts                # zeros keep their signs
+        if symmetrize:
+            got = fields._symmetrized(space, "W", W)
+            terms, vacuum = _dense_quadratic(space, 0.5 * (W + W.T))
+        else:
+            got = fields._quadratic(space, "W", W)
+            terms, vacuum = _dense_quadratic(space, W)
+        assert len(terms) > 0
+        assert got.terms.tobytes() == terms.tobytes()
+        assert repr(got.vacuum_subtraction) == repr(vacuum)
