@@ -20,7 +20,7 @@ from .fock import (DensityOperator, FockSpace, ModeGrid, SagnacConfig,
                    SagnacSpecies, Species, StateVector, basis_state,
                    build_fock_space, expectation, free_hamiltonian,
                    sagnac_state, thermal_state, total_momentum, vacuum_state)
-from .fields import (EMFieldConfig, QuadraticObservable, Spinor,
+from .fields import (QuadraticObservable, Spinor,
                      current_matrices, dirac_current_density, dirac_field,
                      dirac_space_channels, em_field_strength_density,
                      photon_space_channels, scalar_bilinear_density,
@@ -42,7 +42,7 @@ from .tensors import (DecompositionFit, TensorCorrelation, boost_tensor,
                       decompose_symmetric, decompose_vector,
                       noiseless_components, project_noiseless_tensor,
                       project_noiseless_vector)
-from .measurement import (HomodyneConfig, HomodyneResult, LocalizationReport,
+from .measurement import (HomodyneConfig, LocalizationReport,
                           MeasurementWindow, MomentsResult, commensurate_tau,
                           homodyne_difference, localization_effect, moments,
                           photon_signal, sagnac_regression,

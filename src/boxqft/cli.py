@@ -65,15 +65,15 @@ def _integer(lo, hi=math.inf) -> _Rule:
 _CMP = {">": operator.gt, ">=": operator.ge, "!=": operator.ne}
 
 
-def _number(cmp: Optional[str] = None, lo=0, inf_ok: bool = False) -> _Rule:
+def _number(cmp: Optional[str] = None, inf_ok: bool = False) -> _Rule:
     """An int or a float, not a bool, that is finite (or +inf if inf_ok),
-    and v cmp lo when cmp is given."""
+    and v cmp 0 when cmp is given."""
     return _Rule(lambda v: isinstance(v, (int, float)) and
                  not isinstance(v, bool) and
                  (abs(v) <= sys.float_info.max or inf_ok and v == math.inf) and
-                 (cmp is None or _CMP[cmp](v, lo)),
+                 (cmp is None or _CMP[cmp](v, 0)),
                  ("a number" if inf_ok else "a finite number") +
-                 (f" {cmp} {lo}" if cmp else ""))
+                 (f" {cmp} 0" if cmp else ""))
 
 
 def _list(item: _Rule) -> _Rule:
@@ -91,8 +91,8 @@ def _pair(first: _Rule, second: _Rule) -> _Rule:
 _TEXT = _Rule(lambda v: isinstance(v, str) and v != "", "a non-empty string")
 _INTERVAL = _Rule(lambda v: _pair(_number(), _number()).accepts(v) and
                   0 < v[0] < v[1], "two finite numbers 0 < lo < hi")
-_POSITIVE, _TOL, _COUNT = _number(">", 0), _number(">=", 0), _integer(1)
-_BETAS = _list(_number(">", 0, inf_ok=True))
+_POSITIVE, _TOL, _COUNT = _number(">"), _number(">="), _integer(1)
+_BETAS = _list(_number(">", inf_ok=True))
 # the sagnac spaces hold the axis-3 modes -2..2; a state's +k3 arm needs one
 # of the positive ones: the quoted signal values take k3 > 0
 _SAGNAC_HALF_WIDTH = 2
@@ -123,21 +123,21 @@ CONFIG_SCHEMA: Dict = {
     "scaling": {"volume": (1.0, _POSITIVE), "tau_range": ([10.0, 100.0], _INTERVAL),
                 "n_points": (16, _integer(2)), "exp_tol": (0.1, _TOL)},
     "sagnac": {
-        "box": (2 * math.pi, _POSITIVE), "mass": (1.0, _number(">=", 0)),
+        "box": (2 * math.pi, _POSITIVE), "mass": (1.0, _number(">=")),
         "k3_mode": (1, _SAGNAC_MODE), "n_periods": (2, _COUNT),
         "n_max": (4, _integer(1, 6)), "defect_tol": (1e-10, _TOL),
         "signal_tol": (1e-10, _TOL),
         "extra_pairs": ([[1.0, 1], [2.0, 1], [0.5, 2]],
-                        _list(_pair(_number(">=", 0), _SAGNAC_MODE)))},
+                        _list(_pair(_number(">="), _SAGNAC_MODE)))},
     # alpha != 0, or a difference check compares 0 with 0; k3 != 0: the
     # dark-count readout p = (0, 0, 0, 2 k3) must be space-like
-    "homodyne": {"alphas": ([0.02, 0.05, 0.1], _list(_number("!=", 0))),
+    "homodyne": {"alphas": ([0.02, 0.05, 0.1], _list(_number("!="))),
                  "signal": (0.5, _number()),
                  "sigmas": ([0.8, 1.2, 1.6, 2.0, 2.6], _list(_POSITIVE)),
-                 "k3": (1.0, _number("!=", 0))},
+                 "k3": (1.0, _number("!="))},
     "wick": {"box": (math.pi / 2, _POSITIVE), "n_max_per_mode": (10, _COUNT),
              "betas": ([1.0, 2.0, math.inf], _BETAS), "tol": (1e-10, _TOL)},
-    "threepoint": {"w": (2.0, _number()), "m": (1.0, _number(">=", 0)),
+    "threepoint": {"w": (2.0, _number()), "m": (1.0, _number(">=")),
                    "v": (1.0, _number()), "tol": (1e-14, _TOL)},
 }
 
@@ -246,17 +246,18 @@ def _scalar_space(box: float, n_mode: int, mass: float = 0.0,
     return build_fock_space([("phi", grid)], caps[0], caps[1])
 
 
-def _dirac_space(box: float, n_mode: int, mass: float,
-                 caps=(1, 2)) -> FockSpace:
+def _dirac_space(box: float, n_mode: int, mass: float) -> FockSpace:
+    """At most one quantum per mode and two in all."""
     grid = ModeGrid(axes=(3,), lengths=(box,), ranges=((-n_mode, n_mode),),
                     species=Species.FERMION, mass=mass)
-    return build_fock_space(dirac_space_channels(grid), caps[0], caps[1])
+    return build_fock_space(dirac_space_channels(grid), 1, 2)
 
 
-def _photon_space(box: float, n_mode: int, caps=(2, 2)) -> FockSpace:
+def _photon_space(box: float, n_mode: int) -> FockSpace:
+    """At most two quanta per mode and two in all."""
     grid = ModeGrid(axes=(3,), lengths=(box,), ranges=((-n_mode, n_mode),),
                     species=Species.BOSON, mass=0.0)
-    return build_fock_space(photon_space_channels(grid), caps[0], caps[1])
+    return build_fock_space(photon_space_channels(grid), 2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +403,7 @@ def _tensor_zero_checks(report: RunReport, cfg: dict, box: float) -> None:
     tol = cfg["pipeline_tol"]
     beta = math.inf
     # vector: Dirac current at space-like p
-    dspace = _dirac_space(box, 2, mass=1.0, caps=(1, 2))
+    dspace = _dirac_space(box, 2, mass=1.0)
     jdens = {(mu,): (1, dirac_current_density(dspace, mu)) for mu in range(4)}
     p = FourVector(0.6 * u, 0.0, 0.0, 2 * u)
     Gv, terms = _pipeline_tensor(dspace, jdens, p, beta)
@@ -432,7 +433,7 @@ def _tensor_zero_checks(report: RunReport, cfg: dict, box: float) -> None:
                "structural zero", 0.5)
 
     # antisymmetric: EM field strength
-    pspace = _photon_space(box, 2, caps=(2, 2))
+    pspace = _photon_space(box, 2)
     Ga, _ = _pipeline_tensor(pspace, _field_strength_densities(pspace), p, beta)
     report.add("pipeline.antisymmetric.maxG", float(np.max(np.abs(Ga))), 0.0,
                "vacuum F correlation, space-like p", tol)
@@ -472,13 +473,13 @@ def _tensor_synthetic_checks(report: RunReport, cfg: dict, seed: int) -> None:
     At = project_noiseless_vector(A, qa)
     resid = np.abs(np.sum(q_low * At, axis=-1))
     worst_v = float(np.max(resid / (qnorm * np.linalg.norm(At, axis=-1))))
-    # transversalize, then the conserved-variant projector must stay
-    # transverse and traceless (defects relative to |p| |B~|)
+    # transversalize, then the projector must keep the tensor transverse
+    # and make it traceless (defects relative to |p| |B~|)
     B = (B + np.swapaxes(B, -1, -2)) / 2
     s = np.sum(q_low * qa, axis=-1)
     proj = np.eye(4) - qa[:, :, None] * q_low[:, None, :] / s[:, None, None]
     Bt = proj @ B @ np.swapaxes(proj, -1, -2)
-    Btil = project_noiseless_tensor(Bt, qa, conserved=True)
+    Btil = project_noiseless_tensor(Bt, qa)
     tr = np.abs(np.einsum("...mm,m->...", Btil, g))
     div = np.max(np.abs(np.einsum("...m,...mn->...n", q_low, Btil)), axis=-1)
     scale = qnorm * np.linalg.norm(Btil, axis=(-2, -1))
@@ -508,7 +509,7 @@ def _synthetic_projector_inputs(rng, n: int):
     return qa, A, B
 
 
-def cmd_scaling(config: dict, out: Optional[Path] = None) -> RunReport:
+def cmd_scaling(config: dict, out: Path) -> RunReport:
     """Window-duration exponents of the massless vacuum noise."""
     cfg = config["scaling"]
     report = RunReport("scaling")
@@ -519,15 +520,13 @@ def cmd_scaling(config: dict, out: Optional[Path] = None) -> RunReport:
                                      cfg["n_points"])
             report.add(f"exponent[{s_type},D={D}]", fit.exponent, fit.expected,
                        "log-log fit over one decade", cfg["exp_tol"])
-            if out:
-                write_table(out / f"noise_{s_type}_D{D}.csv", ["tau", "noise"],
-                            fit.points)
-    if out:
-        taus = list(np.geomspace(0.1, 10.0, 41))
-        for D in (1, 2, 3):
-            curve = signal_vs_noise_curve(D, 1.0, taus)
-            write_table(out / f"fig2_D{D}.csv",
-                        ["tau", "signal", "noise", "ratio"], curve.rows)
+            write_table(out / f"noise_{s_type}_D{D}.csv", ["tau", "noise"],
+                        fit.points)
+    taus = list(np.geomspace(0.1, 10.0, 41))
+    for D in (1, 2, 3):
+        curve = signal_vs_noise_curve(D, taus)
+        write_table(out / f"fig2_D{D}.csv",
+                    ["tau", "signal", "noise", "ratio"], curve.rows)
     return report
 
 
@@ -548,11 +547,11 @@ def cmd_sagnac(config: dict, out: Optional[Path] = None) -> RunReport:
         if key not in spaces:
             n = _SAGNAC_HALF_WIDTH
             if dirac:
-                spaces[key] = _dirac_space(box, n, mass=scfg.mass, caps=(1, 2))
+                spaces[key] = _dirac_space(box, n, mass=scfg.mass)
             elif scfg.species is SagnacSpecies.SCALAR:
                 spaces[key] = _scalar_space(box, n, mass=scfg.mass, caps=(2, 2))
             else:
-                spaces[key] = _photon_space(box, n, caps=(2, 2))
+                spaces[key] = _photon_space(box, n)
         return spaces[key]
 
     dirac_configs = [SagnacConfig(SagnacSpecies.DIRAC_A, m, k3),
@@ -614,18 +613,18 @@ def cmd_homodyne(config: dict, out: Optional[Path] = None) -> RunReport:
     sbar = cfg["signal"]
     for alpha in cfg["alphas"]:
         res = homodyne_difference(sbar, HomodyneConfig(alpha=alpha))
-        report.add(f"difference[alpha={alpha}]", res.exact, 4 * alpha * sbar,
+        report.add(f"difference[alpha={alpha}]", res, 4 * alpha * sbar,
                    "|1+aS|^2-|1-aS|^2 = 4aS for real aS", 1e-14)
     res = homodyne_difference(0.0, HomodyneConfig(alpha=cfg["alphas"][0]))
-    report.add("difference[vacuum]", res.exact, 0.0, "no particle, no signal",
+    report.add("difference[vacuum]", res, 0.0, "no particle, no signal",
                1e-15)
     # phase pi/2 kills the signal; the tuning offset restores it
     res = homodyne_difference(sbar, HomodyneConfig(alpha=0.1, phase=math.pi / 2))
-    report.add("difference[phase=pi/2]", res.exact, 0.0,
+    report.add("difference[phase=pi/2]", res, 0.0,
                "quadrature phase removes the signal", 1e-12)
     res = homodyne_difference(sbar, HomodyneConfig(alpha=0.1, phase=math.pi / 2,
                                                    tune=-math.pi / 2))
-    report.add("difference[retuned]", res.exact, 4 * 0.1 * sbar,
+    report.add("difference[retuned]", res, 4 * 0.1 * sbar,
                "tuning offset restores the signal", 1e-14)
 
     # dark counts: vacuum variance of the localized observable vs leakage
@@ -633,8 +632,7 @@ def cmd_homodyne(config: dict, out: Optional[Path] = None) -> RunReport:
     space = _scalar_space(box, 4, mass=0.0, caps=(2, 2))
     dens = stress_tensor_scalar(space, 0, 0)
     pbar = FourVector(0.0, 0.0, 0.0, 2 * cfg["k3"])
-    rep = localization_effect(pbar, cfg["sigmas"], envelope="gauss",
-                              density=dens)
+    rep = localization_effect(pbar, cfg["sigmas"], dens)
     report.flag("leakage.monotone", rep.leakage_is_monotone(),
                 "Gaussian leakage decreases with sigma_t")
     variances = [r.vacuum_variance for r in rep.rows]
@@ -705,7 +703,7 @@ def cmd_wick_check(config: dict, out: Optional[Path] = None) -> RunReport:
     fer_grid = ModeGrid(axes=(3,), lengths=(box,), ranges=((1, 3),),
                         species=Species.FERMION, mass=0.0)
     fer = build_fock_space([("psi", fer_grid)], 1, 3)
-    contour = ctp_contour(math.inf, 2)
+    contour = ctp_contour()
     for label, space, channel in (("boson", bos, "phi"), ("fermion", fer, "psi")):
         modes = list(space.grid(channel).modes)
         for beta in cfg["betas"]:

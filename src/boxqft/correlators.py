@@ -260,7 +260,7 @@ def ordering_average(op_specs: Sequence[Tuple[str, str, Tuple[int, ...], float]]
         # written order is contour order: first operator latest
         return engine(_ordered_insertions(space, op_specs), beta)
     if scheme is OrderingScheme.KELDYSH_SYMMETRIC:
-        contour = ctp_contour(beta, 2)
+        contour = ctp_contour()
         total = 0.0 + 0.0j
         for branches in itertools.product((0, 1), repeat=n):
             ins = [insertion(space, ch, mode, kind, contour.time(b, t))
@@ -281,7 +281,7 @@ def _ordered_insertions(space, op_specs):
     structure forces the written order (first = latest on the contour)."""
     n = len(op_specs)
     return [insertion(space, ch, mode, kind,
-                      CTPTime(branch=pos, t=complex(t), s=float(n - pos)))
+                      CTPTime(t=complex(t), s=float(n - pos)))
             for pos, (kind, ch, mode, t) in enumerate(op_specs)]
 
 
@@ -295,15 +295,14 @@ class KeldyshPropagator:
 
     shell_constant multiplies delta(p.p - m^2) (with forward_cone adding a
     theta(p0) restriction); rational indicates the i/(p.p - m^2) part with
-    the p0 -> p0 - i*eps prescription.  In box normalization the continuum
-    deltas become V*delta_Kronecker/(2 pi)^D weights (norm_tag records this).
+    the p0 -> p0 - i*eps prescription.  The weights are continuum ones,
+    (2 pi)^4 delta(p + q); in box normalization the continuum deltas become
+    V*delta_Kronecker/(2 pi)^D weights.
     """
-    component: str
     mass: float
     shell_constant: float
     forward_cone: bool
     rational: bool
-    norm_tag: str
 
     def rational_value(self, p: FourVector, eps: float = 0.0) -> complex:
         if not self.rational:
@@ -316,11 +315,12 @@ class KeldyshPropagator:
         s_eps = p0 * p0 - float(p.spatial @ p.spatial)
         return 1j / (s_eps - self.mass ** 2)
 
-    def on_shell_weight(self, p: FourVector, tol: float = 1e-9) -> float:
-        """Support indicator of the delta part at the given momentum."""
+    def on_shell_weight(self, p: FourVector) -> float:
+        """Support indicator of the delta part at the given momentum, on
+        shell within |p.p - m^2| <= 1e-9."""
         if self.shell_constant == 0.0:
             return 0.0
-        if abs(minkowski_dot(p, p) - self.mass ** 2) > tol:
+        if abs(minkowski_dot(p, p) - self.mass ** 2) > 1e-9:
             return 0.0
         if self.forward_cone and p.t <= 0:
             return 0.0
@@ -335,15 +335,14 @@ def keldysh_scalar_propagators(component: str, m: float) -> KeldyshPropagator:
     'cq' : (2 pi)^4 * i/(q+.q+ - m^2), q0+ = q0 - i eps
     'qq' : 0 identically
     """
-    tag = "continuum:(2pi)^4 delta(p+q); box: V*delta_K/(2pi)^D"
     if component == "+-":
-        return KeldyshPropagator(component, m, (2 * math.pi) ** 5, True, False, tag)
+        return KeldyshPropagator(m, (2 * math.pi) ** 5, True, False)
     if component == "cc":
-        return KeldyshPropagator(component, m, 16 * math.pi ** 5, False, False, tag)
+        return KeldyshPropagator(m, 16 * math.pi ** 5, False, False)
     if component == "cq":
-        return KeldyshPropagator(component, m, 0.0, False, True, tag)
+        return KeldyshPropagator(m, 0.0, False, True)
     if component == "qq":
-        return KeldyshPropagator(component, m, 0.0, False, False, tag)
+        return KeldyshPropagator(m, 0.0, False, False)
     raise BoxQFTError("component must be one of '+-', 'cc', 'cq', 'qq'")
 
 
@@ -357,12 +356,11 @@ class ThreePointResult:
     contour constant (which the source normalization leaves unfixed).
 
     numerator: p^mu q^nu (symmetrized) - g^{mu nu} (p.q + m^2)/2
-    denominator: (p.p - m^2)(q.q - m^2)        [Keldysh-symmetric scheme]
+    value: numerator / ((p.p - m^2)(q.q - m^2))   [Keldysh-symmetric scheme]
     onshell_prefactor: the same numerator combination evaluated on the
     middle-branch on-shell term of the three-branch ordering.
     """
     numerator: complex
-    denominator: complex
     value: complex
     onshell_prefactor: Optional[complex] = None
 
@@ -375,17 +373,11 @@ def _three_point_numerator(p: FourVector, q: FourVector, mu: int, nu: int,
 
 
 def three_point_T_phi_phi(k: FourVector, p: FourVector, q: FourVector,
-                          mu: int, nu: int, m: float,
-                          scheme: OrderingScheme = OrderingScheme.KELDYSH_SYMMETRIC
-                          ) -> ThreePointResult:
-    """Stress-field three-point correlation at tree level.
-
-    Requires p + q = k.  For the Keldysh-symmetric scheme the result is the
-    rational expression numerator/denominator; for the three-branch scheme
-    the additional on-shell middle-branch term is returned through
-    onshell_prefactor (nonzero at E = sqrt(m^2 + |k|^2/4) kinematics).
-    """
-    return three_point_combination(k, p, q, ((1.0, (mu, nu)),), m, scheme)
+                          mu: int, nu: int, m: float) -> ThreePointResult:
+    """Stress-field three-point correlation at tree level, in the
+    Keldysh-symmetric scheme: the rational expression numerator /
+    ((p.p - m^2)(q.q - m^2)).  Requires p + q = k."""
+    return three_point_combination(k, p, q, ((1.0, (mu, nu)),), m)
 
 
 def three_point_combination(k: FourVector, p: FourVector, q: FourVector,
@@ -394,7 +386,9 @@ def three_point_combination(k: FourVector, p: FourVector, q: FourVector,
                             scheme: OrderingScheme = OrderingScheme.KELDYSH_SYMMETRIC
                             ) -> ThreePointResult:
     """Weighted component combination, e.g. ((2,(0,0)),(1,(1,1)),(1,(2,2)))
-    for the noiseless combination 2*T00 + T11 + T22."""
+    for the noiseless combination 2*T00 + T11 + T22.  For the three-branch
+    scheme the additional on-shell middle-branch term is returned through
+    onshell_prefactor (nonzero at E = sqrt(m^2 + |k|^2/4) kinematics)."""
     num = sum(w * _three_point_numerator(p, q, mu, nu, m)
               for w, (mu, nu) in weights)
     den = (minkowski_dot(p, p) - m * m) * (minkowski_dot(q, q) - m * m)
@@ -403,5 +397,4 @@ def three_point_combination(k: FourVector, p: FourVector, q: FourVector,
         raise MomentumMismatch(f"p + q != k (Euclidean residue {mismatch})")
     value = num / den if den != 0 else complex("inf")
     onshell = num if scheme is OrderingScheme.THREE_BRANCH else None
-    return ThreePointResult(numerator=num, denominator=den, value=value,
-                            onshell_prefactor=onshell)
+    return ThreePointResult(numerator=num, value=value, onshell_prefactor=onshell)

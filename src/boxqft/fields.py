@@ -34,7 +34,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .errors import BoxQFTError, UnknownMode, ZeroMomentum
+from .errors import BoxQFTError, ZeroMomentum
 from .fock import FockSpace, ModeGrid, Species, lookup
 from .operator import Operator, _cmul
 from .spacetime import METRIC, FourVector
@@ -82,9 +82,6 @@ def current_matrices() -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
 @dataclass(frozen=True)
 class Spinor:
     components: np.ndarray
-    handedness: str
-    k3: float
-    mass: float
 
 
 def spinor_u(k3: float, handedness: str, m: float) -> Spinor:
@@ -108,7 +105,7 @@ def spinor_u(k3: float, handedness: str, m: float) -> Spinor:
         comp = np.array([sm * tm, sps * tp, sps * tm, sm * tp], dtype=complex)
     else:
         comp = np.array([sm * tp, sps * tm, sps * tp, sm * tm], dtype=complex)
-    return Spinor(comp / math.sqrt(2 * E), handedness, k3, m)
+    return Spinor(comp / math.sqrt(2 * E))
 
 
 def spinor_v(k3: float, handedness: str, m: float) -> Spinor:
@@ -119,31 +116,7 @@ def spinor_v(k3: float, handedness: str, m: float) -> Spinor:
     """
     u = spinor_u(k3, handedness, m)
     comp = 1j * GAMMA[2] @ np.conj(u.components)
-    return Spinor(comp, handedness, k3, m)
-
-
-# ---------------------------------------------------------------------------
-# photon polarization
-
-
-@dataclass(frozen=True)
-class EMFieldConfig:
-    """Radiation-gauge polarization basis for single-axis (axis 3) grids.
-
-    V is linear polarization along axis 1, H along axis 2.  With
-    parity_flip=True the V vector flips sign for k3 < 0 (the standard linear
-    polarization convention under k -> -k); the flip only re-phases the
-    modes but fixes the sign of counter-propagating interference terms.
-    """
-    parity_flip: bool = True
-
-    def polarization(self, label: str, n3: int) -> np.ndarray:
-        if label == "V":
-            sign = -1.0 if (self.parity_flip and n3 < 0) else 1.0
-            return np.array([sign, 0.0, 0.0], dtype=complex)
-        if label == "H":
-            return np.array([0.0, 1.0, 0.0], dtype=complex)
-        raise UnknownMode(f"unknown polarization channel {label!r}")
+    return Spinor(comp)
 
 
 # ---------------------------------------------------------------------------
@@ -164,20 +137,6 @@ def _slot_transfers(space: FockSpace) -> Tuple[np.ndarray, np.ndarray]:
             np.concatenate([lat, -lat, np.zeros((1, 3), dtype=np.int64)]))
 
 
-def _term_slots(space: FockSpace,
-                terms: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The terms' left and right slots.  Raises unless every slot lies in
-    [-1, 2M): slot -1 is the last row of _slot_transfers' arrays, so a slot
-    outside would read another slot's row or none."""
-    left, right = terms["left"], terms["right"]
-    M2 = 2 * len(space.modes)
-    slots = np.concatenate([left, right])
-    bad = slots[(slots < -1) | (slots >= M2)]
-    if len(bad):
-        raise BoxQFTError(f"term slots must lie in [-1, {M2}), not {bad[0]}")
-    return left, right
-
-
 def _terms(left, right, coeff) -> np.ndarray:
     out = np.empty(len(coeff), dtype=TERM_DTYPE)
     out["left"], out["right"], out["coeff"] = left, right, coeff
@@ -192,9 +151,9 @@ def _compose(space: FockSpace, terms: np.ndarray):
     partial index map in the space's LadderTable, so a term is one too: each
     triplet of the right factor (its slot's slice of the table) is passed on
     by looking its target up among the left factor's sources, by binary
-    search over the table's keys.  A slot outside [-1, 2M) raises.
+    search over the table's keys.
     """
-    left, right = _term_slots(space, terms)
+    left, right = terms["left"], terms["right"]
     if len(terms) == 0:
         empty = np.zeros(0, dtype=np.int64)
         return empty, empty, empty, np.zeros(0, dtype=complex)
@@ -272,13 +231,22 @@ class QuadraticObservable:
     """A field bilinear as TERM_DTYPE records (see the module docstring).
     The builders below return densities S(x), evaluated with .at(x); a
     window (boxqft.measurement) weights the terms into the windowed
-    observable.  .matrix() realizes the terms as they stand, once."""
+    observable.  .matrix() realizes the terms as they stand, once.
+
+    Every slot must lie in [-1, 2M), checked here once for all later uses:
+    slot -1 is the last row of _slot_transfers' arrays, so a slot outside
+    would read another slot's row or none."""
 
     def __init__(self, space: FockSpace, label: str, terms,
                  vacuum_subtraction: complex = 0.0):
         self.space = space
         self.label = label
         self.terms = np.asarray(terms, dtype=TERM_DTYPE)
+        M2 = 2 * len(space.modes)
+        slots = np.concatenate([self.terms["left"], self.terms["right"]])
+        bad = slots[(slots < -1) | (slots >= M2)]
+        if len(bad):
+            raise BoxQFTError(f"term slots must lie in [-1, {M2}), not {bad[0]}")
         self.vacuum_subtraction = vacuum_subtraction
         self._matrix: Optional[Operator] = None
         # the thermal moments' diagonals for n = 1, 2, ... (boxqft.measurement)
@@ -299,7 +267,7 @@ class QuadraticObservable:
         """For each lattice vector in targets, the mask of the terms whose
         lattice transfer equals it."""
         _, lat = _slot_transfers(self.space)
-        left, right = _term_slots(self.space, self.terms)
+        left, right = self.terms["left"], self.terms["right"]
         # each slot's lattice vector as one integer, its components balanced
         # digits in a base that holds any sum of two: a term's code is then
         # the sum of its slots' codes, and equal codes mean equal vectors
@@ -316,9 +284,9 @@ class QuadraticObservable:
         """Four-momentum (n, 4) and lattice (n, 3) transfer of every term, or
         of the terms at the indices keep."""
         Q, lat = _slot_transfers(self.space)
-        left, right = _term_slots(self.space, self.terms if keep is None
-                                  else self.terms[keep])
-        return Q[left] + Q[right], lat[left] + lat[right]
+        terms = self.terms if keep is None else self.terms[keep]
+        return Q[terms["left"]] + Q[terms["right"]], \
+            lat[terms["left"]] + lat[terms["right"]]
 
     def at(self, x: FourVector) -> Operator:
         """Realize the density operator at the spacetime point x."""
@@ -389,12 +357,12 @@ def _symmetrized(space: FockSpace, label: str, W: np.ndarray) -> QuadraticObserv
 # scalar field
 
 
-def _scalar_slots(space: FockSpace, channel: str) -> np.ndarray:
+def _scalar_slots(space: FockSpace) -> np.ndarray:
     """phi(0) over the slots: (2 E V)^(-1/2) on each creator and annihilator
-    of the channel."""
-    space.grid(channel)                     # raises UnknownMode
+    of the channel "phi"."""
+    space.grid("phi")                       # raises UnknownMode
     M = len(space.modes)
-    idx = np.array([i for i, m in enumerate(space.modes) if m.channel == channel],
+    idx = np.array([i for i, m in enumerate(space.modes) if m.channel == "phi"],
                    dtype=np.int64)
     out = np.zeros(2 * M, dtype=complex)
     out[idx] = out[M + idx] = 1.0 / np.sqrt(2 * space.mode_energies[idx]
@@ -402,33 +370,32 @@ def _scalar_slots(space: FockSpace, channel: str) -> np.ndarray:
     return out
 
 
-def scalar_density(space: FockSpace, channel: str = "phi") -> QuadraticObservable:
+def scalar_density(space: FockSpace) -> QuadraticObservable:
     """The field phi itself as a (linear) observable density."""
-    return _linear(space, "phi", _scalar_slots(space, channel))
+    return _linear(space, "phi", _scalar_slots(space))
 
 
-def scalar_momentum_density(space: FockSpace, channel: str = "phi") -> QuadraticObservable:
+def scalar_momentum_density(space: FockSpace) -> QuadraticObservable:
     """Conjugate momentum pi = d_t phi."""
     Q, _ = _slot_transfers(space)
-    return _linear(space, "pi", _scalar_slots(space, channel) * 1j * Q[:-1, 0])
+    return _linear(space, "pi", _scalar_slots(space) * 1j * Q[:-1, 0])
 
 
-def scalar_bilinear_density(space: FockSpace, channel: str = "phi") -> QuadraticObservable:
+def scalar_bilinear_density(space: FockSpace) -> QuadraticObservable:
     """Normal-ordered :phi^2:(x)."""
-    ell = _scalar_slots(space, channel)
+    ell = _scalar_slots(space)
     return _symmetrized(space, "phi2", np.multiply.outer(ell, ell))
 
 
-def stress_tensor_scalar(space: FockSpace, mu: int, nu: int,
-                         channel: str = "phi") -> QuadraticObservable:
+def stress_tensor_scalar(space: FockSpace, mu: int, nu: int) -> QuadraticObservable:
     """T^{mu nu} = d^mu phi d^nu phi - g^{mu nu}(d phi . d phi - m^2 phi^2)/2.
 
     Derivatives act analytically: a slot with transfer q picks up i*q^mu.
     """
     if mu not in range(4) or nu not in range(4):
         raise BoxQFTError("tensor indices must be 0..3")
-    ell = _scalar_slots(space, channel)
-    m = space.grid(channel).mass
+    ell = _scalar_slots(space)
+    m = space.grid("phi").mass
     Q = _slot_transfers(space)[0][:-1]
     # (i q1^mu)(i q2^nu) symmetrized in (mu,nu), minus the trace part, built
     # in place in three (2M)^2 buffers: -(q1^mu q2^nu + q1^nu q2^mu) / 2 and
@@ -529,23 +496,28 @@ def photon_space_channels(grid: ModeGrid):
     return tuple((ch, grid) for ch in PHOTON_CHANNELS)
 
 
-def _em_vector_slots(space: FockSpace, config: EMFieldConfig) -> np.ndarray:
+def _em_vector_slots(space: FockSpace) -> np.ndarray:
     """The three components of A(0), radiation gauge (A^0=0), as a (3, 2M)
-    array over the slots."""
+    array over the slots.
+
+    V is linear polarization along axis 1, H along axis 2.  The V vector
+    flips sign for k3 < 0 (the standard linear polarization convention
+    under k -> -k); the flip only re-phases the modes but fixes the sign of
+    counter-propagating interference terms."""
     M = len(space.modes)
     A = np.zeros((3, 2 * M), dtype=complex)
     for lam in PHOTON_CHANNELS:
         grid = space.grid(lam)
         for n in grid.modes:
-            e = config.polarization(lam, n[0])
+            e = np.array([-1.0 if n[0] < 0 else 1.0, 0.0, 0.0] if lam == "V"
+                         else [0.0, 1.0, 0.0], dtype=complex)
             amp = 1.0 / math.sqrt(2 * grid.energy(n) * grid.volume)
             j = space.mode_index[(lam, n)]
             A[:, M + j], A[:, j] = amp * e, amp * np.conj(e)
     return A
 
 
-def stress_tensor_em(space: FockSpace, mu: int, nu: int,
-                     config: Optional[EMFieldConfig] = None) -> QuadraticObservable:
+def stress_tensor_em(space: FockSpace, mu: int, nu: int) -> QuadraticObservable:
     """EM stress tensor from the covariant definition, expressed in E and B:
 
         T^{00} = (|E|^2+|B|^2)/2
@@ -556,7 +528,7 @@ def stress_tensor_em(space: FockSpace, mu: int, nu: int,
     (traceless, and zero transverse pressure for a plane wave).
     """
     Q, _ = _slot_transfers(space)
-    A = _em_vector_slots(space, config or EMFieldConfig())
+    A = _em_vector_slots(space)
     # E = -d_t A and B = curl A, derivatives as i q^mu on each slot
     E = -1j * Q[:-1, 0] * A
     B = np.zeros_like(A)
@@ -579,12 +551,11 @@ def stress_tensor_em(space: FockSpace, mu: int, nu: int,
     return _symmetrized(space, f"T{mu}{nu}_em", W)
 
 
-def em_field_strength_density(space: FockSpace, mu: int, nu: int,
-                              config: Optional[EMFieldConfig] = None,
-                              ) -> QuadraticObservable:
+def em_field_strength_density(space: FockSpace, mu: int,
+                              nu: int) -> QuadraticObservable:
     """F^{mu nu} = d^mu A^nu - d^nu A^mu as a linear observable density."""
     Q, _ = _slot_transfers(space)
-    A = _em_vector_slots(space, config or EMFieldConfig())
+    A = _em_vector_slots(space)
 
     def dA(m, n_):
         # d^m A^n with A^0 = 0;  d^m -> i q^m (upper index)

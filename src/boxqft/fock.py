@@ -557,11 +557,11 @@ class SagnacConfig:
     mass: float
     k3: float
     phase: float = 0.0
-    v_c: float = 1.0
 
     @property
     def energy(self) -> float:
-        return math.sqrt(self.mass ** 2 + self.v_c ** 2 * self.k3 ** 2)
+        """The arms' energy at v_c = 1."""
+        return math.sqrt(self.mass ** 2 + self.k3 ** 2)
 
     @property
     def momentum_transfer(self) -> FourVector:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -35,42 +35,29 @@ class MeasurementWindow:
     """Integration region: the full box spatially, duration tau in time.
 
     envelope "rect": sharp window of length tau centered at t=0.
-    envelope "gauss": Gaussian time envelope exp(-t^2/(2 sigma_t^2)); an
-    optional spatial Gaussian exp(-|x|^2/(2 sigma_x^2)) replaces the sharp
-    box (treated in open space, valid for sigma_x << L).
+    envelope "gauss": Gaussian time envelope exp(-t^2/(2 sigma_t^2)) of
+    width sigma_t = tau/2.
     """
     tau: float
     envelope: str = "rect"
-    sigma_t: Optional[float] = None
-    sigma_x: Optional[float] = None
 
     def __post_init__(self):
         if self.envelope not in ("rect", "gauss"):
             raise BoxQFTError("envelope must be 'rect' or 'gauss'")
-        if self.envelope == "gauss" and self.sigma_t is None:
-            object.__setattr__(self, "sigma_t", self.tau / 2.0)
 
     def time_transform(self, omega):
         """integral over the window of e^{i omega t}, elementwise for an
         array of omega."""
         if self.envelope == "rect":
             return self.tau * np.sinc(omega * self.tau / (2 * math.pi))
-        return math.sqrt(2 * math.pi) * self.sigma_t * \
-            np.exp(-0.5 * (self.sigma_t * omega) ** 2)
+        sigma_t = self.tau / 2.0
+        return math.sqrt(2 * math.pi) * sigma_t * \
+            np.exp(-0.5 * (sigma_t * omega) ** 2)
 
 
 def commensurate_tau(energy: float, periods: int = 1) -> float:
     """Duration equal to an integer number of mode periods 2*pi/E."""
     return periods * 2 * math.pi / energy
-
-
-def _gauss_spatial_factor(w: MeasurementWindow, transfer: np.ndarray,
-                          p_spatial: np.ndarray) -> np.ndarray:
-    """Gaussian spatial transform of every term, from the terms'
-    four-momentum (n, 4) transfers."""
-    d = transfer[:, 1:] + p_spatial   # residual spatial transfer after the weight
-    return (math.sqrt(2 * math.pi) * w.sigma_x) ** 3 * \
-        np.exp(-0.5 * w.sigma_x ** 2 * np.sum(d * d, axis=1))
 
 
 def _box_windowed(S: QuadraticObservable, w: MeasurementWindow, label: str,
@@ -94,12 +81,7 @@ def windowed_observable(S: QuadraticObservable,
     """S integrated over the box and the time window (plain weight).  The
     box keeps the terms at lattice transfer 0 only, and only those are
     transformed."""
-    label = f"{S.label}|win"
-    if w.sigma_x is None:
-        return _box_windowed(S, w, label, [((0, 0, 0), 1.0, 0.0)])
-    q, _ = S.transfers()
-    factor = _gauss_spatial_factor(w, q, np.zeros(3)) * w.time_transform(q[:, 0])
-    return S.weighted(label, factor)
+    return _box_windowed(S, w, f"{S.label}|win", [((0, 0, 0), 1.0, 0.0)])
 
 
 def spacelike_windowed_observable(S: QuadraticObservable, p: FourVector,
@@ -111,21 +93,12 @@ def spacelike_windowed_observable(S: QuadraticObservable, p: FourVector,
     The box keeps the terms at lattice transfer -lat(p) or +lat(p) (one
     target when lat(p) = 0), and only those are transformed.
     """
-    space = S.space
     if classify_interval(p) is not IntervalClass.SPACELIKE:
         warnings.warn("readout momentum p is not space-like; vacuum noise "
                       "suppression does not apply", stacklevel=2)
-    label = f"{S.label}|cos"
-    lat_p = space.lattice_of(p)
-    if w.sigma_x is None:
-        return _box_windowed(S, w, label, [
-            (tuple(-v for v in lat_p), 0.5, p.t), (lat_p, 0.5, -p.t)])
-    q, _ = S.transfers()
-    factor = 0.5 * _gauss_spatial_factor(w, q, +p.spatial) * \
-        w.time_transform(q[:, 0] + p.t)
-    factor = factor + 0.5 * _gauss_spatial_factor(w, q, -p.spatial) * \
-        w.time_transform(q[:, 0] - p.t)
-    return S.weighted(label, factor)
+    lat_p = S.space.lattice_of(p)
+    return _box_windowed(S, w, f"{S.label}|cos", [
+        (tuple(-v for v in lat_p), 0.5, p.t), (lat_p, 0.5, -p.t)])
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +208,7 @@ _PHOTON_SELECTORS: Dict[str, Sequence[Tuple[float, Tuple[int, int]]]] = {
 
 
 def photon_signal(space: FockSpace, config: SagnacConfig, selector: str,
-                  w: MeasurementWindow, em_config=None) -> float:
+                  w: MeasurementWindow) -> float:
     """Expectation of a stress-tensor combination on the vertical-polarization
     counter-propagating state, under the cosine window at p = (0,0,0,2k3)."""
     if selector not in _PHOTON_SELECTORS:
@@ -245,7 +218,7 @@ def photon_signal(space: FockSpace, config: SagnacConfig, selector: str,
     p = config.momentum_transfer
     total = 0.0
     for weight, (mu, nu) in _PHOTON_SELECTORS[selector]:
-        dens = stress_tensor_em(space, mu, nu, em_config)
+        dens = stress_tensor_em(space, mu, nu)
         obs = spacelike_windowed_observable(dens, p, w)
         total += weight * expectation(state, obs.matrix()).real
     return total
@@ -259,15 +232,12 @@ def photon_signal(space: FockSpace, config: SagnacConfig, selector: str,
 class LocalizationRow:
     sigma_t: float
     leakage: float
-    vacuum_variance: Optional[float]
-    observable: Optional[QuadraticObservable] = field(default=None, repr=False,
-                                                      compare=False)
+    vacuum_variance: float
+    observable: QuadraticObservable = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
 class LocalizationReport:
-    envelope: str
-    p: Tuple[float, float, float, float]
     rows: Tuple[LocalizationRow, ...]
 
     def leakage_is_monotone(self) -> bool:
@@ -275,68 +245,25 @@ class LocalizationReport:
         return all(b <= a + 1e-15 for a, b in zip(ls, ls[1:]))
 
 
-def _sine_integral_tail(z: float) -> float:
-    """int_z^inf sin(t)/t dt = pi/2 - Si(z), for z >= 0.
-
-    Up to z = 4, pi/2 minus the power series of Si (24 terms reach below
-    1e-20 there).  Beyond, the integral along t = z + i*s, s >= 0, which is
-    Im(i e^{iz} int_0^inf e^{-s}/(z + i*s) ds), on a 60-node Gauss-Laguerre
-    rule: the tail keeps its own relative accuracy where it is small.
-    """
-    if z <= 4.0:
-        term = si = z
-        for k in range(1, 25):
-            term *= -z * z / ((2 * k) * (2 * k + 1))
-            si += term / (2 * k + 1)
-        return math.pi / 2 - si
-    s, w = np.polynomial.laguerre.laggauss(60)
-    return float((1j * np.exp(1j * z) * np.sum(w / (z + 1j * s))).imag)
-
-
-def _timelike_leakage(pbar3: float, sigma_t: float, envelope: str) -> float:
-    """Normalized weight of |N(p - pbar)|^2 in the time-like region.
-
-    The spatial part of N is kept box-sharp (Kronecker), so the leakage is
-    the fraction of the time transform beyond |p0| > |pbar3|: erfc for a
-    Gaussian.  For a rectangular window of duration tau = 2 sigma_t it is
-    the sinc^2 tail (2/pi) int_x^inf sin^2(u)/u^2 du with
-    x = |pbar3| tau/2 = |pbar3| sigma_t, in closed form
-    2 (sin^2(x)/x + pi/2 - Si(2x))/pi.
-    """
-    q = abs(pbar3)
-    if envelope == "gauss":
-        return float(math.erfc(sigma_t * q))
-    if envelope == "rect":
-        x = q * sigma_t
-        head = math.sin(x) ** 2 / x if x else 0.0
-        return 2.0 * (head + _sine_integral_tail(2.0 * x)) / math.pi
-    raise BoxQFTError("envelope must be 'gauss' or 'rect'")
-
-
 def localization_effect(pbar: FourVector, sigmas: Sequence[float],
-                        envelope: str = "gauss",
-                        density: Optional[QuadraticObservable] = None,
-                        ) -> LocalizationReport:
+                        density: QuadraticObservable) -> LocalizationReport:
     """Leakage of a localized readout window into the time-like region.
 
-    For each time width sigma_t: the normalized leakage weight of
-    |N(p-pbar)|^2 over p.p > 0, plus (when a density is given) the exact
-    lattice vacuum variance of the correspondingly smeared observable, which
-    the row keeps.
+    For each time width sigma_t: the normalized weight of |N(p-pbar)|^2
+    over p.p > 0, and the exact lattice vacuum variance of the density
+    under the Gaussian window of duration tau = 2 sigma_t, whose observable
+    the row keeps.  The spatial part of N is the box-sharp (Kronecker)
+    window, so the leakage is the fraction of the Gaussian time transform
+    beyond |p0| > |pbar3|: erfc(sigma_t |pbar3|).
     """
     rows = []
     for s in sigmas:
-        leak = _timelike_leakage(pbar.z, s, envelope)
-        var = obs = None
-        if density is not None:
-            w = MeasurementWindow(tau=2 * s, envelope="gauss", sigma_t=s) \
-                if envelope == "gauss" else MeasurementWindow(tau=2 * s)
-            obs = spacelike_windowed_observable(density, pbar, w)
-            var = vacuum_variance(density.space, obs)
-        rows.append(LocalizationRow(sigma_t=float(s), leakage=leak,
-                                    vacuum_variance=var, observable=obs))
-    return LocalizationReport(envelope=envelope, p=tuple(pbar.as_array()),
-                              rows=tuple(rows))
+        obs = spacelike_windowed_observable(
+            density, pbar, MeasurementWindow(tau=2 * s, envelope="gauss"))
+        rows.append(LocalizationRow(
+            sigma_t=float(s), leakage=float(math.erfc(s * abs(pbar.z))),
+            vacuum_variance=vacuum_variance(density.space, obs), observable=obs))
+    return LocalizationReport(rows=tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -345,27 +272,15 @@ def localization_effect(pbar: FourVector, sigmas: Sequence[float],
 
 @dataclass(frozen=True)
 class HomodyneConfig:
-    """Interaction coefficient alpha, arm attenuation, and phase offsets.
+    """Interaction coefficient alpha and phase offsets.
 
     The reference arm amplitude is 1; the signal arm acquires
-    attenuation * exp(i (phase + tune)) * alpha * S.  |alpha*S| << 1 is the
-    calibrated linear regime.
+    exp(i (phase + tune)) * alpha * S.  |alpha*S| << 1 is the calibrated
+    linear regime.
     """
     alpha: float
-    attenuation: float = 1.0
     phase: float = 0.0
     tune: float = 0.0
-
-    def __post_init__(self):
-        if not (0.0 < self.attenuation <= 1.0):
-            raise BoxQFTError("attenuation must be in (0, 1]")
-
-
-@dataclass(frozen=True)
-class HomodyneResult:
-    exact: float
-    linearized: float
-    linearization_error: float
 
 
 def balanced_difference(x: Operator) -> Operator:
@@ -375,21 +290,14 @@ def balanced_difference(x: Operator) -> Operator:
     return 2.0 * (x + x.adjoint())
 
 
-def homodyne_difference(s_value: float, cfg: HomodyneConfig) -> HomodyneResult:
+def homodyne_difference(s_value: float, cfg: HomodyneConfig) -> float:
     """Balanced difference |1 + x|^2 - |1 - x|^2 with x the modulated signal.
 
-    For real x the identity gives exactly 4*alpha*S; attenuation and phase
-    offsets rescale it to 4*eta*cos(phi)*alpha*S, reported against the ideal
-    linearization 4*alpha*S.
+    For real x the identity gives exactly 4*alpha*S; a phase offset phi
+    rescales it to 4*cos(phi)*alpha*S.
     """
-    x = cfg.attenuation * np.exp(1j * (cfg.phase + cfg.tune)) * cfg.alpha * s_value
-    exact = float(abs(1 + x) ** 2 - abs(1 - x) ** 2)
-    linear = 4 * cfg.alpha * s_value
-    return HomodyneResult(
-        exact=exact,
-        linearized=linear,
-        linearization_error=abs(exact - linear),
-    )
+    x = np.exp(1j * (cfg.phase + cfg.tune)) * cfg.alpha * s_value
+    return float(abs(1 + x) ** 2 - abs(1 - x) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -408,11 +316,11 @@ class RegressionRow:
     matched_variant: str
 
 
-def _match_variant(value, main, appendix, tol=1e-9) -> str:
+def _match_variant(value, main, appendix) -> str:
     hits = []
-    if abs(value - main) <= tol * max(1.0, abs(main)):
+    if abs(value - main) <= 1e-9 * max(1.0, abs(main)):
         hits.append("main_text")
-    if abs(value - appendix) <= tol * max(1.0, abs(appendix)):
+    if abs(value - appendix) <= 1e-9 * max(1.0, abs(appendix)):
         hits.append("appendix")
     return "+".join(hits) if hits else "none"
 

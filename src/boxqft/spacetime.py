@@ -17,7 +17,7 @@ from .errors import BoxQFTError
 
 METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
 
-#: default relative tolerance for interval classification
+#: relative width of the light-like band of interval classification
 EPS_CLS = 1e-12
 
 
@@ -71,16 +71,14 @@ def minkowski_dot(a: FourVector, b: FourVector) -> float:
     return a.t * b.t - a.x * b.x - a.y * b.y - a.z * b.z
 
 
-def classify_interval(p: FourVector, eps_cls: float = EPS_CLS) -> IntervalClass:
-    """Classify p.p against a light-like band of relative width eps_cls.
+def classify_interval(p: FourVector) -> IntervalClass:
+    """Classify p.p against a light-like band of relative width EPS_CLS.
 
     The band makes floating-point classification deterministic: p is
-    light-like whenever |p.p| <= eps_cls * ||p||^2 (Euclidean norm).
+    light-like whenever |p.p| <= EPS_CLS * ||p||^2 (Euclidean norm).
     """
-    if eps_cls < 0:
-        raise BoxQFTError("eps_cls must be non-negative")
     s = minkowski_dot(p, p)
-    band = eps_cls * p.norm_sq_euclidean()
+    band = EPS_CLS * p.norm_sq_euclidean()
     if s > band:
         return IntervalClass.TIMELIKE
     if s < -band:
@@ -114,22 +112,18 @@ class ContourBranch:
     """One flat part of the contour.
 
     direction: +1 when the real time grows with the contour parameter,
-    -1 when it shrinks.  imag_offset records the sign of the infinitesimal
-    imaginary displacement i*eps of the branch.
+    -1 when it shrinks.
     """
-    index: int
     direction: int
-    imag_offset: float
 
 
 @dataclass(frozen=True)
 class CTPTime:
-    """A point on the contour: branch index, (complex) time, parameter s.
+    """A point on the contour: (complex) time and parameter s.
 
     s increases strictly along the contour, so CTPTime values are totally
     ordered by s.
     """
-    branch: int
     t: complex
     s: float
 
@@ -140,7 +134,6 @@ class CTPTime:
 @dataclass(frozen=True)
 class Contour:
     branches: tuple
-    matsubara_beta: float
 
     def time(self, branch: int, t: float) -> CTPTime:
         """Place a real time t on the given branch."""
@@ -148,25 +141,11 @@ class Contour:
         # squash direction*t into [0,1) so s = branch + fraction is a global
         # strictly increasing parameter along the whole contour
         frac = (math.atan(b.direction * float(np.real(t))) + math.pi / 2) / math.pi
-        return CTPTime(branch=branch, t=complex(t), s=branch + frac)
+        return CTPTime(t=complex(t), s=branch + frac)
 
 
-def ctp_contour(beta: float, branch_count: int = 2) -> Contour:
-    """Branch descriptors of the contour.
-
-    branch_count=2 is the standard forward(+i*eps)/backward(-i*eps) contour;
-    branch_count=3 inserts a middle part so three insertions can be placed in
-    a fixed order 1 < 2 < 3.  The final vertical segment of length beta is
-    kept as metadata only (all free-theory formulas used downstream are in
-    closed form in beta).
-    """
-    if not (beta > 0):
-        raise BoxQFTError("beta must be positive (use math.inf for T=0)")
-    if branch_count == 2:
-        branches = (ContourBranch(0, +1, +1.0), ContourBranch(1, -1, -1.0))
-    elif branch_count == 3:
-        branches = (ContourBranch(0, +1, +1.0), ContourBranch(1, -1, 0.0),
-                    ContourBranch(2, +1, -1.0))
-    else:
-        raise BoxQFTError(f"branch_count must be 2 or 3, got {branch_count}")
-    return Contour(branches=branches, matsubara_beta=float(beta))
+def ctp_contour() -> Contour:
+    """The forward(+i*eps)/backward(-i*eps) contour of two branches.  Its
+    final vertical segment of length beta is left out: every free-theory
+    formula used downstream is in closed form in beta."""
+    return Contour(branches=(ContourBranch(+1), ContourBranch(-1)))

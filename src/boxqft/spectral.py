@@ -48,14 +48,15 @@ Both paths refuse terms that are not unique and normal-ordered.
 Each density holds one memo, a plain dict, for the pair {lat, -lat} it was
 last asked about: the block terms of both targets, one auto line spectrum
 (Y is X) and its vacuum records.  The auto spectrum at -lat is the one at
-+lat transposed, so the memo keeps only the side asked for first, and a
-pair costs one join.  A finite-beta sample at the other side reads it in
-place: it selects the lines in the bin at the negated energies (negating a
-float is exact), sorts only those into the transposed row-major order and
++lat transposed, so the memo keeps only the side a sample asked for first,
+and a pair costs one join.  A finite-beta sample at the other side reads it
+in place: it selects the lines in the bin at the negated energies (negating
+a float is exact), sorts only those into the transposed row-major order and
 takes the weights at their columns, so the sum adds the same numbers in the
 same order as a sum over the transposed spectrum.  A cross spectrum (Y is
-not X) is joined afresh on each request.  The memo holds no reference to
-its density, so a density is freed by reference counting alone.
+not X), and any spectrum asked of line_spectrum, is joined afresh on each
+request.  The memo holds no reference to its density, so a density is freed
+by reference counting alone.
 """
 
 from __future__ import annotations
@@ -88,7 +89,6 @@ class SpectralSample:
     norm_tag: str
     dominant_weight: float
     term_count: int
-    delta_omega: float
 
 
 @dataclass(frozen=True)
@@ -197,15 +197,6 @@ def _line_spectrum(space: FockSpace, x_terms: np.ndarray,
                         value[keep])
 
 
-def _transposed(space: FockSpace, lines: LineSpectrum) -> LineSpectrum:
-    """B∘Aᵀ from A∘Bᵀ: entry (n, m) becomes (m, n), in row-major order.  The
-    values keep their bits: _cmul commutes exactly."""
-    order = np.argsort(lines.col.astype(np.int64) * space.dim + lines.row)
-    row, col = lines.col[order], lines.row[order]
-    return LineSpectrum(row, col, space.energies[col] - space.energies[row],
-                        lines.value[order])
-
-
 def _auto_lines(space: FockSpace, X: QuadraticObservable,
                 lat: Tuple[int, int, int]) -> Tuple[LineSpectrum, bool]:
     """X's auto spectrum at lat as (lines, flipped): the one that X's memo
@@ -225,19 +216,12 @@ def _auto_lines(space: FockSpace, X: QuadraticObservable,
 def line_spectrum(space: FockSpace, X: QuadraticObservable,
                   Y: QuadraticObservable,
                   lat: Tuple[int, int, int]) -> LineSpectrum:
-    """Line spectrum of A = X(-lat), B = Y(lat).
-
-    The auto spectrum (Y is X) is kept in X's memo at the side of the pair
-    {lat, -lat} asked for first; the other side is that one transposed,
-    built on request and not stored.  A cross spectrum is not stored.
-    """
+    """Line spectrum of A = X(-lat), B = Y(lat), joined afresh from the
+    block terms in X's and Y's memos; the spectrum is not stored."""
     lat = tuple(lat)
-    if Y is not X:
-        neg = tuple(-v for v in lat)
-        return _line_spectrum(space, _memo(space, X, neg)["terms"][neg],
-                              _memo(space, Y, lat)["terms"][lat])
-    lines, flipped = _auto_lines(space, X, lat)
-    return _transposed(space, lines) if flipped else lines
+    neg = tuple(-v for v in lat)
+    return _line_spectrum(space, _memo(space, X, neg)["terms"][neg],
+                          _memo(space, Y, lat)["terms"][lat])
 
 
 def default_delta_omega(space: FockSpace) -> float:
@@ -303,18 +287,19 @@ def lehmann_spectral_density(space: FockSpace, X: QuadraticObservable,
     return SpectralSample(tuple(p.as_array().tolist()),
                           complex((value * w).sum()) / space.volume, beta,
                           X.label, Y.label, NORM_TAG,
-                          float(w.max()) if len(w) else 0.0, len(w), delta_omega)
+                          float(w.max()) if len(w) else 0.0, len(w))
 
 
 def fdt_ratio(space: FockSpace, X: QuadraticObservable, p: FourVector,
-              beta: float, delta_omega: Optional[float] = None):
-    """(G(-p), e^{-beta p0} G(p)) for the detailed-balance check; beta must
-    be finite, and e^{-beta p0} a float."""
+              beta: float):
+    """(G(-p), e^{-beta p0} G(p), the sample at p) for the detailed-balance
+    check, at the default bin width; beta must be finite, and e^{-beta p0} a
+    float."""
     if not math.isfinite(beta):
         # at beta = inf, e^{-beta p0} G(p) is 0 * inf or nan
         raise BoxQFTError(f"detailed balance needs a finite beta, not {beta!r}")
-    g_plus = lehmann_spectral_density(space, X, X, p, beta, delta_omega)
-    g_minus = lehmann_spectral_density(space, X, X, -1.0 * p, beta, delta_omega)
+    g_plus = lehmann_spectral_density(space, X, X, p, beta)
+    g_minus = lehmann_spectral_density(space, X, X, -1.0 * p, beta)
     try:
         weight = math.exp(-beta * p.t)
     except OverflowError:
@@ -354,11 +339,11 @@ class SpectrumDescriptor:
     tensor prefactor, with proportionality constants fixed to 1.
 
     support: 'lightcone_delta' (D=1), 'inverse_sqrt' (D=2), 'step' (D=3).
-    s_type 'current': prefactor (p^mu p^nu - g^{mu nu} p.p);
-    s_type 'energy': prefactor |p_spatial|^4 (two more derivatives).
-    Evaluation is identically zero for p.p < 0 in every dimension.
+    s_type 'current': prefactor (p^mu p^nu - g^{mu nu} p.p), evaluated at
+    mu = nu = 1; s_type 'energy': prefactor |p_spatial|^4 (two more
+    derivatives).  Evaluation is identically zero for p.p < 0 in every
+    dimension.
     """
-    dimension: int
     s_type: str
     support: str
 
@@ -381,11 +366,11 @@ class SpectrumDescriptor:
             return math.inf if s == 0 else 1.0 / math.sqrt(s)
         return 1.0
 
-    def evaluate(self, p: FourVector, mu: int = 1, nu: int = 1) -> float:
+    def evaluate(self, p: FourVector) -> float:
         s = minkowski_dot(p, p)
         if s < 0:
             return 0.0
-        return self.tensor_prefactor(p, mu, nu) * self.support_value(p)
+        return self.tensor_prefactor(p) * self.support_value(p)
 
 
 _SUPPORTS = {1: "lightcone_delta", 2: "inverse_sqrt", 3: "step"}
@@ -396,13 +381,11 @@ def massless_current_spectrum(D: int, s_type: str = "current") -> SpectrumDescri
         raise BoxQFTError("D must be 1, 2 or 3")
     if s_type not in ("current", "energy"):
         raise BoxQFTError("s_type must be 'current' or 'energy'")
-    return SpectrumDescriptor(dimension=D, s_type=s_type, support=_SUPPORTS[D])
+    return SpectrumDescriptor(s_type=s_type, support=_SUPPORTS[D])
 
 
-def _time_window_sq(w: np.ndarray, tau: float, envelope: str) -> np.ndarray:
-    """|time transform|^2 for a window of duration tau."""
-    if envelope == "rect":
-        return (tau * np.sinc(w * tau / (2 * math.pi))) ** 2
+def _time_window_sq(w: np.ndarray, tau: float) -> np.ndarray:
+    """|time transform|^2 for the Gaussian window of duration tau."""
     sigma = tau / 2.0
     return 2 * math.pi * sigma ** 2 * np.exp(-(sigma * w) ** 2)
 
@@ -469,8 +452,7 @@ def _check_positive(name: str, value) -> None:
         raise BoxQFTError(f"{name} must be finite and > 0, not {value!r}")
 
 
-def windowed_noise(s_type: str, D: int, V: float, tau,
-                   envelope: str = "gauss", n_grid: int = 48):
+def windowed_noise(s_type: str, D: int, V: float, tau, n_grid: int = 48):
     """Vacuum noise <Sbar^2> of the box-and-duration windowed observable.
 
     Quadrature of the massless spectrum against the squared window
@@ -480,8 +462,10 @@ def windowed_noise(s_type: str, D: int, V: float, tau,
     rule per node count and the u-space cores per (D, n_grid), kept
     read-only in small memos.
 
-    D >= 2 uses the Gaussian envelope of width sigma = tau/2 and a
-    Gauss-Legendre grid of n_grid nodes per axis on [0, 12/sigma].  In the
+    The time window is the Gaussian envelope of width sigma = tau/2.  Sharp
+    switching would excite arbitrarily hard modes, so for D >= 2 the
+    integral would be dominated by high frequencies, burying the infrared
+    scaling law.  D >= 2 uses a Gauss-Legendre grid of n_grid nodes per axis on [0, 12/sigma].  In the
     scaled variable u = sigma*p those nodes are fixed, u = 6(x+1), and the
     time part and spectral prefactor depend only on u times a power of
     sigma.  The remaining tau dependence is the box window, which factorizes
@@ -491,16 +475,10 @@ def windowed_noise(s_type: str, D: int, V: float, tau,
     quadrature needs no scipy.
 
     D = 1 integrates the light-cone branches on a 8*n_grid (at least 256)
-    point rule and supports the sharp (rect) envelope too.  Sharp switching
-    excites arbitrarily hard modes, so for D >= 2 the integral would be
-    dominated by high frequencies, burying the infrared scaling law; a rect
-    envelope there is rejected.  Durations below 3*V^(1/D) are warned about.
+    point rule.  Durations below 3*V^(1/D) are warned about.
     """
     import warnings
     massless_current_spectrum(D, s_type)            # validates D and s_type
-    if envelope == "rect" and D >= 2:
-        raise BoxQFTError("rect time envelopes are only supported in D=1; "
-                          "use the Gaussian envelope for D >= 2")
     _check_count("n_grid", n_grid, 1)
     n_grid = int(n_grid)
     _check_positive("V", V)
@@ -523,7 +501,7 @@ def windowed_noise(s_type: str, D: int, V: float, tau,
         pv = 0.5 * K * (x + 1.0)
         jw = 0.5 * K * wts
         pref = pv ** 2 if s_type == "current" else pv ** 4
-        integ = _box_window_sq(pv, L) * pref / pv * _time_window_sq(pv, t, envelope)
+        integ = _box_window_sq(pv, L) * pref / pv * _time_window_sq(pv, t)
         out = 2 * meas * np.sum(jw * integ, axis=1)
         return float(out[0]) if np.ndim(tau) == 0 else out
 
@@ -552,8 +530,6 @@ def windowed_noise(s_type: str, D: int, V: float, tau,
 
 @dataclass(frozen=True)
 class NoiseExponentFit:
-    s_type: str
-    dimension: int
     exponent: float
     expected: float
     points: Tuple[Tuple[float, float], ...]
@@ -574,7 +550,7 @@ def noise_exponent_fit(s_type: str, D: int, V: float, tau_min: float,
     coef = np.polyfit(np.log(taus), np.log(vals), 1)
     expected = float(2 - 2 * D) if s_type == "current" else float(-2 * D)
     pts = tuple((float(t), float(v)) for t, v in zip(taus, vals))
-    return NoiseExponentFit(s_type, D, float(coef[0]), expected, pts)
+    return NoiseExponentFit(float(coef[0]), expected, pts)
 
 
 # ---------------------------------------------------------------------------
@@ -583,13 +559,10 @@ def noise_exponent_fit(s_type: str, D: int, V: float, tau_min: float,
 
 @dataclass(frozen=True)
 class SignalNoiseCurve:
-    dimension: int
-    energy: float
     rows: Tuple[Tuple[float, float, float, float], ...]  # tau, signal, noise, ratio
-    tau_star: float
 
 
-def signal_vs_noise_curve(D: int, E: float, taus: Sequence[float]) -> SignalNoiseCurve:
+def signal_vs_noise_curve(D: int, taus: Sequence[float]) -> SignalNoiseCurve:
     """Qualitative single-particle signal (~tau) against vacuum noise
     (~tau^(1-D)) with unit prefactors; the crossover is tau* = 1."""
     rows = []
@@ -597,6 +570,4 @@ def signal_vs_noise_curve(D: int, E: float, taus: Sequence[float]) -> SignalNois
         signal = float(tau)
         noise = float(tau ** (1 - D))
         rows.append((float(tau), signal, noise, signal / noise))
-    return SignalNoiseCurve(dimension=D, energy=float(E), rows=tuple(rows),
-                            tau_star=1.0)
-
+    return SignalNoiseCurve(rows=tuple(rows))

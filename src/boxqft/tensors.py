@@ -11,20 +11,21 @@ Invariant models fitted by exact-rank linear least squares:
 In the canonical frame p = (0,0,0,q), positivity of diagonal correlations
 forces xi = 0 (vector), v = f = 0 (symmetric) and a = v = f = 0, hence G = 0
 (antisymmetric).  b is real for space-like p and may be complex for
-time-like p; the fits honor that constraint.
+time-like p; the fits honor that constraint.  A fit returns its coefficients
+only: the caller (boxqft noiseless) compares the forced zeros with 0.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
 from .errors import (BoxQFTError, DegenerateBasis, RequiresCanonicalFrame)
 from .spacetime import (METRIC, FourVector, IntervalClass, boost, boost_matrix,
-                        classify_interval, minkowski_dot)
+                        classify_interval)
 
 # rank-4 Levi-Civita symbol from permutation parity, eps^{0123} = +1
 import itertools as _it
@@ -54,59 +55,42 @@ class TensorCorrelation:
 @dataclass
 class DecompositionFit:
     coefficients: Dict[str, complex]
-    residual: float
-    degenerate: bool = False
-    positivity_violations: List[str] = field(default_factory=list)
 
 
 def _lstsq(basis: Sequence[np.ndarray], data: np.ndarray, real_params: bool):
-    """Exact-rank least squares; returns (coeffs, residual_rel)."""
+    """Exact-rank least squares; returns the coefficients."""
     cols = [b.reshape(-1) for b in basis]
     A = np.stack(cols, axis=1)
     y = data.reshape(-1)
     if real_params:
         A = np.concatenate([A.real, A.imag], axis=0)
         y = np.concatenate([y.real, y.imag])
-    coeffs = np.linalg.lstsq(A, y, rcond=None)[0]
-    model = A @ coeffs
-    ny = float(np.linalg.norm(y))
-    resid = float(np.linalg.norm(y - model))
-    return coeffs, (resid / ny if ny > 0 else resid)
+    return np.linalg.lstsq(A, y, rcond=None)[0]
 
 
-def _degeneracy(p: FourVector) -> bool:
+def _check_nonzero(p: FourVector) -> None:
     if p.norm_sq_euclidean() == 0.0:
         raise DegenerateBasis("p = 0 collapses the tensor basis")
-    return classify_interval(p) is IntervalClass.LIGHTLIKE
 
 
 # ---------------------------------------------------------------------------
 # vector
 
 
-def decompose_vector(G: TensorCorrelation,
-                     p: Optional[FourVector] = None) -> DecompositionFit:
-    """Fit G^{mn} = eta p^m p^n - xi g^{mn}.
+def decompose_vector(G: TensorCorrelation) -> DecompositionFit:
+    """Fit G^{mn} = eta p^m p^n - xi g^{mn} at G's momentum p.
 
-    For positivity-consistent space-like vacuum data xi = 0; conservation
-    (p.A = 0) additionally forces eta = 0.  Light-like p keeps the basis
-    independent but voids the positivity frame argument: flagged, not
-    rejected.
+    For positivity-consistent space-like vacuum data xi = 0 (in the
+    canonical frame G00 = -xi and G11 = +xi must both be >= 0);
+    conservation (p.A = 0) additionally forces eta = 0.  p = 0 is refused.
     """
     if G.rank != "vector":
         raise BoxQFTError("decompose_vector expects rank 'vector'")
-    p = p or G.p
-    pa = p.as_array()
-    degenerate = _degeneracy(p)
+    _check_nonzero(G.p)
+    pa = G.p.as_array()
     basis = [np.outer(pa, pa).astype(complex), -METRIC.astype(complex)]
-    coeffs, resid = _lstsq(basis, G.values, real_params=False)
-    eta, xi = complex(coeffs[0]), complex(coeffs[1])
-    fit = DecompositionFit({"eta": eta, "xi": xi}, resid, degenerate=degenerate)
-    # canonical-frame positivity: G00 = -xi must be >= 0, G11 = +xi >= 0
-    if abs(xi) > 1e-10 * max(1.0, float(np.max(np.abs(G.values)))):
-        fit.positivity_violations.append(
-            f"xi = {xi:.3e} forces negative G00 or G11 in the canonical frame")
-    return fit
+    coeffs = _lstsq(basis, G.values, real_params=False)
+    return DecompositionFit({"eta": complex(coeffs[0]), "xi": complex(coeffs[1])})
 
 
 # ---------------------------------------------------------------------------
@@ -128,55 +112,34 @@ def _sym_basis(pa: np.ndarray):
     return pppp, ppg, gpp, f_term, v_term, w_term
 
 
-def decompose_symmetric(G: TensorCorrelation, p: Optional[FourVector] = None,
-                        conserved: bool = False) -> DecompositionFit:
-    """Fit the five-parameter symmetric-tensor model.
+def decompose_symmetric(G: TensorCorrelation) -> DecompositionFit:
+    """Fit the five-parameter symmetric-tensor model at G's momentum p.
 
     Space-like p constrains b to be real; positivity-consistent data has
-    v = f = 0.  With conserved=True the fit uses the transverse-projector
-    model (g - pp/p.p)(g - pp/p.p) w alone and reports its residual.
+    v = f = 0.  When w != 0 the product-form parameters b_reduced = b/w and
+    a_reduced = a - b^2/w are reported too.  p = 0 is refused.
     """
     if G.rank != "symmetric2":
         raise BoxQFTError("decompose_symmetric expects rank 'symmetric2'")
-    p = p or G.p
-    pa = p.as_array()
-    degenerate = _degeneracy(p)
-    s = minkowski_dot(p, p)
-    if conserved:
-        if abs(s) < 1e-300:
-            raise DegenerateBasis("conserved model needs p.p != 0")
-        g = METRIC.astype(complex)
-        proj = g - np.einsum("m,n->mn", pa, pa) / s
-        basis = [np.einsum("mn,sr->mnsr", proj, proj)]
-        coeffs, resid = _lstsq(basis, G.values, real_params=False)
-        return DecompositionFit({"w": complex(coeffs[0])}, resid,
-                                degenerate=degenerate)
-
-    pppp, ppg, gpp, f_term, v_term, w_term = _sym_basis(pa)
-    spacelike = classify_interval(p) is IntervalClass.SPACELIKE
-    if spacelike:
+    _check_nonzero(G.p)
+    pppp, ppg, gpp, f_term, v_term, w_term = _sym_basis(G.p.as_array())
+    if classify_interval(G.p) is IntervalClass.SPACELIKE:
         basis = [pppp, -(ppg + gpp), f_term, v_term, w_term]
-        coeffs, resid = _lstsq(basis, G.values, real_params=True)
+        coeffs = _lstsq(basis, G.values, real_params=True)
         names = ["a", "b", "f", "v", "w"]
         cd = {k: complex(v) for k, v in zip(names, coeffs)}
     else:
         basis = [pppp, -(ppg + gpp), -1j * (ppg - gpp), f_term, v_term, w_term]
-        coeffs, resid = _lstsq(basis, G.values, real_params=True)
+        coeffs = _lstsq(basis, G.values, real_params=True)
         cd = {"a": complex(coeffs[0]),
               "b": complex(coeffs[1] + 1j * coeffs[2]),
               "f": complex(coeffs[3]), "v": complex(coeffs[4]),
               "w": complex(coeffs[5])}
-    fit = DecompositionFit(cd, resid, degenerate=degenerate)
-    scale = max(1.0, float(np.max(np.abs(G.values))))
-    for name in ("v", "f"):
-        if abs(cd[name]) > 1e-10 * scale and spacelike:
-            fit.positivity_violations.append(
-                f"{name} = {cd[name]:.3e} nonzero at space-like p")
     # reduced (product-form) parameters when w != 0: b -> b/w, a -> a - b^2/w
-    if abs(cd["w"]) > 1e-14 * scale:
-        fit.coefficients["b_reduced"] = cd["b"] / cd["w"]
-        fit.coefficients["a_reduced"] = cd["a"] - cd["b"] ** 2 / cd["w"]
-    return fit
+    if abs(cd["w"]) > 1e-14 * max(1.0, float(np.max(np.abs(G.values)))):
+        cd["b_reduced"] = cd["b"] / cd["w"]
+        cd["a_reduced"] = cd["a"] - cd["b"] ** 2 / cd["w"]
+    return DecompositionFit(cd)
 
 
 def symmetric_model_product_form(p: FourVector, w: float, b: float, a: float) -> np.ndarray:
@@ -202,26 +165,17 @@ def _antisym_basis(pa: np.ndarray):
     return EPSILON4.astype(complex), v_term, f_term
 
 
-def decompose_antisymmetric(G: TensorCorrelation,
-                            p: Optional[FourVector] = None) -> DecompositionFit:
-    """Fit a eps + v (gg) + f (ppg); positivity at space-like p forces all
-    three to vanish, i.e. the full correlation is zero."""
+def decompose_antisymmetric(G: TensorCorrelation) -> DecompositionFit:
+    """Fit a eps + v (gg) + f (ppg) at G's momentum p; positivity at
+    space-like p forces all three to vanish, i.e. the full correlation is
+    zero.  p = 0 is refused."""
     if G.rank != "antisymmetric2":
         raise BoxQFTError("decompose_antisymmetric expects rank 'antisymmetric2'")
-    p = p or G.p
-    pa = p.as_array()
-    degenerate = _degeneracy(p)
-    eps, v_term, f_term = _antisym_basis(pa)
-    coeffs, resid = _lstsq([eps, v_term, f_term], G.values, real_params=False)
-    cd = {"a": complex(coeffs[0]), "v": complex(coeffs[1]), "f": complex(coeffs[2])}
-    fit = DecompositionFit(cd, resid, degenerate=degenerate)
-    scale = max(1.0, float(np.max(np.abs(G.values))))
-    if classify_interval(p) is IntervalClass.SPACELIKE:
-        for name, val in cd.items():
-            if abs(val) > 1e-10 * scale:
-                fit.positivity_violations.append(
-                    f"{name} = {val:.3e} nonzero at space-like p")
-    return fit
+    _check_nonzero(G.p)
+    eps, v_term, f_term = _antisym_basis(G.p.as_array())
+    coeffs = _lstsq([eps, v_term, f_term], G.values, real_params=False)
+    return DecompositionFit({"a": complex(coeffs[0]), "v": complex(coeffs[1]),
+                             "f": complex(coeffs[2])})
 
 
 # ---------------------------------------------------------------------------
@@ -262,16 +216,12 @@ def project_noiseless_vector(A: np.ndarray, p) -> np.ndarray:
     return s * A - pa * p_dot_A
 
 
-def project_noiseless_tensor(B: np.ndarray, p,
-                             conserved: bool = False) -> np.ndarray:
-    """Project a symmetric tensor onto the noiseless subspace.
+def project_noiseless_tensor(B: np.ndarray, p) -> np.ndarray:
+    """Project a conserved symmetric tensor onto the noiseless subspace:
 
-    General variant:
-        B~ = (p.p)^2 B - (p.p)(g(p.p) - pp) trB/3 + (g(p.p) - 4pp)(pBp)/3
-    annihilates both invariant noise structures (B~[g] = B~[pp] = 0).
-    Conserved variant (for transverse B):
         B~ = (p.p) B - (g(p.p) - pp) trB/3
-    is traceless identically and transverse on conserved input.
+
+    is traceless identically and transverse on conserved (transverse) B.
 
     B has shape (..., 4, 4), a stack of tensors.  p is a FourVector or a
     (..., 4) array of momenta that broadcasts against the stack; the result
@@ -285,12 +235,7 @@ def project_noiseless_tensor(B: np.ndarray, p,
     s = np.sum(p_low * pa, axis=-1)[..., None, None]
     trB = np.einsum("...mm,m->...", B, _G_DIAG)[..., None, None]
     pp = pa[..., :, None] * pa[..., None, :]
-    gs = METRIC * s
-    if conserved:
-        return s * B - (gs - pp) * trB / 3.0
-    pBp = np.einsum("...m,...mn,...n->...", p_low, B, p_low)[..., None, None]
-    return (s ** 2 * B - s * (gs - pp) * trB / 3.0
-            + (gs - 4.0 * pp) * pBp / 3.0)
+    return s * B - (METRIC * s - pp) * trB / 3.0
 
 
 @dataclass(frozen=True)

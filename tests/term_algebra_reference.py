@@ -15,8 +15,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from boxqft.fields import (PHOTON_CHANNELS, EMFieldConfig, current_matrices,
-                           spinor_u, spinor_v)
+from boxqft.fields import PHOTON_CHANNELS, current_matrices, spinor_u, spinor_v
 from boxqft.spacetime import METRIC
 
 _DIRAC_ANTI = {"L": "Lbar", "R": "Rbar"}
@@ -215,12 +214,19 @@ def dirac_current_density(space, mu):
 # -- electromagnetic ----------------------------------------------------------
 
 
-def em_vector_pieces(space, config):
+def _polarization(lam, n3):
+    """V along axis 1, flipped for k3 < 0; H along axis 2."""
+    if lam == "V":
+        return np.array([-1.0 if n3 < 0 else 1.0, 0.0, 0.0], dtype=complex)
+    return np.array([0.0, 1.0, 0.0], dtype=complex)
+
+
+def em_vector_pieces(space):
     comp = [[] for _ in range(3)]
     for lam in PHOTON_CHANNELS:
         grid = space.grid(lam)
         for n in grid.modes:
-            e = config.polarization(lam, n[0])
+            e = _polarization(lam, n[0])
             k = grid.momentum(n).as_array()
             lat = grid.lattice3(n)
             amp = 1.0 / math.sqrt(2 * grid.energy(n) * grid.volume)
@@ -234,8 +240,8 @@ def em_vector_pieces(space, config):
     return comp
 
 
-def em_EB_pieces(space, config):
-    A = em_vector_pieces(space, config)
+def em_EB_pieces(space):
+    A = em_vector_pieces(space)
     E = [[Piece(p.op, -1j * p.q[0] * p.coeff, p.q, p.lattice) for p in A[i]]
          for i in range(3)]
     B = [[], [], []]
@@ -246,8 +252,8 @@ def em_EB_pieces(space, config):
     return E, B
 
 
-def stress_tensor_em(space, mu, nu, config=None):
-    E, B = em_EB_pieces(space, config or EMFieldConfig())
+def stress_tensor_em(space, mu, nu):
+    E, B = em_EB_pieces(space)
     if mu == 0 and nu == 0:
         pairs = [(0.5, E[i], E[i]) for i in range(3)]
         pairs += [(0.5, B[i], B[i]) for i in range(3)]
@@ -263,8 +269,8 @@ def stress_tensor_em(space, mu, nu, config=None):
     return symmetrized(space, pairs)
 
 
-def em_field_strength_density(space, mu, nu, config=None):
-    A = em_vector_pieces(space, config or EMFieldConfig())
+def em_field_strength_density(space, mu, nu):
+    A = em_vector_pieces(space)
 
     def dA(m, n_):
         if n_ == 0:
@@ -279,19 +285,16 @@ def em_field_strength_density(space, mu, nu, config=None):
 # -- windows and realization ---------------------------------------------------
 
 
-def _spatial_factor(space, lattice, target, w, transfer, p_spatial):
-    if w.sigma_x is None:
-        return space.volume if lattice == target else 0.0
-    d = transfer[1:] + p_spatial
-    return (math.sqrt(2 * math.pi) * w.sigma_x) ** 3 * \
-        math.exp(-0.5 * w.sigma_x ** 2 * float(d @ d))
+def _spatial_factor(space, lattice, target):
+    """The box: a Kronecker filter on the lattice transfer."""
+    return space.volume if lattice == target else 0.0
 
 
 def _time_transform(w, omega):
     if w.envelope == "rect":
         return w.tau * np.sinc(omega * w.tau / (2 * math.pi))
-    return math.sqrt(2 * math.pi) * w.sigma_t * \
-        math.exp(-0.5 * (w.sigma_t * omega) ** 2)
+    sigma_t = w.tau / 2
+    return math.sqrt(2 * math.pi) * sigma_t * math.exp(-0.5 * (sigma_t * omega) ** 2)
 
 
 def _mapped(terms, fn):
@@ -307,7 +310,7 @@ def windowed(space, terms, w):
     """Terms of the box-and-duration integral of the density."""
     def factor(t):
         q = np.asarray(t.transfer)
-        sx = _spatial_factor(space, t.lattice, (0, 0, 0), w, q, np.zeros(3))
+        sx = _spatial_factor(space, t.lattice, (0, 0, 0))
         return 0.0 if sx == 0.0 else sx * _time_transform(w, q[0])
     return _mapped(terms, factor)
 
@@ -316,15 +319,14 @@ def spacelike_windowed(space, terms, p, w):
     """Terms of the integral of cos(x.p) times the density."""
     lat_p = space.lattice_of(p)
     neg = tuple(-v for v in lat_p)
-    ps = p.spatial
 
     def factor(t):
         q = np.asarray(t.transfer)
         out = 0.0 + 0.0j
-        sx = _spatial_factor(space, t.lattice, neg, w, q, +ps)
+        sx = _spatial_factor(space, t.lattice, neg)
         if sx != 0.0:
             out += 0.5 * sx * _time_transform(w, q[0] + p.t)
-        sx = _spatial_factor(space, t.lattice, lat_p, w, q, -ps)
+        sx = _spatial_factor(space, t.lattice, lat_p)
         if sx != 0.0:
             out += 0.5 * sx * _time_transform(w, q[0] - p.t)
         return out

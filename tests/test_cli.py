@@ -12,7 +12,7 @@ import pytest
 import scipy.sparse as sp
 from click.testing import CliRunner
 
-from conftest import csr
+from conftest import csr, photon_space
 
 from boxqft import cli, measurement
 
@@ -252,7 +252,7 @@ def test_field_strength_sign_folding_gives_the_full_tensor():
     # tensor of all twelve ordered densities exactly; at beta = inf and the
     # space-like p of the artifacts every entry is zero, so a dropped sign
     # shows only at a thermal beta and a momentum with lines
-    space = cli._photon_space(2 * math.pi, 1, caps=(1, 2))
+    space = photon_space(n_mode=1, box=2 * math.pi, caps=(1, 2))
     folded = cli._field_strength_densities(space)
     assert len({id(F) for _, F in folded.values()}) == 6
     full = {I: (1, em_field_strength_density(space, *I)) for I in folded}

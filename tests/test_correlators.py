@@ -29,7 +29,7 @@ def small_space(species, n_max=8, n_modes=1, box=math.pi / 2):
 def test_free_propagator_zero_temperature_limits():
     space = small_space(Species.BOSON)
     E = space.grid("f").energy((1,))
-    c = ctp_contour(math.inf, 2)
+    c = ctp_contour()
     t_late = c.time(1, 0.2)     # backward branch: later on the contour
     t_early = c.time(0, 0.9)
     val = free_propagator(Species.BOSON, E, t_late, t_early, math.inf, ("a", "c"))
@@ -40,7 +40,7 @@ def test_free_propagator_zero_temperature_limits():
 
 def test_same_kind_pairs_vanish():
     E = 2.0
-    c = ctp_contour(1.0, 2)
+    c = ctp_contour()
     for kinds in (("a", "a"), ("c", "c")):
         for sp in (Species.BOSON, Species.FERMION):
             assert free_propagator(sp, E, c.time(0, 0.1), c.time(1, 0.5),
@@ -77,7 +77,7 @@ def test_thermal_factors_equal_the_closed_forms(E, beta):
 @pytest.mark.parametrize("beta", [1.0, 2.0, math.inf])
 def test_two_point_matches_exact_trace(species, beta):
     space = small_space(species)
-    c = ctp_contour(math.inf, 2)
+    c = ctp_contour()
     for b1, t1 in ((0, 0.0), (1, 0.3)):
         for b2, t2 in ((0, 0.45), (1, 0.8)):
             for kinds in (("a", "c"), ("c", "a")):
@@ -90,7 +90,7 @@ def test_two_point_matches_exact_trace(species, beta):
 
 def test_equal_time_opposite_branches_example():
     space = small_space(Species.BOSON)
-    c = ctp_contour(2.0, 2)
+    c = ctp_contour()
     ins = [insertion(space, "f", (1,), "a", c.time(0, 0.6)),
            insertion(space, "f", (1,), "c", c.time(1, 0.6))]
     assert abs(wick_npoint(ins, 2.0)
@@ -99,7 +99,7 @@ def test_equal_time_opposite_branches_example():
 
 def test_wick_odd_vanishes():
     space = small_space(Species.BOSON)
-    c = ctp_contour(1.0, 2)
+    c = ctp_contour()
     ins = [insertion(space, "f", (1,), "a", c.time(0, 0.1))]
     assert wick_npoint(ins, 1.0) == 0.0
     ins3 = ins + [insertion(space, "f", (1,), "c", c.time(0, 0.2)),
@@ -111,7 +111,7 @@ def test_insertion_rejects_unknown_kind():
     # any kind but "a"/"c" used to act as an annihilator in both the Wick
     # engine and the oracle
     space = small_space(Species.BOSON)
-    c = ctp_contour(1.0, 2)
+    c = ctp_contour()
     with pytest.raises(BoxQFTError):
         insertion(space, "f", (1,), "x", c.time(0, 0.1))
 
@@ -122,7 +122,7 @@ def test_insertion_rejects_a_mode_off_the_space():
     grid = ModeGrid(axes=(3,), lengths=(2 * math.pi,), ranges=((-1, 1),),
                     species=Species.BOSON, mass=1.0)
     space = build_fock_space([("phi", grid)], 2, 2)
-    c = ctp_contour(1.0, 2)
+    c = ctp_contour()
     for n in ((5,), (1, 0)):
         with pytest.raises(UnknownMode):
             insertion(space, "phi", n, "a", c.time(0, 0.1))
@@ -132,7 +132,7 @@ def test_a_hand_built_insertion_rejects_an_unknown_kind():
     # the oracle read kind "x" as a creator and the Wick engine as an
     # annihilator, so the two disagreed
     space = small_space(Species.BOSON)
-    good = insertion(space, "f", (1,), "a", ctp_contour(1.0, 2).time(0, 0.1))
+    good = insertion(space, "f", (1,), "a", ctp_contour().time(0, 0.1))
     with pytest.raises(BoxQFTError):
         dataclasses.replace(good, kind="x")
 
@@ -140,7 +140,7 @@ def test_a_hand_built_insertion_rejects_an_unknown_kind():
 def test_oracle_rejects_a_hand_built_insertion_off_the_space():
     # the oracle's mode lookup raised KeyError
     space = small_space(Species.BOSON)
-    c = ctp_contour(1.0, 2)
+    c = ctp_contour()
     ins = [insertion(space, "f", (1,), "a", c.time(0, 0.1)),
            insertion(space, "f", (1,), "c", c.time(1, 0.2))]
     off = [dataclasses.replace(i, mode=("f", (5,))) for i in ins]
@@ -156,7 +156,7 @@ def test_perfect_matchings_count():
 
 def test_wick_four_point_bosonic_vs_exact():
     space = small_space(Species.BOSON, n_max=6)
-    c = ctp_contour(math.inf, 2)
+    c = ctp_contour()
     ins = [insertion(space, "f", (1,), "a", c.time(0, 0.0)),
            insertion(space, "f", (1,), "c", c.time(0, 0.4)),
            insertion(space, "f", (1,), "a", c.time(1, 0.7)),
@@ -171,7 +171,7 @@ def test_wick_fermionic_swap_antisymmetry():
     # annihilators on the backward branch (contour-later) keep both pair
     # contractions O(1)
     space = small_space(Species.FERMION, n_modes=2)
-    c = ctp_contour(1.5, 2)
+    c = ctp_contour()
     ins = [insertion(space, "f", (1,), "a", c.time(1, 0.3)),
            insertion(space, "f", (1,), "c", c.time(0, 0.4)),
            insertion(space, "f", (2,), "a", c.time(1, 0.7)),
@@ -288,7 +288,7 @@ def test_three_point_momentum_mismatch():
 def test_dirac_antipropagators_vanish():
     # <psi psi> and <psi+ psi+> are zero for all arguments
     space = small_space(Species.FERMION)
-    c = ctp_contour(1.0, 2)
+    c = ctp_contour()
     for kinds in (("a", "a"), ("c", "c")):
         ins = [insertion(space, "f", (1,), kinds[0], c.time(0, 0.1)),
                insertion(space, "f", (1,), kinds[1], c.time(1, 0.9))]
@@ -324,7 +324,7 @@ def test_oracle_matches_sparse_reference_on_wick_catalog(wick_spaces, label,
                                                          beta):
     space, channel = wick_spaces[label]
     modes = list(space.grid(channel).modes)
-    cases = cli._wick_catalog(space, channel, ctp_contour(math.inf, 2), modes)
+    cases = cli._wick_catalog(space, channel, ctp_contour(), modes)
     assert len(cases) == 23
     for case in cases:
         ins = [insertion(space, ch, n, kind, t) for ch, n, kind, t in case]
@@ -355,7 +355,7 @@ def contour_insertions(draw, space):
     """2-6 insertions: creator/annihilator pairs on random modes (so even
     lists can have nonzero traces), truncated and shuffled, at random
     branches and times with a small imaginary part."""
-    contour = ctp_contour(math.inf, 2)
+    contour = ctp_contour()
     modes = [(m.channel, m.n) for m in space.modes]
     count = draw(st.integers(2, 6))
     ops = []

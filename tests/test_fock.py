@@ -437,10 +437,15 @@ def test_sagnac_state_rejects_a_config_energy_off_the_grid():
     space = dirac_space(n_mode=2, mass=1.0)
     sagnac_state(space, SagnacConfig(SagnacSpecies.DIRAC_A, 1.0, k3))
     for cfg in (SagnacConfig(SagnacSpecies.DIRAC_A, 2.0, k3),
-                SagnacConfig(SagnacSpecies.DIRAC_B, 1.0, k3, v_c=0.5),
                 SagnacConfig(SagnacSpecies.DIRAC_A, 1.0 + 1e-9, k3)):
         with pytest.raises(BoxQFTError, match="mass or v_c"):
             sagnac_state(space, cfg)
+    # the config's arms move at v_c = 1; a slower grid is refused
+    slow = ModeGrid(axes=(3,), lengths=(BOX,), ranges=((-2, 2),),
+                    species=Species.BOSON, mass=1.0, v_c=0.5)
+    with pytest.raises(BoxQFTError, match="mass or v_c"):
+        sagnac_state(build_fock_space([("phi", slow)], 2, 2),
+                     SagnacConfig(SagnacSpecies.SCALAR, 1.0, k3))
     with pytest.raises(BoxQFTError, match="mass or v_c"):
         sagnac_state(photon_space(n_mode=1),
                      SagnacConfig(SagnacSpecies.PHOTON_V, 0.3, k3))

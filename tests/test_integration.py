@@ -10,14 +10,14 @@ from hypothesis import strategies as st
 from conftest import BOX, csr, dirac_space, photon_space, scalar_space
 from lehmann_reference import momentum_block
 
-from boxqft.fields import (dirac_current_density, scalar_bilinear_density,
-                           stress_tensor_em, stress_tensor_scalar)
+from boxqft.fields import (dirac_current_density, stress_tensor_em,
+                           stress_tensor_scalar)
 from boxqft.fock import (ModeGrid, SagnacConfig, SagnacSpecies, Species,
                          build_fock_space, free_hamiltonian,
-                         sagnac_state, vacuum_state)
+                         sagnac_state)
 from boxqft.measurement import (MeasurementWindow, commensurate_tau, moments,
                                 spacelike_windowed_observable,
-                                vacuum_variance, windowed_observable)
+                                vacuum_variance)
 from boxqft.spacetime import FourVector
 
 
@@ -80,28 +80,6 @@ def test_dirac_charge_integrates_to_number_operator_random_grids(
     space = dirac_space(n_mode=n_mode, mass=mass, caps=(1, total_cap))
     mat = momentum_block(space, dirac_current_density(space, 0), (0, 0, 0))
     assert np.max(np.abs((mat - _dirac_charge(space)).toarray())) <= 1e-12
-
-
-def test_gaussian_spatial_window():
-    # with a spatial Gaussian, momentum selection softens to a Gaussian
-    # weight (open-space transform, sigma_x << L regime)
-    space = scalar_space(n_mode=1, mass=1.0, caps=(2, 2))
-    grid = space.grid("phi")
-    sigma_x, sigma_t = 0.4, 0.9
-    w = MeasurementWindow(tau=2 * sigma_t, envelope="gauss",
-                          sigma_t=sigma_t, sigma_x=sigma_x)
-    obs = windowed_observable(scalar_bilinear_density(space), w)
-    # the (+1,+1) pair-creation term: transfer (2E, 0, 0, 2k)
-    from boxqft.fock import basis_state
-    E = grid.energy((1,))
-    k = grid.wavevector((1,))[2]
-    two = basis_state(space, {("phi", (1,)): 2})
-    amp = np.vdot(two.amplitudes, obs.matrix() @ vacuum_state(space).amplitudes)
-    gt = math.sqrt(2 * math.pi) * sigma_t * math.exp(-0.5 * (sigma_t * 2 * E) ** 2)
-    gx = (math.sqrt(2 * math.pi) * sigma_x) ** 3 \
-        * math.exp(-0.5 * (sigma_x * 2 * k) ** 2)
-    expect = math.sqrt(2) / (2 * E * grid.volume) * gt * gx
-    assert abs(amp - expect) < 1e-12
 
 
 def test_fermi_velocity_parameterization_noiseless():

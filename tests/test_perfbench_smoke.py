@@ -54,7 +54,7 @@ for beta in (0.5, 2.0):
     fdt_spans.append([s[0] for s in tracer.spans[start:]])
 # the oracle on a fresh space: every ladder it realizes is a child span
 cspace = fock.build_fock_space([("phi", grid)], 2, 2)
-contour = ctp_contour(1.0, 2)
+contour = ctp_contour()
 ins = [correlators.insertion(cspace, "phi", n, kind, contour.time(b, t))
        for n, kind, b, t in (((1,), "a", 1, 0.2), ((-1,), "c", 0, 0.5),
                              ((-1,), "a", 1, 0.7), ((1,), "c", 0, 0.1))]

@@ -43,11 +43,11 @@ def test_classification():
 
 
 def test_classification_band_is_deterministic():
-    p = FourVector(1.0, 0, 0, 1.0 + 1e-15)
-    assert classify_interval(p, eps_cls=1e-12) is IntervalClass.LIGHTLIKE
-    assert classify_interval(p, eps_cls=0.0) is IntervalClass.SPACELIKE
-    with pytest.raises(BoxQFTError):
-        classify_interval(p, eps_cls=-1.0)
+    # |p.p| within EPS_CLS * ||p||^2 is light-like; just outside it is not
+    assert classify_interval(FourVector(1.0, 0, 0, 1.0 + 1e-15)) \
+        is IntervalClass.LIGHTLIKE
+    assert classify_interval(FourVector(1.0, 0, 0, 1.0 + 1e-11)) \
+        is IntervalClass.SPACELIKE
 
 
 def test_boost_identity_and_metric_preservation():
@@ -90,36 +90,19 @@ def test_boost_matrix_rejects_bad_axis():
 
 
 def test_contour_two_branch():
-    c = ctp_contour(math.inf, 2)
-    assert math.isinf(c.matsubara_beta)
+    c = ctp_contour()
     assert c.branches[0].direction == 1 and c.branches[1].direction == -1
-    assert c.branches[0].imag_offset > 0 > c.branches[1].imag_offset
     # forward-branch point precedes backward-branch point at equal real time
     x = c.time(0, 1.3)
     y = c.time(1, 1.3)
     assert x < y and not y < x
 
 
-def test_contour_three_branch_order():
-    c = ctp_contour(4.0, 3)
-    t = 0.4
-    x1, x2, x3 = (c.time(b, t) for b in (0, 1, 2))
-    assert x1 < x2 < x3
-
-
 def test_contour_s_total_order():
-    c = ctp_contour(1.0, 2)
+    c = ctp_contour()
     pts = [c.time(b, t) for b in (0, 1) for t in (-2.0, -0.5, 0.0, 0.9, 3.1)]
     svals = [p.s for p in pts]
     assert len(set(svals)) == len(svals)
     # forward branch: s grows with t; backward: s shrinks with t
     assert c.time(0, 0.1).s < c.time(0, 0.2).s
     assert c.time(1, 0.1).s > c.time(1, 0.2).s
-
-
-def test_contour_validation():
-    with pytest.raises(BoxQFTError):
-        ctp_contour(2.0, 4)
-    with pytest.raises(BoxQFTError):
-        ctp_contour(-1.0, 2)
-    assert ctp_contour(2.5, 2).matsubara_beta == 2.5

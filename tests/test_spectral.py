@@ -149,7 +149,7 @@ def test_massless_spectrum_vanishes_spacelike():
             sp = np.linalg.norm(x[1:]) + 1e-12
             p = FourVector(rng.uniform(-0.999, 0.999) * sp, *x[1:])
             assert desc_c.evaluate(p) == 0.0
-            assert desc_e.evaluate(p, 0, 0) == 0.0
+            assert desc_e.evaluate(p) == 0.0
 
 
 def test_windowed_noise_matches_closed_form_d3():
@@ -184,7 +184,7 @@ def test_noise_exponents():
         assert len(fit.points) == 16
 
 
-def _reference_windowed_noise(s_type, D, V, tau, envelope="gauss", n_grid=48):
+def _reference_windowed_noise(s_type, D, V, tau, n_grid=48):
     """Per-tau quadrature on a fresh p-space meshgrid: the implementation
     windowed_noise replaced, kept as the oracle for the batched u-space one.
     It takes erfc from scipy.special, independently of the math.erfc that
@@ -200,10 +200,7 @@ def _reference_windowed_noise(s_type, D, V, tau, envelope="gauss", n_grid=48):
         pv = 0.5 * K * (grid + 1.0)
         jw = 0.5 * K * wts
         pref = pv ** 2 if s_type == "current" else pv ** 4
-        if envelope == "rect":
-            ft = (tau * np.sinc(pv * tau / (2 * math.pi))) ** 2
-        else:
-            ft = 2 * math.pi * (tau / 2) ** 2 * np.exp(-(tau / 2 * pv) ** 2)
+        ft = 2 * math.pi * (tau / 2) ** 2 * np.exp(-(tau / 2 * pv) ** 2)
         return float(2 * meas * np.sum(jw * box_sq(pv, L) * pref / pv * ft))
     sigma = tau / 2.0
     ng, wg = np.polynomial.legendre.leggauss(n_grid)
@@ -238,13 +235,11 @@ NOISE_CELLS = [(s_type, D) for s_type in ("current", "energy") for D in (1, 2, 3
 
 
 @pytest.mark.parametrize("n_grid", [16, 48])
-@pytest.mark.parametrize("s_type,D,envelope",
-                         [(s, D, "gauss") for s, D in NOISE_CELLS] +
-                         [("current", 1, "rect"), ("energy", 1, "rect")])
-def test_windowed_noise_matches_per_tau_reference(s_type, D, envelope, n_grid):
+@pytest.mark.parametrize("s_type,D", NOISE_CELLS)
+def test_windowed_noise_matches_per_tau_reference(s_type, D, n_grid):
     taus = np.geomspace(10, 100, 16)
-    got = windowed_noise(s_type, D, 1.0, taus, envelope, n_grid)
-    ref = np.array([_reference_windowed_noise(s_type, D, 1.0, t, envelope, n_grid)
+    got = windowed_noise(s_type, D, 1.0, taus, n_grid)
+    ref = np.array([_reference_windowed_noise(s_type, D, 1.0, t, n_grid)
                     for t in taus])
     assert got.shape == (16,)
     assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-12
@@ -371,20 +366,17 @@ def test_windowed_noise_warnings_and_validation():
         massless_current_spectrum(4)
     with pytest.raises(BoxQFTError):
         massless_current_spectrum(2, "charge")
-    with pytest.raises(BoxQFTError):
-        windowed_noise("current", 3, 1.0, 50.0, envelope="rect")
 
 
 def test_signal_vs_noise_curve():
     taus = list(np.geomspace(0.1, 10, 21))
     for D in (1, 2, 3):
-        curve = signal_vs_noise_curve(D, 1.0, taus)
-        assert curve.tau_star == 1.0
+        curve = signal_vs_noise_curve(D, taus)
         for tau, signal, noise, ratio in curve.rows:
             assert abs(signal - tau) < 1e-14
             assert abs(noise - tau ** (1 - D)) < 1e-12
             assert abs(ratio - tau ** D) < 1e-9 * max(1.0, tau ** D)
-    d1 = signal_vs_noise_curve(1, 1.0, taus)
+    d1 = signal_vs_noise_curve(1, taus)
     noises = [r[2] for r in d1.rows]
     assert max(noises) - min(noises) < 1e-14  # D=1 noise is flat in tau
 

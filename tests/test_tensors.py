@@ -39,15 +39,12 @@ def test_vector_fit_exact_model():
     fit = decompose_vector(TensorCorrelation("vector", P_CANON, G))
     assert abs(fit.coefficients["eta"] - 2.5) < 1e-12
     assert abs(fit.coefficients["xi"]) < 1e-12
-    assert fit.residual < 1e-12
-    assert not fit.positivity_violations
 
 
-def test_vector_fit_flags_positivity_violation():
+def test_vector_fit_recovers_a_positivity_violating_xi():
     G = vector_model(P_CANON, 0.5, 1.0)
     fit = decompose_vector(TensorCorrelation("vector", P_CANON, G))
     assert abs(fit.coefficients["xi"] - 1.0) < 1e-10
-    assert fit.positivity_violations
     # frame check: G00 = -xi < 0 while G11 = +xi > 0 cannot both be variances
     assert G[0, 0].real == -1.0 and G[1, 1].real == 1.0
 
@@ -69,10 +66,11 @@ def test_vector_conservation_identity():
 
 
 def test_vector_degenerate_cases():
+    # light-like p keeps the basis independent: fitted, not rejected
     light = FourVector(1.0, 0, 0, 1.0)
     fit = decompose_vector(TensorCorrelation("vector", light,
                                              vector_model(light, 1.0, 0.0)))
-    assert fit.degenerate  # flagged, not rejected
+    assert abs(fit.coefficients["eta"] - 1.0) < 1e-12
     with pytest.raises(DegenerateBasis):
         decompose_vector(TensorCorrelation("vector", FourVector(),
                                            np.zeros((4, 4))))
@@ -81,38 +79,20 @@ def test_vector_degenerate_cases():
 def test_symmetric_fit_product_form():
     G = symmetric_model_product_form(P_CANON, w=1.0, b=0.3, a=0.2)
     fit = decompose_symmetric(TensorCorrelation("symmetric2", P_CANON, G))
-    assert fit.residual < 1e-12
     assert abs(fit.coefficients["w"] - 1.0) < 1e-10
     assert abs(fit.coefficients["b_reduced"] - 0.3) < 1e-10
     assert abs(fit.coefficients["a_reduced"] - 0.2) < 1e-10
     assert abs(fit.coefficients["v"]) < 1e-10
     assert abs(fit.coefficients["f"]) < 1e-10
-    assert not fit.positivity_violations
 
 
-def test_symmetric_fit_flags_v_f():
+def test_symmetric_fit_recovers_v():
     pa = P_CANON.as_array()
     g = METRIC.astype(complex)
     v_term = np.einsum("ms,nr->mnsr", g, g) + np.einsum("ns,mr->mnsr", g, g)
     G = symmetric_model_product_form(P_CANON, 1.0, 0.0, 0.0) + 0.5 * v_term
     fit = decompose_symmetric(TensorCorrelation("symmetric2", P_CANON, G))
     assert abs(fit.coefficients["v"] - 0.5) < 1e-10
-    assert fit.positivity_violations
-
-
-def test_symmetric_conserved_reduction():
-    p = P_CANON
-    pa = p.as_array()
-    s = minkowski_dot(p, p)
-    proj = METRIC - np.outer(pa, pa) / s
-    G = 0.8 * np.einsum("mn,sr->mnsr", proj, proj)
-    fit = decompose_symmetric(TensorCorrelation("symmetric2", p, G),
-                              conserved=True)
-    assert abs(fit.coefficients["w"] - 0.8) < 1e-12
-    assert fit.residual < 1e-12
-    # transversality of the model
-    div = np.einsum("m,mn,mnsr->nsr", pa, METRIC, G)
-    assert np.max(np.abs(div)) < 1e-13
 
 
 def test_symmetric_complex_b_at_timelike():
@@ -134,12 +114,11 @@ def test_symmetric_complex_b_at_timelike():
     assert abs(fits.coefficients["b"].imag) == 0.0
 
 
-def test_antisymmetric_fit_and_flags():
+def test_antisymmetric_fit_recovers_a():
     G = antisym_model(P_CANON, 1.0, 0.0, 0.0)
     corr = TensorCorrelation("antisymmetric2", P_CANON, G)
     fit = decompose_antisymmetric(corr)
     assert abs(fit.coefficients["a"] - 1.0) < 1e-10
-    assert fit.positivity_violations  # nonzero a at space-like p is flagged
     # epsilon antisymmetry: G^{0123} = a = -G^{1023}
     assert abs(G[0, 1, 2, 3] - 1.0) < 1e-14
     assert abs(G[1, 0, 2, 3] + 1.0) < 1e-14
@@ -151,7 +130,6 @@ def test_antisymmetric_recovery_all():
     assert abs(fit.coefficients["a"] - 0.3) < 1e-10
     assert abs(fit.coefficients["v"] + 0.7) < 1e-10
     assert abs(fit.coefficients["f"] - 0.4) < 1e-10
-    assert fit.residual < 1e-10
 
 
 def test_rank_validation():
@@ -186,38 +164,34 @@ def test_project_noiseless_vector_examples():
     assert worst < 1e-12
 
 
-def test_project_noiseless_tensor_kills_noise_structures():
+def test_project_noiseless_tensor_is_traceless_and_transverse():
     p = FourVector(0.2, 0.0, 0.0, 1.4)
     pa = p.as_array()
-    # the general projector annihilates both invariant noise structures
-    for B in (METRIC.astype(complex), np.outer(pa, pa).astype(complex)):
-        out = project_noiseless_tensor(B, p)
-        assert np.max(np.abs(out)) < 1e-12
-    # conserved variant: traceless identically, transverse on conserved input
+    # traceless identically, transverse on conserved input
     rng = np.random.default_rng(17)
     B = rng.normal(size=(4, 4))
     B = (B + B.T) / 2
     proj = np.eye(4) - np.outer(pa, METRIC @ pa) / minkowski_dot(p, p)
     Bt = proj @ B @ proj.T
-    out = project_noiseless_tensor(Bt, p, conserved=True)
+    out = project_noiseless_tensor(Bt, p)
     assert abs(np.einsum("mn,mn->", METRIC, out)) < 1e-12
     assert np.max(np.abs(pa @ METRIC @ out)) < 1e-12
-    # trace removal for the g input under the conserved variant
-    outg = project_noiseless_tensor(METRIC.astype(complex), p, conserved=True)
+    # trace removal for the g input
+    outg = project_noiseless_tensor(METRIC.astype(complex), p)
     assert abs(np.einsum("mn,mn->", METRIC, outg)) < 1e-12
 
 
 def _project(variant, X, p):
     if variant == "vector":
         return project_noiseless_vector(X, p)
-    return project_noiseless_tensor(X, p, conserved=variant == "conserved")
+    return project_noiseless_tensor(X, p)
 
 
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1),
        stack=st.sampled_from([(1,), (7,), (2, 3)]),
        p_stack=st.sampled_from(["four_vector", "full", "broadcast"]),
-       variant=st.sampled_from(["vector", "general", "conserved"]))
+       variant=st.sampled_from(["vector", "tensor"]))
 def test_stacked_projection_matches_single_inputs(seed, stack, p_stack,
                                                   variant):
     rng = np.random.default_rng(seed)
@@ -249,7 +223,7 @@ def test_projectors_reject_wrong_shapes():
     with pytest.raises(BoxQFTError):
         project_noiseless_tensor(np.ones((3, 3)), p)
     with pytest.raises(BoxQFTError):
-        project_noiseless_tensor(np.ones((5, 4, 3)), p, conserved=True)
+        project_noiseless_tensor(np.ones((5, 4, 3)), p)
     with pytest.raises(BoxQFTError):
         project_noiseless_tensor(np.ones(4), p)
 
@@ -262,8 +236,7 @@ def test_projectors_reject_momentum_stacks_that_do_not_broadcast():
     with pytest.raises(BoxQFTError):
         project_noiseless_tensor(np.ones((5, 4, 4)), np.ones((2, 4)))
     with pytest.raises(BoxQFTError):
-        project_noiseless_tensor(np.ones((2, 5, 4, 4)), np.ones((2, 1, 3)),
-                                 conserved=True)
+        project_noiseless_tensor(np.ones((2, 5, 4, 4)), np.ones((2, 1, 3)))
     # stacks that do broadcast are accepted
     assert project_noiseless_vector(np.ones((2, 5, 4)),
                                     np.ones((5, 4))).shape == (2, 5, 4)
@@ -313,7 +286,7 @@ def test_tensor_transversality_check_catches_a_dropped_trace_term(monkeypatch):
     checks = _synthetic_checks()
     assert checks["projector.tensor.transversality"].passed
 
-    def without_trace_term(B, p, conserved=False):
+    def without_trace_term(B, p):
         # (p.p) B alone: transverse on transverse input, but not traceless
         pa = np.asarray(p)
         s = np.sum(pa * np.diag(METRIC) * pa, axis=-1)[..., None, None]

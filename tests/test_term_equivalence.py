@@ -103,11 +103,9 @@ def _assert_density_equivalent(space, built, reference, same_support, x, p, w):
     got = new.at(x) @ vec
     assert np.max(np.abs(got - expect)) <= COEFF_TOL * max(np.max(np.abs(expect)),
                                                            scale)
-    # a window multiplies each coefficient by at most its spatial volume
-    # times T(0); where it keeps only residues, compare against that bound
-    spatial = (space.volume if w.sigma_x is None
-               else (math.sqrt(2 * math.pi) * w.sigma_x) ** 3)
-    w_scale = scale * spatial * w.time_transform(0.0)
+    # a window multiplies each coefficient by at most the box volume times
+    # T(0); where it keeps only residues, compare against that bound
+    w_scale = scale * space.volume * w.time_transform(0.0)
     _assert_terms_equivalent(space, ref.windowed(space, ref_terms, w),
                              windowed_observable(new, w), same_support, w_scale)
     _assert_terms_equivalent(space, ref.spacelike_windowed(space, ref_terms, p, w),
@@ -121,10 +119,8 @@ def _grid(axes, n_mode, species, mass, L):
                     mass=mass)
 
 
-def _window(tau, gauss, sigma_x):
-    if gauss:
-        return MeasurementWindow(tau=tau, envelope="gauss", sigma_x=sigma_x)
-    return MeasurementWindow(tau=tau, sigma_x=sigma_x)
+def _window(tau, gauss):
+    return MeasurementWindow(tau=tau, envelope="gauss" if gauss else "rect")
 
 
 def _spacelike_p(space, lattice, ratio):
@@ -138,7 +134,6 @@ def _spacelike_p(space, lattice, ratio):
 
 _POINT = dict(t=st.floats(-3.0, 3.0), z=st.floats(-7.0, 7.0),
               tau=st.floats(0.5, 8.0), gauss=st.booleans(),
-              sigma_x=st.one_of(st.none(), st.floats(0.2, 1.0)),
               ratio=st.floats(0.0, 0.95))
 
 
@@ -151,10 +146,9 @@ _POINT = dict(t=st.floats(-3.0, 3.0), z=st.floats(-7.0, 7.0),
 # near-massless phi2: the zero mode's 1/(2 E V) = 4096 dominates the constant,
 # so any summation order other than an exact one is an ulp (9e-13) off
 @example(axes=(3,), n_mode=1, mass=6.103515625e-05, L=2.0, caps=(1, 1), which=2,
-         lattice=(1, 1, 1), t=0.0, z=0.0, tau=1.0, gauss=False, sigma_x=None,
-         ratio=0.0)
+         lattice=(1, 1, 1), t=0.0, z=0.0, tau=1.0, gauss=False, ratio=0.0)
 def test_scalar_builders_match_reference(axes, n_mode, mass, L, caps, which,
-                                         lattice, t, z, tau, gauss, sigma_x, ratio):
+                                         lattice, t, z, tau, gauss, ratio):
     if len(axes) == 3:
         n_mode = 1                  # keep the 3D basis small
     grid = _grid(axes, n_mode, Species.BOSON, mass, L)
@@ -164,7 +158,7 @@ def test_scalar_builders_match_reference(axes, n_mode, mass, L, caps, which,
     _assert_density_equivalent(space, built, reference, True,
                                FourVector(t, 0.3 * z, -0.2 * z, z),
                                _spacelike_p(space, lattice, ratio),
-                               _window(tau, gauss, sigma_x))
+                               _window(tau, gauss))
 
 
 @settings(max_examples=25, deadline=None)
@@ -172,14 +166,14 @@ def test_scalar_builders_match_reference(axes, n_mode, mass, L, caps, which,
        L=st.floats(2.0, 8.0), cap=st.integers(1, 2), mu=st.integers(0, 3),
        p3=st.sampled_from([-2, -1, 1, 2]), **_POINT)
 def test_dirac_current_matches_reference(n_mode, mass, L, cap, mu, p3, t, z,
-                                         tau, gauss, sigma_x, ratio):
+                                         tau, gauss, ratio):
     grid = _grid((3,), n_mode, Species.FERMION, mass, L)
     space = build_fock_space(dirac_space_channels(grid), 1, cap)
     _, built, reference = DIRAC_BUILDERS[mu]
     _assert_density_equivalent(space, built, reference, True,
                                FourVector(t, 0.0, 0.0, z),
                                _spacelike_p(space, (0, 0, p3), ratio),
-                               _window(tau, gauss, sigma_x))
+                               _window(tau, gauss))
 
 
 @settings(max_examples=40, deadline=None)
@@ -187,14 +181,14 @@ def test_dirac_current_matches_reference(n_mode, mass, L, cap, mu, p3, t, z,
        which=st.integers(0, len(EM_BUILDERS) - 1),
        p3=st.sampled_from([-2, -1, 1, 2]), **_POINT)
 def test_em_builders_match_reference(n_mode, L, cap, which, p3, t, z, tau,
-                                     gauss, sigma_x, ratio):
+                                     gauss, ratio):
     grid = _grid((3,), n_mode, Species.BOSON, 0.0, L)
     space = build_fock_space(photon_space_channels(grid), cap, cap)
     _, built, reference = EM_BUILDERS[which]
     _assert_density_equivalent(space, built, reference, False,
                                FourVector(t, 0.0, 0.0, z),
                                _spacelike_p(space, (0, 0, p3), ratio),
-                               _window(tau, gauss, sigma_x))
+                               _window(tau, gauss))
 
 
 def test_em_stress_residues_cancel_exactly():
@@ -251,7 +245,7 @@ def _dense_quadratic(space, W):
 def _dense_stress_tensor_scalar(space, mu, nu):
     """T^{mu nu} of the scalar field as one broadcast expression per factor,
     symmetrized out of place."""
-    ell = fields._scalar_slots(space, "phi")
+    ell = fields._scalar_slots(space)
     m = space.grid("phi").mass
     Q, _ = fields._slot_transfers(space)
     q1, q2 = Q[:-1, None, :], Q[None, :-1, :]
