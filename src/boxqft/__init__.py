@@ -13,40 +13,37 @@ from .errors import (BoxQFTError, ConfigInvalid, DegenerateBasis,
                      DimensionMismatch, DimensionOverflow, MomentumMismatch,
                      OffLatticeMomentum, RequiresCanonicalFrame, UnknownMode,
                      ZeroMomentum)
-from .spacetime import (CTPTime, Contour, FourVector, IntervalClass, boost,
-                        boost_matrix, classify_interval, ctp_contour,
+from .spacetime import (CTPTime, FourVector, IntervalClass, boost,
+                        boost_matrix, classify_interval, ctp_time,
                         minkowski_dot)
 from .fock import (DensityOperator, FockSpace, ModeGrid, SagnacConfig,
                    SagnacSpecies, Species, StateVector, basis_state,
                    build_fock_space, expectation, free_hamiltonian,
                    sagnac_state, thermal_state, total_momentum, vacuum_state)
-from .fields import (QuadraticObservable, Spinor,
-                     current_matrices, dirac_current_density, dirac_field,
-                     dirac_space_channels, em_field_strength_density,
-                     photon_space_channels, scalar_bilinear_density,
-                     scalar_density, scalar_momentum_density, spinor_u,
-                     spinor_v, stress_tensor_em, stress_tensor_scalar)
+from .fields import (QuadraticObservable, current_matrices,
+                     dirac_current_density, dirac_field, dirac_space_channels,
+                     em_field_strength_density, photon_space_channels,
+                     scalar_bilinear_density, scalar_density,
+                     scalar_momentum_density, spinor_u, spinor_v,
+                     stress_tensor_em, stress_tensor_scalar)
 from .correlators import (CTPPropagator, Insertion, KeldyshPropagator,
-                          OrderingScheme, ThreePointResult,
-                          exact_contour_correlator, free_propagator,
-                          insertion, keldysh_scalar_propagators,
-                          ordering_average, three_point_T_phi_phi,
+                          OrderingScheme, exact_contour_correlator,
+                          free_propagator, insertion,
+                          keldysh_scalar_propagators, ordering_average,
                           three_point_combination, wick_npoint)
 from .spectral import (NoiseExponentFit, SpectralSample, SpectrumDescriptor,
                        fdt_ratio, lehmann_spectral_density,
                        massless_current_spectrum, noise_exponent_fit,
                        signal_vs_noise_curve, suppression_slope,
                        windowed_noise)
-from .tensors import (DecompositionFit, TensorCorrelation, boost_tensor,
-                      canonical_boost, decompose_antisymmetric,
+from .tensors import (boost_tensor, canonical_boost, decompose_antisymmetric,
                       decompose_symmetric, decompose_vector,
                       noiseless_components, project_noiseless_tensor,
                       project_noiseless_vector)
-from .measurement import (HomodyneConfig, LocalizationReport,
-                          MeasurementWindow, MomentsResult, commensurate_tau,
-                          homodyne_difference, localization_effect, moments,
-                          photon_signal, sagnac_regression,
-                          spacelike_windowed_observable, vacuum_variance,
-                          windowed_observable)
+from .measurement import (HomodyneConfig, MeasurementWindow, MomentsResult,
+                          commensurate_tau, homodyne_difference,
+                          localization_effect, moments, photon_signal,
+                          sagnac_regression, spacelike_windowed_observable,
+                          vacuum_variance, windowed_observable)
 
 __version__ = "0.1.0"

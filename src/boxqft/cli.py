@@ -15,6 +15,7 @@ import math
 import operator
 import sys
 import time
+import warnings
 from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Optional
@@ -24,9 +25,8 @@ import numpy as np
 import click
 
 from . import measurement, spectral
-from .correlators import (OrderingScheme, exact_contour_correlator,
-                          insertion, three_point_combination,
-                          three_point_T_phi_phi, wick_npoint)
+from .correlators import (exact_contour_correlator, insertion,
+                          three_point_combination, wick_npoint)
 from .errors import BoxQFTError, ConfigInvalid
 from .fields import (dirac_current_density, dirac_space_channels,
                      em_field_strength_density, photon_space_channels,
@@ -38,13 +38,12 @@ from .measurement import (HomodyneConfig, MeasurementWindow, RegressionRow,
                           commensurate_tau, homodyne_difference,
                           localization_effect, spacelike_windowed_observable,
                           vacuum_variance)
-from .spacetime import METRIC, FourVector, ctp_contour
+from .spacetime import METRIC, FourVector, ctp_time
 from .spectral import (lehmann_spectral_density, noise_exponent_fit,
                        signal_vs_noise_curve, suppression_slope)
-from .tensors import (TensorCorrelation, decompose_antisymmetric,
-                      decompose_symmetric, decompose_vector,
-                      project_noiseless_tensor, project_noiseless_vector,
-                      symmetric_model_product_form)
+from .tensors import (decompose_antisymmetric, decompose_symmetric,
+                      decompose_vector, project_noiseless_tensor,
+                      project_noiseless_vector, symmetric_model_product_form)
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -347,7 +346,6 @@ def cmd_noiseless(config: dict, out: Optional[Path] = None) -> RunReport:
                    "space-like windowed T00, exact lattice", cfg["variance_tol"])
     # contrast: a time-like readout momentum resonates with pair creation
     # (massive dispersion keeps E1+E2 > |k1+k2| strictly time-like)
-    import warnings
     u = 2 * math.pi / box
     mspace = _scalar_space(box, 2, mass=1.0, caps=(2, 2))
     g = mspace.grid("phi")
@@ -407,11 +405,11 @@ def _tensor_zero_checks(report: RunReport, cfg: dict, box: float) -> None:
     jdens = {(mu,): (1, dirac_current_density(dspace, mu)) for mu in range(4)}
     p = FourVector(0.6 * u, 0.0, 0.0, 2 * u)
     Gv, terms = _pipeline_tensor(dspace, jdens, p, beta)
-    fit = decompose_vector(TensorCorrelation("vector", p, Gv))
-    report.add("pipeline.vector.xi", abs(fit.coefficients["xi"]), 0.0,
+    fit = decompose_vector(p, Gv)
+    report.add("pipeline.vector.xi", abs(fit["xi"]), 0.0,
                "vacuum current correlation, space-like p", tol)
     report.flag("pipeline.vector.eta_nonneg",
-                fit.coefficients["eta"].real >= -1e-10, "eta sign consistency")
+                fit["eta"].real >= -1e-10, "eta sign consistency")
     report.add("pipeline.vector.terms", float(terms), 0.0,
                "structural zero: no contributing eigenstate pairs", 0.5)
 
@@ -424,10 +422,10 @@ def _tensor_zero_checks(report: RunReport, cfg: dict, box: float) -> None:
     Gs, terms = _pipeline_tensor(
         sspace, {(mu, nu): (1, tdens[tuple(sorted((mu, nu)))])
                  for mu in range(4) for nu in range(4)}, p, beta)
-    fit = decompose_symmetric(TensorCorrelation("symmetric2", p, Gs))
-    report.add("pipeline.symmetric.v", abs(fit.coefficients["v"]), 0.0,
+    fit = decompose_symmetric(p, Gs)
+    report.add("pipeline.symmetric.v", abs(fit["v"]), 0.0,
                "vacuum stress correlation, space-like p", tol)
-    report.add("pipeline.symmetric.f", abs(fit.coefficients["f"]), 0.0,
+    report.add("pipeline.symmetric.f", abs(fit["f"]), 0.0,
                "vacuum stress correlation, space-like p", tol)
     report.add("pipeline.symmetric.terms", float(terms), 0.0,
                "structural zero", 0.5)
@@ -437,10 +435,10 @@ def _tensor_zero_checks(report: RunReport, cfg: dict, box: float) -> None:
     Ga, _ = _pipeline_tensor(pspace, _field_strength_densities(pspace), p, beta)
     report.add("pipeline.antisymmetric.maxG", float(np.max(np.abs(Ga))), 0.0,
                "vacuum F correlation, space-like p", tol)
-    fit = decompose_antisymmetric(TensorCorrelation("antisymmetric2", p, Ga))
+    fit = decompose_antisymmetric(p, Ga)
     for name in ("a", "v", "f"):
         report.add(f"pipeline.antisymmetric.{name}",
-                   abs(fit.coefficients[name]), 0.0, "fit of zero data", tol)
+                   abs(fit[name]), 0.0, "fit of zero data", tol)
 
 
 def _tensor_synthetic_checks(report: RunReport, cfg: dict, seed: int) -> None:
@@ -450,19 +448,19 @@ def _tensor_synthetic_checks(report: RunReport, cfg: dict, seed: int) -> None:
     pa = p.as_array()
 
     G = 2.5 * np.outer(pa, pa)
-    fit = decompose_vector(TensorCorrelation("vector", p, G))
-    report.add("synthetic.vector.eta", abs(fit.coefficients["eta"] - 2.5), 0.0,
+    fit = decompose_vector(p, G)
+    report.add("synthetic.vector.eta", abs(fit["eta"] - 2.5), 0.0,
                "planted eta=2.5", tol)
-    report.add("synthetic.vector.xi", abs(fit.coefficients["xi"]), 0.0,
+    report.add("synthetic.vector.xi", abs(fit["xi"]), 0.0,
                "planted xi=0", tol)
 
     Gs = symmetric_model_product_form(p, w=1.0, b=0.3, a=0.2)
-    fit = decompose_symmetric(TensorCorrelation("symmetric2", p, Gs))
-    report.add("synthetic.symmetric.w", abs(fit.coefficients["w"] - 1.0), 0.0,
+    fit = decompose_symmetric(p, Gs)
+    report.add("synthetic.symmetric.w", abs(fit["w"] - 1.0), 0.0,
                "planted w=1", tol)
-    report.add("synthetic.symmetric.b", abs(fit.coefficients["b_reduced"] - 0.3),
+    report.add("synthetic.symmetric.b", abs(fit["b_reduced"] - 0.3),
                0.0, "planted b=0.3 (product form)", tol)
-    report.add("synthetic.symmetric.a", abs(fit.coefficients["a_reduced"] - 0.2),
+    report.add("synthetic.symmetric.a", abs(fit["a_reduced"] - 0.2),
                0.0, "planted a=0.2 (product form)", tol)
 
     n = cfg["n_random"]
@@ -524,9 +522,8 @@ def cmd_scaling(config: dict, out: Path) -> RunReport:
                         fit.points)
     taus = list(np.geomspace(0.1, 10.0, 41))
     for D in (1, 2, 3):
-        curve = signal_vs_noise_curve(D, taus)
-        write_table(out / f"fig2_D{D}.csv",
-                    ["tau", "signal", "noise", "ratio"], curve.rows)
+        write_table(out / f"fig2_D{D}.csv", ["tau", "signal", "noise", "ratio"],
+                    signal_vs_noise_curve(D, taus))
     return report
 
 
@@ -632,17 +629,19 @@ def cmd_homodyne(config: dict, out: Optional[Path] = None) -> RunReport:
     space = _scalar_space(box, 4, mass=0.0, caps=(2, 2))
     dens = stress_tensor_scalar(space, 0, 0)
     pbar = FourVector(0.0, 0.0, 0.0, 2 * cfg["k3"])
-    rep = localization_effect(pbar, cfg["sigmas"], dens)
-    report.flag("leakage.monotone", rep.leakage_is_monotone(),
+    rows = localization_effect(pbar, cfg["sigmas"], dens)
+    leakages = [r.leakage for r in rows]
+    mono = all(b <= a + 1e-15 for a, b in zip(leakages, leakages[1:]))
+    report.flag("leakage.monotone", mono,
                 "Gaussian leakage decreases with sigma_t")
-    variances = [r.vacuum_variance for r in rep.rows]
+    variances = [r.vacuum_variance for r in rows]
     mono = all(b <= a + 1e-18 for a, b in zip(variances, variances[1:]))
     report.flag("darkcount.variance.monotone", mono,
                 "vacuum variance decreases with sigma_t")
     # vacuum variance of the balanced difference |1+x|^2 - |1-x|^2 as an
     # operator, x = alpha*S at the widest sigma_t; exactly 4x for Hermitian S
     alpha = cfg["alphas"][0]
-    widest = max(rep.rows, key=lambda r: r.sigma_t)
+    widest = max(rows, key=lambda r: r.sigma_t)
     budget = (4 * alpha) ** 2 * widest.vacuum_variance
     diff = measurement.balanced_difference(alpha * widest.observable.matrix())
     diff_var = measurement.operator_vacuum_variance(space, diff)
@@ -653,11 +652,11 @@ def cmd_homodyne(config: dict, out: Optional[Path] = None) -> RunReport:
         write_table(out / "homodyne_localization.csv",
                     ["sigma_t", "leakage", "vacuum_variance"],
                     ((r.sigma_t, r.leakage, r.vacuum_variance)
-                     for r in rep.rows))
+                     for r in rows))
     return report
 
 
-def _wick_catalog(space: FockSpace, channel: str, contour, modes) -> List[List]:
+def _wick_catalog(channel: str, modes) -> List[List]:
     """Deterministic 2- and 4-point insertion lists over branches and times."""
     times = (0.0, 0.35, 0.8)
     cases = []
@@ -666,28 +665,28 @@ def _wick_catalog(space: FockSpace, channel: str, contour, modes) -> List[List]:
         for b2 in (0, 1):
             for t1 in times[:2]:
                 for t2 in times[1:]:
-                    cases.append([(channel, m0, "a", contour.time(b1, t1)),
-                                  (channel, m0, "c", contour.time(b2, t2))])
-    cases.append([(channel, m0, "c", contour.time(0, 0.0)),
-                  (channel, m0, "a", contour.time(1, 0.5))])
+                    cases.append([(channel, m0, "a", ctp_time(b1, t1)),
+                                  (channel, m0, "c", ctp_time(b2, t2))])
+    cases.append([(channel, m0, "c", ctp_time(0, 0.0)),
+                  (channel, m0, "a", ctp_time(1, 0.5))])
     for b in (0, 1):
         cases.append([
-            (channel, m0, "a", contour.time(b, 0.0)),
-            (channel, m0, "c", contour.time(1 - b, 0.35)),
-            (channel, m0, "a", contour.time(1, 0.6)),
-            (channel, m0, "c", contour.time(0, 0.9)),
+            (channel, m0, "a", ctp_time(b, 0.0)),
+            (channel, m0, "c", ctp_time(1 - b, 0.35)),
+            (channel, m0, "a", ctp_time(1, 0.6)),
+            (channel, m0, "c", ctp_time(0, 0.9)),
         ])
         cases.append([
-            (channel, m0, "a", contour.time(0, 0.1)),
-            (channel, m1, "c", contour.time(b, 0.4)),
-            (channel, m1, "a", contour.time(1, 0.7)),
-            (channel, m0, "c", contour.time(1, 0.2)),
+            (channel, m0, "a", ctp_time(0, 0.1)),
+            (channel, m1, "c", ctp_time(b, 0.4)),
+            (channel, m1, "a", ctp_time(1, 0.7)),
+            (channel, m0, "c", ctp_time(1, 0.2)),
         ])
         cases.append([
-            (channel, m0, "c", contour.time(b, 0.25)),
-            (channel, m0, "c", contour.time(1, 0.5)),
-            (channel, m0, "a", contour.time(0, 0.75)),
-            (channel, m0, "a", contour.time(1 - b, 0.05)),
+            (channel, m0, "c", ctp_time(b, 0.25)),
+            (channel, m0, "c", ctp_time(1, 0.5)),
+            (channel, m0, "a", ctp_time(0, 0.75)),
+            (channel, m0, "a", ctp_time(1 - b, 0.05)),
         ])
     return cases
 
@@ -703,12 +702,11 @@ def cmd_wick_check(config: dict, out: Optional[Path] = None) -> RunReport:
     fer_grid = ModeGrid(axes=(3,), lengths=(box,), ranges=((1, 3),),
                         species=Species.FERMION, mass=0.0)
     fer = build_fock_space([("psi", fer_grid)], 1, 3)
-    contour = ctp_contour()
     for label, space, channel in (("boson", bos, "phi"), ("fermion", fer, "psi")):
         modes = list(space.grid(channel).modes)
         for beta in cfg["betas"]:
             worst = 0.0
-            for case in _wick_catalog(space, channel, contour, modes):
+            for case in _wick_catalog(channel, modes):
                 ins = [insertion(space, ch, n, kind, t) for ch, n, kind, t in case]
                 engine = wick_npoint(ins, beta)
                 oracle = exact_contour_correlator(space, ins, beta)
@@ -727,21 +725,20 @@ def cmd_threepoint(config: dict, out: Optional[Path] = None) -> RunReport:
     k = FourVector(0.0, 0.0, 0.0, wv)
     p = FourVector(0.0, 0.0, 0.0, wv / 2)
     q = FourVector(0.0, 0.0, 0.0, wv / 2)
-    res = three_point_T_phi_phi(k, p, q, 3, 3, m)
-    report.add("prefactor[mu=nu=3,v=0]", res.numerator.real,
+    res = three_point_combination(k, p, q, ((1.0, (3, 3)),), m)
+    report.add("prefactor[mu=nu=3,v=0]", res.real,
                wv ** 2 / 8 + m ** 2 / 2, "w^2/8 + m^2/2", cfg["tol"])
     pv = FourVector(v, 0.0, 0.0, wv / 2)
     qv = FourVector(-v, 0.0, 0.0, wv / 2)
     weights = ((2.0, (0, 0)), (1.0, (1, 1)), (1.0, (2, 2)))
     res = three_point_combination(k, pv, qv, weights, m)
-    report.add("prefactor[noiseless combo]", res.numerator.real, -2 * v ** 2,
+    report.add("prefactor[noiseless combo]", res.real, -2 * v ** 2,
                "-2 v^2 for 2T00+T11+T22", cfg["tol"])
     E = math.sqrt(m ** 2 + wv ** 2 / 4)
     pE = FourVector(E, 0.0, 0.0, wv / 2)
     qE = FourVector(-E, 0.0, 0.0, wv / 2)
-    res = three_point_combination(k, pE, qE, weights, m,
-                                  scheme=OrderingScheme.THREE_BRANCH)
-    report.add("prefactor[three-branch on-shell]", res.onshell_prefactor.real,
+    res = three_point_combination(k, pE, qE, weights, m)
+    report.add("prefactor[three-branch on-shell]", res.real,
                -2 * E ** 2, "-2 E^2 on the middle branch", cfg["tol"])
     if out:
         write_table(out / "threepoint_values.csv",

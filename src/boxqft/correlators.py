@@ -1,6 +1,6 @@
 """Contour-ordered free propagators, the Wick contraction engine, its
 exact-diagonalization oracle, Keldysh momentum-space propagators and the
-closed-form three-point stress-field correlation.
+closed-form prefactors of the three-point stress-field correlation.
 
 Thermal two-point building blocks (t later than t' on the contour):
 
@@ -21,13 +21,13 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
 from .errors import BoxQFTError, MomentumMismatch, UnknownMode
 from .fock import FockSpace, Species, lookup, thermal_state
-from .spacetime import METRIC, CTPTime, FourVector, minkowski_dot
+from .spacetime import METRIC, CTPTime, FourVector, ctp_time, minkowski_dot
 
 
 @dataclass(frozen=True)
@@ -241,7 +241,6 @@ class OrderingScheme(Enum):
     CONTOUR_ORDERED = "contour"       # first-listed operator latest
     KELDYSH_SYMMETRIC = "keldysh_c"   # each operator averaged over +- branches
     FULLY_SYMMETRIZED = "symmetric"   # average over all orderings
-    THREE_BRANCH = "three_branch"     # fixed branch per listed position
 
 
 def ordering_average(op_specs: Sequence[Tuple[str, str, Tuple[int, ...], float]],
@@ -253,17 +252,14 @@ def ordering_average(op_specs: Sequence[Tuple[str, str, Tuple[int, ...], float]]
     the operators are distributed over contour branches; `engine` may be the
     Wick engine or the exact oracle (same call signature).
     """
-    from .spacetime import ctp_contour
-
     n = len(op_specs)
     if scheme is OrderingScheme.CONTOUR_ORDERED:
         # written order is contour order: first operator latest
         return engine(_ordered_insertions(space, op_specs), beta)
     if scheme is OrderingScheme.KELDYSH_SYMMETRIC:
-        contour = ctp_contour()
         total = 0.0 + 0.0j
         for branches in itertools.product((0, 1), repeat=n):
-            ins = [insertion(space, ch, mode, kind, contour.time(b, t))
+            ins = [insertion(space, ch, mode, kind, ctp_time(b, t))
                    for (kind, ch, mode, t), b in zip(op_specs, branches)]
             total += engine(ins, beta)
         return total / 2 ** n
@@ -350,21 +346,6 @@ def keldysh_scalar_propagators(component: str, m: float) -> KeldyshPropagator:
 # three-point <T^{mu nu}(k) phi(-p) phi(-q)>
 
 
-@dataclass(frozen=True)
-class ThreePointResult:
-    """Closed-form pieces of the three-point correlation, up to the overall
-    contour constant (which the source normalization leaves unfixed).
-
-    numerator: p^mu q^nu (symmetrized) - g^{mu nu} (p.q + m^2)/2
-    value: numerator / ((p.p - m^2)(q.q - m^2))   [Keldysh-symmetric scheme]
-    onshell_prefactor: the same numerator combination evaluated on the
-    middle-branch on-shell term of the three-branch ordering.
-    """
-    numerator: complex
-    value: complex
-    onshell_prefactor: Optional[complex] = None
-
-
 def _three_point_numerator(p: FourVector, q: FourVector, mu: int, nu: int,
                            m: float) -> complex:
     pa, qa = p.as_array(), q.as_array()
@@ -372,29 +353,20 @@ def _three_point_numerator(p: FourVector, q: FourVector, mu: int, nu: int,
     return sym - METRIC[mu, nu] * (minkowski_dot(p, q) + m * m) / 2.0
 
 
-def three_point_T_phi_phi(k: FourVector, p: FourVector, q: FourVector,
-                          mu: int, nu: int, m: float) -> ThreePointResult:
-    """Stress-field three-point correlation at tree level, in the
-    Keldysh-symmetric scheme: the rational expression numerator /
-    ((p.p - m^2)(q.q - m^2)).  Requires p + q = k."""
-    return three_point_combination(k, p, q, ((1.0, (mu, nu)),), m)
-
-
 def three_point_combination(k: FourVector, p: FourVector, q: FourVector,
                             weights: Sequence[Tuple[float, Tuple[int, int]]],
-                            m: float,
-                            scheme: OrderingScheme = OrderingScheme.KELDYSH_SYMMETRIC
-                            ) -> ThreePointResult:
-    """Weighted component combination, e.g. ((2,(0,0)),(1,(1,1)),(1,(2,2)))
-    for the noiseless combination 2*T00 + T11 + T22.  For the three-branch
-    scheme the additional on-shell middle-branch term is returned through
-    onshell_prefactor (nonzero at E = sqrt(m^2 + |k|^2/4) kinematics)."""
+                            m: float) -> complex:
+    """The prefactor sum_w w (p^mu q^nu (symmetrized) - g^{mu nu}
+    (p.q + m^2)/2) of a weighted component combination of the tree-level
+    correlation, up to the overall contour constant (which the source
+    normalization leaves unfixed).  Weights ((1, (mu, nu)),) give one
+    component; ((2,(0,0)),(1,(1,1)),(1,(2,2))) the noiseless combination
+    2*T00 + T11 + T22.  The same prefactor multiplies the on-shell
+    middle-branch term of the three-branch ordering, nonzero at
+    E = sqrt(m^2 + |k|^2/4) kinematics.  Requires p + q = k."""
     num = sum(w * _three_point_numerator(p, q, mu, nu, m)
               for w, (mu, nu) in weights)
-    den = (minkowski_dot(p, p) - m * m) * (minkowski_dot(q, q) - m * m)
     mismatch = (p + q - k).norm_sq_euclidean()
     if mismatch > 1e-12:
         raise MomentumMismatch(f"p + q != k (Euclidean residue {mismatch})")
-    value = num / den if den != 0 else complex("inf")
-    onshell = num if scheme is OrderingScheme.THREE_BRANCH else None
-    return ThreePointResult(numerator=num, value=value, onshell_prefactor=onshell)
+    return complex(num)

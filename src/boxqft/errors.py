@@ -14,7 +14,8 @@ class UnknownMode(BoxQFTError):
 
 
 class DimensionMismatch(BoxQFTError):
-    """Operator and state dimensions do not match."""
+    """Operator and state dimensions do not match, or a density is read on
+    a space other than its own."""
 
 
 class OffLatticeMomentum(BoxQFTError):

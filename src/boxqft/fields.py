@@ -29,12 +29,11 @@ forms evaluated on arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .errors import BoxQFTError, ZeroMomentum
+from .errors import BoxQFTError, DimensionMismatch, ZeroMomentum
 from .fock import FockSpace, ModeGrid, Species, lookup
 from .operator import Operator, _cmul
 from .spacetime import METRIC, FourVector
@@ -79,13 +78,9 @@ def current_matrices() -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
 # spinors
 
 
-@dataclass(frozen=True)
-class Spinor:
-    components: np.ndarray
-
-
-def spinor_u(k3: float, handedness: str, m: float) -> Spinor:
-    """Positive-energy helicity spinor for momentum (0,0,k3), k3 != 0.
+def spinor_u(k3: float, handedness: str, m: float) -> np.ndarray:
+    """Positive-energy helicity spinor for momentum (0,0,k3), k3 != 0, as a
+    (4,) complex array.
 
     u^L = (2E)^(-1/2) (sqrt(E-k3) th(-k3), sqrt(E+k3) th(k3),
                        sqrt(E+k3) th(-k3), sqrt(E-k3) th(k3))
@@ -105,18 +100,17 @@ def spinor_u(k3: float, handedness: str, m: float) -> Spinor:
         comp = np.array([sm * tm, sps * tp, sps * tm, sm * tp], dtype=complex)
     else:
         comp = np.array([sm * tp, sps * tm, sps * tp, sm * tm], dtype=complex)
-    return Spinor(comp / math.sqrt(2 * E))
+    return comp / math.sqrt(2 * E)
 
 
-def spinor_v(k3: float, handedness: str, m: float) -> Spinor:
-    """Antiparticle spinor by charge conjugation, v = i*gamma2*conj(u).
+def spinor_v(k3: float, handedness: str, m: float) -> np.ndarray:
+    """Antiparticle spinor by charge conjugation, v = i*gamma2*conj(u), as a
+    (4,) complex array.
 
     The source material never writes v explicitly; this standard construction
     is validated through the equal-time anticommutator test.
     """
-    u = spinor_u(k3, handedness, m)
-    comp = 1j * GAMMA[2] @ np.conj(u.components)
-    return Spinor(comp)
+    return 1j * GAMMA[2] @ np.conj(spinor_u(k3, handedness, m))
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +189,13 @@ def _check_normal_ordered(space: FockSpace, terms: np.ndarray) -> None:
                     or len(np.unique(key)) == len(terms)):
         raise BoxQFTError("line spectra and vacuum records need unique, "
                           "normal-ordered terms")
+
+
+def _check_space(space: FockSpace, *densities: "QuadraticObservable") -> None:
+    """Raise unless every density is on space itself: terms number the slots
+    of their own space, so read on another they name other modes, or none."""
+    if any(d.space is not space for d in densities):
+        raise DimensionMismatch("the densities must be on the space passed in")
 
 
 def _vacuum_records(space: FockSpace, terms: np.ndarray,
@@ -450,9 +451,9 @@ def _dirac_slots(space: FockSpace) -> np.ndarray:
         k3 = grid.wavevector(n)[2]
         for X in _DIRAC_PARTICLE:
             psi[:, M + space.mode_index[(X, n)]] = \
-                spinor_u(k3, X, grid.mass).components / root_v
+                spinor_u(k3, X, grid.mass) / root_v
             psi[:, space.mode_index[(_DIRAC_ANTI[X], n)]] = \
-                spinor_v(k3, X, grid.mass).components / root_v
+                spinor_v(k3, X, grid.mass) / root_v
     return psi
 
 

@@ -19,6 +19,7 @@ pure functions and safe to evaluate in parallel.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -84,7 +85,6 @@ class ModeGrid:
         """Mode index tuples, lexicographically ascending."""
         out = []
         grids = [range(lo, hi + 1) for lo, hi in self.ranges]
-        import itertools
         for n in itertools.product(*grids):
             if self.excludes_zero_mode and all(v == 0 for v in n):
                 continue
@@ -248,9 +248,11 @@ class FockSpace:
 
     def state_index(self, occ) -> int:
         """Position of an occupation row in the basis: the rank of its
-        occupied-mode list."""
+        occupied-mode list.  Occupations are whole numbers within the caps."""
         occ = np.asarray(occ)
-        if occ.shape == self.caps.shape and np.all((occ >= 0) & (occ <= self.caps)) \
+        if occ.shape == self.caps.shape and occ.dtype.kind in "iuf" \
+                and np.all((occ >= 0) & (occ <= self.caps)
+                           & (occ == np.round(occ))) \
                 and occ.sum() <= self.n_max_total:
             units = np.repeat(np.arange(len(occ)), occ.astype(np.int64))
             return int(self._rank_terms[units, np.arange(len(units))].sum())
@@ -304,7 +306,7 @@ def _rank_terms(caps: np.ndarray, total_cap: int,
     """
     if min(int(max(caps, default=0)), total_cap) > 127:
         raise BoxQFTError("occupations above 127 exceed the int8 occupation "
-                          "rows of basis_state; lower the per-mode or total cap")
+                          "range; lower the per-mode or total cap")
     count = [1] * (total_cap + 1)                  # C[M]: only the empty tuple
     counts = [count]
     for cap in caps[::-1]:
@@ -456,9 +458,14 @@ class DensityOperator:
 
 
 def basis_state(space: FockSpace, occupation: Dict[Tuple[str, Tuple[int, ...]], int]) -> StateVector:
-    occ = np.zeros(len(space.modes), dtype=np.int8)
+    """The basis state with the given occupation, {(channel, mode): count},
+    of the modes on the space; every other mode is empty."""
+    occ = [0] * len(space.modes)
     for (ch, n), v in occupation.items():
-        occ[space.mode_index[(ch, tuple(n))]] = v
+        key = (ch, tuple(n))
+        if key not in space.mode_index:
+            raise UnknownMode(f"mode {key[1]} not on channel {ch!r}")
+        occ[space.mode_index[key]] = v
     amp = np.zeros(space.dim, dtype=complex)
     amp[space.state_index(occ)] = 1.0
     return StateVector(amp)

@@ -17,14 +17,15 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import BoxQFTError, DimensionOverflow
-from .fields import (QuadraticObservable, _vacuum_records,
+from .errors import BoxQFTError, DimensionMismatch, DimensionOverflow
+from .fields import (QuadraticObservable, _check_space, _vacuum_records,
                      dirac_current_density, stress_tensor_em,
                      stress_tensor_scalar)
 from .fock import (DensityOperator, FockSpace, SagnacConfig, SagnacSpecies,
                    StateVector, expectation, sagnac_state)
 from .operator import Operator
 from .spacetime import FourVector, IntervalClass, classify_interval
+from .spectral import _check_positive
 
 # ---------------------------------------------------------------------------
 # windows
@@ -32,7 +33,9 @@ from .spacetime import FourVector, IntervalClass, classify_interval
 
 @dataclass(frozen=True)
 class MeasurementWindow:
-    """Integration region: the full box spatially, duration tau in time.
+    """Integration region: the full box spatially, duration tau in time;
+    tau must be finite and > 0 (a zero-length window has no terms, and its
+    variance would read as the structural zero).
 
     envelope "rect": sharp window of length tau centered at t=0.
     envelope "gauss": Gaussian time envelope exp(-t^2/(2 sigma_t^2)) of
@@ -42,6 +45,7 @@ class MeasurementWindow:
     envelope: str = "rect"
 
     def __post_init__(self):
+        _check_positive("tau", self.tau)
         if self.envelope not in ("rect", "gauss"):
             raise BoxQFTError("envelope must be 'rect' or 'gauss'")
 
@@ -178,15 +182,21 @@ def _moment_diagonals(S: QuadraticObservable, n_max: int) -> List[np.ndarray]:
 
 
 def vacuum_variance(space: FockSpace, S: QuadraticObservable) -> float:
-    """<0|S^2|0> - <0|S|0>^2 = |S|0>|^2 for a normal-ordered Hermitian S,
-    exactly, from the vacuum column of its terms (fields._vacuum_records)."""
+    """<0|S^2|0> - <0|S|0>^2 = |S|0>|^2 for a normal-ordered Hermitian S
+    on space, exactly, from the vacuum column of its terms
+    (fields._vacuum_records)."""
+    _check_space(space, S)
     column = _vacuum_records(space, S.terms, True)[2]
     return float(np.vdot(column, column).real)
 
 
 def operator_vacuum_variance(space: FockSpace, mat: Operator) -> float:
     """<0|O^2|0> - <0|O|0>^2 for a Hermitian Fock-space operator O.  O|0>
-    is O's column at the vacuum, so this is sum_i |O_i0|^2 - |O_00|^2."""
+    is O's column at the vacuum, so this is sum_i |O_i0|^2 - |O_00|^2.
+    O must act on space: its dimension is space's."""
+    if mat.dim != space.dim:
+        raise DimensionMismatch(f"operator dimension {mat.dim} is not the "
+                                f"space's {space.dim}")
     vac = space.state_index(np.zeros(len(space.modes), dtype=np.int8))
     on = mat.col == vac
     column = mat.value[on]
@@ -236,18 +246,11 @@ class LocalizationRow:
     observable: QuadraticObservable = field(repr=False, compare=False)
 
 
-@dataclass(frozen=True)
-class LocalizationReport:
-    rows: Tuple[LocalizationRow, ...]
-
-    def leakage_is_monotone(self) -> bool:
-        ls = [r.leakage for r in self.rows]
-        return all(b <= a + 1e-15 for a, b in zip(ls, ls[1:]))
-
-
 def localization_effect(pbar: FourVector, sigmas: Sequence[float],
-                        density: QuadraticObservable) -> LocalizationReport:
-    """Leakage of a localized readout window into the time-like region.
+                        density: QuadraticObservable
+                        ) -> Tuple[LocalizationRow, ...]:
+    """Leakage of a localized readout window into the time-like region, one
+    row per time width.
 
     For each time width sigma_t: the normalized weight of |N(p-pbar)|^2
     over p.p > 0, and the exact lattice vacuum variance of the density
@@ -263,7 +266,7 @@ def localization_effect(pbar: FourVector, sigmas: Sequence[float],
         rows.append(LocalizationRow(
             sigma_t=float(s), leakage=float(math.erfc(s * abs(pbar.z))),
             vacuum_variance=vacuum_variance(density.space, obs), observable=obs))
-    return LocalizationReport(rows=tuple(rows))
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------

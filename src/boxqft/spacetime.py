@@ -1,4 +1,4 @@
-"""Minkowski geometry and the closed-time-path contour.
+"""Minkowski geometry and points on the closed-time-path contour.
 
 Conventions: natural units (c = hbar = kB = 1), metric signature (+,-,-,-),
 four-vectors stored with all four components even when the spatial dimension
@@ -108,16 +108,6 @@ def boost(p: FourVector, rapidity: float, axis: int) -> FourVector:
 
 
 @dataclass(frozen=True)
-class ContourBranch:
-    """One flat part of the contour.
-
-    direction: +1 when the real time grows with the contour parameter,
-    -1 when it shrinks.
-    """
-    direction: int
-
-
-@dataclass(frozen=True)
 class CTPTime:
     """A point on the contour: (complex) time and parameter s.
 
@@ -131,21 +121,18 @@ class CTPTime:
         return self.s < other.s
 
 
-@dataclass(frozen=True)
-class Contour:
-    branches: tuple
-
-    def time(self, branch: int, t: float) -> CTPTime:
-        """Place a real time t on the given branch."""
-        b = self.branches[branch]
-        # squash direction*t into [0,1) so s = branch + fraction is a global
-        # strictly increasing parameter along the whole contour
-        frac = (math.atan(b.direction * float(np.real(t))) + math.pi / 2) / math.pi
-        return CTPTime(t=complex(t), s=branch + frac)
-
-
-def ctp_contour() -> Contour:
-    """The forward(+i*eps)/backward(-i*eps) contour of two branches.  Its
-    final vertical segment of length beta is left out: every free-theory
-    formula used downstream is in closed form in beta."""
-    return Contour(branches=(ContourBranch(+1), ContourBranch(-1)))
+def ctp_time(branch: int, t: float) -> CTPTime:
+    """Place a real time t on branch 0, the forward (+i*eps) branch, or 1,
+    the backward (-i*eps) one, of the closed time path.  On the forward
+    branch the real time grows with the contour parameter s, on the backward
+    branch it shrinks.  The final vertical segment of length beta is left
+    out: every free-theory formula used downstream is in closed form in
+    beta."""
+    if branch not in (0, 1):
+        raise BoxQFTError(f"branch must be 0 (forward) or 1 (backward), "
+                          f"not {branch!r}")
+    direction = 1 if branch == 0 else -1
+    # squash direction*t into [0,1) so s = branch + fraction is a global
+    # strictly increasing parameter along the whole contour
+    frac = (math.atan(direction * float(np.real(t))) + math.pi / 2) / math.pi
+    return CTPTime(t=complex(t), s=branch + frac)

@@ -64,6 +64,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import warnings
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -71,10 +72,10 @@ import numpy as np
 
 from .errors import BoxQFTError
 from .fields import (QuadraticObservable, _check_normal_ordered,
-                     _compose, _vacuum_records)
+                     _check_space, _compose, _vacuum_records)
 from .fock import FockSpace, thermal_state
 from .operator import _cmul, _group_sums
-from .spacetime import FourVector, minkowski_dot
+from .spacetime import METRIC, FourVector, minkowski_dot
 
 NORM_TAG = "box: X(p)=int_V e^{-ip.x}X dx; G = binsum/(V); delta0=bin"
 
@@ -217,7 +218,9 @@ def line_spectrum(space: FockSpace, X: QuadraticObservable,
                   Y: QuadraticObservable,
                   lat: Tuple[int, int, int]) -> LineSpectrum:
     """Line spectrum of A = X(-lat), B = Y(lat), joined afresh from the
-    block terms in X's and Y's memos; the spectrum is not stored."""
+    block terms in X's and Y's memos; the spectrum is not stored.  X and Y
+    must be densities on space."""
+    _check_space(space, X, Y)
     lat = tuple(lat)
     neg = tuple(-v for v in lat)
     return _line_spectrum(space, _memo(space, X, neg)["terms"][neg],
@@ -240,8 +243,10 @@ def lehmann_spectral_density(space: FockSpace, X: QuadraticObservable,
     Returns the sample together with the dominant Boltzmann weight among
     contributing terms and the number of contributing (n, m) pairs; a zero
     term count at space-like p and beta = inf is the structural statement
-    that no eigenstate pair satisfies the energy-momentum constraint.
+    that no eigenstate pair satisfies the energy-momentum constraint.  X and
+    Y must be densities on space.
     """
+    _check_space(space, X, Y)
     if delta_omega is None:
         delta_omega = default_delta_omega(space)
     elif (isinstance(delta_omega, bool)
@@ -352,7 +357,6 @@ class SpectrumDescriptor:
             r2 = float(p.spatial @ p.spatial)
             return r2 * r2
         pa = p.as_array()
-        from .spacetime import METRIC
         return float(pa[mu] * pa[nu] - METRIC[mu, nu] * minkowski_dot(p, p))
 
     def support_value(self, p: FourVector) -> float:
@@ -477,7 +481,6 @@ def windowed_noise(s_type: str, D: int, V: float, tau, n_grid: int = 48):
     D = 1 integrates the light-cone branches on a 8*n_grid (at least 256)
     point rule.  Durations below 3*V^(1/D) are warned about.
     """
-    import warnings
     massless_current_spectrum(D, s_type)            # validates D and s_type
     _check_count("n_grid", n_grid, 1)
     n_grid = int(n_grid)
@@ -557,17 +560,14 @@ def noise_exponent_fit(s_type: str, D: int, V: float, tau_min: float,
 # qualitative signal vs noise curves
 
 
-@dataclass(frozen=True)
-class SignalNoiseCurve:
-    rows: Tuple[Tuple[float, float, float, float], ...]  # tau, signal, noise, ratio
-
-
-def signal_vs_noise_curve(D: int, taus: Sequence[float]) -> SignalNoiseCurve:
+def signal_vs_noise_curve(D: int, taus: Sequence[float]
+                          ) -> Tuple[Tuple[float, float, float, float], ...]:
     """Qualitative single-particle signal (~tau) against vacuum noise
-    (~tau^(1-D)) with unit prefactors; the crossover is tau* = 1."""
+    (~tau^(1-D)) with unit prefactors, as rows (tau, signal, noise, ratio);
+    the crossover is tau* = 1."""
     rows = []
     for tau in taus:
         signal = float(tau)
         noise = float(tau ** (1 - D))
         rows.append((float(tau), signal, noise, signal / noise))
-    return SignalNoiseCurve(rows=tuple(rows))
+    return tuple(rows)

@@ -11,12 +11,14 @@ Invariant models fitted by exact-rank linear least squares:
 In the canonical frame p = (0,0,0,q), positivity of diagonal correlations
 forces xi = 0 (vector), v = f = 0 (symmetric) and a = v = f = 0, hence G = 0
 (antisymmetric).  b is real for space-like p and may be complex for
-time-like p; the fits honor that constraint.  A fit returns its coefficients
-only: the caller (boxqft noiseless) compares the forced zeros with 0.
+time-like p; the fits honor that constraint.  A fit takes the momentum p and
+the sampled (4, 4) or (4, 4, 4, 4) values, and returns its coefficients by
+name: the caller (boxqft noiseless) compares the forced zeros with 0.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
@@ -28,33 +30,10 @@ from .spacetime import (METRIC, FourVector, IntervalClass, boost, boost_matrix,
                         classify_interval)
 
 # rank-4 Levi-Civita symbol from permutation parity, eps^{0123} = +1
-import itertools as _it
-
 EPSILON4 = np.zeros((4, 4, 4, 4))
-for _p in _it.permutations(range(4)):
+for _p in itertools.permutations(range(4)):
     _inv = sum(1 for i in range(4) for j in range(i + 1, 4) if _p[i] > _p[j])
     EPSILON4[_p] = -1.0 if _inv % 2 else 1.0
-
-
-@dataclass(frozen=True)
-class TensorCorrelation:
-    """Sampled momentum-space correlation with declared index symmetry."""
-    rank: str                      # "vector" | "symmetric2" | "antisymmetric2"
-    p: FourVector
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
-        object.__setattr__(self, "values", v)
-        if self.rank == "vector" and v.shape != (4, 4):
-            raise BoxQFTError("vector correlations are 4x4")
-        if self.rank in ("symmetric2", "antisymmetric2") and v.shape != (4, 4, 4, 4):
-            raise BoxQFTError("rank-2 correlations are 4x4x4x4")
-
-
-@dataclass
-class DecompositionFit:
-    coefficients: Dict[str, complex]
 
 
 def _lstsq(basis: Sequence[np.ndarray], data: np.ndarray, real_params: bool):
@@ -68,29 +47,34 @@ def _lstsq(basis: Sequence[np.ndarray], data: np.ndarray, real_params: bool):
     return np.linalg.lstsq(A, y, rcond=None)[0]
 
 
-def _check_nonzero(p: FourVector) -> None:
+def _checked(p: FourVector, values, shape: Tuple[int, ...]) -> np.ndarray:
+    """values as a complex array of the given shape; p = 0 is refused."""
+    v = np.asarray(values, dtype=complex)
+    if v.shape != shape:
+        raise BoxQFTError(f"correlation values must have shape {shape}, "
+                          f"not {v.shape}")
     if p.norm_sq_euclidean() == 0.0:
         raise DegenerateBasis("p = 0 collapses the tensor basis")
+    return v
 
 
 # ---------------------------------------------------------------------------
 # vector
 
 
-def decompose_vector(G: TensorCorrelation) -> DecompositionFit:
-    """Fit G^{mn} = eta p^m p^n - xi g^{mn} at G's momentum p.
+def decompose_vector(p: FourVector, values) -> Dict[str, complex]:
+    """Fit the (4, 4) values G^{mn} = eta p^m p^n - xi g^{mn} at momentum p;
+    returns {"eta", "xi"}.
 
     For positivity-consistent space-like vacuum data xi = 0 (in the
     canonical frame G00 = -xi and G11 = +xi must both be >= 0);
     conservation (p.A = 0) additionally forces eta = 0.  p = 0 is refused.
     """
-    if G.rank != "vector":
-        raise BoxQFTError("decompose_vector expects rank 'vector'")
-    _check_nonzero(G.p)
-    pa = G.p.as_array()
+    G = _checked(p, values, (4, 4))
+    pa = p.as_array()
     basis = [np.outer(pa, pa).astype(complex), -METRIC.astype(complex)]
-    coeffs = _lstsq(basis, G.values, real_params=False)
-    return DecompositionFit({"eta": complex(coeffs[0]), "xi": complex(coeffs[1])})
+    coeffs = _lstsq(basis, G, real_params=False)
+    return {"eta": complex(coeffs[0]), "xi": complex(coeffs[1])}
 
 
 # ---------------------------------------------------------------------------
@@ -112,34 +96,33 @@ def _sym_basis(pa: np.ndarray):
     return pppp, ppg, gpp, f_term, v_term, w_term
 
 
-def decompose_symmetric(G: TensorCorrelation) -> DecompositionFit:
-    """Fit the five-parameter symmetric-tensor model at G's momentum p.
+def decompose_symmetric(p: FourVector, values) -> Dict[str, complex]:
+    """Fit the five-parameter symmetric-tensor model to the (4, 4, 4, 4)
+    values at momentum p; returns {"a", "b", "f", "v", "w"}.
 
     Space-like p constrains b to be real; positivity-consistent data has
     v = f = 0.  When w != 0 the product-form parameters b_reduced = b/w and
-    a_reduced = a - b^2/w are reported too.  p = 0 is refused.
+    a_reduced = a - b^2/w are returned too.  p = 0 is refused.
     """
-    if G.rank != "symmetric2":
-        raise BoxQFTError("decompose_symmetric expects rank 'symmetric2'")
-    _check_nonzero(G.p)
-    pppp, ppg, gpp, f_term, v_term, w_term = _sym_basis(G.p.as_array())
-    if classify_interval(G.p) is IntervalClass.SPACELIKE:
+    G = _checked(p, values, (4, 4, 4, 4))
+    pppp, ppg, gpp, f_term, v_term, w_term = _sym_basis(p.as_array())
+    if classify_interval(p) is IntervalClass.SPACELIKE:
         basis = [pppp, -(ppg + gpp), f_term, v_term, w_term]
-        coeffs = _lstsq(basis, G.values, real_params=True)
+        coeffs = _lstsq(basis, G, real_params=True)
         names = ["a", "b", "f", "v", "w"]
         cd = {k: complex(v) for k, v in zip(names, coeffs)}
     else:
         basis = [pppp, -(ppg + gpp), -1j * (ppg - gpp), f_term, v_term, w_term]
-        coeffs = _lstsq(basis, G.values, real_params=True)
+        coeffs = _lstsq(basis, G, real_params=True)
         cd = {"a": complex(coeffs[0]),
               "b": complex(coeffs[1] + 1j * coeffs[2]),
               "f": complex(coeffs[3]), "v": complex(coeffs[4]),
               "w": complex(coeffs[5])}
     # reduced (product-form) parameters when w != 0: b -> b/w, a -> a - b^2/w
-    if abs(cd["w"]) > 1e-14 * max(1.0, float(np.max(np.abs(G.values)))):
+    if abs(cd["w"]) > 1e-14 * max(1.0, float(np.max(np.abs(G)))):
         cd["b_reduced"] = cd["b"] / cd["w"]
         cd["a_reduced"] = cd["a"] - cd["b"] ** 2 / cd["w"]
-    return DecompositionFit(cd)
+    return cd
 
 
 def symmetric_model_product_form(p: FourVector, w: float, b: float, a: float) -> np.ndarray:
@@ -165,17 +148,15 @@ def _antisym_basis(pa: np.ndarray):
     return EPSILON4.astype(complex), v_term, f_term
 
 
-def decompose_antisymmetric(G: TensorCorrelation) -> DecompositionFit:
-    """Fit a eps + v (gg) + f (ppg) at G's momentum p; positivity at
-    space-like p forces all three to vanish, i.e. the full correlation is
-    zero.  p = 0 is refused."""
-    if G.rank != "antisymmetric2":
-        raise BoxQFTError("decompose_antisymmetric expects rank 'antisymmetric2'")
-    _check_nonzero(G.p)
-    eps, v_term, f_term = _antisym_basis(G.p.as_array())
-    coeffs = _lstsq([eps, v_term, f_term], G.values, real_params=False)
-    return DecompositionFit({"a": complex(coeffs[0]), "v": complex(coeffs[1]),
-                             "f": complex(coeffs[2])})
+def decompose_antisymmetric(p: FourVector, values) -> Dict[str, complex]:
+    """Fit a eps + v (gg) + f (ppg) to the (4, 4, 4, 4) values at momentum
+    p; returns {"a", "v", "f"}.  Positivity at space-like p forces all three
+    to vanish, i.e. the full correlation is zero.  p = 0 is refused."""
+    G = _checked(p, values, (4, 4, 4, 4))
+    eps, v_term, f_term = _antisym_basis(p.as_array())
+    coeffs = _lstsq([eps, v_term, f_term], G, real_params=False)
+    return {"a": complex(coeffs[0]), "v": complex(coeffs[1]),
+            "f": complex(coeffs[2])}
 
 
 # ---------------------------------------------------------------------------

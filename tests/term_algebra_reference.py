@@ -173,8 +173,8 @@ def dirac_pieces(space, alpha, dagger):
         k = grid.momentum(n).as_array()
         lat = grid.lattice3(n)
         for X in ("L", "R"):
-            u = spinor_u(k3, X, grid.mass).components[alpha]
-            v = spinor_v(k3, X, grid.mass).components[alpha]
+            u = spinor_u(k3, X, grid.mass)[alpha]
+            v = spinor_v(k3, X, grid.mass)[alpha]
             if not dagger:
                 if u != 0:
                     out.append(Piece(OpFactor("a", X, n), u / math.sqrt(V),

@@ -12,11 +12,10 @@ from boxqft.correlators import (CTPPropagator, OrderingScheme,
                                 exact_contour_correlator, free_propagator,
                                 insertion, keldysh_scalar_propagators,
                                 ordering_average, perfect_matchings,
-                                three_point_T_phi_phi, three_point_combination,
-                                wick_npoint)
+                                three_point_combination, wick_npoint)
 from boxqft.errors import BoxQFTError, MomentumMismatch, UnknownMode
 from boxqft.fock import ModeGrid, Species, build_fock_space
-from boxqft.spacetime import FourVector, ctp_contour, minkowski_dot
+from boxqft.spacetime import FourVector, ctp_time, minkowski_dot
 
 
 def small_space(species, n_max=8, n_modes=1, box=math.pi / 2):
@@ -29,9 +28,8 @@ def small_space(species, n_max=8, n_modes=1, box=math.pi / 2):
 def test_free_propagator_zero_temperature_limits():
     space = small_space(Species.BOSON)
     E = space.grid("f").energy((1,))
-    c = ctp_contour()
-    t_late = c.time(1, 0.2)     # backward branch: later on the contour
-    t_early = c.time(0, 0.9)
+    t_late = ctp_time(1, 0.2)     # backward branch: later on the contour
+    t_early = ctp_time(0, 0.9)
     val = free_propagator(Species.BOSON, E, t_late, t_early, math.inf, ("a", "c"))
     assert abs(val - cmath.exp(1j * (0.9 - 0.2) * E)) < 1e-14
     val = free_propagator(Species.BOSON, E, t_late, t_early, math.inf, ("c", "a"))
@@ -40,10 +38,9 @@ def test_free_propagator_zero_temperature_limits():
 
 def test_same_kind_pairs_vanish():
     E = 2.0
-    c = ctp_contour()
     for kinds in (("a", "a"), ("c", "c")):
         for sp in (Species.BOSON, Species.FERMION):
-            assert free_propagator(sp, E, c.time(0, 0.1), c.time(1, 0.5),
+            assert free_propagator(sp, E, ctp_time(0, 0.1), ctp_time(1, 0.5),
                                    1.0, kinds) == 0.0
 
 
@@ -77,12 +74,11 @@ def test_thermal_factors_equal_the_closed_forms(E, beta):
 @pytest.mark.parametrize("beta", [1.0, 2.0, math.inf])
 def test_two_point_matches_exact_trace(species, beta):
     space = small_space(species)
-    c = ctp_contour()
     for b1, t1 in ((0, 0.0), (1, 0.3)):
         for b2, t2 in ((0, 0.45), (1, 0.8)):
             for kinds in (("a", "c"), ("c", "a")):
-                ins = [insertion(space, "f", (1,), kinds[0], c.time(b1, t1)),
-                       insertion(space, "f", (1,), kinds[1], c.time(b2, t2))]
+                ins = [insertion(space, "f", (1,), kinds[0], ctp_time(b1, t1)),
+                       insertion(space, "f", (1,), kinds[1], ctp_time(b2, t2))]
                 engine = wick_npoint(ins, beta)
                 oracle = exact_contour_correlator(space, ins, beta)
                 assert abs(engine - oracle) < 1e-10
@@ -90,20 +86,18 @@ def test_two_point_matches_exact_trace(species, beta):
 
 def test_equal_time_opposite_branches_example():
     space = small_space(Species.BOSON)
-    c = ctp_contour()
-    ins = [insertion(space, "f", (1,), "a", c.time(0, 0.6)),
-           insertion(space, "f", (1,), "c", c.time(1, 0.6))]
+    ins = [insertion(space, "f", (1,), "a", ctp_time(0, 0.6)),
+           insertion(space, "f", (1,), "c", ctp_time(1, 0.6))]
     assert abs(wick_npoint(ins, 2.0)
                - exact_contour_correlator(space, ins, 2.0)) < 1e-12
 
 
 def test_wick_odd_vanishes():
     space = small_space(Species.BOSON)
-    c = ctp_contour()
-    ins = [insertion(space, "f", (1,), "a", c.time(0, 0.1))]
+    ins = [insertion(space, "f", (1,), "a", ctp_time(0, 0.1))]
     assert wick_npoint(ins, 1.0) == 0.0
-    ins3 = ins + [insertion(space, "f", (1,), "c", c.time(0, 0.2)),
-                  insertion(space, "f", (1,), "a", c.time(1, 0.3))]
+    ins3 = ins + [insertion(space, "f", (1,), "c", ctp_time(0, 0.2)),
+                  insertion(space, "f", (1,), "a", ctp_time(1, 0.3))]
     assert wick_npoint(ins3, 1.0) == 0.0
 
 
@@ -111,9 +105,8 @@ def test_insertion_rejects_unknown_kind():
     # any kind but "a"/"c" used to act as an annihilator in both the Wick
     # engine and the oracle
     space = small_space(Species.BOSON)
-    c = ctp_contour()
     with pytest.raises(BoxQFTError):
-        insertion(space, "f", (1,), "x", c.time(0, 0.1))
+        insertion(space, "f", (1,), "x", ctp_time(0, 0.1))
 
 
 def test_insertion_rejects_a_mode_off_the_space():
@@ -122,17 +115,16 @@ def test_insertion_rejects_a_mode_off_the_space():
     grid = ModeGrid(axes=(3,), lengths=(2 * math.pi,), ranges=((-1, 1),),
                     species=Species.BOSON, mass=1.0)
     space = build_fock_space([("phi", grid)], 2, 2)
-    c = ctp_contour()
     for n in ((5,), (1, 0)):
         with pytest.raises(UnknownMode):
-            insertion(space, "phi", n, "a", c.time(0, 0.1))
+            insertion(space, "phi", n, "a", ctp_time(0, 0.1))
 
 
 def test_a_hand_built_insertion_rejects_an_unknown_kind():
     # the oracle read kind "x" as a creator and the Wick engine as an
     # annihilator, so the two disagreed
     space = small_space(Species.BOSON)
-    good = insertion(space, "f", (1,), "a", ctp_contour().time(0, 0.1))
+    good = insertion(space, "f", (1,), "a", ctp_time(0, 0.1))
     with pytest.raises(BoxQFTError):
         dataclasses.replace(good, kind="x")
 
@@ -140,9 +132,8 @@ def test_a_hand_built_insertion_rejects_an_unknown_kind():
 def test_oracle_rejects_a_hand_built_insertion_off_the_space():
     # the oracle's mode lookup raised KeyError
     space = small_space(Species.BOSON)
-    c = ctp_contour()
-    ins = [insertion(space, "f", (1,), "a", c.time(0, 0.1)),
-           insertion(space, "f", (1,), "c", c.time(1, 0.2))]
+    ins = [insertion(space, "f", (1,), "a", ctp_time(0, 0.1)),
+           insertion(space, "f", (1,), "c", ctp_time(1, 0.2))]
     off = [dataclasses.replace(i, mode=("f", (5,))) for i in ins]
     with pytest.raises(UnknownMode):
         exact_contour_correlator(space, off, 1.0)
@@ -156,11 +147,10 @@ def test_perfect_matchings_count():
 
 def test_wick_four_point_bosonic_vs_exact():
     space = small_space(Species.BOSON, n_max=6)
-    c = ctp_contour()
-    ins = [insertion(space, "f", (1,), "a", c.time(0, 0.0)),
-           insertion(space, "f", (1,), "c", c.time(0, 0.4)),
-           insertion(space, "f", (1,), "a", c.time(1, 0.7)),
-           insertion(space, "f", (1,), "c", c.time(1, 0.1))]
+    ins = [insertion(space, "f", (1,), "a", ctp_time(0, 0.0)),
+           insertion(space, "f", (1,), "c", ctp_time(0, 0.4)),
+           insertion(space, "f", (1,), "a", ctp_time(1, 0.7)),
+           insertion(space, "f", (1,), "c", ctp_time(1, 0.1))]
     for beta in (1.0, 2.0, math.inf):
         engine = wick_npoint(ins, beta)
         oracle = exact_contour_correlator(space, ins, beta)
@@ -171,11 +161,10 @@ def test_wick_fermionic_swap_antisymmetry():
     # annihilators on the backward branch (contour-later) keep both pair
     # contractions O(1)
     space = small_space(Species.FERMION, n_modes=2)
-    c = ctp_contour()
-    ins = [insertion(space, "f", (1,), "a", c.time(1, 0.3)),
-           insertion(space, "f", (1,), "c", c.time(0, 0.4)),
-           insertion(space, "f", (2,), "a", c.time(1, 0.7)),
-           insertion(space, "f", (2,), "c", c.time(0, 0.1))]
+    ins = [insertion(space, "f", (1,), "a", ctp_time(1, 0.3)),
+           insertion(space, "f", (1,), "c", ctp_time(0, 0.4)),
+           insertion(space, "f", (2,), "a", ctp_time(1, 0.7)),
+           insertion(space, "f", (2,), "c", ctp_time(0, 0.1))]
     base = wick_npoint(ins, 1.5)
     swapped = [ins[0], ins[2], ins[1], ins[3]]
     assert abs(wick_npoint(swapped, 1.5) + base) < 1e-13
@@ -253,28 +242,26 @@ def test_three_point_displayed_values():
     k = FourVector(0, 0, 0, w)
     p = FourVector(0, 0, 0, w / 2)
     q = FourVector(0, 0, 0, w / 2)
-    res = three_point_T_phi_phi(k, p, q, 3, 3, m)
-    assert abs(res.numerator - (w ** 2 / 8 + m ** 2 / 2)) < 1e-14
-    assert abs(res.numerator - 1.0) < 1e-14
-    # value is numerator over the product of inverse propagators
-    den = (minkowski_dot(p, p) - m * m) * (minkowski_dot(q, q) - m * m)
-    assert abs(res.value - res.numerator / den) < 1e-14
+    res = three_point_combination(k, p, q, ((1.0, (3, 3)),), m)
+    assert abs(res - (w ** 2 / 8 + m ** 2 / 2)) < 1e-14
+    assert abs(res - 1.0) < 1e-14
 
     v = 1.0
     pv = FourVector(v, 0, 0, w / 2)
     qv = FourVector(-v, 0, 0, w / 2)
     weights = ((2.0, (0, 0)), (1.0, (1, 1)), (1.0, (2, 2)))
     res = three_point_combination(k, pv, qv, weights, m)
-    assert abs(res.numerator - (-2 * v ** 2)) < 1e-14
+    assert abs(res - (-2 * v ** 2)) < 1e-14
     # nonzero at space-like k for the noiseless combination
-    assert abs(res.numerator) > 1.0
+    assert abs(res) > 1.0
 
     E = math.sqrt(m * m + w * w / 4)
     pE = FourVector(E, 0, 0, w / 2)
     qE = FourVector(-E, 0, 0, w / 2)
-    res = three_point_combination(k, pE, qE, weights, m,
-                                  scheme=OrderingScheme.THREE_BRANCH)
-    assert abs(res.onshell_prefactor - (-2 * E * E)) < 1e-14
+    # the same prefactor multiplies the on-shell middle-branch term of the
+    # three-branch ordering
+    res = three_point_combination(k, pE, qE, weights, m)
+    assert abs(res - (-2 * E * E)) < 1e-14
 
 
 def test_three_point_momentum_mismatch():
@@ -282,16 +269,15 @@ def test_three_point_momentum_mismatch():
     p = FourVector(0, 0, 0, 1.0)
     q = FourVector(0, 0, 0, 0.7)
     with pytest.raises(MomentumMismatch):
-        three_point_T_phi_phi(k, p, q, 3, 3, 1.0)
+        three_point_combination(k, p, q, ((1.0, (3, 3)),), 1.0)
 
 
 def test_dirac_antipropagators_vanish():
     # <psi psi> and <psi+ psi+> are zero for all arguments
     space = small_space(Species.FERMION)
-    c = ctp_contour()
     for kinds in (("a", "a"), ("c", "c")):
-        ins = [insertion(space, "f", (1,), kinds[0], c.time(0, 0.1)),
-               insertion(space, "f", (1,), kinds[1], c.time(1, 0.9))]
+        ins = [insertion(space, "f", (1,), kinds[0], ctp_time(0, 0.1)),
+               insertion(space, "f", (1,), kinds[1], ctp_time(1, 0.9))]
         assert wick_npoint(ins, 1.0) == 0.0
         assert abs(exact_contour_correlator(space, ins, 1.0)) < 1e-14
 
@@ -324,7 +310,7 @@ def test_oracle_matches_sparse_reference_on_wick_catalog(wick_spaces, label,
                                                          beta):
     space, channel = wick_spaces[label]
     modes = list(space.grid(channel).modes)
-    cases = cli._wick_catalog(space, channel, ctp_contour(), modes)
+    cases = cli._wick_catalog(channel, modes)
     assert len(cases) == 23
     for case in cases:
         ins = [insertion(space, ch, n, kind, t) for ch, n, kind, t in case]
@@ -355,7 +341,6 @@ def contour_insertions(draw, space):
     """2-6 insertions: creator/annihilator pairs on random modes (so even
     lists can have nonzero traces), truncated and shuffled, at random
     branches and times with a small imaginary part."""
-    contour = ctp_contour()
     modes = [(m.channel, m.n) for m in space.modes]
     count = draw(st.integers(2, 6))
     ops = []
@@ -367,7 +352,7 @@ def contour_insertions(draw, space):
     for ch, n, kind in ops:
         t = complex(draw(st.floats(-2.0, 2.0)), draw(st.floats(-0.1, 0.1)))
         out.append(insertion(space, ch, n, kind,
-                             contour.time(draw(st.integers(0, 1)), t)))
+                             ctp_time(draw(st.integers(0, 1)), t)))
     return out
 
 

@@ -50,11 +50,11 @@ def test_current_matrices_displayed_forms():
 
 def test_spinor_massless_limits():
     uL = spinor_u(1.0, "L", 0.0)
-    assert np.allclose(uL.components, [0, 1, 0, 0])
+    assert np.allclose(uL, [0, 1, 0, 0])
     uR = spinor_u(1.0, "R", 0.0)
-    assert np.allclose(uR.components, [0, 0, 1, 0])
+    assert np.allclose(uR, [0, 0, 1, 0])
     uLm = spinor_u(-1.0, "L", 0.0)
-    assert np.allclose(uLm.components, [1, 0, 0, 0])
+    assert np.allclose(uLm, [1, 0, 0, 0])
 
 
 def test_spinor_normalization_random():
@@ -64,16 +64,16 @@ def test_spinor_normalization_random():
         k3 = rng.uniform(0.05, 3) * (1 if rng.random() < 0.5 else -1)
         for hand in ("L", "R"):
             u = spinor_u(k3, hand, m)
-            assert abs(np.linalg.norm(u.components) - 1.0) < 1e-14
+            assert abs(np.linalg.norm(u) - 1.0) < 1e-14
             v = spinor_v(k3, hand, m)
-            assert abs(np.linalg.norm(v.components) - 1.0) < 1e-14
+            assert abs(np.linalg.norm(v) - 1.0) < 1e-14
 
 
 def test_spinor_massless_convergence_rate():
     k3 = 1.0
     for m in (1e-3, 1e-4):
         u = spinor_u(k3, "L", m)
-        err = np.max(np.abs(u.components - np.array([0, 1, 0, 0])))
+        err = np.max(np.abs(u - np.array([0, 1, 0, 0])))
         assert err < m / abs(k3)
 
 
@@ -82,8 +82,8 @@ def test_spinor_small_momentum_massive():
     E = math.hypot(m, k3)
     u = spinor_u(k3, "L", m)
     expect = np.array([0, math.sqrt(E + k3), 0, math.sqrt(E - k3)]) / math.sqrt(2 * E)
-    assert np.allclose(u.components, expect)
-    assert abs(np.linalg.norm(u.components) - 1.0) < 1e-14
+    assert np.allclose(u, expect)
+    assert abs(np.linalg.norm(u) - 1.0) < 1e-14
 
 
 def test_spinor_zero_momentum_rejected():
@@ -105,7 +105,7 @@ def test_dirac_field_single_mode_contraction():
     state = basis_state(space, {("L", (1,)): 1})
     vac = vacuum_state(space).amplitudes
     phase = np.exp(-1j * (E * x.t - k3 * x.z))
-    u = spinor_u(k3, "L", m).components
+    u = spinor_u(k3, "L", m)
     for alpha in range(4):
         amp = np.vdot(vac, psis[alpha] @ state.amplitudes)
         expect = u[alpha] * phase / math.sqrt(grid.volume)

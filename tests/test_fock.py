@@ -185,6 +185,22 @@ def test_state_index_rejects_rows_outside_the_basis():
         np.array([2, 0, 2], dtype=np.int8))
 
 
+def test_basis_state_refuses_unknown_modes_and_fractional_occupations():
+    # an unknown mode raised a bare KeyError, and a fractional occupation
+    # was cast to 0: the vacuum
+    space = scalar_space(n_mode=1, mass=1.0, caps=(3, 4))      # 3 modes
+    for occupation in ({("phi", (5,)): 1}, {("chi", (1,)): 1},
+                       {("phi", (1,)): 0.5}):
+        with pytest.raises(UnknownMode):
+            basis_state(space, occupation)
+    with pytest.raises(UnknownMode):
+        space.state_index([0.5, 0, 0])
+    # a whole number held as a float names its row
+    assert space.state_index([2.0, 0.0, 1.0]) == space.state_index([2, 0, 1])
+    assert np.array_equal(basis_state(space, {("phi", (1,)): 2.0}).amplitudes,
+                          basis_state(space, {("phi", (1,)): 2}).amplitudes)
+
+
 def test_occupations_beyond_int8_are_rejected():
     grid = ModeGrid(axes=(3,), lengths=(BOX,), ranges=((1, 1),),
                     species=Species.BOSON, mass=1.0)

@@ -28,6 +28,15 @@ from boxqft.spacetime import FourVector
 from boxqft.spectral import lehmann_spectral_density
 
 
+@pytest.mark.parametrize("tau", [0.0, -1.0, math.nan, math.inf])
+def test_window_refuses_a_duration_that_is_not_finite_and_positive(tau):
+    # tau = 0 kept no terms and read as the noiseless structural zero;
+    # nan and inf gave nan
+    for envelope in ("rect", "gauss"):
+        with pytest.raises(BoxQFTError, match="tau"):
+            MeasurementWindow(tau=tau, envelope=envelope)
+
+
 def test_window_transform_against_quadrature():
     w = MeasurementWindow(tau=3.7)
     for omega in (0.0, 0.9, 2.3):
@@ -354,21 +363,22 @@ def test_localization_gaussian_vs_erfc_and_monotonicity():
     dens = stress_tensor_scalar(scalar_space(n_mode=2, mass=0.0, caps=(2, 2)), 0, 0)
     pbar = FourVector(0, 0, 0, 2.0)
     sigmas = [0.5, 1.0, 1.5, 2.0]
-    rep = localization_effect(pbar, sigmas, dens)
-    assert rep.leakage_is_monotone()
-    for s, row in zip(sigmas, rep.rows):
+    rows = localization_effect(pbar, sigmas, dens)
+    leakages = [row.leakage for row in rows]
+    assert leakages == sorted(leakages, reverse=True)
+    for s, row in zip(sigmas, rows):
         assert abs(row.leakage - math.erfc(s * 2.0)) < 1e-12
     # sigma -> infinity: no leakage
-    big = localization_effect(pbar, [50.0], dens)
-    assert big.rows[0].leakage < 1e-300 or big.rows[0].leakage == 0.0
+    (big,) = localization_effect(pbar, [50.0], dens)
+    assert big.leakage < 1e-300 or big.leakage == 0.0
 
 
 def test_localization_variance_tracks_leakage():
     space = scalar_space(n_mode=4, mass=0.0, caps=(2, 2))
     dens = stress_tensor_scalar(space, 0, 0)
     pbar = FourVector(0, 0, 0, 2.0)
-    rep = localization_effect(pbar, [0.8, 1.2, 1.6], dens)
-    varis = [r.vacuum_variance for r in rep.rows]
+    varis = [r.vacuum_variance
+             for r in localization_effect(pbar, [0.8, 1.2, 1.6], dens)]
     assert all(v > 0 for v in varis)
     assert varis[0] > varis[1] > varis[2]
 

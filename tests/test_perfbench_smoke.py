@@ -21,7 +21,7 @@ SCRIPT = r"""
 import json, math
 import tracing
 from boxqft import correlators, fields, fock, measurement, spectral
-from boxqft.spacetime import FourVector, ctp_contour
+from boxqft.spacetime import FourVector, ctp_time
 
 tracer = tracing.Tracer()
 tracing.install(tracer)
@@ -54,8 +54,7 @@ for beta in (0.5, 2.0):
     fdt_spans.append([s[0] for s in tracer.spans[start:]])
 # the oracle on a fresh space: every ladder it realizes is a child span
 cspace = fock.build_fock_space([("phi", grid)], 2, 2)
-contour = ctp_contour()
-ins = [correlators.insertion(cspace, "phi", n, kind, contour.time(b, t))
+ins = [correlators.insertion(cspace, "phi", n, kind, ctp_time(b, t))
        for n, kind, b, t in (((1,), "a", 1, 0.2), ((-1,), "c", 0, 0.5),
                              ((-1,), "a", 1, 0.7), ((1,), "c", 0, 0.1))]
 start = len(tracer.spans)

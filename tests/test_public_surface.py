@@ -15,10 +15,11 @@ referenced outside its own definition, in the same files, but only by an
 AST Attribute (or a perfbench string constant): a Name such as a dataclass
 field declaration `dimension: int` is not a read of a method `.dimension`.
 The exceptions are the methods in METHOD_KEEP, which pin paper statements as
-KEEP does.  A method name that more than one package class defines cannot
-be traced to one class by this scan, so SHARED lists each such name by hand,
-with the package call that reaches each class's member; the test fails when
-a shared name is missing from SHARED or an entry there is no longer shared.
+KEEP does.  A method name that another package class also defines (as a
+method, a field or a self. attribute) cannot be traced to one class by this
+scan, so SHARED lists each such name by hand, with the package call that
+reaches each class's method; the test fails when a shared name is missing
+from SHARED or an entry there is no longer shared.
 
 A private module-level function, and a private method (not a dunder), must
 be referenced in the package outside its own definition: one that only tests
@@ -40,11 +41,23 @@ of the paper on it.
 A dataclass field must be read as an attribute (an AST Attribute) in the
 same files, unless the class is written out whole, by its field names
 (WHOLE), or FIELD_KEEP lists the field with its test.  As with methods, a
-field name that something else reads hides an unread field from the scan.
+field name that another package class also defines (as a field, a method or
+property, or a self. attribute) cannot be traced to one class by this scan,
+so SHARED_FIELDS lists each such name by hand, with the package read that
+reaches each class's field; the classes in WHOLE are exempt.  The test fails
+when a shared field name is missing from SHARED_FIELDS or an entry there is
+no longer shared.
+
+A dataclass must hold at least two fields.  A class that holds one value is
+that value, which every caller would unwrap at once: it is deleted, and its
+callers take the value itself.  The only exceptions are the classes in
+WRAPPER_KEEP, each named with the isinstance check in the package that
+dispatches on its type.
 
 Each file is parsed once, and every check reads that parse.  The last tests
-run the method, parameter and field audits on a small package of their own,
-to show that each catches what it is for and passes what it should.
+run the method, parameter, field, shared-field and wrapper audits on a small
+package of their own, to show that each catches what it is for and passes
+what it should.
 """
 
 import ast
@@ -143,14 +156,25 @@ FIELD_KEEP = {
                                                "test_noiseless_components_lists)",
 }
 
+# one-field dataclasses whose type the package dispatches on
+WRAPPER_KEEP = {
+    "StateVector": "measurement.moments and fock.expectation, "
+                   "isinstance(state, StateVector)",
+    "DensityOperator": "measurement.moments and fock.expectation, "
+                       "isinstance(state, DensityOperator)",
+}
+
 # classes whose every field is written out, by name, as an artifact column
 WHOLE = {
     "CheckRecord": "cli.RunReport.to_json and write_csv, asdict and astuple",
     "RegressionRow": "cli.cmd_sagnac's sagnac_regression.csv, astuple",
 }
 
-# name -> {class: the package call that reaches that class's member}
+# name -> {class: the package call that reaches that class's method}
 SHARED = {
+    "diagonal": {"Operator": "measurement._moment_diagonals, mat.diagonal(), "
+                             "and fock.expectation, operator.diagonal()"},
+    "dim": {"DensityOperator": "fock.expectation, state.dim"},
     "energy": {
         "ModeGrid": "fock.sagnac_state and correlators.insertion, grid.energy(n)",
         "SagnacConfig": "fock.sagnac_state and measurement.sagnac_readout, "
@@ -162,6 +186,52 @@ SHARED = {
         "Operator": "QuadraticObservable.hermiticity_defect, "
                     "self.matrix().hermiticity_defect()",
     },
+    "modes": {"ModeGrid": "fock.FockSpace.__init__, grid.modes"},
+    "passed": {"RunReport": "cli._run, report.passed"},
+    "volume": {"ModeGrid": "fock.FockSpace.__init__, "
+                           "self.channels[0][1].volume"},
+}
+
+# field name -> {class: the package read that reaches that class's field}
+SHARED_FIELDS = {
+    "beta": {
+        "CTPPropagator": "correlators.CTPPropagator.annihilator_later_factor, "
+                         "self.beta",
+        "SpectralSample": "cli.cmd_fdt's fdt_samples.csv, s.beta",
+    },
+    "col": {"LineSpectrum": "spectral.lehmann_spectral_density, lines.col"},
+    "diagonal": {"DensityOperator": "measurement.moments and fock.expectation, "
+                                    "state.diagonal"},
+    "energy": {
+        "CTPPropagator": "correlators.CTPPropagator.annihilator_later_factor, "
+                         "self.energy",
+        "Insertion": "correlators._pair_value, a.energy",
+    },
+    "expected": {"NoiseExponentFit": "cli.cmd_scaling, fit.expected"},
+    "mass": {
+        "KeldyshPropagator": "correlators.KeldyshPropagator.rational_value, "
+                             "self.mass",
+        "ModeGrid": "fock.ModeGrid.energy, self.mass",
+        "SagnacConfig": "measurement.sagnac_readout, cfg.mass",
+    },
+    "n": {"Mode": "fock.FockSpace.__init__'s mode_index, m.n"},
+    "observable": {"LocalizationRow": "cli.cmd_homodyne, widest.observable"},
+    "phase": {
+        "HomodyneConfig": "measurement.homodyne_difference, cfg.phase",
+        "SagnacConfig": "fock.sagnac_state, config.phase",
+    },
+    "row": {"LineSpectrum": "spectral.lehmann_spectral_density, lines.row"},
+    "species": {
+        "CTPPropagator": "correlators.CTPPropagator.zeta, self.species",
+        "Insertion": "correlators._pair_value, a.species",
+        "ModeGrid": "fock.ModeGrid.excludes_zero_mode, self.species",
+        "SagnacConfig": "fock.sagnac_state, config.species",
+    },
+    "t": {
+        "CTPTime": "correlators.free_propagator, t_dag.t",
+        "FourVector": "spectral.lehmann_spectral_density, p.t",
+    },
+    "value": {"LineSpectrum": "spectral.lehmann_spectral_density, lines.value"},
 }
 
 
@@ -251,12 +321,14 @@ def test_every_public_method_is_used_or_kept():
 
 
 def test_shared_method_names_are_checked_by_hand():
-    # a shared name hides an unused member behind a used one of the same name
+    # a shared name hides an unused method behind a read of another class's
+    # member of the same name
+    definers = _definitions()
     owners = {}
     for _, cls, name, _ in _public_methods():
-        owners.setdefault(name, set()).add(cls)
-    shared = {name: cls for name, cls in owners.items() if len(cls) > 1}
-    assert {name: set(table) for name, table in SHARED.items()} == shared
+        if len(definers[name]) > 1:
+            owners.setdefault(name, set()).add(cls)
+    assert {name: set(table) for name, table in SHARED.items()} == owners
 
 
 def test_every_private_function_is_used_in_the_package():
@@ -442,6 +514,74 @@ def test_whole_classes_are_written_out_by_field_name():
     assert set(WHOLE) <= named & {cls.name for cls in _dataclasses()}
 
 
+def _definitions():
+    """name -> the package classes that define it: as a class-level field
+    or attribute, a method or property, or a self. attribute."""
+    owners = {}
+    for path in FILES:
+        for cls in _tree(path).body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            names = [node.name for node in cls.body
+                     if isinstance(node, ast.FunctionDef)]
+            names += [target.id for node in cls.body
+                      if isinstance(node, (ast.AnnAssign, ast.Assign))
+                      for target in (node.targets if isinstance(node, ast.Assign)
+                                     else [node.target])
+                      if isinstance(target, ast.Name)]
+            names += [node.attr for node in ast.walk(cls)
+                      if isinstance(node, ast.Attribute)
+                      and isinstance(node.ctx, ast.Store)
+                      and isinstance(node.value, ast.Name)
+                      and node.value.id == "self"]
+            for name in names:
+                owners.setdefault(name, set()).add(cls.name)
+    return owners
+
+
+def _shared_fields():
+    """field name -> the dataclasses, but those in WHOLE, whose field of
+    that name another package class also defines."""
+    owners = _definitions()
+    shared = {}
+    for cls in _dataclasses():
+        if cls.name not in WHOLE:
+            for f in _dataclass_fields(cls):
+                if len(owners[f.target.id]) > 1:
+                    shared.setdefault(f.target.id, set()).add(cls.name)
+    return shared
+
+
+def test_shared_field_names_are_checked_by_hand():
+    # a shared name hides an unread field behind a read of another class's
+    # member of the same name
+    assert {name: set(table) for name, table in SHARED_FIELDS.items()} \
+        == _shared_fields()
+
+
+def _wrappers():
+    """Every dataclass with fewer than two fields."""
+    return [cls.name for cls in _dataclasses() if len(_dataclass_fields(cls)) < 2]
+
+
+def test_every_dataclass_holds_two_fields_or_is_kept():
+    assert [name for name in _wrappers() if name not in WRAPPER_KEEP] == []
+
+
+def test_wrapper_keep_classes_hold_one_field_and_are_dispatched_on():
+    # a kept wrapper that gains a field, or that nothing dispatches on any
+    # more, no longer needs its entry
+    checked = set()
+    for path in FILES:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                    and node.func.id == "isinstance":
+                kinds = node.args[1]
+                checked.update(n.id for n in getattr(kinds, "elts", [kinds])
+                               if isinstance(n, ast.Name))
+    assert set(WRAPPER_KEEP) <= set(_wrappers()) & checked
+
+
 # The audits above, run on a small package of their own: a clean one that
 # passes all three, and edits of it that each audit must catch or let pass.
 
@@ -485,7 +625,8 @@ ADD_EXACT = ("toy.py", "def __init__(self, gain=1.0):",
 @pytest.fixture
 def toy_audit(tmp_path, monkeypatch):
     """Point the audits at the toy package with some (file, old, new) edits,
-    and return (unused public methods, one-value parameters, unread fields)."""
+    and return (unused public methods, one-value parameters, unread fields,
+    one-field dataclasses, shared field names as Class.field)."""
 
     def clear():
         for cached in (_tree, _references, _calls, _one_value_parameters):
@@ -505,28 +646,40 @@ def toy_audit(tmp_path, monkeypatch):
         monkeypatch.setitem(globals(), "BENCH", [tmp_path / "workloads.py"])
         clear()
         return _unused_public_methods(), list(_one_value_parameters()), \
-            _unread_fields()
+            _unread_fields(), _wrappers(), \
+            sorted(f"{cls}.{name}" for name, classes in _shared_fields().items()
+                   for cls in classes)
 
     yield audit
     clear()
 
 
 def test_the_audits_pass_a_package_that_uses_everything(toy_audit):
-    assert toy_audit() == ([], [], [])
+    assert toy_audit() == ([], [], [], [], [])
 
 
 @pytest.mark.parametrize("edits,outside,want", [
-    ([ADD_EXACT], "", ([], ["Probe.__init__.exact"], [])),
+    ([ADD_EXACT], "", ([], ["Probe.__init__.exact"], [], [], [])),
     ([("toy.py", "offset=0.5 * k", "offset=0.25"),
       ("toy.py", "probe.read(x).scale", "probe.read(x, 0.25).scale")],
-     "", ([], ["Probe.read.offset"], [])),
+     "", ([], ["Probe.read.offset"], [], [], [])),
     ([("toy.py", "scale: float\n", "scale: float\n    note: str\n"),
       ("toy.py", "offset, 2.0)", 'offset, 2.0, "toy")')],
-     "", ([], [], ["Reading.note"])),
+     "", ([], [], ["Reading.note"], [], [])),
+    # Probe's self.gain reads hide that Reading.gain is never read
+    ([("toy.py", "scale: float\n", "scale: float\n    gain: float\n"),
+      ("toy.py", "offset, 2.0)", "offset, 2.0, self.gain)")],
+     "", ([], [], [], [], ["Reading.gain"])),
+    ([("toy.py", "    scale: float\n", ""),
+      ("toy.py", "offset, 2.0)", "offset)"),
+      ("toy.py", "probe.read(x).scale", "2.0")],
+     "", ([], [], [], ["Reading"], [])),
     ([("toy.py", "        self.gain = gain\n",
        "        self.gain = gain\n\n    def trace(self):\n        return self.gain\n")],
-     "def main(args):\n    return args.trace\n", (["Probe.trace"], [], [])),
+     "def main(args):\n    return args.trace\n",
+     (["Probe.trace"], [], [], [], [])),
 ], ids=["unused-default", "one-literal-in-every-call", "unread-field",
+        "unread-field-behind-a-shared-name", "one-field-wrapper",
         "method-read-only-outside-the-audited-files"])
 def test_the_audits_catch_each_kind_of_unused_option(toy_audit, edits, outside,
                                                       want):
@@ -543,7 +696,7 @@ def test_the_audits_catch_each_kind_of_unused_option(toy_audit, edits, outside,
         "perfbench-string"])
 def test_a_parameter_set_to_a_second_value_passes(toy_audit, edit):
     # Probe() leaves exact at its default; each edit sets another value
-    assert toy_audit(ADD_EXACT, edit) == ([], [], [])
+    assert toy_audit(ADD_EXACT, edit) == ([], [], [], [], [])
 
 
 def test_the_audits_read_no_perfbench_runner():

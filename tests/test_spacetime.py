@@ -5,7 +5,7 @@ import pytest
 
 from boxqft.errors import BoxQFTError
 from boxqft.spacetime import (FourVector, IntervalClass, boost,
-                              boost_matrix, classify_interval, ctp_contour,
+                              boost_matrix, classify_interval, ctp_time,
                               minkowski_dot)
 
 
@@ -90,19 +90,21 @@ def test_boost_matrix_rejects_bad_axis():
 
 
 def test_contour_two_branch():
-    c = ctp_contour()
-    assert c.branches[0].direction == 1 and c.branches[1].direction == -1
     # forward-branch point precedes backward-branch point at equal real time
-    x = c.time(0, 1.3)
-    y = c.time(1, 1.3)
+    x = ctp_time(0, 1.3)
+    y = ctp_time(1, 1.3)
     assert x < y and not y < x
+    # t = 0 sits mid-branch
+    assert ctp_time(0, 0.0).s == 0.5 and ctp_time(1, 0.0).s == 1.5
+    for branch in (-1, 2):
+        with pytest.raises(BoxQFTError):
+            ctp_time(branch, 0.0)
 
 
 def test_contour_s_total_order():
-    c = ctp_contour()
-    pts = [c.time(b, t) for b in (0, 1) for t in (-2.0, -0.5, 0.0, 0.9, 3.1)]
+    pts = [ctp_time(b, t) for b in (0, 1) for t in (-2.0, -0.5, 0.0, 0.9, 3.1)]
     svals = [p.s for p in pts]
     assert len(set(svals)) == len(svals)
     # forward branch: s grows with t; backward: s shrinks with t
-    assert c.time(0, 0.1).s < c.time(0, 0.2).s
-    assert c.time(1, 0.1).s > c.time(1, 0.2).s
+    assert ctp_time(0, 0.1).s < ctp_time(0, 0.2).s
+    assert ctp_time(1, 0.1).s > ctp_time(1, 0.2).s

@@ -9,11 +9,13 @@ from scipy.special import erfc
 from conftest import scalar_space
 
 from boxqft import spectral
-from boxqft.errors import BoxQFTError, OffLatticeMomentum
+from boxqft.errors import BoxQFTError, DimensionMismatch, OffLatticeMomentum
 from boxqft.fields import scalar_bilinear_density, scalar_density
+from boxqft.measurement import (MeasurementWindow, operator_vacuum_variance,
+                                vacuum_variance, windowed_observable)
 from boxqft.spacetime import FourVector, minkowski_dot
 from boxqft.spectral import (default_delta_omega, fdt_ratio,
-                             lehmann_spectral_density,
+                             lehmann_spectral_density, line_spectrum,
                              massless_current_spectrum, noise_exponent_fit,
                              signal_vs_noise_curve, suppression_slope,
                              windowed_noise)
@@ -368,16 +370,37 @@ def test_windowed_noise_warnings_and_validation():
         massless_current_spectrum(2, "charge")
 
 
+def test_densities_from_another_space_are_refused():
+    # a density's terms number the slots of its own space; read on another
+    # space they name other modes, and the sum was a silent wrong number
+    a = scalar_space(n_mode=2, mass=1.0)
+    b = scalar_space(n_mode=3, mass=1.0)
+    X, Y = scalar_bilinear_density(a), scalar_bilinear_density(b)
+    g = a.grid("phi")
+    p = FourVector(g.energy((1,)) + g.energy((2,)), 0, 0, 3.0)  # a pair line
+    assert lehmann_spectral_density(a, X, X, p, math.inf).term_count > 0
+    for space, x, y in ((b, X, X), (a, X, Y), (a, Y, X), (b, X, Y)):
+        for beta in (math.inf, 1.0):
+            with pytest.raises(DimensionMismatch):
+                lehmann_spectral_density(space, x, y, p, beta)
+        with pytest.raises(DimensionMismatch):
+            line_spectrum(space, x, y, (0, 0, 3))
+    obs = windowed_observable(X, MeasurementWindow(tau=2 * math.pi))
+    assert vacuum_variance(a, obs) > 0
+    with pytest.raises(DimensionMismatch):
+        vacuum_variance(b, obs)
+    with pytest.raises(DimensionMismatch):
+        operator_vacuum_variance(b, obs.matrix())
+
+
 def test_signal_vs_noise_curve():
     taus = list(np.geomspace(0.1, 10, 21))
     for D in (1, 2, 3):
-        curve = signal_vs_noise_curve(D, taus)
-        for tau, signal, noise, ratio in curve.rows:
+        for tau, signal, noise, ratio in signal_vs_noise_curve(D, taus):
             assert abs(signal - tau) < 1e-14
             assert abs(noise - tau ** (1 - D)) < 1e-12
             assert abs(ratio - tau ** D) < 1e-9 * max(1.0, tau ** D)
-    d1 = signal_vs_noise_curve(1, taus)
-    noises = [r[2] for r in d1.rows]
+    noises = [r[2] for r in signal_vs_noise_curve(1, taus)]
     assert max(noises) - min(noises) < 1e-14  # D=1 noise is flat in tau
 
 

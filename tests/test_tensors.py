@@ -8,7 +8,7 @@ from boxqft import cli
 from boxqft.errors import (BoxQFTError, DegenerateBasis,
                            RequiresCanonicalFrame)
 from boxqft.spacetime import METRIC, FourVector, minkowski_dot
-from boxqft.tensors import (EPSILON4, TensorCorrelation, boost_tensor,
+from boxqft.tensors import (EPSILON4, boost_tensor,
                             canonical_boost, decompose_antisymmetric,
                             decompose_symmetric, decompose_vector,
                             noiseless_components, project_noiseless_tensor,
@@ -36,15 +36,15 @@ def antisym_model(p, a, v, f):
 
 def test_vector_fit_exact_model():
     G = vector_model(P_CANON, 2.5, 0.0)
-    fit = decompose_vector(TensorCorrelation("vector", P_CANON, G))
-    assert abs(fit.coefficients["eta"] - 2.5) < 1e-12
-    assert abs(fit.coefficients["xi"]) < 1e-12
+    fit = decompose_vector(P_CANON, G)
+    assert abs(fit["eta"] - 2.5) < 1e-12
+    assert abs(fit["xi"]) < 1e-12
 
 
 def test_vector_fit_recovers_a_positivity_violating_xi():
     G = vector_model(P_CANON, 0.5, 1.0)
-    fit = decompose_vector(TensorCorrelation("vector", P_CANON, G))
-    assert abs(fit.coefficients["xi"] - 1.0) < 1e-10
+    fit = decompose_vector(P_CANON, G)
+    assert abs(fit["xi"] - 1.0) < 1e-10
     # frame check: G00 = -xi < 0 while G11 = +xi > 0 cannot both be variances
     assert G[0, 0].real == -1.0 and G[1, 1].real == 1.0
 
@@ -60,30 +60,28 @@ def test_vector_conservation_identity():
     div = np.array([sum(METRIC[m, m] * pa[m] * G[m, n] for m in range(4))
                     for n in range(4)])
     assert np.max(np.abs(div)) < 1e-14
-    fit = decompose_vector(TensorCorrelation("vector", p, G))
-    eta, xi = fit.coefficients["eta"], fit.coefficients["xi"]
+    fit = decompose_vector(p, G)
+    eta, xi = fit["eta"], fit["xi"]
     assert abs(xi - eta * s) < 1e-12
 
 
 def test_vector_degenerate_cases():
     # light-like p keeps the basis independent: fitted, not rejected
     light = FourVector(1.0, 0, 0, 1.0)
-    fit = decompose_vector(TensorCorrelation("vector", light,
-                                             vector_model(light, 1.0, 0.0)))
-    assert abs(fit.coefficients["eta"] - 1.0) < 1e-12
+    fit = decompose_vector(light, vector_model(light, 1.0, 0.0))
+    assert abs(fit["eta"] - 1.0) < 1e-12
     with pytest.raises(DegenerateBasis):
-        decompose_vector(TensorCorrelation("vector", FourVector(),
-                                           np.zeros((4, 4))))
+        decompose_vector(FourVector(), np.zeros((4, 4)))
 
 
 def test_symmetric_fit_product_form():
     G = symmetric_model_product_form(P_CANON, w=1.0, b=0.3, a=0.2)
-    fit = decompose_symmetric(TensorCorrelation("symmetric2", P_CANON, G))
-    assert abs(fit.coefficients["w"] - 1.0) < 1e-10
-    assert abs(fit.coefficients["b_reduced"] - 0.3) < 1e-10
-    assert abs(fit.coefficients["a_reduced"] - 0.2) < 1e-10
-    assert abs(fit.coefficients["v"]) < 1e-10
-    assert abs(fit.coefficients["f"]) < 1e-10
+    fit = decompose_symmetric(P_CANON, G)
+    assert abs(fit["w"] - 1.0) < 1e-10
+    assert abs(fit["b_reduced"] - 0.3) < 1e-10
+    assert abs(fit["a_reduced"] - 0.2) < 1e-10
+    assert abs(fit["v"]) < 1e-10
+    assert abs(fit["f"]) < 1e-10
 
 
 def test_symmetric_fit_recovers_v():
@@ -91,8 +89,8 @@ def test_symmetric_fit_recovers_v():
     g = METRIC.astype(complex)
     v_term = np.einsum("ms,nr->mnsr", g, g) + np.einsum("ns,mr->mnsr", g, g)
     G = symmetric_model_product_form(P_CANON, 1.0, 0.0, 0.0) + 0.5 * v_term
-    fit = decompose_symmetric(TensorCorrelation("symmetric2", P_CANON, G))
-    assert abs(fit.coefficients["v"] - 0.5) < 1e-10
+    fit = decompose_symmetric(P_CANON, G)
+    assert abs(fit["v"] - 0.5) < 1e-10
 
 
 def test_symmetric_complex_b_at_timelike():
@@ -104,21 +102,20 @@ def test_symmetric_complex_b_at_timelike():
     G = (np.einsum("mn,sr->mnsr", g, g)
          - b * np.einsum("mn,sr->mnsr", pp, g)
          - np.conj(b) * np.einsum("mn,sr->mnsr", g, pp))
-    fit = decompose_symmetric(TensorCorrelation("symmetric2", p, G))
-    assert abs(fit.coefficients["b"] - b) < 1e-10
-    assert abs(fit.coefficients["w"] - 1.0) < 1e-10
+    fit = decompose_symmetric(p, G)
+    assert abs(fit["b"] - b) < 1e-10
+    assert abs(fit["w"] - 1.0) < 1e-10
     # at space-like p the same fit constrains b to be real
     ps = P_CANON
     Gs = symmetric_model_product_form(ps, 1.0, 0.25, 0.0)
-    fits = decompose_symmetric(TensorCorrelation("symmetric2", ps, Gs))
-    assert abs(fits.coefficients["b"].imag) == 0.0
+    fits = decompose_symmetric(ps, Gs)
+    assert abs(fits["b"].imag) == 0.0
 
 
 def test_antisymmetric_fit_recovers_a():
     G = antisym_model(P_CANON, 1.0, 0.0, 0.0)
-    corr = TensorCorrelation("antisymmetric2", P_CANON, G)
-    fit = decompose_antisymmetric(corr)
-    assert abs(fit.coefficients["a"] - 1.0) < 1e-10
+    fit = decompose_antisymmetric(P_CANON, G)
+    assert abs(fit["a"] - 1.0) < 1e-10
     # epsilon antisymmetry: G^{0123} = a = -G^{1023}
     assert abs(G[0, 1, 2, 3] - 1.0) < 1e-14
     assert abs(G[1, 0, 2, 3] + 1.0) < 1e-14
@@ -126,18 +123,18 @@ def test_antisymmetric_fit_recovers_a():
 
 def test_antisymmetric_recovery_all():
     G = antisym_model(P_CANON, 0.3, -0.7, 0.4)
-    fit = decompose_antisymmetric(TensorCorrelation("antisymmetric2", P_CANON, G))
-    assert abs(fit.coefficients["a"] - 0.3) < 1e-10
-    assert abs(fit.coefficients["v"] + 0.7) < 1e-10
-    assert abs(fit.coefficients["f"] - 0.4) < 1e-10
+    fit = decompose_antisymmetric(P_CANON, G)
+    assert abs(fit["a"] - 0.3) < 1e-10
+    assert abs(fit["v"] + 0.7) < 1e-10
+    assert abs(fit["f"] - 0.4) < 1e-10
 
 
-def test_rank_validation():
+def test_shape_validation():
     with pytest.raises(BoxQFTError):
-        TensorCorrelation("vector", P_CANON, np.zeros((4, 4, 4, 4)))
-    with pytest.raises(BoxQFTError):
-        decompose_vector(TensorCorrelation("symmetric2", P_CANON,
-                                           np.zeros((4, 4, 4, 4))))
+        decompose_vector(P_CANON, np.zeros((4, 4, 4, 4)))
+    for decompose in (decompose_symmetric, decompose_antisymmetric):
+        with pytest.raises(BoxQFTError):
+            decompose(P_CANON, np.zeros((4, 4)))
 
 
 def test_project_noiseless_vector_examples():
@@ -319,12 +316,12 @@ def test_canonical_boost_and_frame_independence():
     # fitting covariant synthetic data directly or in the canonical frame
     # gives the same invariant coefficients
     G = symmetric_model_product_form(p, w=1.2, b=0.1, a=0.05)
-    fit_direct = decompose_symmetric(TensorCorrelation("symmetric2", p, G))
+    fit_direct = decompose_symmetric(p, G)
     G_can = boost_tensor(G, lam)
-    fit_can = decompose_symmetric(TensorCorrelation("symmetric2", p_can, G_can))
+    fit_can = decompose_symmetric(p_can, G_can)
     for key in ("w", "b_reduced", "a_reduced", "v", "f"):
-        assert abs(fit_direct.coefficients[key]
-                   - fit_can.coefficients[key]) < 1e-9
+        assert abs(fit_direct[key]
+                   - fit_can[key]) < 1e-9
     with pytest.raises(RequiresCanonicalFrame):
         canonical_boost(FourVector(2.0, 0, 0, 1.0))
     with pytest.raises(RequiresCanonicalFrame):
