@@ -13,17 +13,27 @@ M modes, slot j creates mode j, slot M+j annihilates it, and slot -1 is the
 identity.  Every composition reads the space's one LadderTable, which holds
 all slots once it is built.  Slot s carries the four-momentum transfer
 Q[s] = +(E_j, k_j) for the creator of mode j and -(E_j, k_j) for its
-annihilator (lattice transfer +-mode_lattice[j]).  A linear field component at x = 0 is a coefficient
-vector over the 2M slots, and derivatives act analytically as
-multiplication by i*Q[:, mu].  A bilinear is the slot matrix
-W = sum w outer(l1, l2); normal ordering moves it into the upper triangle in
-one step, and the subtracted vacuum constant is recorded, not kept, which
-makes all vacuum expectations vanish identically.
+annihilator (lattice transfer +-mode_lattice[j]).  A linear field
+component at x = 0 is a coefficient vector over the 2M slots, and
+derivatives act analytically as multiplication by i*Q[:, mu].  A bilinear
+is the slot matrix W = sum w outer(l1, l2), which each builder writes once,
+as an elementwise function entry(s, t) = W[s, t] of slot-index arrays.
+Normal ordering moves it into the upper triangle, N[s, t] = W[s, t] +- W[t, s]
+for s < t, and the subtracted vacuum constant, the trace of W's a-c block
+(M entries), is recorded, not kept, which makes all vacuum expectations
+vanish identically.
 
-Densities store one (left, right, coeff) record per operator product
+Densities are one (left, right, coeff) record per operator product
 (left = -1 for a single operator); a term's transfer Q[left] + Q[right] is
 computed when needed, so spatial/temporal window integrals reduce to closed
-forms evaluated on arrays.
+forms evaluated on arrays.  A builder's density forms its full records, all
+nonzero entries of N on the broadcast index grid, the first time they are
+read.  A window or a Lehmann sample needs only the terms at a lattice
+target (0, or +-lat(p)), and each slot s has at most one partner t per
+channel and kind with lat[s] + lat[t] = target; so
+QuadraticObservable.select evaluates N on those O(M) slot pairs alone.
+Both paths perform the same float operations on each entry, so the
+selected terms are the full records' terms at the target, bit for bit.
 """
 
 from __future__ import annotations
@@ -131,6 +141,88 @@ def _slot_transfers(space: FockSpace) -> Tuple[np.ndarray, np.ndarray]:
             np.concatenate([lat, -lat, np.zeros((1, 3), dtype=np.int64)]))
 
 
+def _slot_codes(space: FockSpace) -> dict:
+    """What a selection reads of the space at any target, kept on the space
+    (FockSpace._lattice_pairs; _lattice_pairs adds the slot pairs of the
+    last lattice pair): every slot's lattice transfer as one integer, code
+    (2M+1 codes, slot -1's last), the slots of each code, and which slots
+    are fermionic.  The components are balanced digits in a base that holds
+    any sum of two, so a term's code is the sum of its slots' codes, and
+    equal codes mean equal vectors.  Row 1 + c - low of slots lists the
+    slots with code c, ascending, padded with -1; its first and last rows
+    are all -1, for codes out of range."""
+    memo = space._lattice_pairs
+    if memo is None:
+        lat = space.mode_lattice
+        reach = 2 * int(np.abs(lat).max(initial=0))
+        base = 2 * reach + 1
+        code = (lat[:, 0] * base + lat[:, 1]) * base + lat[:, 2]
+        code = np.concatenate([code, -code, [0]])
+        rank = np.argsort(code[:-1], kind="stable")
+        low = int(code.min())
+        row = code[rank] - low + 1
+        # each slot's place among the slots of its code
+        place = np.arange(len(rank)) - np.searchsorted(row, row)
+        slots = np.full((int(row.max(initial=0)) + 2,
+                         int(place.max(initial=0)) + 1), -1)
+        slots[row, place] = rank
+        memo = space._lattice_pairs = {
+            "reach": reach, "base": base, "code": code, "low": low,
+            "slots": slots, "fermi": np.tile(space.fermionic, 2), "pair": None}
+    return memo
+
+
+def _target_codes(codes: dict, targets) -> list:
+    """Each lattice target's code, None for one that no two slots reach."""
+    reach, base = codes["reach"], codes["base"]
+    return [(t[0] * base + t[1]) * base + t[2]
+            if max(abs(v) for v in t) <= reach else None for t in targets]
+
+
+def _partners(codes: dict, targets: np.ndarray
+              ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The slot pairs s <= t whose codes sum to one of the target codes, as
+    (s, t, i) with i the index of that target, ascending in (s, t).  Within
+    one channel and kind the modes' lattice vectors differ, so each slot has
+    at most one partner per target, channel and kind: O(M) pairs."""
+    code = codes["code"][:-1]
+    # the rows of the codes each slot needs, per target; a code out of
+    # range reads a row of -1, which no slot s >= 0 passes
+    partner = codes["slots"].take((targets - codes["low"] + 1)[:, None] - code,
+                                  axis=0, mode="clip")
+    i, s, k = np.nonzero(partner >= np.arange(len(code))[:, None])
+    t = partner[i, s, k]
+    if len(targets) > 1:
+        key = np.argsort(s * len(code) + t)
+        s, t, i = s[key], t[key], i[key]
+    return s, t, i
+
+
+def _lattice_pairs(space: FockSpace, pair: set) -> dict:
+    """The slot pairs s <= t at the targets of a lattice pair {lat, -lat}
+    (_partners), as term records with the coefficient to fill in, and what
+    normal ordering reads of them: both orders of the slots for one entry()
+    call, the fermionic sign, and the diagonal pairs.  The space keeps
+    those of its last pair, which every density on it asked at the same p
+    shares."""
+    memo = _slot_codes(space)
+    if memo["pair"] != pair:
+        order = sorted(pair)
+        want = _target_codes(memo, order)
+        reached = [k for k, c in enumerate(want) if c is not None]
+        s, t, i = _partners(memo, np.array([want[k] for k in reached],
+                                           dtype=np.int64))
+        fermi = memo["fermi"]
+        diagonal = np.flatnonzero(s == t)
+        memo.update(
+            pair=pair, targets=[order[k] for k in reached], target=i,
+            records=_terms(s, t, np.zeros(len(s))),
+            orders=(np.concatenate([s, t]), np.concatenate([t, s])),
+            sign=np.where(fermi[s] & fermi[t], -1.0, 1.0) if fermi.any() else None,
+            diagonal=diagonal, fermionic=fermi[s[diagonal]])
+    return memo
+
+
 def _terms(left, right, coeff) -> np.ndarray:
     out = np.empty(len(coeff), dtype=TERM_DTYPE)
     out["left"], out["right"], out["coeff"] = left, right, coeff
@@ -228,33 +320,119 @@ def _vacuum_records(space: FockSpace, terms: np.ndarray,
     return lo[order], hi[order], value[order]
 
 
+class _SlotMatrix:
+    """A builder's slot matrix W, given elementwise, and its normal-ordered
+    form N (see _quadratic).
+
+    entry(s, t) is W[s, t] over broadcastable arrays of slot indices of the
+    same number of dimensions, with the same float operations in the same
+    order at any shape.  records() evaluates it on the full index grid and
+    normal-orders W as a matrix; at_pairs() evaluates N at given slot pairs
+    alone.  Both give N's entries bit for bit: the grid's W.T is W at the
+    swapped pairs, and every step is elementwise.  symmetrize averages both
+    operator orders, (W + W.T) * 0.5, first.
+    """
+
+    def __init__(self, space: FockSpace, entry, symmetrize: bool):
+        self.entry = entry
+        self.symmetrize = symmetrize
+        self.fermi = np.tile(space.fermionic, 2)
+
+    def vacuum(self) -> complex:
+        """The trace of W's a-c block, sum_j W[M + j, j], summed exactly
+        (math.fsum) so that the constant is correctly rounded: a
+        near-massless zero mode makes one entry far larger than the rest."""
+        M = len(self.fermi) // 2
+        creators, annihilators = np.arange(M), M + np.arange(M)
+        contractions = self.entry(annihilators, creators)
+        if self.symmetrize:
+            contractions = contractions + self.entry(creators, annihilators)
+            contractions *= 0.5
+        return complex(math.fsum(contractions.real),
+                       math.fsum(contractions.imag))
+
+    def records(self) -> np.ndarray:
+        """Every nonzero entry of N as terms, row-major."""
+        slots = np.arange(len(self.fermi))
+        W = self.entry(slots[:, None], slots[None, :])
+        if self.symmetrize:
+            W = W + W.T
+            W *= 0.5
+        fermi = self.fermi
+        upper = ~np.tri(len(fermi), dtype=bool)
+        N = np.where(upper, W.T, 0)
+        if fermi.any():
+            N *= np.where(np.logical_and.outer(fermi, fermi), -1.0, 1.0)
+        np.add(N, W, out=N, where=upper)
+        N[np.diag_indices_from(N)] = np.where(fermi, 0.0, np.diagonal(W))
+        left, right = np.nonzero(N)
+        return _terms(left, right, N[left, right])
+
+    def at_pairs(self, pairs: dict) -> np.ndarray:
+        """N at the slot pairs of _lattice_pairs: records()' operations on
+        those entries alone, from one call of entry on both orders of the
+        slots (a symmetrized W is the same at both, as addition commutes
+        bit for bit)."""
+        both = self.entry(*pairs["orders"])
+        st, ts = both[:len(pairs["target"])], both[len(pairs["target"]):]
+        if self.symmetrize:
+            st = st + ts
+            st *= 0.5
+            ts = st
+        N = ts.copy() if pairs["sign"] is None else ts * pairs["sign"]
+        N += st
+        diagonal = pairs["diagonal"]
+        if len(diagonal):
+            N[diagonal] = np.where(pairs["fermionic"], 0.0, st[diagonal])
+        return N
+
+
 class QuadraticObservable:
     """A field bilinear as TERM_DTYPE records (see the module docstring).
     The builders below return densities S(x), evaluated with .at(x); a
-    window (boxqft.measurement) weights the terms into the windowed
-    observable.  .matrix() realizes the terms as they stand, once.
+    window (boxqft.measurement) weights the terms at its lattice targets
+    (.select) into the windowed observable.  .matrix() realizes the terms as
+    they stand, once.
 
-    Every slot must lie in [-1, 2M), checked here once for all later uses:
-    slot -1 is the last row of _slot_transfers' arrays, so a slot outside
-    would read another slot's row or none."""
+    terms is the records, or a builder's _SlotMatrix: its records are built
+    the first time .terms is read, and .select evaluates the slot matrix at
+    the targets' partner pairs alone.  Every slot of given records must lie
+    in [-1, 2M), checked here once for all later uses: slot -1 is the last
+    row of _slot_transfers' arrays, so a slot outside would read another
+    slot's row or none."""
 
     def __init__(self, space: FockSpace, label: str, terms,
                  vacuum_subtraction: complex = 0.0):
         self.space = space
         self.label = label
-        self.terms = np.asarray(terms, dtype=TERM_DTYPE)
-        M2 = 2 * len(space.modes)
-        slots = np.concatenate([self.terms["left"], self.terms["right"]])
-        bad = slots[(slots < -1) | (slots >= M2)]
-        if len(bad):
-            raise BoxQFTError(f"term slots must lie in [-1, {M2}), not {bad[0]}")
         self.vacuum_subtraction = vacuum_subtraction
+        self._slot_matrix: Optional[_SlotMatrix] = None
+        self._terms: Optional[np.ndarray] = None
+        if isinstance(terms, _SlotMatrix):
+            self._slot_matrix = terms
+        else:
+            self._terms = np.asarray(terms, dtype=TERM_DTYPE)
+            M2 = 2 * len(space.modes)
+            slots = np.concatenate([self._terms["left"], self._terms["right"]])
+            bad = slots[(slots < -1) | (slots >= M2)]
+            if len(bad):
+                raise BoxQFTError(f"term slots must lie in [-1, {M2}), "
+                                  f"not {bad[0]}")
         self._matrix: Optional[Operator] = None
+        # the terms at the last lattice pair {lat, -lat} selected:
+        # (pair, its targets in order, terms, each term's target index)
+        self._selection = None
         # the thermal moments' diagonals for n = 1, 2, ... (boxqft.measurement)
         self._moment_diagonals: List[np.ndarray] = []
         # block terms, line spectra and vacuum records of the Lehmann sum
         # for the last lattice pair {lat, -lat} asked about (boxqft.spectral)
         self._momentum_memo = None
+
+    @property
+    def terms(self) -> np.ndarray:
+        if self._terms is None:
+            self._terms = self._slot_matrix.records()
+        return self._terms
 
     def matrix(self) -> Operator:
         if self._matrix is None:
@@ -264,28 +442,48 @@ class QuadraticObservable:
     def hermiticity_defect(self) -> float:
         return self.matrix().hermiticity_defect()
 
-    def lattice_hits(self, targets) -> List[np.ndarray]:
-        """For each lattice vector in targets, the mask of the terms whose
-        lattice transfer equals it."""
-        _, lat = _slot_transfers(self.space)
-        left, right = self.terms["left"], self.terms["right"]
-        # each slot's lattice vector as one integer, its components balanced
-        # digits in a base that holds any sum of two: a term's code is then
-        # the sum of its slots' codes, and equal codes mean equal vectors
-        reach = 2 * int(np.abs(lat).max())
-        base = 2 * reach + 1
-        code = (lat[:, 0] * base + lat[:, 1]) * base + lat[:, 2]
-        total = code[left] + code[right]
-        return [total == (t[0] * base + t[1]) * base + t[2]
-                if max(abs(v) for v in t) <= reach
-                else np.zeros(len(total), dtype=bool) for t in targets]
+    def select(self, targets) -> Tuple[np.ndarray, List[np.ndarray]]:
+        """The terms whose lattice transfer is one of the targets, in term
+        order, and for each target the mask of those at it.
 
-    def transfers(self, keep: Optional[np.ndarray] = None
-                  ) -> Tuple[np.ndarray, np.ndarray]:
-        """Four-momentum (n, 4) and lattice (n, 3) transfer of every term, or
-        of the terms at the indices keep."""
+        The selection is made for the targets and their negatives, the
+        lattice pair {lat, -lat} of a cosine window or a Lehmann memo, and
+        kept for the last pair asked about: the window and the beta = inf
+        sample at one p share it.  A builder's density evaluates its slot
+        matrix at the pairs' partner slots alone (_partners); given records
+        are selected from.  The returned terms are read-only."""
+        targets = [tuple(map(int, t)) for t in targets]
+        pair = set(targets).union((-a, -b, -c) for a, b, c in targets)
+        if self._selection is None or self._selection[0] != pair:
+            if self._slot_matrix is not None:
+                pairs = _lattice_pairs(self.space, pair)
+                N = self._slot_matrix.at_pairs(pairs)
+                on = np.flatnonzero(N)
+                terms = pairs["records"].take(on)
+                terms["coeff"] = N.take(on)
+                order, at = pairs["targets"], pairs["target"].take(on)
+            else:
+                order = sorted(pair)
+                codes = _slot_codes(self.space)
+                want = _target_codes(codes, order)
+                code = codes["code"]
+                total = code[self._terms["left"]] + code[self._terms["right"]]
+                at = np.full(len(total), -1)
+                for k, c in enumerate(want):
+                    if c is not None:
+                        at[total == c] = k
+                on = at >= 0
+                terms, at = self._terms[on], at[on]
+            terms.flags.writeable = False
+            self._selection = (pair, order, terms, at)
+        _, order, terms, at = self._selection
+        return terms, [at == order.index(t) if t in order
+                       else np.zeros(len(terms), dtype=bool) for t in targets]
+
+    def transfers(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Four-momentum (n, 4) and lattice (n, 3) transfer of every term."""
         Q, lat = _slot_transfers(self.space)
-        terms = self.terms if keep is None else self.terms[keep]
+        terms = self.terms
         return Q[terms["left"]] + Q[terms["right"]], \
             lat[terms["left"]] + lat[terms["right"]]
 
@@ -297,18 +495,17 @@ class QuadraticObservable:
                              - q[:, 2] * xt[2] - q[:, 3] * xt[3]))
         return _assemble(self.space, self.terms, _cmul(self.terms["coeff"], phase))
 
-    def weighted(self, label: str, factor,
-                 keep: Optional[np.ndarray] = None) -> QuadraticObservable:
-        """The bilinear with coefficients coeff * factor per term, or per term
-        at the indices keep with the others dropped; terms whose product is
-        exactly zero are dropped."""
-        coeff = self.terms["coeff"] if keep is None else self.terms["coeff"][keep]
-        coeff = _cmul(coeff, np.asarray(factor, dtype=complex))
-        nonzero = coeff != 0
-        terms = self.terms[nonzero if keep is None else keep[nonzero]]
-        terms["coeff"] = coeff[nonzero]
-        return QuadraticObservable(self.space, label, terms,
-                                   vacuum_subtraction=self.vacuum_subtraction)
+
+def _weighted(terms: np.ndarray, factor,
+              hits=()) -> Tuple[np.ndarray, List[np.ndarray]]:
+    """The terms with coefficients coeff * factor (by _cmul), per term or
+    one factor for all, and the masks in hits over the terms that remain:
+    terms whose product is exactly zero are dropped."""
+    coeff = _cmul(terms["coeff"], np.asarray(factor, dtype=complex))
+    nonzero = coeff != 0
+    out = terms[nonzero]
+    out["coeff"] = coeff[nonzero]
+    return out, [on[nonzero] for on in hits]
 
 
 def _linear(space: FockSpace, label: str, ell: np.ndarray) -> QuadraticObservable:
@@ -317,41 +514,47 @@ def _linear(space: FockSpace, label: str, ell: np.ndarray) -> QuadraticObservabl
     return QuadraticObservable(space, label, _terms(-1, right, ell[right]))
 
 
-def _quadratic(space: FockSpace, label: str, W: np.ndarray) -> QuadraticObservable:
-    """Normal-ordered density of sum_{s,t} W[s,t] op(s) op(t).
+def _quadratic(space: FockSpace, label: str, entry) -> QuadraticObservable:
+    """Normal-ordered density of sum_{s,t} W[s,t] op(s) op(t), with W[s, t]
+    given elementwise as entry(s, t) over arrays of slot indices.
 
     Creator slots come first, so reordering each product as creators left,
     annihilators right, slots ascending moves every entry into the upper
-    triangle: two fermionic slots anticommute (and a fermionic square
-    vanishes).  Each [a_j, c_j] contraction leaves a constant; their sum, the
-    trace of the a-c block, is the subtracted vacuum constant.  The trace is
-    summed exactly (math.fsum) so the constant is correctly rounded: a
-    near-massless zero mode makes one entry far larger than the rest.
-    The sign matrix is applied only when a slot is fermionic; on the
-    symmetrized W of a bosonic density, multiplying by 1.0 changes no bit
-    of a kept term.
+    triangle: N[s, t] = W[s, t] + W[t, s] for s < t, except that two
+    fermionic slots anticommute (W[t, s] is negated), and N[s, s] = W[s, s]
+    (0 for a fermionic square).  Each [a_j, c_j] contraction leaves a
+    constant; their sum, the trace of the a-c block, is the subtracted
+    vacuum constant, computed here from the M entries alone.  N itself is
+    formed when the density's terms are read or selected (_SlotMatrix).
+    The sign is applied only when a slot is fermionic; on the symmetrized W
+    of a bosonic density, multiplying by 1.0 changes no bit of a kept term.
     """
-    M = len(space.modes)
-    fermi = np.tile(space.fermionic, 2)
-    upper = ~np.tri(2 * M, dtype=bool)
-    N = np.where(upper, W.T, 0)
-    if fermi.any():
-        N *= np.where(np.logical_and.outer(fermi, fermi), -1.0, 1.0)
-    np.add(N, W, out=N, where=upper)
-    N[np.diag_indices_from(N)] = np.where(fermi, 0.0, np.diagonal(W))
-    left, right = np.nonzero(N)
-    contractions = np.diagonal(W[M:, :M])
-    vacuum = complex(math.fsum(contractions.real), math.fsum(contractions.imag))
-    return QuadraticObservable(space, label, _terms(left, right, N[left, right]),
-                               vacuum_subtraction=vacuum)
+    N = _SlotMatrix(space, entry, False)
+    return QuadraticObservable(space, label, N, vacuum_subtraction=N.vacuum())
 
 
-def _symmetrized(space: FockSpace, label: str, W: np.ndarray) -> QuadraticObservable:
-    """Both operator orders averaged, which keeps a bosonic composite
-    Hermitian; the commutator constants land in the vacuum subtraction."""
-    W = W + W.T
-    W *= 0.5
-    return _quadratic(space, label, W)
+def _symmetrized(space: FockSpace, label: str, entry) -> QuadraticObservable:
+    """Both operator orders averaged, (W + W.T) * 0.5, which keeps a bosonic
+    composite Hermitian; the commutator constants land in the vacuum
+    subtraction."""
+    N = _SlotMatrix(space, entry, True)
+    return QuadraticObservable(space, label, N, vacuum_subtraction=N.vacuum())
+
+
+def _outer_sum(factors):
+    """entry(s, t) = sum_k l_k[s] * r_k[t] for factors [(l_k, r_k)], summed
+    from zero in their order; s and t have the same number of dimensions.
+    The products are formed at once, one row per factor."""
+    left = np.array([l for l, _ in factors])
+    right = np.array([r for _, r in factors])
+
+    def entry(s, t):
+        products = left.take(s, axis=1) * right.take(t, axis=1)
+        W = products[0] + 0.0             # 0 + p_1: a zero's sign as in a sum
+        for product in products[1:]:
+            W += product
+        return W
+    return entry
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +588,7 @@ def scalar_momentum_density(space: FockSpace) -> QuadraticObservable:
 def scalar_bilinear_density(space: FockSpace) -> QuadraticObservable:
     """Normal-ordered :phi^2:(x)."""
     ell = _scalar_slots(space)
-    return _symmetrized(space, "phi2", np.multiply.outer(ell, ell))
+    return _symmetrized(space, "phi2", lambda s, t: ell[s] * ell[t])
 
 
 def stress_tensor_scalar(space: FockSpace, mu: int, nu: int) -> QuadraticObservable:
@@ -398,25 +601,30 @@ def stress_tensor_scalar(space: FockSpace, mu: int, nu: int) -> QuadraticObserva
     ell = _scalar_slots(space)
     m = space.grid("phi").mass
     Q = _slot_transfers(space)[0][:-1]
-    # (i q1^mu)(i q2^nu) symmetrized in (mu,nu), minus the trace part, built
-    # in place in three (2M)^2 buffers: -(q1^mu q2^nu + q1^nu q2^mu) / 2 and
-    # dd = -(q1^0 q2^0 - q1^1 q2^1 - q1^2 q2^2 - q1^3 q2^3)
-    vertex, dd, tmp = (np.empty((len(Q), len(Q))) for _ in range(3))
-    np.multiply.outer(Q[:, mu], Q[:, nu], out=vertex)
-    vertex += np.multiply.outer(Q[:, nu], Q[:, mu], out=tmp)
-    np.negative(vertex, out=vertex)
-    vertex /= 2.0
-    np.multiply.outer(Q[:, 0], Q[:, 0], out=dd)
-    for a in (1, 2, 3):
-        dd -= np.multiply.outer(Q[:, a], Q[:, a], out=tmp)
-    np.negative(dd, out=dd)
-    dd -= m * m
-    dd *= METRIC[mu, nu]
-    dd /= 2.0
-    vertex -= dd
-    W = np.multiply.outer(ell, ell)
-    W *= vertex
-    return _symmetrized(space, f"T{mu}{nu}", W)
+
+    def entry(s, t):
+        # (i q1^mu)(i q2^nu) symmetrized in (mu,nu), minus the trace part, built
+        # in place in three buffers: -(q1^mu q2^nu + q1^nu q2^mu) / 2 and
+        # dd = -(q1^0 q2^0 - q1^1 q2^1 - q1^2 q2^2 - q1^3 q2^3)
+        shape = np.broadcast_shapes(np.shape(s), np.shape(t))
+        vertex, dd, tmp = (np.empty(shape) for _ in range(3))
+        np.multiply(Q[s, mu], Q[t, nu], out=vertex)
+        vertex += np.multiply(Q[s, nu], Q[t, mu], out=tmp)
+        np.negative(vertex, out=vertex)
+        vertex /= 2.0
+        np.multiply(Q[s, 0], Q[t, 0], out=dd)
+        for a in (1, 2, 3):
+            dd -= np.multiply(Q[s, a], Q[t, a], out=tmp)
+        np.negative(dd, out=dd)
+        dd -= m * m
+        dd *= METRIC[mu, nu]
+        dd /= 2.0
+        vertex -= dd
+        W = ell[s] * ell[t]
+        W *= vertex
+        return W
+
+    return _symmetrized(space, f"T{mu}{nu}", entry)
 
 
 # ---------------------------------------------------------------------------
@@ -475,12 +683,10 @@ def dirac_current_density(space: FockSpace, mu: int) -> QuadraticObservable:
     psi = _dirac_slots(space)
     M = len(space.modes)
     dag = np.roll(psi, M, axis=1).conj()      # creators <-> annihilators
-    W = np.zeros((2 * M, 2 * M), dtype=complex)
     # elementwise products summed from the last (a, b) down; a BLAS product
     # would round differently and leave residues where the sum cancels
-    for a, b in reversed(list(zip(*np.nonzero(J)))):
-        W += np.multiply.outer(dag[a] * J[a, b], psi[b])
-    return _quadratic(space, f"j{mu}", W)
+    return _quadratic(space, f"j{mu}", _outer_sum(
+        [(dag[a] * J[a, b], psi[b]) for a, b in reversed(list(zip(*np.nonzero(J))))]))
 
 
 # ---------------------------------------------------------------------------
@@ -548,8 +754,8 @@ def stress_tensor_em(space: FockSpace, mu: int, nu: int) -> QuadraticObservable:
         pairs = [(-1.0, E[i], E[j]), (-1.0, B[i], B[j])]
         if i == j:
             pairs += [(0.5, F[k], F[k]) for F in (E, B) for k in range(3)]
-    W = sum(np.multiply.outer(w * l1, l2) for w, l1, l2 in pairs)
-    return _symmetrized(space, f"T{mu}{nu}_em", W)
+    return _symmetrized(space, f"T{mu}{nu}_em",
+                        _outer_sum([(w * l1, l2) for w, l1, l2 in pairs]))
 
 
 def em_field_strength_density(space: FockSpace, mu: int,

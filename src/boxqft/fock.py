@@ -65,12 +65,14 @@ class ModeGrid:
             raise BoxQFTError("axes must be sorted")
         if len(self.lengths) != len(self.axes) or len(self.ranges) != len(self.axes):
             raise BoxQFTError("lengths/ranges must match axes")
-        if any(L <= 0 for L in self.lengths):
-            raise BoxQFTError("box lengths must be positive")
+        if not all(math.isfinite(L) and L > 0 for L in self.lengths):
+            raise BoxQFTError("box lengths must be finite and positive")
         if any(lo > hi for lo, hi in self.ranges):
             raise BoxQFTError("mode ranges must satisfy lo <= hi")
-        if self.mass < 0 or self.v_c <= 0:
-            raise BoxQFTError("mass must be >= 0 and v_c > 0")
+        if not (math.isfinite(self.mass) and self.mass >= 0
+                and math.isfinite(self.v_c) and self.v_c > 0):
+            raise BoxQFTError("mass must be finite and >= 0, and v_c finite "
+                              "and > 0")
 
     @property
     def excludes_zero_mode(self) -> bool:
@@ -219,6 +221,10 @@ class FockSpace:
         self._ladder_table: Optional[LadderTable] = None
         # (beta, state) of the last thermal_state call
         self._thermal: Optional[Tuple[float, "DensityOperator"]] = None
+        # the slots' lattice codes, and the slot pairs of the last lattice
+        # pair {lat, -lat} that a density on this space selected at
+        # (boxqft.fields._slot_codes and _lattice_pairs)
+        self._lattice_pairs: Optional[dict] = None
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -235,6 +241,9 @@ class FockSpace:
         grid = self.channels[0][1]
         out = [0, 0, 0]
         ps = p.spatial
+        if not all(map(math.isfinite, ps.tolist())):
+            raise OffLatticeMomentum(f"momentum components must be finite, "
+                                     f"not {tuple(ps.tolist())!r}")
         for a in (1, 2, 3):
             if a in grid.axes:
                 L = grid.lengths[grid.axes.index(a)]
@@ -304,9 +313,6 @@ def _rank_terms(caps: np.ndarray, total_cap: int,
     no further unit of l and at most T-p units of later modes precede the
     row, and each row that precedes it is counted so once.
     """
-    if min(int(max(caps, default=0)), total_cap) > 127:
-        raise BoxQFTError("occupations above 127 exceed the int8 occupation "
-                          "range; lower the per-mode or total cap")
     count = [1] * (total_cap + 1)                  # C[M]: only the empty tuple
     counts = [count]
     for cap in caps[::-1]:
@@ -396,7 +402,10 @@ def _build_ladder_table(occupied: np.ndarray, terms: np.ndarray,
     amp = np.sqrt(units)
     if fermionic.any():
         ferm = np.append(fermionic, False)
-        # fermions at positions up to q; a fermion's own run is one unit
+        # fermions at positions up to q; a fermion's own run is one unit.
+        # int8 holds the count: a row with 128 fermions needs 128 fermionic
+        # modes and a space of more than 2^128 states, and a count that
+        # wrapped around would keep its parity, which is all that is read
         upto = np.cumsum(ferm[occupied], axis=1, dtype=np.int8).ravel()[at]
         on = ferm[mode]
         amp[on] = 1.0 - 2.0 * ((upto[on] - 1) % 2)
@@ -536,7 +545,7 @@ def expectation(state, operator) -> complex:
             raise DimensionMismatch("state/operator dimensions differ")
         diag = operator.diagonal()
         return complex(np.sum(state.diagonal * diag))
-    raise DimensionMismatch(f"unsupported state type {type(state)!r}")
+    raise BoxQFTError(f"unsupported state type {type(state)!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -564,6 +573,10 @@ class SagnacConfig:
     mass: float
     k3: float
     phase: float = 0.0
+
+    def __post_init__(self):
+        if not self.mass >= 0:
+            raise BoxQFTError(f"mass must be >= 0, not {self.mass!r}")
 
     @property
     def energy(self) -> float:

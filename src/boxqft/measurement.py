@@ -18,14 +18,14 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .errors import BoxQFTError, DimensionMismatch, DimensionOverflow
-from .fields import (QuadraticObservable, _check_space, _vacuum_records,
-                     dirac_current_density, stress_tensor_em,
-                     stress_tensor_scalar)
+from .fields import (QuadraticObservable, _check_space, _slot_transfers,
+                     _vacuum_records, _weighted, dirac_current_density,
+                     stress_tensor_em, stress_tensor_scalar)
 from .fock import (DensityOperator, FockSpace, SagnacConfig, SagnacSpecies,
                    StateVector, expectation, sagnac_state)
 from .operator import Operator
 from .spacetime import FourVector, IntervalClass, classify_interval
-from .spectral import _check_positive
+from .spectral import _check_count, _check_positive
 
 # ---------------------------------------------------------------------------
 # windows
@@ -60,7 +60,10 @@ class MeasurementWindow:
 
 
 def commensurate_tau(energy: float, periods: int = 1) -> float:
-    """Duration equal to an integer number of mode periods 2*pi/E."""
+    """Duration equal to an integer number of mode periods 2*pi/E, for a
+    finite energy > 0 and an integer number of periods >= 1."""
+    _check_positive("energy", energy)
+    _check_count("periods", periods, 1)
     return periods * 2 * math.pi / energy
 
 
@@ -68,16 +71,17 @@ def _box_windowed(S: QuadraticObservable, w: MeasurementWindow, label: str,
                   targets) -> QuadraticObservable:
     """S under the box window: targets lists (lattice transfer, scale, shift),
     and a term at a target's transfer gets scale * V * T(q0 + shift), summed
-    over the targets it meets.  The box is a Kronecker filter, so the terms
-    at no target are dropped first and the rest alone are transformed."""
-    hits = S.lattice_hits([t for t, _, _ in targets])
-    keep = np.flatnonzero(np.logical_or.reduce(hits))
-    q0 = S.transfers(keep)[0][:, 0]
-    factor = np.zeros(len(keep))
-    for hit, (_, scale, shift) in zip(hits, targets):
-        on = hit[keep]
+    over the targets it meets.  The box is a Kronecker filter, so only the
+    terms at the targets are selected (QuadraticObservable.select), and
+    only they are transformed."""
+    terms, hits = S.select([t for t, _, _ in targets])
+    Q, _ = _slot_transfers(S.space)
+    q0 = Q[terms["left"], 0] + Q[terms["right"], 0]
+    factor = np.zeros(len(terms))
+    for on, (_, scale, shift) in zip(hits, targets):
         factor[on] += scale * S.space.volume * w.time_transform(q0[on] + shift)
-    return S.weighted(label, factor, keep)
+    return QuadraticObservable(S.space, label, _weighted(terms, factor)[0],
+                               vacuum_subtraction=S.vacuum_subtraction)
 
 
 def windowed_observable(S: QuadraticObservable,

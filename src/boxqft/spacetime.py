@@ -23,10 +23,18 @@ EPS_CLS = 1e-12
 
 @dataclass(frozen=True)
 class FourVector:
+    """A four-vector; every component must be a finite number (a nan p0
+    selects no Lehmann line and would read as the structural zero)."""
     t: float = 0.0
     x: float = 0.0
     y: float = 0.0
     z: float = 0.0
+
+    def __post_init__(self):
+        if not (math.isfinite(self.t) and math.isfinite(self.x)
+                and math.isfinite(self.y) and math.isfinite(self.z)):
+            raise BoxQFTError(f"four-vector components must be finite, not "
+                              f"{(self.t, self.x, self.y, self.z)!r}")
 
     def as_array(self) -> np.ndarray:
         return np.array([self.t, self.x, self.y, self.z], dtype=float)

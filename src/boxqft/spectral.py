@@ -43,11 +43,16 @@ and its column of B contribute.  Both are read from the terms alone
 in basis order, is the sample's line spectrum, at energies E_lo + E_hi: bit
 for bit the blocks' lines, with no block or ladder operator built.
 
-Both paths refuse terms that are not unique and normal-ordered.
+Both paths refuse hand-built terms that are not unique and normal-ordered;
+a builder's terms are so by construction.
 
 Each density holds one memo, a plain dict, for the pair {lat, -lat} it was
 last asked about: the block terms of both targets, one auto line spectrum
-(Y is X) and its vacuum records.  The auto spectrum at -lat is the one at
+(Y is X) and its vacuum records.  The block terms are the density's
+selection at the pair (QuadraticObservable.select: a builder's density
+evaluates its slot matrix at the pair's O(M) partner slots alone, and
+never forms its full terms), which a cosine window at the same p shares,
+weighted by V in one pass.  The auto spectrum at -lat is the one at
 +lat transposed, so the memo keeps only the side a sample asked for first,
 and a pair costs one join.  A finite-beta sample at the other side reads it
 in place: it selects the lines in the bin at the negated energies (negating
@@ -72,7 +77,7 @@ import numpy as np
 
 from .errors import BoxQFTError
 from .fields import (QuadraticObservable, _check_normal_ordered,
-                     _check_space, _compose, _vacuum_records)
+                     _check_space, _compose, _vacuum_records, _weighted)
 from .fock import FockSpace, thermal_state
 from .operator import _cmul, _group_sums
 from .spacetime import METRIC, FourVector, minkowski_dot
@@ -118,18 +123,20 @@ class LineSpectrum:
 def _memo(space: FockSpace, density: QuadraticObservable,
           lat: Tuple[int, int, int]) -> dict:
     """The density's memo for the pair {lat, -lat}, replacing one for another
-    pair; both targets' block terms are selected in one pass over the terms,
-    and only they are weighted by V.  The density's terms are checked to be
-    unique and normal-ordered before its first memo is made."""
+    pair; both targets' block terms come from one selection
+    (QuadraticObservable.select), which a window at the same pair shares,
+    and only they are weighted by V.  Terms given by hand are checked to be
+    unique and normal-ordered; a builder's are so by construction."""
     pair = {lat, tuple(-v for v in lat)}
     memo = density._momentum_memo
-    if memo is None:
-        _check_normal_ordered(space, density.terms)
     if memo is None or memo["terms"].keys() != pair:
         targets = tuple(pair)
+        terms, hits = density.select(targets)
+        if density._slot_matrix is None:
+            _check_normal_ordered(space, terms)
+        terms, hits = _weighted(terms, space.volume, hits)
         memo = density._momentum_memo = {"lines": {}, "vacuum": {}, "terms": {
-            t: density.weighted("", space.volume, np.flatnonzero(hit)).terms
-            for t, hit in zip(targets, density.lattice_hits(targets))}}
+            t: terms[on] for t, on in zip(targets, hits)}}
     return memo
 
 
@@ -157,7 +164,7 @@ def _line_spectrum(space: FockSpace, x_terms: np.ndarray,
     the adjoint key (module docstring).  X's term t fills A[n, m] with
     c_t amp + 0.0, and B[m, n] is c_s (±amp) + 0.0 for its partner s, bit for
     bit what from_triplets would store in the realized blocks.  Both term
-    sets come from densities that _memo has checked."""
+    sets come from _memo, unique and normal-ordered."""
     M, dim = len(space.modes), space.dim
     # each X term's adjoint op(r̄) op(l̄), s̄ = s with creator and annihilator
     # swapped, normal-ordered as (lo, hi): swapping two fermionic slots

@@ -13,7 +13,7 @@ import numpy as np
 
 from conftest import csr
 
-from boxqft.fields import QuadraticObservable
+from boxqft.fields import QuadraticObservable, _weighted
 from boxqft.fock import FockSpace
 from boxqft.spacetime import FourVector
 from boxqft.spectral import default_delta_omega
@@ -24,8 +24,8 @@ def momentum_block(space: FockSpace, density: QuadraticObservable,
     """Fock operator of int_V e^{-ip.x} X(0,x) dx, built afresh."""
     _, lat = density.transfers()
     hit = np.all(lat == lattice_target, axis=1)
-    return csr(density.weighted(f"{density.label}(p)",
-                                np.where(hit, space.volume, 0.0)).matrix())
+    terms, _ = _weighted(density.terms, np.where(hit, space.volume, 0.0))
+    return csr(QuadraticObservable(space, f"{density.label}(p)", terms).matrix())
 
 
 def lehmann_reference(space: FockSpace, X: QuadraticObservable,

@@ -428,7 +428,7 @@ def test_assembly_matches_product_loop_random(n_mode, mass, caps, kind, t, z,
 
 def test_complex_coefficients_are_multiplied_with_cmul():
     # numpy's complex product may fuse into FMAs and differ from _cmul in the
-    # last bit; .at and weighted must give the same bits on every CPU
+    # last bit; .at and _weighted must give the same bits on every CPU
     space = scalar_space(n_mode=2, mass=0.5, caps=(2, 2))
     rng = np.random.default_rng(7)
     n, M = 16, len(space.modes)
@@ -445,27 +445,97 @@ def test_complex_coefficients_are_multiplied_with_cmul():
     for a, b in zip((got.row, got.col, got.value), (want.row, want.col, want.value)):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
     factor = rng.normal(size=n) + 1j * rng.normal(size=n)
-    weighted = X.weighted("w", factor).terms["coeff"]
+    weighted = fields._weighted(X.terms, factor)[0]["coeff"]
     assert weighted.tobytes() == _cmul(coeff, factor).tobytes()
 
 
-def test_lattice_hits_compare_whole_vectors():
-    # lattice_hits reads a term's lattice transfer as one integer code; a
-    # target beyond every term's reach must not alias a real transfer (on
-    # the 1D grid below, (0, 1, -3) has the code of (0, 0, 2))
+def test_selection_compares_whole_vectors():
+    # select reads a term's lattice transfer as one integer code; a target
+    # beyond every term's reach must not alias a real transfer (on the 1D
+    # grid below, (0, 1, -3) has the code of (0, 0, 2)); a builder's density
+    # and one of the same records given by hand select the same terms
     grid3 = ModeGrid(axes=(1, 2, 3), lengths=(BOX,) * 3, ranges=((-1, 1),) * 3,
                      species=Species.BOSON)
     space3 = build_fock_space([("phi", grid3)], 1, 1)
     space1 = scalar_space(n_mode=1, mass=0.5, caps=(2, 2))
     targets = [(0, 0, 0), (0, 0, 2), (0, 0, -2), (0, 1, -3), (0, -1, 3),
                (0, 0, 7), (1, 0, 0), (1, -1, 0), (-2, 2, 0), (0, 5, 0)]
+    found = 0
     for density in (stress_tensor_scalar(space1, 0, 0),
                     stress_tensor_scalar(space3, 0, 3)):
         _, lat = density.transfers()
-        hits = density.lattice_hits(targets)
-        for t, hit in zip(targets, hits):
-            assert np.array_equal(hit, np.all(lat == t, axis=1))
-        assert sum(int(h.sum()) for h in hits) > 0
+        given = QuadraticObservable(density.space, "given", density.terms)
+        for t in targets:
+            want = density.terms[np.all(lat == t, axis=1)]
+            found += len(want)
+            for d in (density, given):
+                terms, (hit,) = d.select([t])
+                assert terms[hit].tobytes() == want.tobytes()
+    assert found > 0
+
+
+def _selection_cases():
+    """(space, [(name, density builder)], a readout lattice vector) on four
+    spaces: 3D scalar, 1D massive boson + fermion, Dirac and photon.  The
+    mixed space also normal-orders a random slot matrix with fermionic
+    entries of both signs of zero."""
+    grid3 = ModeGrid(axes=(1, 2, 3), lengths=(BOX,) * 3, ranges=((-1, 1),) * 3,
+                     species=Species.BOSON, mass=0.3)
+    scalar3 = build_fock_space([("phi", grid3)], 1, 1)
+    mixed = build_fock_space(
+        [("phi", ModeGrid(axes=(3,), lengths=(BOX,), ranges=((-2, 2),),
+                          species=Species.BOSON, mass=0.8)),
+         ("psi", ModeGrid(axes=(3,), lengths=(BOX,), ranges=((-2, 2),),
+                          species=Species.FERMION, mass=1.0))], 1, 1)
+    rng = np.random.default_rng(11)
+    n = 2 * len(mixed.modes)
+    W = np.empty((n, n), dtype=complex)
+    W.real, W.imag = rng.choice([-1.5, -0.0, 0.0, 0.5, 2.0], size=(2, n, n))
+    scalar = [("phi2", scalar_bilinear_density)] + [
+        (f"T{mu}{nu}", lambda s, mu=mu, nu=nu: stress_tensor_scalar(s, mu, nu))
+        for mu in range(4) for nu in range(4)]
+    return [
+        (scalar3, scalar, (1, -1, 0)),
+        (mixed, scalar + [
+            ("W", lambda s: fields._quadratic(s, "W", lambda a, b: W[a, b])),
+            ("W sym", lambda s: fields._symmetrized(s, "W", lambda a, b: W[a, b]))],
+         (0, 0, 2)),
+        (dirac_space(3, 1.0, caps=(1, 2)),
+         [(f"j{mu}", lambda s, mu=mu: dirac_current_density(s, mu))
+          for mu in range(4)], (0, 0, 1)),
+        (photon_space(2, caps=(1, 2)),
+         [(f"T{mu}{nu}", lambda s, mu=mu, nu=nu: stress_tensor_em(s, mu, nu))
+          for mu in range(4) for nu in range(4)], (0, 0, 3)),
+    ]
+
+
+def test_selected_terms_are_the_full_arrays_kept_terms():
+    # a builder's density evaluates its slot matrix at the partner pairs of
+    # the targets alone; the terms are the full array's at each target, in
+    # its order, bit for bit (signs of zero included), at 0, +-lat(p) and a
+    # target out of reach
+    for space, builders, lat_p in _selection_cases():
+        neg = tuple(-v for v in lat_p)
+        for name, build in builders:
+            density = build(space)
+            selections = [density.select([(0, 0, 0)]),
+                          density.select([neg, lat_p]),
+                          density.select([lat_p]),
+                          density.select([(0, 0, 99)])]
+            full = density.terms
+            _, lat = density.transfers()
+            for targets, (terms, hits) in zip(
+                    [[(0, 0, 0)], [neg, lat_p], [lat_p], [(0, 0, 99)]],
+                    selections):
+                at = [np.all(lat == t, axis=1) for t in targets]
+                assert terms.tobytes() == full[np.logical_or.reduce(
+                    at + [np.all(lat == tuple(-v for v in t), axis=1)
+                          for t in targets])].tobytes(), name
+                for hit, want in zip(hits, at):
+                    assert terms[hit].tobytes() == full[want].tobytes(), name
+            # a component that vanishes on a 1D grid has no terms at all
+            assert (len(selections[1][0]) > 0 or len(full) == 0) \
+                and len(selections[3][0]) == 0
 
 
 def test_ladder_table_is_built_once_per_space(monkeypatch):

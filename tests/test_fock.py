@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from conftest import (BOX, csr, dirac_space, occupations, photon_space,
                       scalar_grid, scalar_space)
 
 from boxqft.errors import (BoxQFTError, DimensionMismatch, DimensionOverflow,
-                           UnknownMode)
+                           OffLatticeMomentum, UnknownMode)
 from boxqft.fock import (DIM_LIMIT_DEFAULT, ModeGrid, SagnacConfig,
                          SagnacSpecies, Species, basis_state,
                          build_fock_space, expectation, free_hamiltonian,
@@ -21,6 +22,41 @@ def one_mode_space(n_max=4, mass=1.0, box=BOX):
     grid = ModeGrid(axes=(3,), lengths=(box,), ranges=((1, 1),),
                     species=Species.BOSON, mass=mass)
     return build_fock_space([("phi", grid)], n_max, n_max)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_mode_grids_refuse_parameters_that_are_not_finite(bad):
+    # a nan mass or length passed the old sign checks: Lehmann samples then
+    # read G = 0 with no pair while vacuum_variance read nan
+    def grid(**kw):
+        args = dict(axes=(3,), lengths=(BOX,), ranges=((-1, 1),),
+                    species=Species.BOSON, mass=0.5)
+        args.update(kw)
+        return ModeGrid(**args)
+
+    grid()
+    for kw in ({"lengths": (bad,)}, {"mass": bad}, {"v_c": bad}):
+        with pytest.raises(BoxQFTError, match="finite"):
+            grid(**kw)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_lattice_of_refuses_momenta_that_are_not_finite(bad):
+    # FourVector refuses them first; lattice_of reads only p.spatial, and a
+    # non-finite component raised a bare ValueError or OverflowError there
+    space = scalar_space(n_mode=2, mass=0.5, caps=(1, 1))
+    for axis in range(3):
+        spatial = np.zeros(3)
+        spatial[axis] = bad
+        with pytest.raises(OffLatticeMomentum, match="finite"):
+            space.lattice_of(SimpleNamespace(spatial=spatial))
+
+
+def test_sagnac_config_refuses_a_negative_mass():
+    for mass in (-1.0, -1e-300, math.nan):
+        with pytest.raises(BoxQFTError, match="mass"):
+            SagnacConfig(SagnacSpecies.SCALAR, mass, 1.0)
+    assert SagnacConfig(SagnacSpecies.PHOTON_V, 0.0, 1.0).energy == 1.0
 
 
 def test_dimensions():
@@ -201,25 +237,29 @@ def test_basis_state_refuses_unknown_modes_and_fractional_occupations():
                           basis_state(space, {("phi", (1,)): 2}).amplitudes)
 
 
-def test_occupations_beyond_int8_are_rejected():
+def test_one_boson_mode_holds_occupations_beyond_int8():
+    # occupations are counted in int64 ranks and lists: 130 units of one mode
     grid = ModeGrid(axes=(3,), lengths=(BOX,), ranges=((1, 1),),
                     species=Species.BOSON, mass=1.0)
-    for caps in ((128, 128), (200, 200)):
-        with pytest.raises(BoxQFTError, match="int8"):
-            build_fock_space([("phi", grid)], *caps)
+    space = build_fock_space([("phi", grid)], 130, 130)
+    assert space.dim == 131
+    assert [space.state_index([v]) for v in range(131)] == list(range(131))
+    a = space.annihilation("phi", (1,))
+    c = space.creation("phi", (1,))
+    n = np.arange(1, 131)
+    # a|n> = sqrt(n)|n-1>, c|n-1> = sqrt(n)|n>, nothing above the cap
+    assert a.row.tolist() == (n - 1).tolist() and a.col.tolist() == n.tolist()
+    assert c.row.tolist() == n.tolist() and c.col.tolist() == (n - 1).tolist()
+    for op in (a, c):
+        assert op.value.real.tobytes() == np.sqrt(n.astype(float)).tobytes()
+        assert not op.value.imag.any()
+    comm = csr(a) @ csr(c) - csr(c) @ csr(a)
+    expected = np.eye(space.dim)
+    expected[130, 130] = -130.0
+    assert np.max(np.abs(comm.toarray() - expected)) < 1e-12
     # fermionic occupations stay at 1 whatever the per-mode cap
     assert (dirac_space(n_mode=1, caps=(200, 2)).dim
             == dirac_space(n_mode=1, caps=(1, 2)).dim)
-    # 127 units of one mode: the largest occupation an int8 row holds
-    space = build_fock_space([("phi", grid)], 127, 127)
-    assert space.dim == 128
-    assert [space.state_index([v]) for v in range(128)] == list(range(128))
-    a = csr(space.annihilation("phi", (1,)))
-    c = csr(space.creation("phi", (1,)))
-    comm = (a @ c - c @ a)
-    expected = np.eye(space.dim)
-    expected[127, 127] = -127.0
-    assert np.max(np.abs(comm.toarray() - expected)) < 1e-12
 
 
 def test_space_without_modes_has_one_state():

@@ -9,8 +9,10 @@ from scipy.integrate import quad
 from conftest import (BOX, csr, dirac_space, photon_space, sagnac_space,
                       scalar_space)
 
-from boxqft.errors import BoxQFTError, DimensionOverflow, OffLatticeMomentum
-from boxqft.fields import (QuadraticObservable, dirac_current_density,
+from boxqft import fields, spectral
+from boxqft.errors import (BoxQFTError, DimensionMismatch, DimensionOverflow,
+                           OffLatticeMomentum)
+from boxqft.fields import (QuadraticObservable, _weighted, dirac_current_density,
                            em_field_strength_density, scalar_bilinear_density,
                            scalar_density, stress_tensor_em,
                            stress_tensor_scalar)
@@ -35,6 +37,36 @@ def test_window_refuses_a_duration_that_is_not_finite_and_positive(tau):
     for envelope in ("rect", "gauss"):
         with pytest.raises(BoxQFTError, match="tau"):
             MeasurementWindow(tau=tau, envelope=envelope)
+
+
+def test_commensurate_tau_refuses_energies_and_periods_out_of_range():
+    # energy 0 raised ZeroDivisionError; a negative energy or zero periods
+    # gave a duration MeasurementWindow refused only later
+    assert commensurate_tau(2.0, 3) == 3 * math.pi
+    for energy in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(BoxQFTError, match="energy"):
+            commensurate_tau(energy)
+    for periods in (0, -2, 1.5, True):
+        with pytest.raises(BoxQFTError, match="periods"):
+            commensurate_tau(1.0, periods)
+
+
+def test_unknown_state_types_are_refused_alike():
+    # both dispatch sites raise the same class, and a caller catching
+    # DimensionMismatch for a size error catches neither
+    space = scalar_space(n_mode=1, mass=0.5, caps=(2, 2))
+    obs = windowed_observable(stress_tensor_scalar(space, 0, 0),
+                              MeasurementWindow(tau=2.0))
+    raised = []
+    for call in (lambda: expectation([1.0], obs.matrix()),
+                 lambda: moments([1.0], obs)):
+        with pytest.raises(BoxQFTError, match="unsupported state type") as info:
+            try:
+                call()
+            except DimensionMismatch:
+                pytest.fail("an unknown state type raised DimensionMismatch")
+        raised.append(type(info.value))
+    assert raised == [BoxQFTError, BoxQFTError]
 
 
 def test_window_transform_against_quadrature():
@@ -504,13 +536,17 @@ def _reference_windowed(S, w, p=None):
     def spatial(target):
         return np.where(np.all(lat == target, axis=1), space.volume, 0.0)
 
+    def weighted(label, factor):
+        return QuadraticObservable(space, label, _weighted(S.terms, factor)[0],
+                                   S.vacuum_subtraction)
+
     if p is None:
         factor = spatial((0, 0, 0)) * w.time_transform(q[:, 0])
-        return S.weighted(f"{S.label}|win", factor)
+        return weighted(f"{S.label}|win", factor)
     lat_p = np.array(space.lattice_of(p))
     factor = 0.5 * spatial(-lat_p) * w.time_transform(q[:, 0] + p.t)
     factor = factor + 0.5 * spatial(lat_p) * w.time_transform(q[:, 0] - p.t)
-    return S.weighted(f"{S.label}|cos", factor)
+    return weighted(f"{S.label}|cos", factor)
 
 
 _WINDOW_DENSITIES = {
@@ -567,19 +603,45 @@ def test_box_window_transforms_only_the_terms_it_keeps(monkeypatch):
     S = stress_tensor_scalar(space, 0, 0)
     p = FourVector(0.5, 1.0, 0.0, 0.0)
     targets = [space.lattice_of(p), tuple(-v for v in space.lattice_of(p))]
-    hits = [int(h.sum()) for h in S.lattice_hits(targets)]
     seen, weighted = [], []
     transform = MeasurementWindow.time_transform
     monkeypatch.setattr(MeasurementWindow, "time_transform",
                         lambda self, omega: seen.append(len(omega))
                         or transform(self, omega))
     obs = spacelike_windowed_observable(S, p, MeasurementWindow(tau=BOX))
-    assert 0 < sum(seen) <= len(obs.terms) == sum(hits) < len(S.terms) // 50
-
-    weight = QuadraticObservable.weighted
-    monkeypatch.setattr(QuadraticObservable, "weighted",
-                        lambda self, label, factor, keep=None: weighted.append(
-                            len(self.terms) if keep is None else len(keep))
-                        or weight(self, label, factor, keep))
+    weigh = spectral._weighted
+    monkeypatch.setattr(spectral, "_weighted", lambda terms, factor, hits: (
+        weighted.append([int(on.sum()) for on in hits])
+        or weigh(terms, factor, hits)))
     lehmann_spectral_density(space, S, S, p, math.inf)
-    assert sorted(weighted) == sorted(hits)
+    # the full array, built last, for the counts
+    _, lat = S.transfers()
+    hits = [int(np.all(lat == t, axis=1).sum()) for t in targets]
+    assert 0 < sum(seen) <= len(obs.terms) == sum(hits) < len(S.terms) // 50
+    assert [sorted(w) for w in weighted] == [sorted(hits)]
+
+
+def test_window_and_lehmann_samples_at_one_p_share_one_selection(monkeypatch):
+    # the cosine window at p and the beta = inf and finite-beta samples at
+    # +-p all read T00's terms at {lat(p), -lat(p)}: one evaluation of its
+    # slot matrix at those partner pairs, and no full (2M)^2 array
+    grid = ModeGrid(axes=(1, 2, 3), lengths=(BOX,) * 3, ranges=((-2, 2),) * 3,
+                    species=Species.BOSON)
+    space = build_fock_space([("phi", grid)], 2, 2)
+    full, pairs = [], []
+    records, at_pairs = fields._SlotMatrix.records, fields._SlotMatrix.at_pairs
+    monkeypatch.setattr(fields._SlotMatrix, "records", lambda self: (
+        full.append(1) or records(self)))
+    monkeypatch.setattr(fields._SlotMatrix, "at_pairs", lambda self, slots: (
+        pairs.append(len(slots["target"])) or at_pairs(self, slots)))
+    S = stress_tensor_scalar(space, 0, 0)
+    p = FourVector(0.5, 0.0, 1.0, 0.0)
+    obs = spacelike_windowed_observable(S, p, MeasurementWindow(tau=BOX))
+    assert lehmann_spectral_density(space, S, S, p, math.inf).term_count == 0
+    lehmann_spectral_density(space, S, S, -1.0 * p, 0.7)
+    assert full == [] and len(pairs) == 1 and 0 < len(obs.terms) <= pairs[0]
+    # a window at another p selects afresh; the full array is built only
+    # when read
+    windowed_observable(S, MeasurementWindow(tau=BOX))
+    assert full == [] and len(pairs) == 2
+    assert len(S.terms) > 50 * pairs[0] and full == [1]

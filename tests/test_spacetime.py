@@ -9,6 +9,20 @@ from boxqft.spacetime import (FourVector, IntervalClass, boost,
                               minkowski_dot)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_four_vector_refuses_components_that_are_not_finite(bad):
+    # a nan p0 selected no Lehmann line, so the sample read G = 0 with no
+    # contributing pair: the paper's structural zero for an input that is
+    # not a number
+    for i in range(4):
+        components = [0.5, 0.0, 0.0, 1.0]
+        components[i] = bad
+        with pytest.raises(BoxQFTError, match="finite"):
+            FourVector(*components)
+        with pytest.raises(BoxQFTError, match="finite"):
+            FourVector.from_array(components)
+
+
 def test_minkowski_dot_signature():
     t = FourVector(1, 0, 0, 0)
     assert minkowski_dot(t, t) == 1.0

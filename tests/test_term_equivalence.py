@@ -223,7 +223,7 @@ def test_normal_ordering_matches_reference(seed, n_boson, n_fermion, zeros):
     raw = [ref.QuadTerm((op(s), op(t)), W[s, t], (0.0,) * 4, (0, 0, 0))
            for s, t in zip(*np.nonzero(W))]
     ref_terms, ref_const = ref.normal_order(space, raw)
-    new = fields._quadratic(space, "W", W)
+    new = fields._quadratic(space, "W", lambda s, t: W[s, t])
     _assert_terms_equivalent(space, ref_terms, new, True)
     assert abs(ref_const - new.vacuum_subtraction) <= CONST_TOL
 
@@ -288,11 +288,12 @@ def test_in_place_builders_keep_every_bit():
         parts = rng.choice([-1.5, -0.0, 0.0, 0.5, 2.0], size=(2, n, n))
         W = np.empty((n, n), dtype=complex)
         W.real, W.imag = parts                # zeros keep their signs
+        # each builder hands its slot matrix over elementwise
         if symmetrize:
-            got = fields._symmetrized(space, "W", W)
+            got = fields._symmetrized(space, "W", lambda s, t: W[s, t])
             terms, vacuum = _dense_quadratic(space, 0.5 * (W + W.T))
         else:
-            got = fields._quadratic(space, "W", W)
+            got = fields._quadratic(space, "W", lambda s, t: W[s, t])
             terms, vacuum = _dense_quadratic(space, W)
         assert len(terms) > 0
         assert got.terms.tobytes() == terms.tobytes()
